@@ -21,10 +21,10 @@ CHAOS_FLAGS := -scale $(REPLAY_SCALE) -replay $(REPLAY_FIXTURE) -only "$(REPLAY_
 # version via `make staticcheck-install`.
 STATICCHECK_VERSION := 2024.1.1
 
-.PHONY: check lint fmt vet llmsqlvet build test race staticcheck staticcheck-install bench baseline bench-check replay-check replay-fixture chaos-check fuzz docs-check
+.PHONY: check lint fmt vet llmsqlvet build test race staticcheck staticcheck-install bench baseline bench-check bench-smoke replay-check replay-fixture chaos-check fuzz docs-check
 
 ## check: everything the CI lint+test jobs run
-check: fmt vet llmsqlvet build race docs-check
+check: fmt vet llmsqlvet build race bench-smoke docs-check
 
 ## lint: the static gates only (no tests)
 lint: fmt vet llmsqlvet
@@ -79,6 +79,12 @@ bench-check:
 	fi; \
 	[ -z "$$cleanup" ] || rm -f "$$cleanup"; \
 	exit $$status
+
+## bench-smoke: vet and test the nested benchmark module (root ./... cannot see it, yet it imports internal/llm and internal/core), then run the hot-path micro-benchmarks of those two packages once each so none can rot
+bench-smoke:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+	$(GO) test ./internal/llm ./internal/core -run '^$$' -bench . -benchtime 1x
 
 ## replay-check: run the efficiency suite twice from the checked-in replay fixture and fail on any byte difference (what the CI replay-determinism job runs)
 replay-check:
@@ -137,3 +143,4 @@ fuzz:
 	$(GO) test ./internal/sql -run '^$$' -fuzz '^FuzzParseExpr$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sql -run '^$$' -fuzz '^FuzzParseSelect$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sql -run '^$$' -fuzz '^FuzzParseParams$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/llm -run '^$$' -fuzz '^FuzzFingerprintMatchesReference$$' -fuzztime $(FUZZTIME)

@@ -8,7 +8,11 @@
 // executor (internal/exec).
 package core
 
-import "llmsql/internal/llm"
+import (
+	"math"
+
+	"llmsql/internal/llm"
+)
 
 // Strategy selects how a table scan is decomposed into prompts.
 type Strategy int
@@ -257,7 +261,9 @@ func (c Config) normalize() Config {
 	if c.PageSize < 1 {
 		c.PageSize = 40
 	}
-	if c.Temperature < 0 {
+	// NaN fails every comparison, so it needs naming: as a request field it
+	// would be a temperature no two lookups agree on.
+	if c.Temperature < 0 || math.IsNaN(c.Temperature) || math.IsInf(c.Temperature, 0) {
 		c.Temperature = 0
 	}
 	if c.MinConfidence < 0 {

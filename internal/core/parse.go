@@ -106,7 +106,25 @@ func parseListCompletion(text string, schema rel.Schema, cols []int, keyPos int,
 // trimmed, interior runs collapsed to single spaces. Parsing already trims
 // field edges, so this is about interior variants.
 func normalizeKeyText(s string) string {
+	if keyTextIsCanonical(s) {
+		return s // the usual case: nothing to split, join or copy
+	}
 	return strings.Join(strings.Fields(s), " ")
+}
+
+// keyTextIsCanonical reports that s is provably what normalizeKeyText would
+// rebuild: ASCII, no whitespace but single interior spaces. A non-ASCII
+// string may hide a Unicode space, so it takes the slow path.
+func keyTextIsCanonical(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= 0x80, c >= '\t' && c <= '\r':
+			return false
+		case c == ' ' && (i == 0 || i == len(s)-1 || s[i-1] == ' '):
+			return false
+		}
+	}
+	return true
 }
 
 // splitRowLine turns a completion line into fields. It reports the number
@@ -303,14 +321,20 @@ func parseAttrCompletion(text string, t rel.DataType, tolerant bool) (rel.Value,
 	if line == "" {
 		return rel.NullOf(t), false
 	}
-	lower := strings.ToLower(line)
-	for _, refusal := range []string{"i'm not sure", "i am not sure", "i do not know", "i don't know", "unknown"} {
-		if strings.Contains(lower, refusal) {
+	// Markers are matched case-insensitively. An ASCII line — nearly every
+	// answer — is matched in place; only a non-ASCII one is lower-cased into
+	// a copy first.
+	lower := line
+	if !isASCII(line) {
+		lower = strings.ToLower(line)
+	}
+	for _, refusal := range [...]string{"i'm not sure", "i am not sure", "i do not know", "i don't know", "unknown"} {
+		if lastIndexFold(lower, refusal) >= 0 {
 			return rel.NullOf(t), false
 		}
 	}
 	// "The X of Y is VALUE."
-	if idx := strings.LastIndex(lower, " is "); idx >= 0 && tolerant {
+	if idx := lastIndexFold(lower, " is "); idx >= 0 && tolerant {
 		candidate := strings.TrimSpace(line[idx+4:])
 		candidate = strings.TrimSuffix(candidate, ".")
 		if v, err := rel.ParseTyped(candidate, t); err == nil && !v.IsNull() {
@@ -348,4 +372,34 @@ func parseAttrCompletion(text string, t rel.DataType, tolerant bool) (rel.Value,
 		return rel.Text(candidate), true
 	}
 	return rel.NullOf(t), false
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
+}
+
+// lastIndexFold returns the index of the last occurrence in s of marker, a
+// lower-case ASCII string, ignoring the case of ASCII letters in s, or -1.
+// On ASCII input it equals strings.LastIndex(strings.ToLower(s), marker)
+// without the copy.
+func lastIndexFold(s, marker string) int {
+next:
+	for i := len(s) - len(marker); i >= 0; i-- {
+		for j := 0; j < len(marker); j++ {
+			c := s[i+j]
+			if c >= 'A' && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			if c != marker[j] {
+				continue next
+			}
+		}
+		return i
+	}
+	return -1
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"llmsql/internal/rel"
@@ -186,6 +187,12 @@ func TestParseAttrCompletion(t *testing.T) {
 		{"The capital of France is Paris.", rel.TypeText, "Paris", true},
 		{"capital: Paris", rel.TypeText, "Paris", true},
 		{"I'm not sure.", rel.TypeText, "", false},
+		{"I DON'T KNOW", rel.TypeText, "", false},
+		{"Unknown.", rel.TypeText, "", false},
+		{"The capital IS Paris.", rel.TypeText, "Paris", true},
+		{"La capitale de la Côte d'Ivoire is Yamoussoukro.", rel.TypeText, "Yamoussoukro", true},
+		{"Ünknown, sorry", rel.TypeText, "Ünknown, sorry", true}, // "ünknown" is not the marker
+		{"İ: unknown", rel.TypeText, "", false},                  // a non-ASCII line is still scanned
 		{"68", rel.TypeInt, "68", true},
 		{"The population of France is 68.", rel.TypeInt, "68", true},
 		{"about 68 million", rel.TypeInt, "68", true},
@@ -255,5 +262,39 @@ func TestParseBatchMatchesWhitespaceVariantKeys(t *testing.T) {
 	}
 	if !found[1] || vals[1].AsText() != "Paris" {
 		t.Fatalf("clean echo broken: %v", vals)
+	}
+}
+
+// On ASCII input lastIndexFold must agree with the lower-cased copy it
+// replaced, index for index.
+func TestLastIndexFoldMatchesToLower(t *testing.T) {
+	lines := []string{"", " is ", "IS", "x IS y is z", "The Capital Is Paris IS", "unknown", "UNKNOWN!", "UnKnOwN",
+		"i'm not sure", "I'M NOT SURE.", "un known", "nknown", "[{@`", "A is  is B", "is", " is"}
+	markers := []string{" is ", "unknown", "i'm not sure", "i don't know", "a", ""}
+	for _, line := range lines {
+		for _, m := range markers {
+			if got, want := lastIndexFold(line, m), strings.LastIndex(strings.ToLower(line), m); got != want {
+				t.Errorf("lastIndexFold(%q, %q) = %d, want %d", line, m, got, want)
+			}
+		}
+	}
+}
+
+// The fast path of normalizeKeyText must return exactly what the split and
+// join would have built.
+func TestNormalizeKeyTextFastPath(t *testing.T) {
+	for _, s := range []string{"", " ", "  ", "France", "United Kingdom", "United  Kingdom", " France", "France ",
+		"a b c", "a\tb", "a\nb", "a\vb", "a\fb", "a\rb", "Côte d'Ivoire", "Côte  d'Ivoire", "a\u00a0b", "a\u2003b", "a\u0085b",
+		"x", " x ", "são tomé"} {
+		want := strings.Join(strings.Fields(s), " ")
+		if got := normalizeKeyText(s); got != want {
+			t.Errorf("normalizeKeyText(%q) = %q, want %q", s, got, want)
+		}
+		if keyTextIsCanonical(s) && s != want {
+			t.Errorf("keyTextIsCanonical(%q) but normalization gives %q", s, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = normalizeKeyText("United Kingdom") }); n != 0 {
+		t.Errorf("canonical key allocated %v times", n)
 	}
 }

@@ -72,17 +72,30 @@ func buildKeysPrompt(t *VirtualTable, filter sql.Expr, exclude []string, maxRows
 	return b.String()
 }
 
-// buildAttrPrompt asks for a single attribute of a single entity.
-func buildAttrPrompt(t *VirtualTable, entityKey string, col int) string {
+// attrPrompter renders the single-entity ATTR prompts of one (table, column)
+// pair. Everything but the entity is the same for every key of a scan, so the
+// text before and after it is rendered once and each prompt is one
+// concatenation.
+type attrPrompter struct{ prefix, suffix string }
+
+func newAttrPrompter(t *VirtualTable, col int) attrPrompter {
 	var b strings.Builder
 	b.WriteString(promptHeader)
 	b.WriteString("\nTASK: ATTR\n")
 	writeTableLine(&b, t)
-	fmt.Fprintf(&b, "ENTITY: %s\n", entityKey)
+	b.WriteString("ENTITY: ")
 	c := t.Schema.Col(col)
-	fmt.Fprintf(&b, "COLUMN: %s -- %s\n", c.Name, c.Desc)
-	b.WriteString("Respond with only the value.")
-	return b.String()
+	return attrPrompter{
+		prefix: b.String(),
+		suffix: "\nCOLUMN: " + c.Name + " -- " + c.Desc + "\nRespond with only the value.",
+	}
+}
+
+func (p attrPrompter) prompt(entityKey string) string { return p.prefix + entityKey + p.suffix }
+
+// buildAttrPrompt asks for a single attribute of a single entity.
+func buildAttrPrompt(t *VirtualTable, entityKey string, col int) string {
+	return newAttrPrompter(t, col).prompt(entityKey)
 }
 
 // buildAttrBatchPrompt asks for one attribute of a batch of entities

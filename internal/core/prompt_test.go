@@ -65,6 +65,22 @@ func TestBuildAttrPrompt(t *testing.T) {
 			t.Errorf("attr prompt missing %q:\n%s", want, p)
 		}
 	}
+	// The prompt is a cache, trace and disk-cache key: its bytes are pinned.
+	// (The table name is lower-cased on the TABLE line whatever its spelling.)
+	const want = "You are a precise data assistant. Answer strictly from your world knowledge.\n" +
+		"TASK: ATTR\n" +
+		"TABLE: country -- a sovereign country of the world\n" +
+		"ENTITY: São Tomé\n" +
+		"COLUMN: population -- population in millions\n" +
+		"Respond with only the value."
+	tbl := promptTable()
+	tbl.Name = "Country"
+	if got := buildAttrPrompt(tbl, "São Tomé", 2); got != want {
+		t.Errorf("attr prompt bytes changed:\n%q\nwant\n%q", got, want)
+	}
+	if got := newAttrPrompter(tbl, 2).prompt("São Tomé"); got != want {
+		t.Errorf("attrPrompter disagrees with buildAttrPrompt:\n%q", got)
+	}
 }
 
 func TestFilterQualifiersStripped(t *testing.T) {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -259,6 +260,7 @@ func (s *LLMStore) Scan(req exec.ScanRequest) (exec.RowIter, error) {
 	scan := &llmScan{
 		store:    s,
 		table:    t,
+		keyPos:   t.Schema.KeyIndexes()[0],
 		schema:   req.Schema,
 		cols:     cols,
 		strategy: strategy,
@@ -347,6 +349,7 @@ func neededColumns(schema rel.Schema, needed []bool) []int {
 type llmScan struct {
 	store    *LLMStore
 	table    *VirtualTable
+	keyPos   int        // schema position of the entity key
 	schema   rel.Schema // alias-renamed schema expected by the executor
 	cols     []int
 	strategy Strategy // effective strategy (auto already resolved)
@@ -361,8 +364,6 @@ type llmScan struct {
 }
 
 func (sc *llmScan) cfg() Config { return sc.store.cfg }
-
-func (sc *llmScan) keyPos() int { return sc.table.Schema.KeyIndexes()[0] }
 
 // modelCall issues one raw model call. It does no accounting — callers own
 // prompt counting and critical-path bookkeeping — and is safe to invoke from
@@ -394,33 +395,60 @@ func (sc *llmScan) addWall(d time.Duration) { sc.wall += d }
 // counters read as they would solo; CoalescedHits is counted on top, not
 // instead. Retry/hedge markings survive only on live responses (cache hits
 // strip them), so on a healthy backend the fault counters stay zero.
-func (sc *llmScan) countCache(resp llm.CompletionResponse) {
+func (sc *llmScan) countCache(c callAccount) {
 	if sc.store.cache != nil {
-		if resp.Cached && !resp.DiskCached {
+		if c.cached && !c.diskCached {
 			sc.stats.CacheHits++
 		} else {
 			sc.stats.CacheMisses++
 		}
 	}
 	if sc.store.disk != nil {
-		if resp.DiskCached {
+		if c.diskCached {
 			sc.stats.DiskHits++
-			sc.stats.DiskBytes += resp.DiskBytes
-		} else if !resp.Cached {
+			sc.stats.DiskBytes += c.diskBytes
+		} else if !c.cached {
 			sc.stats.DiskMisses++
 		}
 	}
-	if sc.store.coal != nil && resp.Coalesced {
+	if sc.store.coal != nil && c.coalesced {
 		sc.stats.CoalescedHits++
 	}
-	if resp.Attempts > 1 {
-		sc.stats.RetriesSpent += resp.Attempts - 1
+	if c.attempts > 1 {
+		sc.stats.RetriesSpent += c.attempts - 1
 	}
-	if resp.HedgeLaunched {
+	if c.hedgeLaunched {
 		sc.stats.HedgesLaunched++
 	}
-	if resp.HedgeWon {
+	if c.hedgeWon {
 		sc.stats.HedgesWon++
+	}
+}
+
+// callAccount is what a scan keeps of one model call once the completion
+// text has been parsed: the virtual time the call occupied a lane for and the
+// flags countCache attributes from. A fan-out holds one per task until the
+// scan goroutine accounts for it, so it is a fraction of the response's size.
+// For a call that failed and degraded, latency is the failure's virtual time
+// and attempts the budget it burned; nothing else is set.
+type callAccount struct {
+	latency   time.Duration
+	diskBytes int64
+	attempts  int
+
+	cached, diskCached, coalesced, hedgeLaunched, hedgeWon bool
+}
+
+func accountOf(resp llm.CompletionResponse) callAccount {
+	return callAccount{
+		latency:       resp.SimLatency,
+		diskBytes:     resp.DiskBytes,
+		attempts:      resp.Attempts,
+		cached:        resp.Cached,
+		diskCached:    resp.DiskCached,
+		coalesced:     resp.Coalesced,
+		hedgeLaunched: resp.HedgeLaunched,
+		hedgeWon:      resp.HedgeWon,
 	}
 }
 
@@ -432,15 +460,15 @@ func (sc *llmScan) countCache(resp llm.CompletionResponse) {
 // only carrier; a degradable error that is not a RetryError (retries
 // disabled outright) charges one attempt and no latency. Safe to call from
 // pool workers; callers record the outcome in their index-disjoint slots.
-func (sc *llmScan) degrade(err error) (attempts int, fault time.Duration, ok bool) {
+func (sc *llmScan) degrade(err error) (failed callAccount, ok bool) {
 	if !sc.cfg().PartialResults || !llm.Degradable(err) {
-		return 0, 0, false
+		return callAccount{}, false
 	}
 	var re *llm.RetryError
 	if errors.As(err, &re) {
-		return re.Attempts, re.FaultLatency, true
+		return callAccount{attempts: re.Attempts, latency: re.FaultLatency}, true
 	}
-	return 1, 0, true
+	return callAccount{attempts: 1}, true
 }
 
 // countFailed attributes a degraded call on the scan goroutine: the burned
@@ -448,14 +476,14 @@ func (sc *llmScan) degrade(err error) (attempts int, fault time.Duration, ok boo
 // lane of the fan-out's scheduler just as a successful call's latency would
 // (nil sched charges the serial critical path directly). Cache counters are
 // left alone — a call that never completed hit nothing.
-func (sc *llmScan) countFailed(attempts int, fault time.Duration, sched *llm.Sched) {
-	if attempts > 1 {
-		sc.stats.RetriesSpent += attempts - 1
+func (sc *llmScan) countFailed(failed callAccount, sched *llm.Sched) {
+	if failed.attempts > 1 {
+		sc.stats.RetriesSpent += failed.attempts - 1
 	}
 	if sched != nil {
-		sched.Add(fault)
+		sched.Add(failed.latency)
 	} else {
-		sc.addWall(fault)
+		sc.addWall(failed.latency)
 	}
 }
 
@@ -539,24 +567,24 @@ func (sc *llmScan) runRounds(promptVaries bool, issue func(seed int64) (llm.Comp
 		sc.stats.Rounds++
 		resp, err := next(round)
 		if err != nil {
-			if tries, fault, ok := sc.degrade(err); ok {
+			if failed, ok := sc.degrade(err); ok {
 				// A failed enumeration round stops enumeration at the rows
 				// already found. Earlier rounds consumed identical
 				// completions to the fault-free run (faults are keyed per
 				// request, not per call order), so the surviving rows are a
 				// subset of what full enumeration would have produced.
-				sc.countFailed(tries, fault, nil)
+				sc.countFailed(failed, nil)
 				break
 			}
 			return nil, err
 		}
 		sc.stats.Prompts++
-		sc.countCache(resp)
+		sc.countCache(accountOf(resp))
 		rows := parse(resp.Text)
 		newThisRound := 0
 		seenThisRound := map[string]bool{}
 		for _, row := range rows {
-			key := entityKey(row, sc.keyPos())
+			key := entityKey(row, sc.keyPos)
 			if !seenThisRound[key] {
 				seenThisRound[key] = true
 				appearances[key]++
@@ -604,7 +632,7 @@ func (sc *llmScan) filterByConfidence(rows []rel.Row, appearances map[string]int
 	if sc.strategy == StrategyPaged {
 		return rows
 	}
-	keyPos := sc.keyPos()
+	keyPos := sc.keyPos
 	kept := rows[:0]
 	for _, row := range rows {
 		conf := float64(appearances[entityKey(row, keyPos)]) / float64(rounds)
@@ -634,7 +662,7 @@ func (sc *llmScan) runFullTable() ([]rel.Row, error) {
 			return sc.modelCall(prompt, seed)
 		},
 		func(text string) []rel.Row {
-			rows, stats := parseListCompletion(text, sc.table.Schema, sc.cols, sc.keyPos(), sc.cfg().Tolerant)
+			rows, stats := parseListCompletion(text, sc.table.Schema, sc.cols, sc.keyPos, sc.cfg().Tolerant)
 			sc.stats.Parse.Add(stats)
 			return rows
 		})
@@ -653,13 +681,13 @@ func (sc *llmScan) runPaged() ([]rel.Row, error) {
 			return sc.modelCall(prompt, seed)
 		},
 		func(text string) []rel.Row {
-			rows, stats := parseListCompletion(text, sc.table.Schema, sc.cols, sc.keyPos(), sc.cfg().Tolerant)
+			rows, stats := parseListCompletion(text, sc.table.Schema, sc.cols, sc.keyPos, sc.cfg().Tolerant)
 			sc.stats.Parse.Add(stats)
 			for _, row := range rows {
-				key := entityKey(row, sc.keyPos())
+				key := entityKey(row, sc.keyPos)
 				if !excludeSet[key] {
 					excludeSet[key] = true
-					exclude = append(exclude, row[sc.keyPos()].AsText())
+					exclude = append(exclude, row[sc.keyPos].AsText())
 				}
 			}
 			return rows
@@ -674,14 +702,10 @@ type attrVote struct {
 	// retry budget (Config.PartialResults only): any failed cell drops its
 	// key from the window's output.
 	failed bool
-	// failTries and fault carry a failed call's accounting — the attempts
-	// it burned and the virtual time it spent — since no response exists to
-	// count from.
-	failTries int
-	fault     time.Duration
-	// resp is the completion the vote was parsed from; zero for scatter
-	// copies of a batched answer (the call is counted once, on its task).
-	resp llm.CompletionResponse
+	// call is the accounting of the model call behind the vote; zero for
+	// scatter copies of a batched answer (the call is counted once, on its
+	// task).
+	call callAccount
 }
 
 // startKeyThenAttr runs the enumeration phase of the key-then-attr
@@ -695,7 +719,7 @@ type attrVote struct {
 func (sc *llmScan) startKeyThenAttr() (func() (rel.Row, bool, error), error) {
 	// Phase 1: enumerate keys. The prompt carries the conjuncts the key
 	// column alone can decide; the gate below enforces them locally.
-	keyPos := sc.keyPos()
+	keyPos := sc.keyPos
 	keyFilter := sc.keyOnlyFilter()
 	keyPrompt := buildKeysPrompt(sc.table, keyFilter, nil, 0)
 	keyRows, err := sc.runRounds(false,
@@ -732,9 +756,11 @@ func (sc *llmScan) startKeyThenAttr() (func() (rel.Row, bool, error), error) {
 	keyRows, emit := sc.bindGate(keyRows)
 
 	attrCols := make([]int, 0, len(sc.cols))
+	prompters := make([]attrPrompter, 0, len(sc.cols))
 	for _, c := range sc.cols {
 		if c != keyPos {
 			attrCols = append(attrCols, c)
+			prompters = append(prompters, newAttrPrompter(sc.table, c))
 		}
 	}
 	keys := make([]string, len(keyRows))
@@ -752,15 +778,16 @@ func (sc *llmScan) startKeyThenAttr() (func() (rel.Row, bool, error), error) {
 		window = 1
 	}
 	st := &attrStream{
-		sc:       sc,
-		keyRows:  keyRows,
-		keys:     keys,
-		emit:     emit,
-		attrCols: attrCols,
-		votes:    votes,
-		window:   window,
-		primary:  llm.NewSched(sc.cfg().Parallelism),
-		fallback: llm.NewSched(sc.cfg().Parallelism),
+		sc:        sc,
+		keyRows:   keyRows,
+		keys:      keys,
+		emit:      emit,
+		attrCols:  attrCols,
+		prompters: prompters,
+		votes:     votes,
+		window:    window,
+		primary:   llm.NewSched(sc.cfg().Parallelism),
+		fallback:  llm.NewSched(sc.cfg().Parallelism),
 	}
 	return st.nextRow, nil
 }
@@ -786,7 +813,7 @@ func (sc *llmScan) keyOnlyFilter() sql.Expr {
 	if sc.filter == nil {
 		return nil
 	}
-	keyName := sc.table.Schema.Col(sc.keyPos()).Name
+	keyName := sc.table.Schema.Col(sc.keyPos).Name
 	return sql.JoinConjuncts(keyOnlyConjuncts(sc.filter, keyName))
 }
 
@@ -864,7 +891,7 @@ func (sc *llmScan) bindGate(keyRows []rel.Row) ([]rel.Row, []bool) {
 	for _, k := range sc.bound {
 		inBound[strings.ToLower(k)] = true
 	}
-	keyPos := sc.keyPos()
+	keyPos := sc.keyPos
 	batch := sc.cfg().BatchSize
 	var kept []rel.Row
 	var emit []bool
@@ -905,12 +932,13 @@ type attrStream struct {
 	// emit, when non-nil, marks which keys produce output rows: bind-gate
 	// rider keys are attributed (their group's prompt needs them) but
 	// never emitted.
-	emit     []bool
-	attrCols []int
-	votes    int
-	window   int // keys attributed per fetch
-	next     int // first key index not yet attributed
-	buf      []rel.Row
+	emit      []bool
+	attrCols  []int
+	prompters []attrPrompter // parallel to attrCols
+	votes     int
+	window    int // keys attributed per fetch
+	next      int // first key index not yet attributed
+	buf       []rel.Row
 	// primary and fallback accumulate the whole phase's fan-out latencies
 	// across windows, so the critical-path account at full consumption is
 	// identical to the single big fan-out of the materialized scan.
@@ -945,15 +973,15 @@ func (st *attrStream) fetchWindow() error {
 	var results []attrVote
 	var err error
 	if sc.cfg().BatchSize > 1 && len(keys) > 0 && len(st.attrCols) > 0 {
-		results, err = sc.attrBatched(keys, st.attrCols, st.votes, st.primary, st.fallback)
+		results, err = sc.attrBatched(keys, st.attrCols, st.prompters, st.votes, st.primary, st.fallback)
 	} else {
-		results, err = sc.attrSingle(keys, st.attrCols, st.votes, st.primary)
+		results, err = sc.attrSingle(keys, st.attrCols, st.prompters, st.votes, st.primary)
 	}
 	if err != nil {
 		return err
 	}
 	sc.stats.KeysAttributed += len(keys)
-	keyPos := sc.keyPos()
+	keyPos := sc.keyPos
 	for ki := lo; ki < hi; ki++ {
 		if st.emit != nil && !st.emit[ki] {
 			continue
@@ -994,23 +1022,28 @@ func (st *attrStream) fetchWindow() error {
 // The returned slice is indexed (key-major, then column, then vote). sched
 // is shared across the scan's windows so the accumulated critical path
 // matches one big fan-out.
-func (sc *llmScan) attrSingle(keys []string, attrCols []int, votes int, sched *llm.Sched) ([]attrVote, error) {
-	n := len(keys) * len(attrCols) * votes
+func (sc *llmScan) attrSingle(keys []string, attrCols []int, prompters []attrPrompter, votes int, sched *llm.Sched) ([]attrVote, error) {
+	// The votes of one (key, column) cell differ only in their seed, so the
+	// cell's prompt is rendered once and shared.
+	prompts := make([]string, len(keys)*len(attrCols))
+	for cell := range prompts {
+		prompts[cell] = prompters[cell%len(attrCols)].prompt(keys[cell/len(attrCols)])
+	}
+	n := len(prompts) * votes
 	results := make([]attrVote, n)
 	err := runTasks(sc.cfg().Parallelism, n, func(i int) error {
-		ki := i / (len(attrCols) * votes)
-		c := attrCols[i/votes%len(attrCols)]
-		v := i % votes
-		resp, err := sc.modelCall(buildAttrPrompt(sc.table, keys[ki], c), int64(1000+v))
+		cell := i / votes
+		resp, err := sc.modelCall(prompts[cell], int64(1000+i%votes))
 		if err != nil {
-			if tries, fault, ok := sc.degrade(err); ok {
-				results[i] = attrVote{failed: true, failTries: tries, fault: fault}
+			if failed, ok := sc.degrade(err); ok {
+				results[i] = attrVote{failed: true, call: failed}
 				return nil
 			}
 			return err
 		}
+		c := attrCols[cell%len(attrCols)]
 		val, ok := parseAttrCompletion(resp.Text, sc.table.Schema.Col(c).Type, sc.cfg().Tolerant)
-		results[i] = attrVote{val: val, ok: ok, resp: resp}
+		results[i] = attrVote{val: val, ok: ok, call: accountOf(resp)}
 		return nil
 	})
 	if err != nil {
@@ -1023,11 +1056,11 @@ func (sc *llmScan) attrSingle(keys []string, attrCols []int, votes int, sched *l
 	before := sched.Makespan()
 	for i := range results {
 		if results[i].failed {
-			sc.countFailed(results[i].failTries, results[i].fault, sched)
+			sc.countFailed(results[i].call, sched)
 			continue
 		}
-		sched.Add(results[i].resp.SimLatency)
-		sc.countCache(results[i].resp)
+		sched.Add(results[i].call.latency)
+		sc.countCache(results[i].call)
 	}
 	sc.addWall(sched.Makespan() - before)
 	return results, nil
@@ -1043,19 +1076,17 @@ func (sc *llmScan) attrSingle(keys []string, attrCols []int, votes int, sched *l
 // the same accounting as the unbatched phase, at ~BatchSize fewer prompts.
 // The returned slice is indexed exactly like attrSingle's. primary and
 // fallback are the scan-wide schedulers for the two fan-outs.
-func (sc *llmScan) attrBatched(keys []string, attrCols []int, votes int, primary, fallback *llm.Sched) ([]attrVote, error) {
+func (sc *llmScan) attrBatched(keys []string, attrCols []int, prompters []attrPrompter, votes int, primary, fallback *llm.Sched) ([]attrVote, error) {
 	batch := sc.cfg().BatchSize
 	numBatches := (len(keys) + batch - 1) / batch
 
 	// One task per (batch, column, vote), indexed batch-major.
 	type batchAnswer struct {
-		vals      []rel.Value
-		ok        []bool
-		found     []bool
-		failed    bool // degraded call: the whole group's cells fail
-		failTries int
-		fault     time.Duration
-		resp      llm.CompletionResponse
+		vals   []rel.Value
+		ok     []bool
+		found  []bool
+		failed bool // degraded call: the whole group's cells fail
+		call   callAccount
 	}
 	n := numBatches * len(attrCols) * votes
 	tasks := make([]batchAnswer, n)
@@ -1070,14 +1101,14 @@ func (sc *llmScan) attrBatched(keys []string, attrCols []int, votes int, primary
 		group := keys[lo:hi]
 		resp, err := sc.modelCall(buildAttrBatchPrompt(sc.table, group, c), int64(1000+v))
 		if err != nil {
-			if tries, fault, ok := sc.degrade(err); ok {
-				tasks[i] = batchAnswer{failed: true, failTries: tries, fault: fault}
+			if failed, ok := sc.degrade(err); ok {
+				tasks[i] = batchAnswer{failed: true, call: failed}
 				return nil
 			}
 			return err
 		}
 		vals, ok, found := parseAttrBatchCompletion(resp.Text, group, sc.table.Schema.Col(c).Type, sc.cfg().Tolerant)
-		tasks[i] = batchAnswer{vals: vals, ok: ok, found: found, resp: resp}
+		tasks[i] = batchAnswer{vals: vals, ok: ok, found: found, call: accountOf(resp)}
 		return nil
 	})
 	if err != nil {
@@ -1088,11 +1119,11 @@ func (sc *llmScan) attrBatched(keys []string, attrCols []int, votes int, primary
 	before := primary.Makespan()
 	for i := range tasks {
 		if tasks[i].failed {
-			sc.countFailed(tasks[i].failTries, tasks[i].fault, primary)
+			sc.countFailed(tasks[i].call, primary)
 			continue
 		}
-		primary.Add(tasks[i].resp.SimLatency)
-		sc.countCache(tasks[i].resp)
+		primary.Add(tasks[i].call.latency)
+		sc.countCache(tasks[i].call)
 	}
 	sc.addWall(primary.Makespan() - before)
 
@@ -1132,18 +1163,18 @@ func (sc *llmScan) attrBatched(keys []string, attrCols []int, votes int, primary
 	err = runTasks(sc.cfg().Parallelism, len(repair), func(j int) error {
 		i := repair[j]
 		ki := i / (len(attrCols) * votes)
-		c := attrCols[i/votes%len(attrCols)]
+		ci := i / votes % len(attrCols)
 		v := i % votes
-		resp, err := sc.modelCall(buildAttrPrompt(sc.table, keys[ki], c), int64(1000+v))
+		resp, err := sc.modelCall(prompters[ci].prompt(keys[ki]), int64(1000+v))
 		if err != nil {
-			if tries, fault, ok := sc.degrade(err); ok {
-				fb[j] = attrVote{failed: true, failTries: tries, fault: fault}
+			if failed, ok := sc.degrade(err); ok {
+				fb[j] = attrVote{failed: true, call: failed}
 				return nil
 			}
 			return err
 		}
-		val, ok := parseAttrCompletion(resp.Text, sc.table.Schema.Col(c).Type, sc.cfg().Tolerant)
-		fb[j] = attrVote{val: val, ok: ok, resp: resp}
+		val, ok := parseAttrCompletion(resp.Text, sc.table.Schema.Col(attrCols[ci]).Type, sc.cfg().Tolerant)
+		fb[j] = attrVote{val: val, ok: ok, call: accountOf(resp)}
 		return nil
 	})
 	if err != nil {
@@ -1153,12 +1184,12 @@ func (sc *llmScan) attrBatched(keys []string, attrCols []int, votes int, primary
 	before = fallback.Makespan()
 	for j := range fb {
 		if fb[j].failed {
-			sc.countFailed(fb[j].failTries, fb[j].fault, fallback)
+			sc.countFailed(fb[j].call, fallback)
 			results[repair[j]] = attrVote{failed: true}
 			continue
 		}
-		fallback.Add(fb[j].resp.SimLatency)
-		sc.countCache(fb[j].resp)
+		fallback.Add(fb[j].call.latency)
+		sc.countCache(fb[j].call)
 		results[repair[j]] = attrVote{val: fb[j].val, ok: fb[j].ok}
 	}
 	sc.addWall(fallback.Makespan() - before)
@@ -1167,33 +1198,48 @@ func (sc *llmScan) attrBatched(keys []string, attrCols []int, votes int, primary
 
 // mergeVotes resolves one attribute cell from its self-consistency votes:
 // the value observed most often wins; ties break toward the earliest vote
-// seed; all-unparsable vote sets yield NULL.
+// seed; all-unparsable vote sets yield NULL. Votes group as sameVote says,
+// each group standing for its first member.
 func mergeVotes(votes []attrVote, t rel.DataType) rel.Value {
-	counts := map[string]int{}
-	values := map[string]rel.Value{}
-	var order []string
-	for _, vote := range votes {
-		if !vote.ok {
+	best, bestN := -1, 0
+group:
+	for i := range votes {
+		if !votes[i].ok {
 			continue
 		}
-		k := (rel.Row{vote.val}).AllKey()
-		if _, seen := counts[k]; !seen {
-			values[k] = vote.val
-			order = append(order, k)
+		for j := 0; j < i; j++ {
+			if votes[j].ok && sameVote(votes[j].val, votes[i].val) {
+				continue group // counted when its first member was
+			}
 		}
-		counts[k]++
-	}
-	best := ""
-	bestN := 0
-	for _, k := range order {
-		if counts[k] > bestN {
-			best, bestN = k, counts[k]
+		n := 1
+		for j := i + 1; j < len(votes); j++ {
+			if votes[j].ok && sameVote(votes[i].val, votes[j].val) {
+				n++
+			}
+		}
+		if n > bestN {
+			best, bestN = i, n
 		}
 	}
-	if bestN == 0 {
+	if best < 0 {
 		return rel.NullOf(t)
 	}
-	return values[best]
+	return votes[best].val
+}
+
+// sameVote reports whether two vote values fall in one group: exactly when
+// their canonical row keys (rel.Row.AllKey: numerics by value, text trimmed
+// and case-folded) are equal. Agreeing votes are usually identical and
+// disagreeing ones usually numeric, and neither case needs the key strings.
+func sameVote(a, b rel.Value) bool {
+	if !a.IsNull() && !b.IsNull() && a.Type().Numeric() && b.Type().Numeric() {
+		// The key renders the float's shortest round-trip form: one string
+		// per bit pattern (0 and -0 apart), except that every NaN reads "NaN".
+		fa, fb := a.AsFloat(), b.AsFloat()
+		return math.Float64bits(fa) == math.Float64bits(fb) || fa != fa && fb != fb
+	}
+	return a == b || rel.Row{a}.AllKey() == rel.Row{b}.AllKey()
 }
 
 // filterUsesOnly reports whether every column reference in e is the named
@@ -1211,7 +1257,7 @@ func filterUsesOnly(e sql.Expr, column string) bool {
 func (sc *llmScan) dedup(rows []rel.Row) []rel.Row {
 	seen := map[string]bool{}
 	out := rows[:0]
-	keyPos := sc.keyPos()
+	keyPos := sc.keyPos
 	for _, row := range rows {
 		key := entityKey(row, keyPos)
 		if seen[key] {

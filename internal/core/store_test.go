@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -386,6 +388,14 @@ func TestConfigNormalize(t *testing.T) {
 	if n.MaxRounds != 1 || n.StableRounds != 1 || n.Votes != 1 || n.PageSize != 40 || n.Temperature != 0 {
 		t.Fatalf("normalize: %+v", n)
 	}
+	for _, temp := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if got := (Config{Temperature: temp}).normalize().Temperature; got != 0 {
+			t.Errorf("temperature %v normalized to %v, want 0", temp, got)
+		}
+	}
+	if got := (Config{Temperature: 0.7}).normalize().Temperature; got != 0.7 {
+		t.Errorf("temperature 0.7 normalized to %v", got)
+	}
 }
 
 func TestStrategyString(t *testing.T) {
@@ -528,5 +538,70 @@ func TestStoreWhitespaceVariantKeysUnify(t *testing.T) {
 		if !strings.Contains(p, "ENTITY: United Kingdom") {
 			t.Fatalf("ATTR prompt carries unnormalized key:\n%s", p)
 		}
+	}
+}
+
+// mergeVotesByKey defines mergeVotes' grouping the obvious way — two maps over
+// rel.Row.AllKey strings — and is the oracle for the map-free implementation.
+func mergeVotesByKey(votes []attrVote, t rel.DataType) rel.Value {
+	counts := map[string]int{}
+	values := map[string]rel.Value{}
+	var order []string
+	for _, vote := range votes {
+		if !vote.ok {
+			continue
+		}
+		k := (rel.Row{vote.val}).AllKey()
+		if _, seen := counts[k]; !seen {
+			values[k] = vote.val
+			order = append(order, k)
+		}
+		counts[k]++
+	}
+	best := ""
+	bestN := 0
+	for _, k := range order {
+		if counts[k] > bestN {
+			best, bestN = k, counts[k]
+		}
+	}
+	if bestN == 0 {
+		return rel.NullOf(t)
+	}
+	return values[best]
+}
+
+func TestMergeVotesMatchesKeyGrouping(t *testing.T) {
+	// A pool with every way two votes can be equal-but-not-identical: case
+	// and edge whitespace in text, 2 vs 2.0, ints past 2^53 that collapse as
+	// floats, signed zeros, NaN.
+	pool := []rel.Value{
+		rel.Text("Paris"), rel.Text("paris"), rel.Text(" Paris "), rel.Text("Lyon"), rel.Text("ſ"), rel.Text("s"), rel.Text("2"),
+		rel.Int(2), rel.Float(2), rel.Float(2.5), rel.Int(1<<53 + 1), rel.Int(1 << 53),
+		rel.Float(0), rel.Float(math.Copysign(0, -1)), rel.Float(math.NaN()), rel.Float(math.NaN()),
+		rel.Bool(true), rel.Bool(false), rel.NullOf(rel.TypeInt),
+	}
+	for _, a := range pool {
+		for _, b := range pool {
+			want := rel.Row{a}.AllKey() == rel.Row{b}.AllKey()
+			if got := sameVote(a, b); got != want {
+				t.Errorf("sameVote(%v, %v) = %v, key equality says %v", a, b, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 5000; trial++ {
+		votes := make([]attrVote, 1+rng.Intn(7))
+		for i := range votes {
+			votes[i] = attrVote{val: pool[rng.Intn(len(pool))], ok: rng.Intn(5) > 0}
+		}
+		got, want := mergeVotes(votes, rel.TypeText), mergeVotesByKey(votes, rel.TypeText)
+		// Compare representations, not ==: a NaN winner is unequal to itself.
+		if got.Type() != want.Type() || got.IsNull() != want.IsNull() || got.String() != want.String() {
+			t.Fatalf("votes %+v: mergeVotes = %v, key grouping = %v", votes, got, want)
+		}
+	}
+	if got := mergeVotes(nil, rel.TypeInt); !got.IsNull() || got.Type() != rel.TypeInt {
+		t.Fatalf("no votes must give a typed NULL, got %v", got)
 	}
 }

@@ -3,26 +3,36 @@ package llm
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"math"
+	"strconv"
 )
 
 // The model stack is built from pluggable backends. A Backend is anything
 // that completes prompts — the same contract as Model; the two names are
 // aliases. "Backend" is used when talking about the bottom of the stack and
 // the persistence layers above it, "Model" when talking about the
-// engine-facing top. The full stack, outermost first:
+// engine-facing top. The full stack, outermost first (core.Open builds it
+// without the "group" layers; core.NewEngineGroup shares the Coalescer and
+// everything below it, and each session keeps the two layers above):
 //
-//	CountingModel          usage accounting (always outermost)
+//	CountingModel          billed usage accounting (always outermost)
 //	CacheModel             in-memory bounded LRU (Config.CacheCapacity)
+//	Coalescer              cross-session single-flight + memo (group)
 //	DiskCache              persistent content-addressed prompt cache
+//	Retrier                retry, backoff, hedging, circuit breaker
+//	CountingModel          live, operator-side usage (group)
+//	Chaos                  seeded fault injection (Config.Chaos)
 //	Recorder | Replayer    trace capture / deterministic playback
 //	SynthLM (or any API)   the base backend
 //
 // Every layer implements Unwrapper, so capabilities can be located
-// regardless of stacking order (FindCache, FindDiskCache). All persistent
-// layers address completions by Fingerprint, the versioned content hash of
-// (model id, prompt, decode parameters) — two requests share an answer
-// exactly when their fingerprints match.
+// regardless of stacking order (FindCache, FindDiskCache). The layers whose
+// keys outlive the process — DiskCache, Chaos, Recorder/Replayer — address
+// completions by Fingerprint, the versioned content hash of (model id,
+// prompt, decode parameters), and are the only ones that hash on every call.
+// CacheModel and the Coalescer wrap one fixed model and key by the request's
+// value (requestKey); the Retrier fingerprints only a call that has already
+// failed, to seed its backoff jitter.
 
 // Backend is a pluggable completion provider. It is the same interface as
 // Model under the name used for the storage side of the stack: SynthLM, a
@@ -48,12 +58,41 @@ func Fingerprint(model string, req CompletionRequest) string {
 
 // fingerprintAt is Fingerprint pinned to an explicit format version
 // (exposed separately so versioning tests can produce "old" fingerprints).
+// One buffer, one hashing pass: the result string is the only allocation,
+// plus one spill when the encoding outgrows the stack buffer.
 func fingerprintAt(version int, model string, req CompletionRequest) string {
-	h := sha256.New()
 	// NUL-separated fields: no field can contain NUL, so the encoding is
 	// injective and fingerprints cannot collide across field boundaries.
-	fmt.Fprintf(h, "llmsql-fp-v%d\x00%s\x00%d\x00%g\x00%d\x00",
-		version, model, req.MaxTokens, req.Temperature, req.Seed)
-	h.Write([]byte(req.Prompt))
-	return hex.EncodeToString(h.Sum(nil))
+	var stack [1024]byte
+	b := append(stack[:0], "llmsql-fp-v"...)
+	b = append(strconv.AppendInt(b, int64(version), 10), 0)
+	b = append(append(b, model...), 0)
+	b = append(strconv.AppendInt(b, int64(req.MaxTokens), 10), 0)
+	b = append(strconv.AppendFloat(b, req.Temperature, 'g', -1, 64), 0)
+	b = append(strconv.AppendInt(b, req.Seed, 10), 0)
+	sum := sha256.Sum256(append(b, req.Prompt...))
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
+}
+
+// requestKey identifies a request to the in-memory layers. For a fixed model
+// name two requests have equal keys exactly when their fingerprints are
+// equal: the temperature goes in as its bits, which the fingerprint's
+// shortest round-trip rendering tells apart one for one (0 from -0 too), and
+// every NaN folds onto one key as onto one rendering. A raw float64 field
+// would make a NaN key unequal to itself: inserted on every call, never
+// found again, not even to be deleted.
+type requestKey struct {
+	prompt    string
+	maxTokens int
+	tempBits  uint64
+	seed      int64
+}
+
+func keyOf(req CompletionRequest) requestKey {
+	if req.Temperature != req.Temperature {
+		req.Temperature = math.NaN()
+	}
+	return requestKey{req.Prompt, req.MaxTokens, math.Float64bits(req.Temperature), req.Seed}
 }

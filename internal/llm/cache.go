@@ -1,9 +1,6 @@
 package llm
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
 // DefaultCacheCapacity bounds NewCache's memo table. 4096 entries covers the
 // working set of the benchmark suite's largest scan several times over while
@@ -18,23 +15,9 @@ const DefaultCacheCapacity = 4096
 type CacheModel struct {
 	Inner Model
 
-	mu       sync.Mutex
-	capacity int
-	entries  map[cacheKey]*list.Element
-	order    *list.List // front = most recently used
-	stats    CacheStats
-}
-
-type cacheKey struct {
-	prompt    string
-	maxTokens int
-	temp      float64
-	seed      int64
-}
-
-type cacheEntry struct {
-	key  cacheKey
-	resp CompletionResponse
+	mu      sync.Mutex
+	entries *lru[requestKey, CompletionResponse]
+	stats   CacheStats
 }
 
 // CacheStats reports cache effectiveness and occupancy as raw counters
@@ -57,12 +40,7 @@ func NewCacheSized(m Model, capacity int) *CacheModel {
 	if capacity < 1 {
 		capacity = DefaultCacheCapacity
 	}
-	return &CacheModel{
-		Inner:    m,
-		capacity: capacity,
-		entries:  make(map[cacheKey]*list.Element),
-		order:    list.New(),
-	}
+	return &CacheModel{Inner: m, entries: newLRU[requestKey, CompletionResponse](capacity)}
 }
 
 // Name implements Model.
@@ -76,12 +54,10 @@ func (c *CacheModel) Unwrap() Model { return c.Inner }
 // for the same key both call the model (deterministic models return the same
 // response, so last-writer-wins insertion is harmless).
 func (c *CacheModel) Complete(req CompletionRequest) (CompletionResponse, error) {
-	key := cacheKey{req.Prompt, req.MaxTokens, req.Temperature, req.Seed}
+	key := keyOf(req)
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
+	if resp, ok := c.entries.get(key); ok {
 		c.stats.Hits++
-		c.order.MoveToFront(el)
-		resp := el.Value.(*cacheEntry).resp
 		c.mu.Unlock()
 		resp.Cached = true
 		// Served from memory, wherever the stored copy originally came from.
@@ -99,18 +75,10 @@ func (c *CacheModel) Complete(req CompletionRequest) (CompletionResponse, error)
 		return resp, err
 	}
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		// A concurrent miss for the same key beat us; refresh in place.
-		el.Value.(*cacheEntry).resp = resp
-		c.order.MoveToFront(el)
-	} else {
-		c.entries[key] = c.order.PushFront(&cacheEntry{key: key, resp: resp})
-		if c.order.Len() > c.capacity {
-			oldest := c.order.Back()
-			c.order.Remove(oldest)
-			delete(c.entries, oldest.Value.(*cacheEntry).key)
-			c.stats.Evictions++
-		}
+	// A concurrent miss for the same key may have beaten us; put then
+	// refreshes its entry in place.
+	if c.entries.put(key, resp) {
+		c.stats.Evictions++
 	}
 	c.mu.Unlock()
 	return resp, nil
@@ -121,7 +89,7 @@ func (c *CacheModel) CacheStats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
-	s.Size = c.order.Len()
-	s.Capacity = c.capacity
+	s.Size = c.entries.len()
+	s.Capacity = c.entries.capacity
 	return s
 }

@@ -2,6 +2,7 @@ package llm
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -47,8 +48,8 @@ func TestCacheBoundHolds(t *testing.T) {
 	if s.Evictions != 92 {
 		t.Fatalf("evictions: %+v", s)
 	}
-	if len(cache.entries) != cache.order.Len() {
-		t.Fatalf("map/list out of sync: %d vs %d", len(cache.entries), cache.order.Len())
+	if got := chainLen(cache.entries); got != cache.entries.len() {
+		t.Fatalf("map/list out of sync: %d vs %d", cache.entries.len(), got)
 	}
 }
 
@@ -119,5 +120,43 @@ func TestFindCache(t *testing.T) {
 	}
 	if FindCache(cache) != cache {
 		t.Fatal("bare cache not found")
+	}
+}
+
+// TestNaNTemperatureDoesNotLeak: were the in-memory layers keyed on the raw
+// float64, a NaN temperature would make every key unequal to itself, so each
+// call would insert an entry that no lookup — and no eviction's delete —
+// could ever find again, and the maps would grow without bound behind a
+// full-looking LRU.
+func TestNaNTemperatureDoesNotLeak(t *testing.T) {
+	const capacity = 8
+	inner := &echoModel{}
+	cache := NewCacheSized(inner, capacity)
+	coal := NewCoalescerSized(inner, capacity)
+	for i := 0; i < 3*capacity; i++ {
+		req := CompletionRequest{Prompt: fmt.Sprintf("p%d", i), Temperature: math.NaN()}
+		if _, err := cache.Complete(req); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := coal.Complete(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := cache.entries.len(); n > capacity || chainLen(cache.entries) != n {
+		t.Fatalf("cache holds %d entries (list %d), capacity %d", n, chainLen(cache.entries), capacity)
+	}
+	if n := coal.memo.len(); n > capacity || chainLen(coal.memo) != n {
+		t.Fatalf("coalescer memo holds %d entries (list %d), capacity %d", n, chainLen(coal.memo), capacity)
+	}
+	if len(coal.inflight) != 0 {
+		t.Fatalf("%d flights leaked", len(coal.inflight))
+	}
+	// And a NaN request is found again like any other.
+	last := CompletionRequest{Prompt: fmt.Sprintf("p%d", 3*capacity-1), Temperature: math.NaN()}
+	if resp, err := cache.Complete(last); err != nil || !resp.Cached {
+		t.Fatalf("repeated NaN request must hit the cache: %+v err=%v", resp, err)
+	}
+	if resp, err := coal.Complete(last); err != nil || !resp.Coalesced {
+		t.Fatalf("repeated NaN request must hit the memo: %+v err=%v", resp, err)
 	}
 }

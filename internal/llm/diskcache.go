@@ -469,16 +469,4 @@ func (nopBackend) Complete(CompletionRequest) (CompletionResponse, error) {
 
 // FindDiskCache walks a wrapper chain and returns the first DiskCache, or
 // nil.
-func FindDiskCache(m Model) *DiskCache {
-	for m != nil {
-		if c, ok := m.(*DiskCache); ok {
-			return c
-		}
-		uw, ok := m.(Unwrapper)
-		if !ok {
-			return nil
-		}
-		m = uw.Unwrap()
-	}
-	return nil
-}
+func FindDiskCache(m Model) *DiskCache { return findLayer[*DiskCache](m) }

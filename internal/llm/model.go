@@ -219,20 +219,24 @@ type Unwrapper interface {
 	Unwrap() Model
 }
 
-// FindCache walks a wrapper chain and returns the first CacheModel, or nil.
-func FindCache(m Model) *CacheModel {
+// findLayer walks a wrapper chain and returns its first layer of type T, or
+// T's zero value (nil for the pointer types the Find functions ask for).
+func findLayer[T Model](m Model) (none T) {
 	for m != nil {
-		if c, ok := m.(*CacheModel); ok {
-			return c
+		if t, ok := m.(T); ok {
+			return t
 		}
 		uw, ok := m.(Unwrapper)
 		if !ok {
-			return nil
+			break
 		}
 		m = uw.Unwrap()
 	}
-	return nil
+	return none
 }
+
+// FindCache walks a wrapper chain and returns the first CacheModel, or nil.
+func FindCache(m Model) *CacheModel { return findLayer[*CacheModel](m) }
 
 // CountingModel wraps a Model, accumulating Usage under a CostModel.
 type CountingModel struct {

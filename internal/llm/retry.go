@@ -203,7 +203,7 @@ func (r *Retrier) Complete(req CompletionRequest) (CompletionResponse, error) {
 	}
 	r.mu.Unlock()
 
-	fp := Fingerprint(r.Name(), req)
+	var fp string // seeds backoff jitter only: hashed after the first failure
 	var fault time.Duration
 	attempts := 0
 	for {
@@ -226,6 +226,9 @@ func (r *Retrier) Complete(req CompletionRequest) (CompletionResponse, error) {
 		if attempts >= r.policy.MaxAttempts {
 			r.noteOutcome(false, attempts-1)
 			return CompletionResponse{}, &RetryError{Attempts: attempts, FaultLatency: fault, Err: err}
+		}
+		if fp == "" {
+			fp = Fingerprint(r.Name(), req)
 		}
 		wait := r.backoff(fp, attempts, errors.Is(err, RateLimited))
 		fault += wait
@@ -338,31 +341,7 @@ func backoffU(fp string, attempt int) float64 {
 }
 
 // FindRetrier walks a wrapper chain and returns the first Retrier, or nil.
-func FindRetrier(m Model) *Retrier {
-	for m != nil {
-		if r, ok := m.(*Retrier); ok {
-			return r
-		}
-		uw, ok := m.(Unwrapper)
-		if !ok {
-			return nil
-		}
-		m = uw.Unwrap()
-	}
-	return nil
-}
+func FindRetrier(m Model) *Retrier { return findLayer[*Retrier](m) }
 
 // FindChaos walks a wrapper chain and returns the first Chaos, or nil.
-func FindChaos(m Model) *Chaos {
-	for m != nil {
-		if c, ok := m.(*Chaos); ok {
-			return c
-		}
-		uw, ok := m.(Unwrapper)
-		if !ok {
-			return nil
-		}
-		m = uw.Unwrap()
-	}
-	return nil
-}
+func FindChaos(m Model) *Chaos { return findLayer[*Chaos](m) }

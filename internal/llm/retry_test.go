@@ -362,3 +362,18 @@ func TestFindRetrier(t *testing.T) {
 		t.Fatal("FindRetrier on a bare model must return nil")
 	}
 }
+
+// TestRetrierHealthyCallDoesNotHash: the fingerprint only seeds backoff
+// jitter, so a call that succeeds first time must not compute one.
+// Fingerprint allocates its result, a healthy pass allocates nothing, so the
+// allocation count is the hash count.
+func TestRetrierHealthyCallDoesNotHash(t *testing.T) {
+	r := NewRetrier(fixedModel{CompletionResponse{Text: "Paris"}}, RetryPolicy{})
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := r.Complete(attrRequest); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("healthy Retrier.Complete allocated %v times: it is hashing", n)
+	}
+}

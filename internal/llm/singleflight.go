@@ -1,9 +1,6 @@
 package llm
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
 // DefaultCoalescerMemo bounds the Coalescer's completed-results memo. It is
 // sized like DefaultCacheCapacity: large enough that every prompt of a
@@ -13,11 +10,12 @@ const DefaultCoalescerMemo = 4096
 
 // Coalescer merges identical completion requests across concurrent callers.
 // It is the cross-query sharing layer of the serving engine: requests are
-// keyed by Fingerprint, the first caller for a key becomes the leader and
-// runs the inner call, and every other caller — concurrent (joined in
-// flight) or later (served from a bounded LRU memo of completed responses) —
-// receives a copy of the leader's response without touching the inner
-// backend.
+// keyed by value (requestKey — the inner model is fixed, so this is the
+// identity Fingerprint would give, without the hash), the first caller for a
+// key becomes the leader and runs the inner call, and every other caller —
+// concurrent (joined in flight) or later (served from a bounded LRU memo of
+// completed responses) — receives a copy of the leader's response without
+// touching the inner backend.
 //
 // Accounting contract: follower copies keep the leader's Cached/DiskCached
 // flags and token counts, and only additionally set Coalesced. A
@@ -28,7 +26,7 @@ const DefaultCoalescerMemo = 4096
 //
 // The memo exists for determinism as much as for savings: with pure
 // in-flight single-flight, whether two sessions coalesce would depend on
-// request timing. The memo makes "one live call per distinct fingerprint"
+// request timing. The memo makes "one live call per distinct request"
 // hold regardless of interleaving, up to memo capacity.
 //
 // Errors are not memoized, and they do not fan out either: when a leader
@@ -41,24 +39,16 @@ type Coalescer struct {
 	Inner Model
 
 	mu       sync.Mutex
-	inflight map[string]*flight
-	entries  map[string]*list.Element
-	order    *list.List // front = most recently used
-	capacity int
+	inflight map[requestKey]*flight
+	memo     *lru[requestKey, CompletionResponse] // completed responses
 	stats    CoalescerStats
 }
 
-// flight is one in-progress leader call; followers block on done.
+// flight is one in-progress leader call; followers wait on done.
 type flight struct {
-	done chan struct{}
+	done sync.WaitGroup
 	resp CompletionResponse
 	err  error
-}
-
-// memoEntry is one completed response retained for later callers.
-type memoEntry struct {
-	fp   string
-	resp CompletionResponse
 }
 
 // CoalescerStats reports the coalescing effectiveness as raw counters.
@@ -101,10 +91,8 @@ func NewCoalescerSized(m Model, capacity int) *Coalescer {
 	}
 	return &Coalescer{
 		Inner:    m,
-		inflight: make(map[string]*flight),
-		entries:  make(map[string]*list.Element),
-		order:    list.New(),
-		capacity: capacity,
+		inflight: make(map[requestKey]*flight),
+		memo:     newLRU[requestKey, CompletionResponse](capacity),
 	}
 }
 
@@ -114,7 +102,7 @@ func (c *Coalescer) Name() string { return c.Inner.Name() }
 // Unwrap implements Unwrapper.
 func (c *Coalescer) Unwrap() Model { return c.Inner }
 
-// Complete implements Model. The first caller for a fingerprint runs the
+// Complete implements Model. The first caller for a request runs the
 // inner call; everyone else gets a Coalesced copy of its response. A
 // follower whose leader failed loops: it re-enters the critical section
 // and either becomes the fresh leader itself (a promotion) or joins the
@@ -124,27 +112,25 @@ func (c *Coalescer) Unwrap() Model { return c.Inner }
 // returns, whatever the outcome) or waits on another caller's flight, so
 // with finitely many callers the loop cannot run forever.
 func (c *Coalescer) Complete(req CompletionRequest) (CompletionResponse, error) {
-	fp := Fingerprint(c.Inner.Name(), req)
+	key := keyOf(req)
 
 	c.mu.Lock()
 	joined := false
 	for {
-		if el, ok := c.entries[fp]; ok {
+		if resp, ok := c.memo.get(key); ok {
 			c.stats.MemoHits++
-			c.order.MoveToFront(el)
-			resp := el.Value.(*memoEntry).resp
 			c.mu.Unlock()
 			resp.Coalesced = true
 			return resp, nil
 		}
-		fl, ok := c.inflight[fp]
+		fl, ok := c.inflight[key]
 		if !ok {
 			break
 		}
 		c.stats.FlightHits++
 		joined = true
 		c.mu.Unlock()
-		<-fl.done
+		fl.done.Wait()
 		if fl.err == nil {
 			resp := fl.resp
 			resp.Coalesced = true
@@ -155,26 +141,21 @@ func (c *Coalescer) Complete(req CompletionRequest) (CompletionResponse, error) 
 	if joined {
 		c.stats.Promotions++
 	}
-	fl := &flight{done: make(chan struct{})}
-	c.inflight[fp] = fl
+	fl := &flight{}
+	fl.done.Add(1)
+	c.inflight[key] = fl
 	c.stats.LiveCalls++
 	c.mu.Unlock()
 
 	fl.resp, fl.err = c.Inner.Complete(req)
-	close(fl.done)
+	fl.done.Done()
 
 	c.mu.Lock()
-	delete(c.inflight, fp)
+	delete(c.inflight, key)
 	if fl.err != nil {
 		c.stats.Errors++
-	} else if c.capacity > 0 {
-		c.entries[fp] = c.order.PushFront(&memoEntry{fp: fp, resp: fl.resp})
-		if c.order.Len() > c.capacity {
-			oldest := c.order.Back()
-			c.order.Remove(oldest)
-			delete(c.entries, oldest.Value.(*memoEntry).fp)
-			c.stats.Evictions++
-		}
+	} else if c.memo.put(key, fl.resp) {
+		c.stats.Evictions++
 	}
 	c.mu.Unlock()
 	return fl.resp, fl.err
@@ -185,23 +166,11 @@ func (c *Coalescer) Stats() CoalescerStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
-	s.Size = c.order.Len()
-	s.Capacity = c.capacity
+	s.Size = c.memo.len()
+	s.Capacity = c.memo.capacity
 	return s
 }
 
 // FindCoalescer walks a wrapper chain and returns the first Coalescer, or
 // nil.
-func FindCoalescer(m Model) *Coalescer {
-	for m != nil {
-		if c, ok := m.(*Coalescer); ok {
-			return c
-		}
-		uw, ok := m.(Unwrapper)
-		if !ok {
-			return nil
-		}
-		m = uw.Unwrap()
-	}
-	return nil
-}
+func FindCoalescer(m Model) *Coalescer { return findLayer[*Coalescer](m) }

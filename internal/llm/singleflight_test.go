@@ -3,6 +3,8 @@ package llm
 import (
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -186,8 +188,8 @@ func TestCoalescerMemoBoundAndEviction(t *testing.T) {
 	if s.LiveCalls != 4 || s.MemoHits != 1 {
 		t.Fatalf("stats: %+v", s)
 	}
-	if len(c.entries) != c.order.Len() {
-		t.Fatalf("map/list out of sync: %d vs %d", len(c.entries), c.order.Len())
+	if got := chainLen(c.memo); got != c.memo.len() {
+		t.Fatalf("map/list out of sync: %d vs %d", c.memo.len(), got)
 	}
 }
 
@@ -345,5 +347,132 @@ func TestCoalescerPromotionUnderChaos(t *testing.T) {
 	}
 	if cs := chaos.Stats(); cs.Transient != 1 || cs.Calls != 2 {
 		t.Fatalf("chaos counters: %+v", cs)
+	}
+}
+
+// enterModel announces every call on entered and then blocks until release
+// is closed, so a test can tell "a second inner call started" from "the
+// second caller joined the first one's flight".
+type enterModel struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (m *enterModel) Name() string { return "enter" }
+
+func (m *enterModel) Complete(req CompletionRequest) (CompletionResponse, error) {
+	m.entered <- struct{}{}
+	<-m.release
+	return CompletionResponse{Text: "ans:" + req.Prompt}, nil
+}
+
+// TestCoalescerKeyAgreesWithFingerprint pins the equivalence the value key
+// rests on: for a fixed inner model, two requests share a flight and a memo
+// entry exactly when their fingerprints are equal. Each variant differs from
+// the base in exactly one field (or in none).
+func TestCoalescerKeyAgreesWithFingerprint(t *testing.T) {
+	base := CompletionRequest{Prompt: "p", MaxTokens: 16, Temperature: 0.7, Seed: 3}
+	reqs := []struct {
+		name string
+		req  CompletionRequest
+	}{
+		{"base", base},
+		{"equal copy", CompletionRequest{Prompt: "p", MaxTokens: 16, Temperature: 0.7, Seed: 3}},
+		{"prompt", CompletionRequest{Prompt: "q", MaxTokens: 16, Temperature: 0.7, Seed: 3}},
+		{"max tokens", CompletionRequest{Prompt: "p", MaxTokens: 17, Temperature: 0.7, Seed: 3}},
+		{"temperature", CompletionRequest{Prompt: "p", MaxTokens: 16, Temperature: 0.7000000000000001, Seed: 3}},
+		{"temperature zero", CompletionRequest{Prompt: "p", MaxTokens: 16, Seed: 3}},
+		{"temperature minus zero", CompletionRequest{Prompt: "p", MaxTokens: 16, Temperature: math.Copysign(0, -1), Seed: 3}},
+		{"temperature NaN", CompletionRequest{Prompt: "p", MaxTokens: 16, Temperature: math.NaN(), Seed: 3}},
+		{"temperature NaN, other payload", CompletionRequest{Prompt: "p", MaxTokens: 16, Temperature: math.Float64frombits(0x7ff8000000000123), Seed: 3}},
+		{"seed", CompletionRequest{Prompt: "p", MaxTokens: 16, Temperature: 0.7, Seed: 4}},
+	}
+	for _, a := range reqs {
+		for _, b := range reqs {
+			want := Fingerprint("enter", a.req) == Fingerprint("enter", b.req)
+			if got := keyOf(a.req) == keyOf(b.req); got != want {
+				t.Errorf("%s vs %s: keys equal = %v, fingerprints equal = %v", a.name, b.name, got, want)
+			}
+
+			// Memo: b after a completed.
+			memo := NewCoalescer(&echoModel{})
+			if _, err := memo.Complete(a.req); err != nil {
+				t.Fatal(err)
+			}
+			if resp, err := memo.Complete(b.req); err != nil || resp.Coalesced != want {
+				t.Errorf("%s then %s: memo hit = %v, want %v (err=%v)", a.name, b.name, resp.Coalesced, want, err)
+			}
+
+			if got := sharesFlight(t, a.req, b.req); got != want {
+				t.Errorf("%s during %s: joined the flight = %v, want %v", b.name, a.name, got, want)
+			}
+		}
+	}
+}
+
+// sharesFlight reports whether b, issued while a is still inside its inner
+// call, joins a's flight rather than leading a call of its own. The memo is
+// off, so a flight is the only way to share.
+func sharesFlight(t *testing.T, a, b CompletionRequest) bool {
+	t.Helper()
+	inner := &enterModel{entered: make(chan struct{}, 2), release: make(chan struct{})}
+	c := NewCoalescerSized(inner, -1)
+	var wg sync.WaitGroup
+	call := func(req CompletionRequest) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.Complete(req); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	call(a)
+	<-inner.entered // a's leader is inside the inner model
+	call(b)
+	joined := false
+	for waiting := true; waiting; {
+		select {
+		case <-inner.entered: // b led a call of its own
+			waiting = false
+		default:
+			joined = c.Stats().FlightHits == 1
+			waiting = !joined
+			runtime.Gosched()
+		}
+	}
+	close(inner.release)
+	wg.Wait()
+	return joined
+}
+
+// fixedModel answers every request with the same response and does nothing
+// else, so a benchmark or allocation count over it sees only the wrapper.
+type fixedModel struct{ resp CompletionResponse }
+
+func (fixedModel) Name() string { return "fixed" }
+
+func (m fixedModel) Complete(CompletionRequest) (CompletionResponse, error) { return m.resp, nil }
+
+// BenchmarkCoalescerMissEvict cycles twice as many distinct requests as the
+// memo holds, so every call misses, leads a flight, inserts and evicts — the
+// path every call of a key-then-attr fan-out larger than the memo takes.
+func BenchmarkCoalescerMissEvict(b *testing.B) {
+	const distinct = 1024
+	reqs := make([]CompletionRequest, distinct)
+	for i := range reqs {
+		reqs[i] = attrRequest
+		reqs[i].Prompt += fmt.Sprint(i)
+	}
+	c := NewCoalescerSized(fixedModel{CompletionResponse{Text: "Paris", PromptTokens: 60, CompletionTokens: 1}}, distinct/2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Complete(reqs[i%distinct]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if s := c.Stats(); s.MemoHits != 0 {
+		b.Fatalf("the benchmark must only miss: %+v", s)
 	}
 }

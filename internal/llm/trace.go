@@ -19,7 +19,7 @@ import (
 // SimLatency per call and the virtual-time scheduler reproduces Usage —
 // calls, tokens, SimWall, dollars — byte-identically on any machine.
 type Trace struct {
-	mu      sync.Mutex
+	mu      sync.RWMutex // replayers only read: concurrent sessions share the lock
 	entries map[string]TraceEntry
 }
 
@@ -144,9 +144,9 @@ func (r *replayer) Name() string { return r.name }
 // Complete implements Model.
 func (r *replayer) Complete(req CompletionRequest) (CompletionResponse, error) {
 	fp := Fingerprint(r.name, req)
-	r.trace.mu.Lock()
+	r.trace.mu.RLock()
 	e, ok := r.trace.entries[fp]
-	r.trace.mu.Unlock()
+	r.trace.mu.RUnlock()
 	if !ok {
 		return CompletionResponse{}, fmt.Errorf(
 			"llm: replay miss for model %s (fingerprint %.12s…): the trace does not contain this request — re-record the fixture",
