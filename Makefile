@@ -21,7 +21,7 @@ CHAOS_FLAGS := -scale $(REPLAY_SCALE) -replay $(REPLAY_FIXTURE) -only "$(REPLAY_
 # version via `make staticcheck-install`.
 STATICCHECK_VERSION := 2024.1.1
 
-.PHONY: check lint fmt vet llmsqlvet build test race staticcheck staticcheck-install bench baseline bench-check bench-smoke replay-check replay-fixture chaos-check fuzz docs-check
+.PHONY: check lint fmt vet llmsqlvet build test race staticcheck staticcheck-install bench baseline bench-check bench-smoke replay-check replay-fixture chaos-check fuzz docs-check size
 
 ## check: everything the CI lint+test jobs run
 check: fmt vet llmsqlvet build race bench-smoke docs-check
@@ -136,6 +136,22 @@ docs-check:
 		-flags "llmsql=$$tmp/llmsql.md,llmsql-serve=$$tmp/llmsql-serve.md,llmsql-bench=$$tmp/llmsql-bench.md" \
 		|| status=$$?; \
 	rm -rf "$$tmp"; exit $$status
+
+## size: the numbers ROADMAP's "least code" aim tracks — non-test Go lines per package (the nested benchmark/ module excluded), the core.Config field count and each binary's flag count; one row per PR goes into EXPERIMENTS.md "Size trajectory"
+SIZE_STACK := llmsql/internal/core llmsql/internal/llm llmsql/internal/lru llmsql/internal/cliflags llmsql/cmd/llmsql llmsql/cmd/llmsql-serve
+size:
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... | while read -r pkg dir files; do \
+		echo "$$pkg $$(cd "$$dir" && cat $$files | wc -l)"; \
+	done | awk -v stack="$(SIZE_STACK)" 'BEGIN { n = split(stack, names, " "); for (i = 1; i <= n; i++) in_stack[names[i]] = 1 } \
+		{ printf "%-40s %6d\n", $$1, $$2; total += $$2; if ($$1 in in_stack) sub_total += $$2 } \
+		END { printf "%-40s %6d\n%-40s %6d\n", "total non-test Go lines", total, "of which stack + flags + the two CLIs", sub_total }'
+	@awk '/^type Config struct {/ { in_cfg = 1; next } in_cfg && /^}/ { exit } in_cfg && /^\t[A-Za-z]/ { n++ } \
+		END { printf "%-40s %6d\n", "core.Config fields", n }' internal/core/config.go
+	@for bin in llmsql llmsql-serve llmsql-bench; do \
+		n="$$($(GO) run ./cmd/$$bin -print-flags | grep -c '^| `-')"; \
+		[ "$$n" -gt 0 ] || { echo "size: $$bin -print-flags listed no flags"; exit 1; }; \
+		printf '%-40s %6d\n' "$$bin flags" "$$n"; \
+	done
 
 ## fuzz: 30s smoke of each native fuzz target (the weekly scheduled CI run uses FUZZTIME=10m)
 FUZZTIME ?= 30s

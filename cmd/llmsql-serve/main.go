@@ -33,40 +33,18 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"llmsql/internal/cliflags"
 	"llmsql/internal/core"
-	"llmsql/internal/llm"
 	"llmsql/internal/serve"
-	"llmsql/internal/world"
 )
 
 func main() {
 	var (
 		listen     = flag.String("listen", "127.0.0.1:7878", "listen address: host:port for TCP, or a unix socket path")
-		seed       = flag.Int64("seed", 2024, "world and model seed")
-		profile    = flag.String("model", "medium", "model quality tier: small, medium, large")
-		strategy   = flag.String("strategy", "full-table", "prompt strategy: full-table, key-then-attr, paged, auto (cost-based per table)")
-		temp       = flag.Float64("temp", 0.7, "sampling temperature")
-		rounds     = flag.Int("rounds", 8, "max sampling rounds")
-		votes      = flag.Int("votes", 1, "self-consistency votes for attribute retrieval")
-		batch      = flag.Int("batch", 1, "keys per batched ATTR prompt on the key-then-attr path (1 = unbatched)")
-		parallel   = flag.Int("parallel", 1, "worker-pool width for concurrent model calls per session (1 = serial)")
-		cacheCap   = flag.Int("cache", 0, "per-session completion-cache capacity in entries (0 = off, negative = default)")
-		cacheDir   = flag.String("cache-dir", "", "shared persistent prompt-cache directory (content-addressed; empty = off)")
 		coalesce   = flag.Int("coalesce-memo", 0, "completed-results memo capacity of the shared request coalescer (0 = default, negative = in-flight coalescing only)")
-		record     = flag.String("record", "", "record every live model completion into this trace file on shutdown (replay fixture)")
-		replay     = flag.String("replay", "", "serve all completions from this trace file instead of the live model")
-		pushdown   = flag.Bool("pushdown", true, "verbalise pushed filters into prompts and gate key-then-attr keys on key-only predicates")
-		limitPush  = flag.Bool("limit-pushdown", true, "push LIMIT hints onto scans so streaming key-then-attr retrieval stops early")
-		bindJoin   = flag.Bool("bind-join", true, "let joins pass the outer side's distinct keys into the inner key-then-attr scan")
-		tolerant   = flag.Bool("tolerant", true, "use the repairing completion parser")
-		viewTTL    = flag.Int("view-ttl", 0, "warm reads a session's materialized view serves before going stale and falling back to live scans until REFRESH (0 = never)")
-		countries  = flag.Int("countries", 120, "world size: countries")
-		movies     = flag.Int("movies", 200, "world size: movies")
 		maxConc    = flag.Int("max-concurrent", 0, "global concurrent-query limit (0 = unlimited)")
 		maxQueue   = flag.Int("max-queue", 0, "queries allowed to wait for a slot when the global limit is reached (0 = reject immediately)")
 		queueWait  = flag.Duration("queue-timeout", serve.DefaultQueueTimeout, "longest a query waits in the admission queue before rejection")
@@ -78,6 +56,8 @@ func main() {
 		quiet      = flag.Bool("quiet", false, "suppress per-session log lines")
 		printFlags = flag.Bool("print-flags", false, "print the flag reference as a markdown table and exit (consumed by make docs-check)")
 	)
+	var engine cliflags.EngineFlags
+	engine.Register(flag.CommandLine)
 	var faults cliflags.FaultFlags
 	faults.Register(flag.CommandLine)
 	flag.Parse()
@@ -87,52 +67,13 @@ func main() {
 		return
 	}
 
-	w := world.Generate(world.Config{
-		Seed:      *seed,
-		Countries: *countries,
-		Movies:    *movies,
-		Laureates: 100,
-		Companies: 100,
-	})
-	noise, err := profileByName(*profile)
+	cfg, w, model, recordTrace, err := engine.Build()
 	if err != nil {
 		fatal(err)
 	}
-	cfg := core.DefaultConfig()
-	cfg.Temperature = *temp
-	cfg.MaxRounds = *rounds
-	cfg.Votes = *votes
-	cfg.BatchSize = *batch
-	cfg.Parallelism = *parallel
-	cfg.CacheCapacity = *cacheCap
-	cfg.CacheDir = *cacheDir
 	cfg.CoalesceCapacity = *coalesce
-	cfg.Pushdown = *pushdown
-	cfg.LimitPushdown = *limitPush
-	cfg.BindJoin = *bindJoin
-	cfg.Tolerant = *tolerant
-	cfg.ViewTTLReads = *viewTTL
 	faults.Apply(&cfg)
-	cfg.Strategy, err = strategyByName(*strategy)
-	if err != nil {
-		fatal(err)
-	}
-	if *record != "" && *replay != "" {
-		fatal(fmt.Errorf("-record and -replay are mutually exclusive"))
-	}
-	var recordTrace *llm.Trace
-	if *record != "" {
-		recordTrace = llm.NewTrace()
-		cfg.RecordTrace = recordTrace
-	}
-	if *replay != "" {
-		cfg.ReplayTrace, err = llm.LoadTrace(*replay)
-		if err != nil {
-			fatal(err)
-		}
-	}
-
-	group, err := core.NewEngineGroup(llm.NewSynthLM(w, noise, *seed), cfg)
+	group, err := core.NewEngineGroup(model, cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -169,7 +110,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	log.Printf("llmsql-serve: listening on %s %s (model %s, strategy %s)", network, target, *profile, *strategy)
+	log.Printf("llmsql-serve: listening on %s %s (model %s, strategy %s)", network, target, engine.Model, engine.Strategy)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
@@ -198,39 +139,11 @@ func main() {
 	log.Printf("llmsql-serve: served %d sessions, %d queries (%d errors); coalescer: %d live calls, %d coalesced hits",
 		st.TotalSessions, st.Queries, st.Errors, st.Group.Coalescer.LiveCalls, st.Group.Coalescer.Hits())
 	if recordTrace != nil {
-		if err := recordTrace.Save(*record); err != nil {
+		if err := recordTrace.Save(engine.Record); err != nil {
 			log.Printf("llmsql-serve: save trace: %v", err)
 		} else {
-			log.Printf("llmsql-serve: recorded %d completions to %s", recordTrace.Len(), *record)
+			log.Printf("llmsql-serve: recorded %d completions to %s", recordTrace.Len(), engine.Record)
 		}
-	}
-}
-
-func profileByName(name string) (llm.NoiseProfile, error) {
-	switch strings.ToLower(name) {
-	case "small":
-		return llm.ProfileSmall, nil
-	case "medium":
-		return llm.ProfileMedium, nil
-	case "large":
-		return llm.ProfileLarge, nil
-	default:
-		return llm.NoiseProfile{}, fmt.Errorf("unknown model tier %q (want small, medium or large)", name)
-	}
-}
-
-func strategyByName(name string) (core.Strategy, error) {
-	switch strings.ToLower(name) {
-	case "full-table", "full":
-		return core.StrategyFullTable, nil
-	case "key-then-attr", "kta":
-		return core.StrategyKeyThenAttr, nil
-	case "paged":
-		return core.StrategyPaged, nil
-	case "auto":
-		return core.StrategyAuto, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q", name)
 	}
 }
 

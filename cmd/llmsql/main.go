@@ -43,34 +43,17 @@ import (
 
 func main() {
 	var (
-		seed       = flag.Int64("seed", 2024, "world and model seed")
-		profile    = flag.String("model", "medium", "model quality tier: small, medium, large")
-		strategy   = flag.String("strategy", "full-table", "prompt strategy: full-table, key-then-attr, paged, auto (cost-based per table)")
-		temp       = flag.Float64("temp", 0.7, "sampling temperature")
-		rounds     = flag.Int("rounds", 8, "max sampling rounds")
-		votes      = flag.Int("votes", 1, "self-consistency votes for attribute retrieval")
-		batch      = flag.Int("batch", 1, "keys per batched ATTR prompt on the key-then-attr path (1 = unbatched)")
-		parallel   = flag.Int("parallel", 1, "worker-pool width for concurrent model calls (1 = serial)")
-		cacheCap   = flag.Int("cache", 0, "completion-cache capacity in entries (0 = off, negative = default)")
-		cacheDir   = flag.String("cache-dir", "", "persistent prompt-cache directory (content-addressed, survives sessions; empty = off)")
-		record     = flag.String("record", "", "record every live model completion into this trace file (replay fixture)")
-		replay     = flag.String("replay", "", "serve all completions from this trace file instead of the live model")
-		pushdown   = flag.Bool("pushdown", true, "verbalise pushed filters into prompts and gate key-then-attr keys on key-only predicates")
-		limitPush  = flag.Bool("limit-pushdown", true, "push LIMIT hints onto scans so streaming key-then-attr retrieval stops early (identical rows, fewer prompts)")
-		bindJoin   = flag.Bool("bind-join", true, "let joins pass the outer side's distinct keys into the inner key-then-attr scan (identical rows, fewer prompts)")
-		tolerant   = flag.Bool("tolerant", true, "use the repairing completion parser")
-		viewTTL    = flag.Int("view-ttl", 0, "warm reads a materialized view serves before going stale and falling back to live scans until REFRESH (0 = never)")
 		score      = flag.Bool("score", false, "score results against the ground truth")
 		explain    = flag.Bool("explain", false, "print the plan instead of executing")
 		analyze    = flag.Bool("analyze", false, "execute and print the plan with per-operator row counts")
-		countries  = flag.Int("countries", 120, "world size: countries")
-		movies     = flag.Int("movies", 200, "world size: movies")
 		connect    = flag.String("connect", "", "act as a client of llmsql-serve at this address (host:port or unix socket path) instead of embedding an engine")
 		tenant     = flag.String("tenant", "", "tenant name announced to the server in -connect mode (admission quotas key on it)")
 		printFlags = flag.Bool("print-flags", false, "print the flag reference as a markdown table and exit (consumed by make docs-check)")
 	)
 	var params paramFlags
 	flag.Var(&params, "param", "bind a query parameter; repeatable. name=value binds :name, a bare value binds the next $n/? positionally. Values parse as int, float, bool or null, else text")
+	var engine cliflags.EngineFlags
+	engine.Register(flag.CommandLine)
 	var faults cliflags.FaultFlags
 	faults.Register(flag.CommandLine)
 	flag.Parse()
@@ -88,51 +71,12 @@ func main() {
 		return
 	}
 
-	w := world.Generate(world.Config{
-		Seed:      *seed,
-		Countries: *countries,
-		Movies:    *movies,
-		Laureates: 100,
-		Companies: 100,
-	})
-	noise, err := profileByName(*profile)
+	cfg, w, model, recordTrace, err := engine.Build()
 	if err != nil {
 		fatal(err)
 	}
-	cfg := core.DefaultConfig()
-	cfg.Temperature = *temp
-	cfg.MaxRounds = *rounds
-	cfg.Votes = *votes
-	cfg.BatchSize = *batch
-	cfg.Parallelism = *parallel
-	cfg.CacheCapacity = *cacheCap
-	cfg.Pushdown = *pushdown
-	cfg.LimitPushdown = *limitPush
-	cfg.BindJoin = *bindJoin
-	cfg.Tolerant = *tolerant
-	cfg.ViewTTLReads = *viewTTL
 	faults.Apply(&cfg)
-	cfg.Strategy, err = strategyByName(*strategy)
-	if err != nil {
-		fatal(err)
-	}
-	if *record != "" && *replay != "" {
-		fatal(fmt.Errorf("-record and -replay are mutually exclusive (replaying reaches no live model, so there is nothing to record)"))
-	}
-	cfg.CacheDir = *cacheDir
-	var recordTrace *llm.Trace
-	if *record != "" {
-		recordTrace = llm.NewTrace()
-		cfg.RecordTrace = recordTrace
-	}
-	if *replay != "" {
-		cfg.ReplayTrace, err = llm.LoadTrace(*replay)
-		if err != nil {
-			fatal(err)
-		}
-	}
-
-	eng, err := core.Open(llm.NewSynthLM(w, noise, *seed), cfg)
+	eng, err := core.Open(model, cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -142,10 +86,10 @@ func main() {
 		if recordTrace == nil {
 			return
 		}
-		if err := recordTrace.Save(*record); err != nil {
+		if err := recordTrace.Save(engine.Record); err != nil {
 			fmt.Fprintln(os.Stderr, "llmsql: save trace:", err)
 		} else {
-			fmt.Fprintf(os.Stderr, "recorded %d completions to %s\n", recordTrace.Len(), *record)
+			fmt.Fprintf(os.Stderr, "recorded %d completions to %s\n", recordTrace.Len(), engine.Record)
 		}
 	}
 	defer saveTrace()
@@ -451,34 +395,6 @@ func scoreQuery(db *storage.DB, query string, res *core.QueryResult) {
 	m := metrics.Compare(res.Result.Rows, truth.Rows, metrics.Options{NumTolerance: 0.02})
 	fmt.Printf("score vs ground truth: precision %.3f, recall %.3f, F1 %.3f, attr-acc %.3f, hallucinated %.1f%%\n",
 		m.Precision(), m.Recall(), m.F1(), m.AttrAccuracy(), 100*m.HallucinationRate())
-}
-
-func profileByName(name string) (llm.NoiseProfile, error) {
-	switch strings.ToLower(name) {
-	case "small":
-		return llm.ProfileSmall, nil
-	case "medium":
-		return llm.ProfileMedium, nil
-	case "large":
-		return llm.ProfileLarge, nil
-	default:
-		return llm.NoiseProfile{}, fmt.Errorf("unknown model tier %q (want small, medium or large)", name)
-	}
-}
-
-func strategyByName(name string) (core.Strategy, error) {
-	switch strings.ToLower(name) {
-	case "full-table", "full":
-		return core.StrategyFullTable, nil
-	case "key-then-attr", "kta":
-		return core.StrategyKeyThenAttr, nil
-	case "paged":
-		return core.StrategyPaged, nil
-	case "auto":
-		return core.StrategyAuto, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q", name)
-	}
 }
 
 func fatal(err error) {

@@ -112,8 +112,6 @@ type Config struct {
 	Tolerant bool
 	// Dedup removes duplicate entities from scan output (ablation).
 	Dedup bool
-	// MaxCompletionTokens bounds each completion (0 = model default).
-	MaxCompletionTokens int
 	// MinConfidence drops entities that appear in fewer than this fraction
 	// of sampling rounds (hallucinations tend to be one-off while real
 	// entities recur). 0 disables the filter; it only applies when more
@@ -212,12 +210,6 @@ type Config struct {
 	// strict subset (in the same order) otherwise. Only retryable failures
 	// degrade; fatal errors still abort the query.
 	PartialResults bool
-
-	// sharedFaultLayer marks a session config built by EngineGroup.Session:
-	// the Retrier (and Chaos) live in the shared stack below the coalescer,
-	// so Open must not add a second retry tier on top — stacked retriers
-	// would multiply attempt budgets.
-	sharedFaultLayer bool
 }
 
 // DefaultConfig returns the configuration used by the paper-style runs:
@@ -225,23 +217,29 @@ type Config struct {
 // convergence rule, no voting, pushdown and all robustness features on.
 func DefaultConfig() Config {
 	return Config{
-		Strategy:            StrategyFullTable,
-		Temperature:         0.7,
-		MaxRounds:           8,
-		StableRounds:        2,
-		Votes:               1,
-		BatchSize:           1,
-		PageSize:            40,
-		Pushdown:            true,
-		LimitPushdown:       true,
-		BindJoin:            true,
-		Tolerant:            true,
-		Dedup:               true,
-		MaxCompletionTokens: 0,
-		Parallelism:         1,
-		CacheCapacity:       0,
-		Seed:                0,
+		Strategy:      StrategyFullTable,
+		Temperature:   0.7,
+		MaxRounds:     8,
+		StableRounds:  2,
+		Votes:         1,
+		BatchSize:     1,
+		PageSize:      40,
+		Pushdown:      true,
+		LimitPushdown: true,
+		BindJoin:      true,
+		Tolerant:      true,
+		Dedup:         true,
+		Parallelism:   1,
+		CacheCapacity: 0,
+		Seed:          0,
 	}
+}
+
+// request is the completion request every scan prompt goes out as; the cache
+// probes and the view manifest rebuild theirs here too, so their fingerprints
+// match. MaxTokens stays 0, the model default.
+func (c Config) request(prompt string, seed int64) llm.CompletionRequest {
+	return llm.CompletionRequest{Prompt: prompt, Temperature: c.Temperature, Seed: c.Seed + seed}
 }
 
 // normalize clamps nonsense values so a partially filled Config behaves.

@@ -119,12 +119,7 @@ func (s *LLMStore) warmHitRate(t *VirtualTable, cols []int, filter sql.Expr) flo
 		buildKeysPrompt(t, keyFilter, nil, 0),
 	}
 	for _, prompt := range probes {
-		if s.disk.Contains(llm.CompletionRequest{
-			Prompt:      prompt,
-			MaxTokens:   s.cfg.MaxCompletionTokens,
-			Temperature: s.cfg.Temperature,
-			Seed:        s.cfg.Seed,
-		}) {
+		if s.disk.Contains(s.cfg.request(prompt, 0)) {
 			return 1
 		}
 	}

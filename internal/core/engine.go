@@ -20,12 +20,13 @@ import (
 // out. Virtual (LLM-backed) tables and local row-store tables can be mixed
 // freely in one query (hybrid execution).
 type Engine struct {
+	// backend is the stack below this engine's own layers: the engine's own
+	// under Open, the group's (shared with every other session) under
+	// EngineGroup.Session. See stack.go.
+	backend *backend
 	store   *LLMStore
 	model   *llm.CountingModel
 	cache   *llm.CacheModel // optional, per Config.CacheCapacity
-	disk    *llm.DiskCache  // optional, per Config.CacheDir
-	retrier *llm.Retrier    // fault tolerance, always present below the caches
-	chaos   *llm.Chaos      // optional, per Config.Chaos
 	local   *storage.DB     // optional
 	plans   *planCache      // optional, per Config.PlanCacheCapacity
 	// gen is the catalog generation: bumped whenever a change could make a
@@ -57,98 +58,42 @@ func New(model llm.Model, cfg Config) *Engine {
 	return e
 }
 
-// Open builds an engine over the model, assembling the backend stack the
-// configuration asks for — outermost first:
-//
-//	CountingModel                       usage accounting (always)
-//	CacheModel                          Config.CacheCapacity != 0
-//	DiskCache                           Config.CacheDir != ""
-//	Retrier                             fault tolerance (always)
-//	Chaos                               Config.Chaos enabled
-//	trace recorder | trace replayer     Config.RecordTrace / ReplayTrace
-//	model                               the base backend
-//
-// The counting wrapper sits outside every cache, so hits are counted as
-// calls but charged zero latency and dollars. The Retrier sits below the
-// caches — a cache hit can never fault, and a retried answer is cached
-// once — and above the fault injector, so retries see fresh fault draws.
-// Chaos sits above the trace layer: recorded traces hold only clean
-// completions, and a replayed suite can still be stressed with injected
-// faults. A replay trace substitutes the base model entirely (only its
-// name is used); a record trace captures exactly the traffic the caches
-// let through.
+// Open builds an engine over the model: a backend stack of its own (see
+// stack.go for the layers and their order) with the engine's in-memory
+// completion cache, billing counter and plan cache on top.
 func Open(model llm.Model, cfg Config) (*Engine, error) {
-	base := model
-	switch {
-	case cfg.ReplayTrace != nil:
-		base = cfg.ReplayTrace.Replay(model.Name())
-	case cfg.RecordTrace != nil:
-		base = cfg.RecordTrace.Record(model)
+	b, err := newBackend(model, cfg, false)
+	if err != nil {
+		return nil, err
 	}
-	var chaos *llm.Chaos
-	if cfg.Chaos.Enabled() {
-		chaos = llm.NewChaos(base, cfg.Chaos)
-		base = chaos
-	}
-	var retrier *llm.Retrier
-	if !cfg.sharedFaultLayer {
-		retrier = llm.NewRetrier(base, cfg.Retry)
-		base = retrier
-	}
-	var disk *llm.DiskCache
-	if cfg.CacheDir != "" {
-		var err error
-		disk, err = llm.NewDiskCache(base, cfg.CacheDir, cfg.CacheMaxBytes)
-		if err != nil {
-			return nil, fmt.Errorf("core: open cache dir %q: %w", cfg.CacheDir, err)
-		}
-		base = disk
-	}
-	var cache *llm.CacheModel
-	if cfg.CacheCapacity != 0 {
-		cache = llm.NewCacheSized(base, cfg.CacheCapacity)
-		base = cache
-	}
-	counting := llm.NewCounting(base)
-	var plans *planCache
-	switch {
-	case cfg.PlanCacheCapacity > 0:
-		plans = newPlanCache(cfg.PlanCacheCapacity)
-	case cfg.PlanCacheCapacity == 0:
-		plans = newPlanCache(DefaultPlanCacheCapacity)
-	}
-	return &Engine{
-		store:   NewLLMStore(counting, cfg),
-		model:   counting,
-		cache:   cache,
-		disk:    disk,
-		retrier: retrier,
-		chaos:   chaos,
-		plans:   plans,
-	}, nil
+	return b.newEngine(cfg), nil
 }
 
 // Close releases resources held by the backend stack (the persistent
 // cache's segment file). The engine must not be used after Close; engines
-// without a Config.CacheDir need not be closed.
+// without a Config.CacheDir need not be closed. Closing a session engine
+// releases nothing: the stack belongs to its EngineGroup and keeps serving
+// the other sessions until EngineGroup.Close.
 func (e *Engine) Close() error {
-	if e.disk == nil {
+	if e.backend.shared {
 		return nil
 	}
-	return e.disk.Close()
+	return e.backend.close()
 }
 
 // CostModel replaces the simulated cost constants, for both accounting and
 // the scan planner's strategy pricing (they always share constants). Cached
 // plans are invalidated: their scan-strategy decisions were priced under the
-// old constants.
+// old constants. On a session engine only the session's own accounting and
+// planner are re-priced: the group's Retrier keeps its constants, because
+// one tenant must not change what failed attempts cost every other session.
 func (e *Engine) CostModel(c llm.CostModel) {
 	e.model.Cost = c
 	e.store.SetCostModel(c)
-	if e.retrier != nil {
+	if !e.backend.shared {
 		// The Retrier prices failed attempts, backoff and hedge races in
 		// virtual time under the same constants.
-		e.retrier.SetCost(c)
+		e.backend.retrier.SetCost(c)
 	}
 	e.invalidatePlans()
 }
@@ -184,31 +129,18 @@ func (e *Engine) CacheStats() llm.CacheStats {
 }
 
 // DiskCacheStats reports the persistent prompt cache's counters and
-// occupancy (the zero value when no Config.CacheDir is configured).
-func (e *Engine) DiskCacheStats() llm.DiskCacheStats {
-	if e.disk == nil {
-		return llm.DiskCacheStats{}
-	}
-	return e.disk.Stats()
-}
+// occupancy (the zero value when no Config.CacheDir is configured). On a
+// session engine this, RetrierStats and ChaosStats report the group's shared
+// layers, every session's traffic included.
+func (e *Engine) DiskCacheStats() llm.DiskCacheStats { return e.backend.diskStats() }
 
 // RetrierStats reports the fault-tolerance layer's recovery counters
 // (all zero on a healthy stack).
-func (e *Engine) RetrierStats() llm.RetrierStats {
-	if e.retrier == nil {
-		return llm.RetrierStats{}
-	}
-	return e.retrier.Stats()
-}
+func (e *Engine) RetrierStats() llm.RetrierStats { return e.backend.retrier.Stats() }
 
 // ChaosStats reports the fault injector's counters (the zero value when
 // Config.Chaos is disabled).
-func (e *Engine) ChaosStats() llm.ChaosStats {
-	if e.chaos == nil {
-		return llm.ChaosStats{}
-	}
-	return e.chaos.Stats()
-}
+func (e *Engine) ChaosStats() llm.ChaosStats { return e.backend.chaosStats() }
 
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.store.Config() }

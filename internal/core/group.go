@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"llmsql/internal/llm"
@@ -10,18 +9,8 @@ import (
 )
 
 // EngineGroup is the multi-session form of the engine, built for serving:
-// one shared backend stack answers many per-session engines. The shared
-// layers — outermost first —
-//
-//	Coalescer                           cross-session request coalescing
-//	DiskCache                           Config.CacheDir != ""
-//	Retrier                             fault tolerance (always)
-//	CountingModel                       live (operator-side) usage
-//	Chaos                               Config.Chaos enabled
-//	trace recorder | trace replayer     Config.RecordTrace / ReplayTrace
-//	model                               the base backend
-//
-// sit below every session, while each Session() engine keeps its own
+// one shared backend stack (see stack.go), Coalescer outermost, sits below
+// every session, while each Session() engine keeps its own
 // CountingModel (billing), optional in-memory CacheModel and plan cache on
 // top. The coalescer merges identical requests across sessions — concurrent
 // or, via its memo, consecutive — so N sessions scanning the same virtual
@@ -36,12 +25,7 @@ import (
 // can be broadcast to the others' plan caches via InvalidatePlans. All
 // methods are safe for concurrent use.
 type EngineGroup struct {
-	shared  llm.Model // the stack below the sessions, coalescer outermost
-	coal    *llm.Coalescer
-	live    *llm.CountingModel
-	disk    *llm.DiskCache
-	retrier *llm.Retrier
-	chaos   *llm.Chaos // optional, per Config.Chaos
+	backend *backend // the stack below the sessions
 	cfg     Config
 
 	mu       sync.Mutex
@@ -57,50 +41,16 @@ type EngineGroup struct {
 
 // NewEngineGroup assembles the shared serving stack over the model. The
 // configuration is the one every session engine will run with; its CacheDir,
-// CacheMaxBytes, RecordTrace, ReplayTrace and CoalesceCapacity configure the
-// shared layers (sessions never re-add them), while CacheCapacity and
-// PlanCacheCapacity stay per-session.
+// CacheMaxBytes, RecordTrace, ReplayTrace, Chaos, Retry and CoalesceCapacity
+// configure the shared layers, while CacheCapacity and PlanCacheCapacity
+// stay per-session.
 func NewEngineGroup(model llm.Model, cfg Config) (*EngineGroup, error) {
-	base := model
-	switch {
-	case cfg.ReplayTrace != nil:
-		base = cfg.ReplayTrace.Replay(model.Name())
-	case cfg.RecordTrace != nil:
-		base = cfg.RecordTrace.Record(model)
+	b, err := newBackend(model, cfg, true)
+	if err != nil {
+		return nil, err
 	}
-	var chaos *llm.Chaos
-	if cfg.Chaos.Enabled() {
-		chaos = llm.NewChaos(base, cfg.Chaos)
-		base = chaos
-	}
-	// Live counting sits below the disk cache and the retrier: it sees
-	// exactly the successful traffic the operator pays the provider for
-	// (disk hits never reach it; hedge duplicates do, since both halves of
-	// a race are real calls).
-	live := llm.NewCounting(base)
-	// One shared retrier below the coalescer: retries and hedges of a
-	// coalesced leader are run once and every follower receives the same
-	// recovered (and identically billed) response — hedging never
-	// double-bills a cohort.
-	retrier := llm.NewRetrier(live, cfg.Retry)
-	shared := llm.Model(retrier)
-	var disk *llm.DiskCache
-	if cfg.CacheDir != "" {
-		var err error
-		disk, err = llm.NewDiskCache(shared, cfg.CacheDir, cfg.CacheMaxBytes)
-		if err != nil {
-			return nil, fmt.Errorf("core: open cache dir %q: %w", cfg.CacheDir, err)
-		}
-		shared = disk
-	}
-	coal := llm.NewCoalescerSized(shared, cfg.CoalesceCapacity)
 	return &EngineGroup{
-		shared:   coal,
-		coal:     coal,
-		live:     live,
-		disk:     disk,
-		retrier:  retrier,
-		chaos:    chaos,
+		backend:  b,
 		cfg:      cfg,
 		local:    storage.NewDB(),
 		sessions: make(map[*Engine]struct{}),
@@ -112,17 +62,7 @@ func NewEngineGroup(model llm.Model, cfg Config) (*EngineGroup, error) {
 // knows already registered and the group's local row store attached. Release
 // it with CloseSession when the session ends.
 func (g *EngineGroup) Session() *Engine {
-	cfg := g.cfg
-	// The shared layers must not be duplicated per session: in particular a
-	// per-session Retrier above the shared one would multiply attempt
-	// budgets, and a per-session Chaos would fault the same request twice.
-	cfg.CacheDir = ""
-	cfg.CacheMaxBytes = 0
-	cfg.RecordTrace = nil
-	cfg.ReplayTrace = nil
-	cfg.Chaos = llm.ChaosProfile{}
-	cfg.sharedFaultLayer = true
-	e := New(g.shared, cfg)
+	e := g.backend.newEngine(g.cfg)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for _, t := range g.tables {
@@ -199,12 +139,7 @@ func (g *EngineGroup) InvalidatePlans() {
 
 // Close releases the shared stack (the persistent cache's segment file).
 // Sessions must be closed first; the group must not be used after Close.
-func (g *EngineGroup) Close() error {
-	if g.disk == nil {
-		return nil
-	}
-	return g.disk.Close()
-}
+func (g *EngineGroup) Close() error { return g.backend.close() }
 
 // GroupStats is the operator-side view of a serving group: how many
 // sessions, what they were billed, and what the backend actually cost after
@@ -252,17 +187,14 @@ func (g *EngineGroup) Stats() GroupStats {
 		s.Views.Add(e.ViewStats())
 	}
 	g.mu.Unlock()
-	s.Live = g.live.Usage()
-	s.Coalescer = g.coal.Stats()
-	if g.disk != nil {
-		s.DiskCache = g.disk.Stats()
-	}
-	s.Retrier = g.retrier.Stats()
-	if g.chaos != nil {
-		s.Chaos = g.chaos.Stats()
-	}
+	b := g.backend
+	s.Live = b.live.Usage()
+	s.Coalescer = b.coal.Stats()
+	s.DiskCache = b.diskStats()
+	s.Retrier = b.retrier.Stats()
+	s.Chaos = b.chaosStats()
 	return s
 }
 
 // CoalescerStats returns the shared coalescer's counters.
-func (g *EngineGroup) CoalescerStats() llm.CoalescerStats { return g.coal.Stats() }
+func (g *EngineGroup) CoalescerStats() llm.CoalescerStats { return g.backend.coal.Stats() }

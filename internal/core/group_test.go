@@ -167,3 +167,85 @@ func TestGroupCloseSessionFoldsBilledUsage(t *testing.T) {
 		t.Fatalf("billed calls = %d, want %d", after.Billed.Calls, res.Usage.Calls)
 	}
 }
+
+// TestGroupSessionSeesSharedDiskCache: the persistent cache belongs to the
+// group, and every session must reach it — for the refresh probe, for
+// invalidation, and still after another session has closed.
+func TestGroupSessionSeesSharedDiskCache(t *testing.T) {
+	w := parWorld()
+	cfg := groupConfig()
+	cfg.Temperature = 0 // one deterministic enumeration round
+	cfg.Votes = 1
+	cfg.CacheDir = t.TempDir()
+	// No coalescer memo: it sits above the disk cache and would go on
+	// answering the prompts invalidated below it.
+	cfg.CoalesceCapacity = -1
+	g, err := NewEngineGroup(llm.NewSynthLM(w, llm.ProfileMedium, 7), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	g.RegisterWorldDomain(w.Domain("country"))
+	g.RegisterWorldDomain(w.Domain("movie"))
+
+	a, b := g.Session(), g.Session()
+	if err := a.Exec("CREATE MATERIALIZED VIEW v AS SELECT name, capital FROM country"); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Exec("REFRESH MATERIALIZED VIEW v"); err != nil {
+		t.Fatal(err)
+	}
+	warm, _ := a.View("v")
+	if warm.LastWarmFingerprints == 0 || warm.LastLiveCalls != 0 {
+		t.Fatalf("refresh through a session did not see the shared cache warm: %+v", warm)
+	}
+	if got, want := a.DiskCacheStats(), g.Stats().DiskCache; got != want || got.Entries == 0 {
+		t.Fatalf("session reports disk cache %+v, group %+v", got, want)
+	}
+
+	reqs, err := a.ViewRequests("v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The manifest also lists the enumeration probes of the strategies that
+	// did not run, which were never cached: count what was really dropped.
+	const drop = 4
+	dropped := 0
+	for _, req := range reqs {
+		if dropped < drop {
+			dropped += a.InvalidateCachedCompletions(req)
+		}
+	}
+	if dropped != drop {
+		t.Fatalf("invalidated %d cached completions, want %d (manifest %d)", dropped, drop, len(reqs))
+	}
+	liveBefore := g.Stats().Live.Calls
+	if err := a.Exec("REFRESH MATERIALIZED VIEW v"); err != nil {
+		t.Fatal(err)
+	}
+	info, _ := a.View("v")
+	if live := g.Stats().Live.Calls - liveBefore; live != drop || info.LastLiveCalls != drop ||
+		info.LastColdFingerprints != warm.LastColdFingerprints+drop {
+		t.Fatalf("refresh after invalidating %d made %d live calls: %+v (warm refresh: %+v)", drop, live, info, warm)
+	}
+
+	// Closing a session (both ways) must leave the group's cache open.
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	g.CloseSession(a)
+	entries := g.Stats().DiskCache.Entries
+	if _, err := b.Query("SELECT title, year FROM movie"); err != nil {
+		t.Fatal(err)
+	}
+	if s := g.Stats().DiskCache; s.WriteErrors != 0 || s.Entries <= entries {
+		t.Fatalf("disk cache stopped persisting after a session closed: %+v (had %d entries)", s, entries)
+	}
+	res, err := b.Query("SELECT name, capital FROM country")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Usage.Calls == 0 || res.Usage.CachedCalls != res.Usage.Calls {
+		t.Fatalf("another session's scan was not served from the shared cache: %+v", res.Usage)
+	}
+}

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"container/list"
 	"sync"
 
+	"llmsql/internal/lru"
 	"llmsql/internal/plan"
 	"llmsql/internal/sql"
 )
@@ -61,25 +61,14 @@ type PlanCacheStats struct {
 // ?-vs-$n — share one entry.
 type planCache struct {
 	mu        sync.Mutex
-	capacity  int
-	entries   map[string]*list.Element
-	lru       *list.List // front = most recently used
+	entries   *lru.Cache[string, *preparedQuery]
 	hits      int64
 	misses    int64
 	evictions int64
 }
 
-type planCacheEntry struct {
-	key string
-	pq  *preparedQuery
-}
-
 func newPlanCache(capacity int) *planCache {
-	return &planCache{
-		capacity: capacity,
-		entries:  make(map[string]*list.Element, capacity),
-		lru:      list.New(),
-	}
+	return &planCache{entries: lru.New[string, *preparedQuery](capacity)}
 }
 
 // get returns the cached plan for key when present and planned at the
@@ -87,38 +76,25 @@ func newPlanCache(capacity int) *planCache {
 func (c *planCache) get(key string, gen uint64) *preparedQuery {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	pq, ok := c.entries.Get(key)
+	if ok && pq.gen != gen {
+		c.entries.Remove(key)
+		c.evictions++
+		ok = false
+	}
 	if !ok {
 		c.misses++
 		return nil
 	}
-	ent := el.Value.(*planCacheEntry)
-	if ent.pq.gen != gen {
-		c.lru.Remove(el)
-		delete(c.entries, key)
-		c.evictions++
-		c.misses++
-		return nil
-	}
-	c.lru.MoveToFront(el)
 	c.hits++
-	return ent.pq
+	return pq
 }
 
 // put stores a plan, evicting the least recently used entry past capacity.
 func (c *planCache) put(key string, pq *preparedQuery) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*planCacheEntry).pq = pq
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.lru.PushFront(&planCacheEntry{key: key, pq: pq})
-	for c.lru.Len() > c.capacity {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.entries, back.Value.(*planCacheEntry).key)
+	if c.entries.Put(key, pq) {
 		c.evictions++
 	}
 }
@@ -127,10 +103,8 @@ func (c *planCache) put(key string, pq *preparedQuery) {
 func (c *planCache) purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := c.lru.Len()
-	c.lru.Init()
-	c.entries = make(map[string]*list.Element, c.capacity)
-	c.evictions += int64(n)
+	c.evictions += int64(c.entries.Len())
+	c.entries.Clear()
 }
 
 func (c *planCache) stats() PlanCacheStats {
@@ -139,7 +113,7 @@ func (c *planCache) stats() PlanCacheStats {
 	return PlanCacheStats{
 		Hits:      c.hits,
 		Misses:    c.misses,
-		Entries:   c.lru.Len(),
+		Entries:   c.entries.Len(),
 		Evictions: c.evictions,
 	}
 }

@@ -109,19 +109,11 @@ func TestReplayByteIdenticalToLiveRun(t *testing.T) {
 	}
 }
 
-// usageEquivalent compares all integer-valued Usage fields exactly —
-// calls, tokens, SimLatency and SimWall are duration/count sums and must
-// reproduce bit-for-bit — and SimDollars to within float summation noise
-// (the per-call dollar terms are added in completion order under a mutex,
-// so the last ULP wobbles with goroutine scheduling even live-vs-live).
-func usageEquivalent(a, b llm.Usage) bool {
-	dollars := a.SimDollars - b.SimDollars
-	if dollars < 0 {
-		dollars = -dollars
-	}
-	a.SimDollars, b.SimDollars = 0, 0
-	return a == b && dollars < 1e-12
-}
+// usageEquivalent requires every Usage field to reproduce bit-for-bit:
+// calls, tokens, SimLatency and SimWall are duration/count sums, and
+// SimDollars is accumulated in integer nano-dollars, so none of them depends
+// on the order concurrent calls completed in.
+func usageEquivalent(a, b llm.Usage) bool { return a == b }
 
 // TestDiskCacheWarmSecondRunCostsNothing pins the warm-cache acceptance
 // property: a second engine over the same cache directory answers the same

@@ -1,0 +1,120 @@
+package core
+
+import (
+	"fmt"
+
+	"llmsql/internal/llm"
+)
+
+// backend is the model stack below an engine's own layers, assembled by
+// newBackend — the one place the stack is built. The order is the list in
+// package llm's comment (llm/backend.go), which TestStackOrder compares with
+// the chains built here; the reasons for it:
+//
+// Chaos sits above the trace layer, so recorded traces hold only clean
+// completions and a replayed suite can still be stressed with injected
+// faults; a replay trace substitutes the base model entirely (only its name
+// is used). The Retrier sits below the caches — a cache hit can never fault,
+// a retried answer is cached once — and above the injector, so retries see
+// fresh fault draws. In a group the live counter sits below the Retrier and
+// the DiskCache: it sees exactly the successful traffic the operator pays
+// for (disk hits never reach it; both halves of a hedge race do). The one
+// Retrier below the Coalescer runs a coalesced leader's retries and hedges
+// once, and every follower receives the same recovered, identically billed
+// response. Each engine's billing counter is outermost, so cache hits count
+// as calls charged zero latency and dollars.
+//
+// The solo/group split is where the stack forks: Open puts one engine on a
+// backend of its own, EngineGroup.Session puts one more engine on the
+// group's.
+type backend struct {
+	top     llm.Model          // what each engine stacks its own layers on
+	chaos   *llm.Chaos         // nil unless Config.Chaos is enabled
+	live    *llm.CountingModel // nil on a solo engine
+	retrier *llm.Retrier
+	disk    *llm.DiskCache // nil without Config.CacheDir
+	coal    *llm.Coalescer // nil on a solo engine
+	// shared marks an EngineGroup's backend: its sessions neither close it
+	// nor re-price it.
+	shared bool
+}
+
+// newBackend assembles the stack up to the fork. shared adds the two
+// group-only layers.
+func newBackend(model llm.Model, cfg Config, shared bool) (*backend, error) {
+	b := &backend{shared: shared}
+	switch {
+	case cfg.ReplayTrace != nil:
+		b.top = cfg.ReplayTrace.Replay(model.Name())
+	case cfg.RecordTrace != nil:
+		b.top = cfg.RecordTrace.Record(model)
+	default:
+		b.top = model
+	}
+	if cfg.Chaos.Enabled() {
+		b.chaos = llm.NewChaos(b.top, cfg.Chaos)
+		b.top = b.chaos
+	}
+	if shared {
+		b.live = llm.NewCounting(b.top)
+		b.top = b.live
+	}
+	b.retrier = llm.NewRetrier(b.top, cfg.Retry)
+	b.top = b.retrier
+	if cfg.CacheDir != "" {
+		disk, err := llm.NewDiskCache(b.top, cfg.CacheDir, cfg.CacheMaxBytes)
+		if err != nil {
+			return nil, fmt.Errorf("core: open cache dir %q: %w", cfg.CacheDir, err)
+		}
+		b.disk, b.top = disk, disk
+	}
+	if shared {
+		b.coal = llm.NewCoalescerSized(b.top, cfg.CoalesceCapacity)
+		b.top = b.coal
+	}
+	return b, nil
+}
+
+// newEngine stacks one engine's own layers — the in-memory completion
+// cache, the billing counter, the store and the plan cache — on the backend.
+func (b *backend) newEngine(cfg Config) *Engine {
+	e := &Engine{backend: b}
+	top := b.top
+	if cfg.CacheCapacity != 0 {
+		e.cache = llm.NewCacheSized(top, cfg.CacheCapacity)
+		top = e.cache
+	}
+	e.model = llm.NewCounting(top)
+	e.store = NewLLMStore(e.model, cfg)
+	switch {
+	case cfg.PlanCacheCapacity > 0:
+		e.plans = newPlanCache(cfg.PlanCacheCapacity)
+	case cfg.PlanCacheCapacity == 0:
+		e.plans = newPlanCache(DefaultPlanCacheCapacity)
+	}
+	return e
+}
+
+// diskStats reports the persistent cache's counters, zero without one.
+func (b *backend) diskStats() llm.DiskCacheStats {
+	if b.disk == nil {
+		return llm.DiskCacheStats{}
+	}
+	return b.disk.Stats()
+}
+
+// chaosStats reports the fault injector's counters, zero without one.
+func (b *backend) chaosStats() llm.ChaosStats {
+	if b.chaos == nil {
+		return llm.ChaosStats{}
+	}
+	return b.chaos.Stats()
+}
+
+// close releases the persistent cache's segment file.
+func (b *backend) close() error {
+	if b.disk == nil {
+		return nil
+	}
+	return b.disk.Close()
+}

@@ -369,12 +369,7 @@ func (sc *llmScan) cfg() Config { return sc.store.cfg }
 // prompt counting and critical-path bookkeeping — and is safe to invoke from
 // pool workers (Model implementations are concurrency-safe by contract).
 func (sc *llmScan) modelCall(prompt string, seed int64) (llm.CompletionResponse, error) {
-	return sc.store.model.Complete(llm.CompletionRequest{
-		Prompt:      prompt,
-		MaxTokens:   sc.cfg().MaxCompletionTokens,
-		Temperature: sc.cfg().Temperature,
-		Seed:        sc.cfg().Seed + seed,
-	})
+	return sc.store.model.Complete(sc.cfg().request(prompt, seed))
 }
 
 // addWall extends the scan's simulated critical path by d.

@@ -210,9 +210,9 @@ func (e *Engine) refreshView(name string) error {
 	// set: the warm/cold split is the refresh's expected cost, surfaced in
 	// ViewInfo before any model traffic happens.
 	warm, cold := 0, 0
-	if e.disk != nil {
+	if disk := e.backend.disk; disk != nil {
 		for _, req := range e.viewRequests(v) {
-			if e.disk.Contains(req) {
+			if disk.Contains(req) {
 				warm++
 			} else {
 				cold++
@@ -472,14 +472,7 @@ func (e *Engine) viewRequests(v *matView) []llm.CompletionRequest {
 		return nil
 	}
 	cfg := e.Config()
-	req := func(prompt string, seed int64) llm.CompletionRequest {
-		return llm.CompletionRequest{
-			Prompt:      prompt,
-			MaxTokens:   cfg.MaxCompletionTokens,
-			Temperature: cfg.Temperature,
-			Seed:        cfg.Seed + seed,
-		}
-	}
+	req := cfg.request
 	var out []llm.CompletionRequest
 	var walk func(plan.Node)
 	walk = func(n plan.Node) {
@@ -589,16 +582,19 @@ func (e *Engine) ViewRequests(name string) ([]llm.CompletionRequest, error) {
 // InvalidateCachedCompletions drops the requests' entries from the
 // persistent prompt cache (durably: tombstones survive reopen), returning
 // how many were live. The next query — or REFRESH — must re-ask exactly
-// these prompts at the live model. Only the disk layer is touched; engines
-// using an in-memory completion cache (Config.CacheCapacity) may still
-// serve invalidated prompts from memory within the same process.
+// these prompts at the live model. Only the disk layer is touched: an
+// in-memory completion cache (Config.CacheCapacity) or, on a session, the
+// group's coalescer memo above the disk cache may still serve invalidated
+// prompts from memory within the same process. On a session the cache is the
+// group's, so the entries are gone for every session.
 func (e *Engine) InvalidateCachedCompletions(reqs ...llm.CompletionRequest) int {
-	if e.disk == nil {
+	disk := e.backend.disk
+	if disk == nil {
 		return 0
 	}
 	n := 0
 	for _, req := range reqs {
-		if e.disk.Invalidate(req) {
+		if disk.Invalidate(req) {
 			n++
 		}
 	}

@@ -11,19 +11,21 @@ import (
 // that completes prompts — the same contract as Model; the two names are
 // aliases. "Backend" is used when talking about the bottom of the stack and
 // the persistence layers above it, "Model" when talking about the
-// engine-facing top. The full stack, outermost first (core.Open builds it
-// without the "group" layers; core.NewEngineGroup shares the Coalescer and
-// everything below it, and each session keeps the two layers above):
+// engine-facing top. The full stack, outermost first, one layer type per
+// line with the Config field that adds it; "(group)" layers exist only under
+// core.NewEngineGroup. core's one builder assembles it and core's
+// TestStackOrder reads this list, so it cannot drift from the code:
 //
-//	CountingModel          billed usage accounting (always outermost)
-//	CacheModel             in-memory bounded LRU (Config.CacheCapacity)
+//	CountingModel          billed usage accounting, one per engine
+//	CacheModel             in-memory bounded LRU, one per engine (Config.CacheCapacity)
+//	---- the fork: core.Open puts one engine above this line, a group one per Session ----
 //	Coalescer              cross-session single-flight + memo (group)
-//	DiskCache              persistent content-addressed prompt cache
+//	DiskCache              persistent content-addressed prompt cache (Config.CacheDir)
 //	Retrier                retry, backoff, hedging, circuit breaker
 //	CountingModel          live, operator-side usage (group)
 //	Chaos                  seeded fault injection (Config.Chaos)
-//	Recorder | Replayer    trace capture / deterministic playback
-//	SynthLM (or any API)   the base backend
+//	recorder | replayer    trace capture / deterministic playback (Config.RecordTrace | Config.ReplayTrace)
+//	SynthLM                the base backend (or any API adapter)
 //
 // Every layer implements Unwrapper, so capabilities can be located
 // regardless of stacking order (FindCache, FindDiskCache). The layers whose

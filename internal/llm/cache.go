@@ -1,6 +1,10 @@
 package llm
 
-import "sync"
+import (
+	"sync"
+
+	"llmsql/internal/lru"
+)
 
 // DefaultCacheCapacity bounds NewCache's memo table. 4096 entries covers the
 // working set of the benchmark suite's largest scan several times over while
@@ -16,7 +20,7 @@ type CacheModel struct {
 	Inner Model
 
 	mu      sync.Mutex
-	entries *lru[requestKey, CompletionResponse]
+	entries *lru.Cache[requestKey, CompletionResponse]
 	stats   CacheStats
 }
 
@@ -40,7 +44,7 @@ func NewCacheSized(m Model, capacity int) *CacheModel {
 	if capacity < 1 {
 		capacity = DefaultCacheCapacity
 	}
-	return &CacheModel{Inner: m, entries: newLRU[requestKey, CompletionResponse](capacity)}
+	return &CacheModel{Inner: m, entries: lru.New[requestKey, CompletionResponse](capacity)}
 }
 
 // Name implements Model.
@@ -56,7 +60,7 @@ func (c *CacheModel) Unwrap() Model { return c.Inner }
 func (c *CacheModel) Complete(req CompletionRequest) (CompletionResponse, error) {
 	key := keyOf(req)
 	c.mu.Lock()
-	if resp, ok := c.entries.get(key); ok {
+	if resp, ok := c.entries.Get(key); ok {
 		c.stats.Hits++
 		c.mu.Unlock()
 		resp.Cached = true
@@ -77,7 +81,7 @@ func (c *CacheModel) Complete(req CompletionRequest) (CompletionResponse, error)
 	c.mu.Lock()
 	// A concurrent miss for the same key may have beaten us; put then
 	// refreshes its entry in place.
-	if c.entries.put(key, resp) {
+	if c.entries.Put(key, resp) {
 		c.stats.Evictions++
 	}
 	c.mu.Unlock()
@@ -89,7 +93,7 @@ func (c *CacheModel) CacheStats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
-	s.Size = c.entries.len()
-	s.Capacity = c.entries.capacity
+	s.Size = c.entries.Len()
+	s.Capacity = c.entries.Cap()
 	return s
 }

@@ -4,7 +4,18 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"llmsql/internal/lru"
 )
+
+// chainLen counts the entries an oldest-first walk of the recency ring
+// visits. The ring and the map behind Len are maintained separately, so the
+// layer tests compare the two after concurrent or evicting traffic.
+func chainLen[K comparable, V any](l *lru.Cache[K, V]) int {
+	n := 0
+	l.OldestFirst(func(K, V) bool { n++; return true })
+	return n
+}
 
 func TestCacheLRUEviction(t *testing.T) {
 	inner := &echoModel{}
@@ -48,8 +59,8 @@ func TestCacheBoundHolds(t *testing.T) {
 	if s.Evictions != 92 {
 		t.Fatalf("evictions: %+v", s)
 	}
-	if got := chainLen(cache.entries); got != cache.entries.len() {
-		t.Fatalf("map/list out of sync: %d vs %d", cache.entries.len(), got)
+	if got := chainLen(cache.entries); got != cache.entries.Len() {
+		t.Fatalf("map/list out of sync: %d vs %d", cache.entries.Len(), got)
 	}
 }
 
@@ -142,10 +153,10 @@ func TestNaNTemperatureDoesNotLeak(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := cache.entries.len(); n > capacity || chainLen(cache.entries) != n {
+	if n := cache.entries.Len(); n > capacity || chainLen(cache.entries) != n {
 		t.Fatalf("cache holds %d entries (list %d), capacity %d", n, chainLen(cache.entries), capacity)
 	}
-	if n := coal.memo.len(); n > capacity || chainLen(coal.memo) != n {
+	if n := coal.memo.Len(); n > capacity || chainLen(coal.memo) != n {
 		t.Fatalf("coalescer memo holds %d entries (list %d), capacity %d", n, chainLen(coal.memo), capacity)
 	}
 	if len(coal.inflight) != 0 {

@@ -2,14 +2,16 @@ package llm
 
 import (
 	"bufio"
-	"container/list"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+
+	"llmsql/internal/lru"
 )
 
 // DefaultDiskCacheBytes bounds a DiskCache when the caller passes no bound:
@@ -44,9 +46,10 @@ type DiskCache struct {
 	maxBytes int64
 	version  int // fingerprint/record format version (FingerprintVersion)
 
-	mu        sync.Mutex
-	entries   map[string]*list.Element
-	order     *list.List // front = most recently used
+	mu sync.Mutex
+	// entries is bounded by liveBytes, not by count: evictLocked drops the
+	// oldest entries itself, so the lru's own bound is never reached.
+	entries   *lru.Cache[string, diskEntry]
 	liveBytes int64
 	deadBytes int64
 	seg       *os.File // active segment, append-only
@@ -57,7 +60,6 @@ type DiskCache struct {
 // diskEntry is one live completion: the decoded response plus the byte size
 // of its on-disk record (the unit the LRU bound counts).
 type diskEntry struct {
-	fp   string
 	resp CompletionResponse
 	size int64
 }
@@ -115,8 +117,7 @@ func newDiskCacheAt(inner Model, dir string, maxBytes int64, version int) (*Disk
 		dir:      dir,
 		maxBytes: maxBytes,
 		version:  version,
-		entries:  make(map[string]*list.Element),
-		order:    list.New(),
+		entries:  lru.New[string, diskEntry](math.MaxInt),
 	}
 	if err := c.load(version); err != nil {
 		return nil, err
@@ -219,16 +220,13 @@ func (c *DiskCache) Unwrap() Model { return c.Inner }
 func (c *DiskCache) Complete(req CompletionRequest) (CompletionResponse, error) {
 	fp := fingerprintAt(c.version, c.Name(), req)
 	c.mu.Lock()
-	if el, ok := c.entries[fp]; ok {
+	if e, ok := c.entries.Get(fp); ok {
 		c.stats.Hits++
-		c.order.MoveToFront(el)
-		e := el.Value.(*diskEntry)
-		resp := e.resp
-		size := e.size
 		c.mu.Unlock()
+		resp := e.resp
 		resp.Cached = true
 		resp.DiskCached = true
-		resp.DiskBytes = size
+		resp.DiskBytes = e.size
 		return resp, nil
 	}
 	c.stats.Misses++
@@ -248,7 +246,7 @@ func (c *DiskCache) Contains(req CompletionRequest) bool {
 	fp := fingerprintAt(c.version, c.Name(), req)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.entries[fp]
+	_, ok := c.entries.Peek(fp)
 	return ok
 }
 
@@ -267,7 +265,7 @@ func (c *DiskCache) Invalidate(req CompletionRequest) bool {
 	data = append(data, '\n')
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[fp]; !ok {
+	if _, ok := c.entries.Peek(fp); !ok {
 		return false
 	}
 	if _, err := c.seg.Write(data); err != nil {
@@ -283,15 +281,10 @@ func (c *DiskCache) Invalidate(req CompletionRequest) bool {
 // removeLocked drops the fingerprint's live entry (if any), moving its
 // on-disk record to the dead set.
 func (c *DiskCache) removeLocked(fp string) {
-	el, ok := c.entries[fp]
-	if !ok {
-		return
+	if e, ok := c.entries.Remove(fp); ok {
+		c.liveBytes -= e.size
+		c.deadBytes += e.size
 	}
-	e := el.Value.(*diskEntry)
-	c.order.Remove(el)
-	delete(c.entries, fp)
-	c.liveBytes -= e.size
-	c.deadBytes += e.size
 }
 
 // put persists one completion and inserts it into the index, evicting and
@@ -333,29 +326,21 @@ func (c *DiskCache) put(fp string, resp CompletionResponse) {
 
 // insertLocked adds or refreshes one live entry at the MRU position.
 func (c *DiskCache) insertLocked(fp string, resp CompletionResponse, size int64) {
-	if el, ok := c.entries[fp]; ok {
+	if old, ok := c.entries.Peek(fp); ok {
 		// Overridden by a newer record: the old one is dead bytes now.
-		old := el.Value.(*diskEntry)
 		c.liveBytes -= old.size
 		c.deadBytes += old.size
-		old.resp, old.size = resp, size
-		c.order.MoveToFront(el)
-	} else {
-		c.entries[fp] = c.order.PushFront(&diskEntry{fp: fp, resp: resp, size: size})
 	}
+	c.entries.Put(fp, diskEntry{resp: resp, size: size})
 	c.liveBytes += size
 }
 
 // evictLocked drops least-recently-used entries until the live set fits the
 // byte bound. Evicted records stay on disk as dead bytes until compaction.
 func (c *DiskCache) evictLocked() {
-	for c.liveBytes > c.maxBytes && c.order.Len() > 1 {
-		oldest := c.order.Back()
-		e := oldest.Value.(*diskEntry)
-		c.order.Remove(oldest)
-		delete(c.entries, e.fp)
-		c.liveBytes -= e.size
-		c.deadBytes += e.size
+	for c.liveBytes > c.maxBytes && c.entries.Len() > 1 {
+		fp, _, _ := c.entries.Oldest()
+		c.removeLocked(fp)
 		c.stats.Evictions++
 	}
 }
@@ -379,25 +364,21 @@ func (c *DiskCache) maybeCompactLocked() {
 	}
 	w := bufio.NewWriter(seg)
 	ok := true
-	for el := c.order.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*diskEntry)
+	c.entries.OldestFirst(func(fp string, e diskEntry) bool {
 		data, err := json.Marshal(diskRecord{
-			FP:        e.fp,
+			FP:        fp,
 			Version:   c.version,
 			Text:      e.resp.Text,
 			Prompt:    e.resp.PromptTokens,
 			Compl:     e.resp.CompletionTokens,
 			Truncated: e.resp.Truncated,
 		})
-		if err != nil {
-			ok = false
-			break
+		if err == nil {
+			_, err = w.Write(append(data, '\n'))
 		}
-		if _, err := w.Write(append(data, '\n')); err != nil {
-			ok = false
-			break
-		}
-	}
+		ok = err == nil
+		return ok
+	})
 	if err := w.Flush(); err != nil {
 		ok = false
 	}
@@ -422,7 +403,7 @@ func (c *DiskCache) Stats() DiskCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
-	s.Entries = c.order.Len()
+	s.Entries = c.entries.Len()
 	s.LiveBytes = c.liveBytes
 	s.DeadBytes = c.deadBytes
 	s.MaxBytes = c.maxBytes

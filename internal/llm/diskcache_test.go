@@ -226,8 +226,8 @@ func TestDiskCacheConcurrentAccountingConsistent(t *testing.T) {
 	if s.Entries != keys {
 		t.Fatalf("entries: %+v (want %d)", s, keys)
 	}
-	if len(c.entries) != c.order.Len() {
-		t.Fatalf("map/list out of sync: %d vs %d", len(c.entries), c.order.Len())
+	if got := chainLen(c.entries); got != c.entries.Len() {
+		t.Fatalf("map/list out of sync: %d vs %d", c.entries.Len(), got)
 	}
 }
 

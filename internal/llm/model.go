@@ -1,6 +1,7 @@
 package llm
 
 import (
+	"math"
 	"sync"
 	"time"
 )
@@ -244,7 +245,11 @@ type CountingModel struct {
 	Cost  CostModel
 
 	mu    sync.Mutex
-	usage Usage
+	usage Usage // SimDollars is kept in nanoUSD and filled in by Usage()
+	// nanoUSD is the bill in whole nano-dollars, each call rounded on its
+	// own. Integer addition commutes where float64 addition does not, so
+	// concurrent calls completing in any order total to the same bits.
+	nanoUSD int64
 }
 
 // NewCounting wraps m with the default cost model.
@@ -277,6 +282,7 @@ func (c *CountingModel) Complete(req CompletionRequest) (CompletionResponse, err
 			c.Cost.Dollars(resp.WastedPromptTokens, resp.WastedCompletionTokens)
 	}
 	resp.SimLatency = lat
+	nano := int64(math.Round(usd * 1e9))
 	c.mu.Lock()
 	c.usage.Calls++
 	if resp.Cached {
@@ -297,7 +303,7 @@ func (c *CountingModel) Complete(req CompletionRequest) (CompletionResponse, err
 		c.usage.WastedCompletionTokens += resp.WastedCompletionTokens
 	}
 	c.usage.SimLatency += lat
-	c.usage.SimDollars += usd
+	c.nanoUSD += nano
 	c.mu.Unlock()
 	return resp, nil
 }
@@ -315,12 +321,14 @@ func (c *CountingModel) AddWall(d time.Duration) {
 func (c *CountingModel) Usage() Usage {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.usage
+	u := c.usage
+	u.SimDollars = float64(c.nanoUSD) / 1e9
+	return u
 }
 
 // Reset zeroes the accumulated usage.
 func (c *CountingModel) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.usage = Usage{}
+	c.usage, c.nanoUSD = Usage{}, 0
 }

@@ -2,6 +2,8 @@ package llm
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -129,5 +131,56 @@ func TestCountingModelConcurrent(t *testing.T) {
 	wg.Wait()
 	if cm.Usage().Calls != 400 {
 		t.Fatalf("concurrent calls: %d", cm.Usage().Calls)
+	}
+}
+
+// tokenModel answers with token counts taken from the request seed, so a
+// test chooses each call's price.
+type tokenModel struct{}
+
+func (tokenModel) Name() string { return "tokens" }
+
+func (tokenModel) Complete(req CompletionRequest) (CompletionResponse, error) {
+	return CompletionResponse{PromptTokens: int(req.Seed % 100003), CompletionTokens: int(req.Seed % 997)}, nil
+}
+
+// TestCountingDollarsOrderIndependent bills one multiset of responses twice,
+// each time from concurrent goroutines working through a different shuffle.
+// float64 addition does not commute in the last bit, so a bill summed in
+// completion order differs between the two; the integer bill cannot.
+func TestCountingDollarsOrderIndependent(t *testing.T) {
+	const calls, workers = 4000, 8
+	seeds := make([]int64, calls)
+	for i := range seeds {
+		seeds[i] = int64(i) * 7919
+	}
+	bill := func(shuffle int64) Usage {
+		order := append([]int64(nil), seeds...)
+		rand.New(rand.NewSource(shuffle)).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		cm := NewCounting(tokenModel{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(part []int64) {
+				defer wg.Done()
+				for _, seed := range part {
+					if _, err := cm.Complete(CompletionRequest{Seed: seed}); err != nil {
+						t.Error(err)
+					}
+				}
+			}(order[w*calls/workers : (w+1)*calls/workers])
+		}
+		wg.Wait()
+		return cm.Usage()
+	}
+	a, b := bill(1), bill(2)
+	if a.SimDollars <= 0 || a.Calls != calls {
+		t.Fatalf("nothing billed: %+v", a)
+	}
+	if math.Float64bits(a.SimDollars) != math.Float64bits(b.SimDollars) {
+		t.Fatalf("the bill depends on completion order: %.17g vs %.17g", a.SimDollars, b.SimDollars)
+	}
+	if a != b {
+		t.Fatalf("usage differs between orders:\n%+v\n%+v", a, b)
 	}
 }

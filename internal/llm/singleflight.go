@@ -1,6 +1,10 @@
 package llm
 
-import "sync"
+import (
+	"sync"
+
+	"llmsql/internal/lru"
+)
 
 // DefaultCoalescerMemo bounds the Coalescer's completed-results memo. It is
 // sized like DefaultCacheCapacity: large enough that every prompt of a
@@ -40,7 +44,7 @@ type Coalescer struct {
 
 	mu       sync.Mutex
 	inflight map[requestKey]*flight
-	memo     *lru[requestKey, CompletionResponse] // completed responses
+	memo     *lru.Cache[requestKey, CompletionResponse] // completed responses
 	stats    CoalescerStats
 }
 
@@ -92,7 +96,7 @@ func NewCoalescerSized(m Model, capacity int) *Coalescer {
 	return &Coalescer{
 		Inner:    m,
 		inflight: make(map[requestKey]*flight),
-		memo:     newLRU[requestKey, CompletionResponse](capacity),
+		memo:     lru.New[requestKey, CompletionResponse](capacity),
 	}
 }
 
@@ -117,7 +121,7 @@ func (c *Coalescer) Complete(req CompletionRequest) (CompletionResponse, error) 
 	c.mu.Lock()
 	joined := false
 	for {
-		if resp, ok := c.memo.get(key); ok {
+		if resp, ok := c.memo.Get(key); ok {
 			c.stats.MemoHits++
 			c.mu.Unlock()
 			resp.Coalesced = true
@@ -154,7 +158,7 @@ func (c *Coalescer) Complete(req CompletionRequest) (CompletionResponse, error) 
 	delete(c.inflight, key)
 	if fl.err != nil {
 		c.stats.Errors++
-	} else if c.memo.put(key, fl.resp) {
+	} else if c.memo.Put(key, fl.resp) {
 		c.stats.Evictions++
 	}
 	c.mu.Unlock()
@@ -166,8 +170,8 @@ func (c *Coalescer) Stats() CoalescerStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
-	s.Size = c.memo.len()
-	s.Capacity = c.memo.capacity
+	s.Size = c.memo.Len()
+	s.Capacity = c.memo.Cap()
 	return s
 }
 

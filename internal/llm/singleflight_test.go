@@ -188,8 +188,8 @@ func TestCoalescerMemoBoundAndEviction(t *testing.T) {
 	if s.LiveCalls != 4 || s.MemoHits != 1 {
 		t.Fatalf("stats: %+v", s)
 	}
-	if got := chainLen(c.memo); got != c.memo.len() {
-		t.Fatalf("map/list out of sync: %d vs %d", c.memo.len(), got)
+	if got := chainLen(c.memo); got != c.memo.Len() {
+		t.Fatalf("map/list out of sync: %d vs %d", c.memo.Len(), got)
 	}
 }
 

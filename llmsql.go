@@ -123,10 +123,13 @@ type EngineGroup = core.EngineGroup
 // usage and the coalescer's counters. See core.GroupStats.
 type GroupStats = core.GroupStats
 
-// NewEngineGroup assembles the shared serving stack over the model; the
-// configuration's CacheDir, CacheMaxBytes, RecordTrace, ReplayTrace and
-// CoalesceCapacity configure the shared layers, the rest stays per-session.
-// See core.NewEngineGroup.
+// NewEngineGroup assembles the shared serving stack over the model, with the
+// same builder Open uses; the configuration's CacheDir, CacheMaxBytes,
+// RecordTrace, ReplayTrace, Chaos, Retry and CoalesceCapacity configure the
+// shared layers, the rest stays per-session. Every Session() engine reads
+// the shared layers through the group (its DiskCacheStats, REFRESH probe and
+// InvalidateCachedCompletions reach the group's disk cache); closing a
+// session leaves them open. See core.NewEngineGroup.
 func NewEngineGroup(model Model, cfg Config) (*EngineGroup, error) {
 	return core.NewEngineGroup(model, cfg)
 }
