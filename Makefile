@@ -137,13 +137,13 @@ docs-check:
 		|| status=$$?; \
 	rm -rf "$$tmp"; exit $$status
 
-## size: the numbers ROADMAP's "least code" aim tracks — non-test Go lines per package (the nested benchmark/ module excluded), the core.Config field count and each binary's flag count; one row per PR goes into EXPERIMENTS.md "Size trajectory"
+## size: the numbers ROADMAP's "least code" aim tracks — non-test Go lines per package (the nested benchmark/ module excluded) with the package's largest non-test file, the core.Config field count and each binary's flag count; one row per PR goes into EXPERIMENTS.md "Size trajectory"
 SIZE_STACK := llmsql/internal/core llmsql/internal/llm llmsql/internal/lru llmsql/internal/cliflags llmsql/cmd/llmsql llmsql/cmd/llmsql-serve
 size:
 	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... | while read -r pkg dir files; do \
-		echo "$$pkg $$(cd "$$dir" && cat $$files | wc -l)"; \
+		echo "$$pkg $$(cd "$$dir" && cat $$files | wc -l) $$(cd "$$dir" && wc -l $$files | grep -v ' total$$' | sort -n | tail -1)"; \
 	done | awk -v stack="$(SIZE_STACK)" 'BEGIN { n = split(stack, names, " "); for (i = 1; i <= n; i++) in_stack[names[i]] = 1 } \
-		{ printf "%-40s %6d\n", $$1, $$2; total += $$2; if ($$1 in in_stack) sub_total += $$2 } \
+		{ printf "%-40s %6d   largest %-20s %5d\n", $$1, $$2, $$4, $$3; total += $$2; if ($$1 in in_stack) sub_total += $$2 } \
 		END { printf "%-40s %6d\n%-40s %6d\n", "total non-test Go lines", total, "of which stack + flags + the two CLIs", sub_total }'
 	@awk '/^type Config struct {/ { in_cfg = 1; next } in_cfg && /^}/ { exit } in_cfg && /^\t[A-Za-z]/ { n++ } \
 		END { printf "%-40s %6d\n", "core.Config fields", n }' internal/core/config.go

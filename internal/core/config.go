@@ -75,8 +75,6 @@ type Config struct {
 	// fall back to a single-key prompt, so the retrieved key set and row
 	// order are identical to the unbatched path at any batch size.
 	BatchSize int
-	// PageSize is MAXROWS per prompt for StrategyPaged.
-	PageSize int
 	// Pushdown verbalises pushed filters into prompts when true; the
 	// executor re-checks them either way. It also arms the key gate of the
 	// key-then-attr pipeline: enumerated keys that a key-only pushed
@@ -173,8 +171,6 @@ type Config struct {
 	// Usage — calls, tokens, SimWall, dollars — byte-identically on any
 	// machine. ReplayTrace wins when both are set.
 	ReplayTrace *llm.Trace
-	// Seed offsets sampling seeds so experiments can decorrelate runs.
-	Seed int64
 	// Chaos, when any rate is positive, inserts a deterministic fault
 	// injector (llm.Chaos) directly above the base model: transient errors,
 	// rate-limit rejections, malformed completions and latency spikes are
@@ -205,7 +201,9 @@ type Config struct {
 	// full retry budget is dropped from the result (counted in
 	// ScanStats.KeysFailed), a failed batched call drops its whole batch
 	// group, and a failed enumeration round stops enumeration at the keys
-	// already found. Row guarantee under any fault seed: emitted rows are
+	// already found — unless MinConfidence is set, since fewer rounds would
+	// let keys pass the confidence filter that the fault-free run drops; the
+	// query then fails. Row guarantee under any fault seed: emitted rows are
 	// byte-identical to the fault-free run whenever retries sufficed, and a
 	// strict subset (in the same order) otherwise. Only retryable failures
 	// degrade; fatal errors still abort the query.
@@ -223,7 +221,6 @@ func DefaultConfig() Config {
 		StableRounds:  2,
 		Votes:         1,
 		BatchSize:     1,
-		PageSize:      40,
 		Pushdown:      true,
 		LimitPushdown: true,
 		BindJoin:      true,
@@ -231,7 +228,6 @@ func DefaultConfig() Config {
 		Dedup:         true,
 		Parallelism:   1,
 		CacheCapacity: 0,
-		Seed:          0,
 	}
 }
 
@@ -239,7 +235,7 @@ func DefaultConfig() Config {
 // probes and the view manifest rebuild theirs here too, so their fingerprints
 // match. MaxTokens stays 0, the model default.
 func (c Config) request(prompt string, seed int64) llm.CompletionRequest {
-	return llm.CompletionRequest{Prompt: prompt, Temperature: c.Temperature, Seed: c.Seed + seed}
+	return llm.CompletionRequest{Prompt: prompt, Temperature: c.Temperature, Seed: seed}
 }
 
 // normalize clamps nonsense values so a partially filled Config behaves.
@@ -255,9 +251,6 @@ func (c Config) normalize() Config {
 	}
 	if c.BatchSize < 1 {
 		c.BatchSize = 1
-	}
-	if c.PageSize < 1 {
-		c.PageSize = 40
 	}
 	// NaN fails every comparison, so it needs naming: as a request field it
 	// would be a temperature no two lookups agree on.

@@ -17,9 +17,8 @@ import (
 // core.Strategy.
 
 // defaultCardinality is the rows estimate for tables registered without
-// metadata and never scanned. It matches DefaultConfig's page size: one
-// page of unknown.
-const defaultCardinality = 40
+// metadata and never scanned: one page of unknown.
+const defaultCardinality = pageSize
 
 // Completion-token width estimates per column type. These feed the cost
 // estimator only — accounting always charges exact measured tokens.
@@ -100,53 +99,35 @@ func keySelectivity(filter sql.Expr, keyName string, rows int) float64 {
 	return sel
 }
 
-// warmHitRate estimates the persistent prompt-cache hit rate this scan
-// would see, by probing the cache's content-addressed index with the scan's
-// deterministic round-0 enumeration fingerprints (LIST, paged page 0,
-// KEYS) — cache metadata, not a model call. A content-addressed cache is
-// all-or-nothing for a repeated workload, so a warm enumeration prompt
-// means the scan replays warm (rate 1); all probes cold means rate 0.
-// Callers must hold s.mu or own the table exclusively.
-func (s *LLMStore) warmHitRate(t *VirtualTable, cols []int, filter sql.Expr) float64 {
+// warmHitRate estimates the persistent prompt-cache hit rate a scan would
+// see, by probing the cache's content-addressed index with its
+// deterministic round-0 enumeration fingerprints — cache metadata, not a
+// model call. A content-addressed cache is all-or-nothing for a repeated
+// workload, so a warm enumeration prompt means the scan replays warm (rate
+// 1); all probes cold means rate 0.
+func (s *LLMStore) warmHitRate(sp *scanSpec) float64 {
 	if s.disk == nil {
 		return 0
 	}
-	keyName := t.Schema.Col(t.Schema.KeyIndexes()[0]).Name
-	keyFilter := sql.JoinConjuncts(keyOnlyConjuncts(filter, keyName))
-	probes := []string{
-		buildListPrompt(t, cols, filter, nil, 0),
-		buildListPrompt(t, cols, filter, nil, s.cfg.PageSize),
-		buildKeysPrompt(t, keyFilter, nil, 0),
-	}
-	for _, prompt := range probes {
-		if s.disk.Contains(s.cfg.request(prompt, 0)) {
+	for _, req := range s.roundZeroRequests(sp) {
+		if s.disk.Contains(req) {
 			return 1
 		}
 	}
 	return 0
 }
 
-// scanCostModel assembles the estimator inputs for scanning cols of t
-// under the given pushed filter and advisory limit.
-func (s *LLMStore) scanCostModel(t *VirtualTable, cols []int, filter sql.Expr, limit int64) plan.ScanCostModel {
+// scanCostModel assembles the estimator inputs for a scan. Callers must
+// hold s.mu or own the table exclusively.
+func (s *LLMStore) scanCostModel(sp *scanSpec) plan.ScanCostModel {
 	cfg := s.cfg
-	keyPos := t.Schema.KeyIndexes()[0]
-	attrCols := 0
-	for _, c := range cols {
-		if c != keyPos {
-			attrCols++
-		}
-	}
+	t := sp.table
 	// Measure prompt boilerplate on the real templates. The ATTR prompt is
 	// measured with the table name standing in for an entity key — keys
 	// and table names have comparable token widths.
-	sampleKey := t.Name
-	attrCol := keyPos
-	for _, c := range cols {
-		if c != keyPos {
-			attrCol = c
-			break
-		}
+	attrCol := sp.keyPos
+	if len(sp.attrCols) > 0 {
+		attrCol = sp.attrCols[0]
 	}
 	rounds := cfg.MaxRounds
 	if cfg.Temperature <= 0 {
@@ -161,42 +142,26 @@ func (s *LLMStore) scanCostModel(t *VirtualTable, cols []int, filter sql.Expr, l
 	return plan.ScanCostModel{
 		Cost:             s.costModel,
 		Rows:             estRows,
-		AttrCols:         attrCols,
-		ListPromptTokens: llm.CountTokens(buildListPrompt(t, cols, nil, nil, 0)),
+		AttrCols:         len(sp.attrCols),
+		ListPromptTokens: llm.CountTokens(buildListPrompt(t, sp.cols, nil, nil, 0)),
 		KeysPromptTokens: llm.CountTokens(buildKeysPrompt(t, nil, nil, 0)),
-		AttrPromptTokens: llm.CountTokens(buildAttrPrompt(t, sampleKey, attrCol)),
-		RowTokens:        estRowTokens(t.Schema, cols),
-		KeyTokens:        estValueTokens(t.Schema.Col(keyPos).Type),
+		AttrPromptTokens: llm.CountTokens(buildAttrPrompt(t, t.Name, attrCol)),
+		RowTokens:        estRowTokens(t.Schema, sp.cols),
+		KeyTokens:        estValueTokens(t.Schema.Col(sp.keyPos).Type),
 		AttrTokens:       estValueTokens(t.Schema.Col(attrCol).Type) + 4, // answers arrive wrapped in short sentences
 		Rounds:           rounds,
 		MaxRounds:        cfg.MaxRounds,
 		Votes:            cfg.Votes,
-		PageSize:         cfg.PageSize,
+		PageSize:         pageSize,
 		BatchSize:        cfg.BatchSize,
 		Parallelism:      cfg.Parallelism,
-		Limit:            limit,
-		Selectivity:      keySelectivity(filter, t.Schema.Col(keyPos).Name, estRows),
-		WarmHitRate:      s.warmHitRate(t, cols, filter),
+		Limit:            sp.limit,
+		Selectivity:      keySelectivity(sp.filter, t.Schema.Col(sp.keyPos).Name, estRows),
+		WarmHitRate:      s.warmHitRate(sp),
 		FaultRate:        cfg.Chaos.FailureRate(),
 		RetryBackoff:     retry.BaseBackoff,
 		MaxAttempts:      retry.MaxAttempts,
 	}
-}
-
-// decide prices the scan of cols over t — under the pushed filter and
-// advisory limit the scan will actually run with — and returns the
-// decision. With StrategyAuto the cost model chooses; otherwise the
-// configured strategy is reported as forced, with the candidate breakdown
-// kept advisory. filter and limit must already respect the Pushdown /
-// LimitPushdown configuration (callers pass nil / 0 when disabled).
-func (s *LLMStore) decide(t *VirtualTable, cols []int, filter sql.Expr, limit int64) plan.ScanDecision {
-	m := s.scanCostModel(t, cols, filter, limit)
-	d := m.Decide()
-	if s.cfg.Strategy != StrategyAuto {
-		d.Auto = false
-		d.Chosen = s.cfg.Strategy.String()
-	}
-	return d
 }
 
 // ScanDecision implements plan.ScanAdvisor: the planner calls it while
@@ -209,42 +174,28 @@ func (s *LLMStore) ScanDecision(table string, needed []bool, filter sql.Expr, li
 	if !ok {
 		return plan.ScanDecision{}, false
 	}
-	if !s.cfg.Pushdown {
-		filter = nil
-	} else {
-		filter = stripQualifiers(filter)
-	}
-	if !s.cfg.LimitPushdown || limit < 0 {
-		limit = 0
-	}
-	return s.decide(t, neededColumns(t.Schema, needed), filter, limit), true
+	var d plan.ScanDecision
+	s.specLocked(t, needed, filter, limit, &d)
+	return d, true
 }
 
 // BindScanCost implements plan.BindAdvisor: it prices the bound
 // key-then-attr scan a bind join would issue against this table, with the
-// attribute fan-out restricted to boundKeys outer join-key values. Binding
-// only applies when the scan's effective strategy is key-then-attr — with
-// any other (forced or auto-chosen) decomposition the bound scan could not
-// stay byte-identical to the unbound one — so ok is false otherwise, and
-// the join planner falls back to hash.
+// attribute fan-out restricted to boundKeys outer join-key values. ok is
+// false when the scan could not be bound (see scanSpec.bind) — the join
+// planner then falls back to hash.
 func (s *LLMStore) BindScanCost(table string, needed []bool, filter sql.Expr, boundKeys int) (plan.StrategyCost, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.tables[strings.ToLower(table)]
-	if !ok || !s.cfg.BindJoin {
+	if !ok {
 		return plan.StrategyCost{}, false
 	}
-	if !s.cfg.Pushdown {
-		filter = nil
-	} else {
-		filter = stripQualifiers(filter)
-	}
-	cols := neededColumns(t.Schema, needed)
-	if s.cfg.Strategy != StrategyKeyThenAttr &&
-		(s.cfg.Strategy != StrategyAuto || s.decide(t, cols, filter, 0).Chosen != "key-then-attr") {
+	sp := s.specLocked(t, needed, filter, 0, nil)
+	if !sp.bind {
 		return plan.StrategyCost{}, false
 	}
-	return s.scanCostModel(t, cols, filter, 0).BindScan(boundKeys), true
+	return s.scanCostModel(&sp).BindScan(boundKeys), true
 }
 
 // EstimateRows implements plan.Cardinalities with the same estimate the

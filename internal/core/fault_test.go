@@ -33,11 +33,11 @@ func runFaultQuery(t *testing.T, w *world.World, cfg Config, query string) fault
 	return faultRun{rows: renderRows(res.Result.Rows), usage: res.Usage, scans: res.Scans}
 }
 
-// rowsStrictSubset reports whether got's rows form a proper sub-multiset
-// of base's: every emitted row (with multiplicity) also appears in the
-// fault-free run, and at least one base row is missing. Degradation may
-// drop rows — never invent, mutate, or duplicate them.
-func rowsStrictSubset(base, got string) bool {
+// rowsSubset reports whether got's rows form a sub-multiset of base's —
+// every emitted row (with multiplicity) also appears in the fault-free run
+// — and whether a proper one, missing at least one base row. Degradation
+// may drop rows — never invent, mutate, or duplicate them.
+func rowsSubset(base, got string) (subset, proper bool) {
 	counts := map[string]int{}
 	total := 0
 	for _, line := range strings.Split(base, "\n") {
@@ -52,12 +52,12 @@ func rowsStrictSubset(base, got string) bool {
 			continue
 		}
 		if counts[line] == 0 {
-			return false // a row the fault-free run never produced
+			return false, false // a row the fault-free run never produced
 		}
 		counts[line]--
 		kept++
 	}
-	return kept < total
+	return true, kept < total
 }
 
 // checkRowGuarantee classifies got against the fault-free baseline and
@@ -70,13 +70,14 @@ func checkRowGuarantee(t *testing.T, label, baseRows, gotRows string, scans []Sc
 	for _, s := range scans {
 		failed += s.KeysFailed
 	}
+	subset, proper := rowsSubset(baseRows, gotRows)
 	switch {
 	case gotRows == baseRows:
 		if failed != 0 {
 			t.Fatalf("%s: %d keys failed yet rows are byte-identical", label, failed)
 		}
 		return true
-	case rowsStrictSubset(baseRows, gotRows):
+	case subset && proper:
 		if failed == 0 {
 			t.Fatalf("%s: rows dropped without a failed key", label)
 		}
@@ -258,6 +259,46 @@ func TestFaultSweepCoalescingSessions(t *testing.T) {
 			if !scanStatsEqual(second[i].scans, first[i].scans) {
 				t.Fatalf("seed=%d session %d: repeat group run changed scan stats:\nfirst  %+v\nsecond %+v",
 					tc.seed, i, first[i].scans, second[i].scans)
+			}
+		}
+	}
+}
+
+// TestMinConfidenceKeepsSubsetGuarantee pins the confidence filter under
+// degradation: a failed enumeration round would shrink the rounds an
+// entity's appearances are divided by, so keys the fault-free run drops
+// could pass. With MinConfidence set such a round fails the query instead.
+// The seeds are ones where the degraded round used to let foreign rows
+// through; each run must now be an error or a sub-multiset of the
+// fault-free rows.
+func TestMinConfidenceKeepsSubsetGuarantee(t *testing.T) {
+	w := testWorld()
+	const query = "SELECT name, capital FROM country"
+	for _, strategy := range []Strategy{StrategyFullTable, StrategyKeyThenAttr} {
+		cfg := DefaultConfig()
+		cfg.Strategy = strategy
+		cfg.MinConfidence = 0.5
+		cfg.StableRounds = 8
+		base, err := newTestEngine(t, w, llm.ProfileSmall, cfg).Query(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseRows := renderRows(base.Result.Rows)
+		for _, seed := range []int64{3, 5, 8, 13, 14, 18, 19, 23, 26, 29, 38, 39} {
+			faulty := cfg
+			faulty.PartialResults = true
+			faulty.Chaos = llm.ChaosProfile{Seed: seed, TransientRate: 0.4}
+			faulty.Retry.MaxAttempts = 1
+			res, err := newTestEngine(t, w, llm.ProfileSmall, faulty).Query(query)
+			if err != nil {
+				if !llm.Degradable(err) {
+					t.Fatalf("%v seed %d: %v", strategy, seed, err)
+				}
+				continue
+			}
+			if subset, _ := rowsSubset(baseRows, renderRows(res.Result.Rows)); !subset {
+				t.Errorf("%v seed %d: rows the fault-free run does not produce:\nbase:\n%sgot:\n%s",
+					strategy, seed, baseRows, renderRows(res.Result.Rows))
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"llmsql/internal/exec"
 	"llmsql/internal/llm"
 	"llmsql/internal/rel"
 	"llmsql/internal/world"
@@ -304,5 +305,41 @@ func TestCacheWarmSecondQueryIsFree(t *testing.T) {
 	}
 	if renderRows(cold.Result.Rows) != renderRows(warm.Result.Rows) {
 		t.Fatal("cache changed results")
+	}
+}
+
+// BenchmarkKeyThenAttrScan times the attribute fan-out's hot path: a
+// whole-table key-then-attr scan at 3 votes, 4 workers and batch 1 (the
+// real-clock benchmark's fanout_scan shape) over a warm completion cache, so
+// the scan is what is measured, not the model.
+func BenchmarkKeyThenAttrScan(b *testing.B) {
+	w := parWorld()
+	cfg := DefaultConfig()
+	cfg.Strategy = StrategyKeyThenAttr
+	cfg.Votes = 3
+	cfg.Parallelism = 4
+	cfg.BatchSize = 1
+	s := NewLLMStore(llm.NewCache(llm.NewSynthLM(w, llm.ProfileMedium, 7)), cfg)
+	d := w.Domain("country")
+	s.Register(VirtualTable{Name: d.Name, Description: d.Description, Schema: d.Schema})
+	req := exec.ScanRequest{Table: d.Name, Alias: d.Name, Schema: d.Schema, Needed: make([]bool, d.Schema.Len())}
+	for _, c := range []string{"name", "capital", "population"} {
+		req.Needed[d.Schema.IndexOf(c)] = true
+	}
+	scan := func() {
+		it, err := s.Scan(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := exec.Drain(it); err != nil {
+			b.Fatal(err)
+		}
+		s.TakeStats()
+	}
+	scan() // warm the cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scan()
 	}
 }

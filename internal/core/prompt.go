@@ -118,15 +118,15 @@ func writeTableLine(b *strings.Builder, t *VirtualTable) {
 }
 
 // writeFilterLines emits both the canonical condition (FILTER:) and a
-// human-oriented sentence. The canonical line carries unqualified column
-// names so the model can interpret it against the declared columns.
+// human-oriented sentence. Scans pass their filter with qualifiers already
+// stripped (scanSpec.filter), so the canonical line carries bare column
+// names the model can interpret against the declared columns.
 func writeFilterLines(b *strings.Builder, filter sql.Expr) {
 	if filter == nil {
 		return
 	}
-	canon := stripQualifiers(filter)
-	fmt.Fprintf(b, "FILTER: %s\n", sql.Deparse(canon))
-	fmt.Fprintf(b, "Only include rows where this condition holds: %s.\n", VerbalizePredicate(canon))
+	fmt.Fprintf(b, "FILTER: %s\n", sql.Deparse(filter))
+	fmt.Fprintf(b, "Only include rows where this condition holds: %s.\n", VerbalizePredicate(filter))
 }
 
 func writeExcludeLine(b *strings.Builder, exclude []string) {

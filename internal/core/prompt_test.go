@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"llmsql/internal/exec"
+	"llmsql/internal/llm"
 	"llmsql/internal/rel"
 	"llmsql/internal/sql"
 )
@@ -83,17 +85,39 @@ func TestBuildAttrPrompt(t *testing.T) {
 	}
 }
 
+// TestFilterQualifiersStripped checks that a table-qualified pushed filter
+// reaches the LIST and KEYS prompts with bare column names: the scan spec
+// strips qualifiers once, and every prompt builder prints what it is given.
 func TestFilterQualifiersStripped(t *testing.T) {
 	filter, err := sql.ParseExpr("c.population > 50 AND c.name LIKE 'A%'")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := buildListPrompt(promptTable(), []int{0, 1, 2}, filter, nil, 0)
-	if strings.Contains(p, "c.population") {
-		t.Errorf("qualifier leaked:\n%s", p)
-	}
-	if !strings.Contains(p, "FILTER: population > 50 AND name LIKE 'A%'") {
-		t.Errorf("canonical filter wrong:\n%s", p)
+	for _, strategy := range []Strategy{StrategyFullTable, StrategyKeyThenAttr} {
+		var prompts []string
+		model := &scriptModel{respond: func(req llm.CompletionRequest) string {
+			prompts = append(prompts, req.Prompt)
+			return ""
+		}}
+		cfg := DefaultConfig()
+		cfg.Temperature = 0
+		cfg.Strategy = strategy
+		s := NewLLMStore(model, cfg)
+		s.Register(*promptTable())
+		it, err := s.Scan(exec.ScanRequest{Table: "country", Alias: "c", Schema: promptTable().Schema.Rename("c"), Filter: filter})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := exec.Drain(it); err != nil {
+			t.Fatal(err)
+		}
+		want := "FILTER: population > 50 AND name LIKE 'A%'" // LIST: the whole filter
+		if strategy == StrategyKeyThenAttr {
+			want = "FILTER: name LIKE 'A%'" // KEYS: the key-only conjunct
+		}
+		if len(prompts) == 0 || strings.Contains(prompts[0], "c.") || !strings.Contains(prompts[0], want) {
+			t.Errorf("%v: want %q with no qualifier in\n%v", strategy, want, prompts)
+		}
 	}
 }
 
@@ -126,13 +150,13 @@ func TestVerbalizePredicate(t *testing.T) {
 func TestNeededColumns(t *testing.T) {
 	schema := promptTable().Schema
 	// nil mask = all columns.
-	cols := neededColumns(schema, nil)
-	if len(cols) != 3 {
-		t.Fatalf("all: %v", cols)
+	cols, keyPos, attrCols := neededColumns(schema, nil)
+	if len(cols) != 3 || keyPos != 0 || len(attrCols) != 2 {
+		t.Fatalf("all: %v %d %v", cols, keyPos, attrCols)
 	}
 	// Key always included even when masked out.
-	cols = neededColumns(schema, []bool{false, false, true})
-	if len(cols) != 2 || cols[0] != 0 || cols[1] != 2 {
-		t.Fatalf("masked: %v", cols)
+	cols, _, attrCols = neededColumns(schema, []bool{false, false, true})
+	if len(cols) != 2 || cols[0] != 0 || cols[1] != 2 || len(attrCols) != 1 || attrCols[0] != 2 {
+		t.Fatalf("masked: %v %v", cols, attrCols)
 	}
 }

@@ -383,9 +383,9 @@ func TestStoreScanStatsAccumulate(t *testing.T) {
 }
 
 func TestConfigNormalize(t *testing.T) {
-	c := Config{MaxRounds: -1, StableRounds: 0, Votes: 0, PageSize: -5, Temperature: -2}
+	c := Config{MaxRounds: -1, StableRounds: 0, Votes: 0, Temperature: -2}
 	n := c.normalize()
-	if n.MaxRounds != 1 || n.StableRounds != 1 || n.Votes != 1 || n.PageSize != 40 || n.Temperature != 0 {
+	if n.MaxRounds != 1 || n.StableRounds != 1 || n.Votes != 1 || n.Temperature != 0 {
 		t.Fatalf("normalize: %+v", n)
 	}
 	for _, temp := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {

@@ -454,14 +454,13 @@ func (e *Engine) annotateViewScans(n plan.Node) {
 }
 
 // viewRequests reconstructs the completion requests the defining query's
-// virtual-table scans address the prompt cache with: the deterministic
-// round-0 enumeration prompts (LIST full, LIST paged page 0, KEYS — the
-// same probes the cost model's warmHitRate uses) plus, on the key-then-attr
-// path, one ATTR(S) request per key x attribute column x vote, with keys
-// taken from the materialized rows in row order. The set is the fingerprint
-// manifest REFRESH probes and tests invalidate selectively; requests a
-// different effective strategy never issued are simply absent from the
-// cache and count as cold.
+// virtual-table scans address the prompt cache with: each scan's round-0
+// enumeration requests (the probes the cost model's warmHitRate uses) plus,
+// under a key-then-attr or auto configuration, one ATTR(S) request per key
+// x attribute column x vote, with keys taken from the materialized rows in
+// row order. The set is the fingerprint manifest REFRESH probes and tests
+// invalidate selectively; requests a different effective strategy never
+// issued are simply absent from the cache and count as cold.
 func (e *Engine) viewRequests(v *matView) []llm.CompletionRequest {
 	sel, err := sql.ParseSelect(v.query)
 	if err != nil {
@@ -472,7 +471,6 @@ func (e *Engine) viewRequests(v *matView) []llm.CompletionRequest {
 		return nil
 	}
 	cfg := e.Config()
-	req := cfg.request
 	var out []llm.CompletionRequest
 	var walk func(plan.Node)
 	walk = func(n plan.Node) {
@@ -486,49 +484,27 @@ func (e *Engine) viewRequests(v *matView) []llm.CompletionRequest {
 			}
 			return
 		}
-		t, ok := e.store.table(sn.Table)
+		sp, ok := e.store.spec(sn.Table, sn.Needed, sn.Filter, sn.Limit)
 		if !ok {
 			return // row-store scan: no prompts to reconstruct
 		}
-		cols := neededColumns(t.Schema, sn.Needed)
-		var filter sql.Expr
-		if cfg.Pushdown {
-			filter = stripQualifiers(sn.Filter)
-		}
-		keyPos := t.Schema.KeyIndexes()[0]
-		keyName := t.Schema.Col(keyPos).Name
-		keyFilter := sql.JoinConjuncts(keyOnlyConjuncts(filter, keyName))
-		// Round-0 enumeration probes, one per enumeration shape.
-		out = append(out,
-			req(buildListPrompt(t, cols, filter, nil, 0), 0),
-			req(buildListPrompt(t, cols, filter, nil, cfg.PageSize), 0),
-			req(buildKeysPrompt(t, keyFilter, nil, 0), 0),
-		)
-		if cfg.Strategy != StrategyKeyThenAttr && cfg.Strategy != StrategyAuto {
+		probes := e.store.roundZeroRequests(&sp)
+		out = append(out, probes[:]...)
+		if !sp.auto && sp.strategy != StrategyKeyThenAttr {
 			return
 		}
-		keys := e.viewKeysFor(v, keyName)
-		attrCols := make([]int, 0, len(cols))
-		for _, c := range cols {
-			if c != keyPos {
-				attrCols = append(attrCols, c)
-			}
-		}
-		for _, c := range attrCols {
+		keys := e.viewKeysFor(v, sp.table.Schema.Col(sp.keyPos).Name)
+		for _, c := range sp.attrCols {
+			prompter := newAttrPrompter(sp.table, c)
 			for vote := 0; vote < cfg.Votes; vote++ {
-				seed := int64(1000 + vote)
-				if cfg.BatchSize > 1 {
-					for lo := 0; lo < len(keys); lo += cfg.BatchSize {
-						hi := lo + cfg.BatchSize
-						if hi > len(keys) {
-							hi = len(keys)
-						}
-						out = append(out, req(buildAttrBatchPrompt(t, keys[lo:hi], c), seed))
-					}
-				} else {
+				if cfg.BatchSize <= 1 {
 					for _, k := range keys {
-						out = append(out, req(buildAttrPrompt(t, k, c), seed))
+						out = append(out, cfg.request(prompter.prompt(k), voteSeed(vote)))
 					}
+					continue
+				}
+				for g := 0; g*cfg.BatchSize < len(keys); g++ {
+					out = append(out, cfg.request(buildAttrBatchPrompt(sp.table, batchGroup(keys, g, cfg.BatchSize), c), voteSeed(vote)))
 				}
 			}
 		}
@@ -569,6 +545,17 @@ func (e *Engine) viewKeysFor(v *matView, keyName string) []string {
 // completion requests its defining query addresses the prompt cache with
 // under the engine's current configuration (see viewRequests). Tests and
 // staleness drills invalidate subsets of it to force selective re-asks.
+//
+// Known drift, not fixed: the manifest rebuilds keys from the materialized
+// rows, so it misses every key the executor filtered out after the scan
+// attributed it, and regroups the survivors' batched prompts. Key-then-attr,
+// temperature 0, one vote, "SELECT name, capital FROM country WHERE
+// population > 50" on a 50-country world: at BatchSize 1 the manifest lists
+// 7 requests while the refresh consumes 21 calls; at BatchSize 2 an all-warm
+// refresh (0 live calls) reports 4 of 5 fingerprints cold. Every
+// key-then-attr view also lists 2 always-cold probes (LIST, paged page 0).
+// Fixing this changes Table 16's numbers; the per-query prompt record that
+// query tracing builds is the proper source.
 func (e *Engine) ViewRequests(name string) ([]llm.CompletionRequest, error) {
 	e.viewMu.Lock()
 	v, ok := e.views[strings.ToLower(name)]

@@ -574,10 +574,26 @@ func TestServeDrainingRejectionCode(t *testing.T) {
 
 	// Hold the drain window open, then start the shutdown and wait until
 	// drain() has marked the session closing (it leaves the connection up
-	// because of the in-flight request).
-	sess.mu.Lock()
-	sess.inFlight = true
-	sess.mu.Unlock()
+	// because of the in-flight request). The ping's response can reach the
+	// client before the session loop clears inFlight, so the flag is set
+	// only once the loop has: otherwise the loop overwrites it, drain sees
+	// an idle session and closes the connection under the next request.
+	idleBy := time.Now().Add(5 * time.Second)
+	for {
+		sess.mu.Lock()
+		idle := !sess.inFlight
+		if idle {
+			sess.inFlight = true
+		}
+		sess.mu.Unlock()
+		if idle {
+			break
+		}
+		if time.Now().After(idleBy) {
+			t.Fatal("session never finished the ping")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	shutdownErr := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
