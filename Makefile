@@ -160,3 +160,4 @@ fuzz:
 	$(GO) test ./internal/sql -run '^$$' -fuzz '^FuzzParseSelect$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sql -run '^$$' -fuzz '^FuzzParseParams$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/llm -run '^$$' -fuzz '^FuzzFingerprintMatchesReference$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzParseCompletion$$' -fuzztime $(FUZZTIME)

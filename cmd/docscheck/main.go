@@ -13,6 +13,11 @@
 //     mode, so documented flags can never drift from the real ones. The
 //     Makefile regenerates the live output and passes it in via -flags.
 //
+//   - flag prose: every inline code span in the README and DESIGN.md that
+//     names a flag (`-view-ttl K`, `-chaos-error/-chaos-spike`) must name one
+//     that some binary's -print-flags table lists, so deleting a flag
+//     cannot leave prose recommending it.
+//
 // Usage:
 //
 //	docscheck [-root DIR] [-readme README.md -flags name=file,name=file]
@@ -28,6 +33,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -47,7 +53,9 @@ func main() {
 	var problems []string
 	problems = append(problems, lintPackages(*root)...)
 	if *readme != "" {
-		problems = append(problems, checkFlagTables(*readme, *flagFiles)...)
+		tableProblems, live := checkFlagTables(*readme, *flagFiles)
+		problems = append(problems, tableProblems...)
+		problems = append(problems, checkFlagProse(live, *readme, filepath.Join(*root, "DESIGN.md"))...)
 	}
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -182,13 +190,13 @@ func receiverType(d *ast.FuncDecl) string {
 }
 
 // checkFlagTables verifies the README's committed flag tables against the
-// live -print-flags output files.
-func checkFlagTables(readmePath, pairs string) []string {
+// live -print-flags output files, and returns those files' text joined.
+func checkFlagTables(readmePath, pairs string) (problems []string, live string) {
 	readme, err := os.ReadFile(readmePath)
 	if err != nil {
-		return []string{err.Error()}
+		return []string{err.Error()}, ""
 	}
-	var problems []string
+	var all strings.Builder
 	for _, pair := range strings.Split(pairs, ",") {
 		pair = strings.TrimSpace(pair)
 		if pair == "" {
@@ -199,20 +207,65 @@ func checkFlagTables(readmePath, pairs string) []string {
 			problems = append(problems, fmt.Sprintf("-flags entry %q is not name=file", pair))
 			continue
 		}
-		live, err := os.ReadFile(file)
+		table, err := os.ReadFile(file)
 		if err != nil {
 			problems = append(problems, err.Error())
 			continue
 		}
+		all.Write(table)
 		committed, err := markedSection(string(readme), name)
 		if err != nil {
 			problems = append(problems, fmt.Sprintf("%s: %v", readmePath, err))
 			continue
 		}
-		if strings.TrimSpace(committed) != strings.TrimSpace(string(live)) {
+		if strings.TrimSpace(committed) != strings.TrimSpace(string(table)) {
 			problems = append(problems, fmt.Sprintf(
 				"%s: flag table %q is stale — regenerate with `go run ./cmd/%s -print-flags` and paste it between the <!-- flags:%s --> markers",
 				readmePath, name, name, name))
+		}
+	}
+	return problems, all.String()
+}
+
+var (
+	// tableFlag matches a flag's row in a -print-flags table.
+	tableFlag = regexp.MustCompile("(?m)^\\| `-([a-z0-9-]+)`")
+	// proseFlag matches a word of prose that spells a flag.
+	proseFlag = regexp.MustCompile(`^-([a-z][a-z0-9-]*)$`)
+	// fence matches a fenced code block.
+	fence = regexp.MustCompile("(?ms)^[ \t]*```.*?^[ \t]*```[^\n]*")
+)
+
+// checkFlagProse reports every flag the markdown files' inline code spans
+// name that no live flag table lists. Backticks pair up in document order
+// outside fenced blocks, so a span may wrap a line and the text between two
+// spans (`?`-vs-`$n`) is prose. A span names a flag in each /-separated part
+// that starts with one: `-view-ttl K` names -view-ttl,
+// `-chaos-error/-chaos-spike` both.
+func checkFlagProse(live string, paths ...string) []string {
+	known := map[string]bool{}
+	for _, m := range tableFlag.FindAllStringSubmatch(live, -1) {
+		known[m[1]] = true
+	}
+	var problems []string
+	for _, path := range paths {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			problems = append(problems, err.Error())
+			continue
+		}
+		prose := fence.ReplaceAllStringFunc(string(text), func(block string) string {
+			return strings.Repeat("\n", strings.Count(block, "\n"))
+		})
+		line := 1
+		for i, seg := range strings.Split(prose, "`") {
+			for _, part := range strings.Split(seg, "/") {
+				word, _, _ := strings.Cut(strings.TrimSpace(part), " ")
+				if m := proseFlag.FindStringSubmatch(word); i%2 == 1 && m != nil && !known[m[1]] {
+					problems = append(problems, fmt.Sprintf("%s:%d: `-%s` is not a flag of any binary", path, line, m[1]))
+				}
+			}
+			line += strings.Count(seg, "\n")
 		}
 	}
 	return problems

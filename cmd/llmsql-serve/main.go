@@ -44,7 +44,6 @@ import (
 func main() {
 	var (
 		listen     = flag.String("listen", "127.0.0.1:7878", "listen address: host:port for TCP, or a unix socket path")
-		coalesce   = flag.Int("coalesce-memo", 0, "completed-results memo capacity of the shared request coalescer (0 = default, negative = in-flight coalescing only)")
 		maxConc    = flag.Int("max-concurrent", 0, "global concurrent-query limit (0 = unlimited)")
 		maxQueue   = flag.Int("max-queue", 0, "queries allowed to wait for a slot when the global limit is reached (0 = reject immediately)")
 		queueWait  = flag.Duration("queue-timeout", serve.DefaultQueueTimeout, "longest a query waits in the admission queue before rejection")
@@ -53,7 +52,6 @@ func main() {
 		idle       = flag.Duration("idle-timeout", 0, "close sessions idle for this long (0 = never)")
 		writeWait  = flag.Duration("write-timeout", serve.DefaultWriteTimeout, "deadline for writing one response to a client (<=0 = no deadline)")
 		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "longest to wait for in-flight requests on shutdown before closing connections forcibly")
-		quiet      = flag.Bool("quiet", false, "suppress per-session log lines")
 		printFlags = flag.Bool("print-flags", false, "print the flag reference as a markdown table and exit (consumed by make docs-check)")
 	)
 	var engine cliflags.EngineFlags
@@ -71,7 +69,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg.CoalesceCapacity = *coalesce
 	faults.Apply(&cfg)
 	group, err := core.NewEngineGroup(model, cfg)
 	if err != nil {
@@ -82,10 +79,6 @@ func main() {
 		group.RegisterWorldDomain(w.Domain(name))
 	}
 
-	logf := log.Printf
-	if *quiet {
-		logf = nil
-	}
 	srv := serve.NewServer(serve.Config{
 		Group: group,
 		Admission: serve.AdmissionConfig{
@@ -97,7 +90,7 @@ func main() {
 		},
 		IdleTimeout:  *idle,
 		WriteTimeout: writeTimeout(*writeWait),
-		Logf:         logf,
+		Logf:         log.Printf,
 	})
 
 	network, target := serve.SplitAddr(*listen)

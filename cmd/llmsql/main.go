@@ -4,8 +4,10 @@
 // and the query engine, then executes the query (or an interactive loop on
 // stdin) and prints rows plus the retrieval report: prompts issued, tokens,
 // simulated total and critical-path latency/$ (see -parallel and -cache)
-// and — when --score is set — precision/recall/F1 against the world's
-// ground truth.
+// and — when -score is set — precision/recall/F1 against the world's
+// ground truth. Plans are statements too: "EXPLAIN SELECT ..." prints the
+// plan as result rows without executing, "EXPLAIN ANALYZE SELECT ..."
+// executes and prints it annotated with per-operator row counts.
 //
 // With -connect it becomes a client of a running llmsql-serve instead:
 // queries travel over the line/JSON protocol, execute in a server-side
@@ -15,6 +17,7 @@
 // Usage:
 //
 //	llmsql [flags] "SELECT name, capital FROM country WHERE population > 50"
+//	llmsql [flags] "EXPLAIN SELECT name FROM country"
 //	llmsql [flags]            # interactive: one query per line
 //	llmsql -connect /tmp/llmsql.sock "SELECT ..."
 //
@@ -35,6 +38,7 @@ import (
 	"llmsql/internal/llm"
 	"llmsql/internal/metrics"
 	"llmsql/internal/plan"
+	"llmsql/internal/rel"
 	"llmsql/internal/serve"
 	"llmsql/internal/sql"
 	"llmsql/internal/storage"
@@ -44,8 +48,6 @@ import (
 func main() {
 	var (
 		score      = flag.Bool("score", false, "score results against the ground truth")
-		explain    = flag.Bool("explain", false, "print the plan instead of executing")
-		analyze    = flag.Bool("analyze", false, "execute and print the plan with per-operator row counts")
 		connect    = flag.String("connect", "", "act as a client of llmsql-serve at this address (host:port or unix socket path) instead of embedding an engine")
 		tenant     = flag.String("tenant", "", "tenant name announced to the server in -connect mode (admission quotas key on it)")
 		printFlags = flag.Bool("print-flags", false, "print the flag reference as a markdown table and exit (consumed by make docs-check)")
@@ -67,7 +69,7 @@ func main() {
 		if *score {
 			fatal(fmt.Errorf("-score needs the embedded world's ground truth and is not available in -connect mode"))
 		}
-		runRemote(*connect, *tenant, &params, *explain, *analyze)
+		runRemote(*connect, *tenant, &params)
 		return
 	}
 
@@ -81,40 +83,28 @@ func main() {
 		fatal(err)
 	}
 	defer eng.Close()
-	// Persist the recorded trace on every exit path below.
-	saveTrace := func() {
-		if recordTrace == nil {
-			return
-		}
-		if err := recordTrace.Save(engine.Record); err != nil {
-			fmt.Fprintln(os.Stderr, "llmsql: save trace:", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "recorded %d completions to %s\n", recordTrace.Len(), engine.Record)
-		}
+	if recordTrace != nil {
+		// Persist the recorded trace on every exit path below.
+		defer func() {
+			if err := recordTrace.Save(engine.Record); err != nil {
+				fmt.Fprintln(os.Stderr, "llmsql: save trace:", err)
+			} else {
+				fmt.Fprintf(os.Stderr, "recorded %d completions to %s\n", recordTrace.Len(), engine.Record)
+			}
+		}()
 	}
-	defer saveTrace()
 	for _, name := range w.DomainNames() {
 		eng.RegisterWorldDomain(w.Domain(name))
 	}
 
 	var truthDB *storage.DB
 	if *score {
-		truthDB, err = world.LoadDB(w)
-		if err != nil {
+		if truthDB, err = world.LoadDB(w); err != nil {
 			fatal(err)
 		}
 	}
 
 	runOne := func(query string) bool {
-		if *explain {
-			out, err := eng.Explain(query)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				return false
-			}
-			fmt.Print(out)
-			return true
-		}
 		// DDL/DML goes to the local side (hybrid queries).
 		if isLocalWrite(query) {
 			if err := eng.Exec(query); err != nil {
@@ -124,18 +114,7 @@ func main() {
 			fmt.Println("ok")
 			return true
 		}
-		var res *core.QueryResult
-		var err error
-		args := params.args()
-		if *analyze {
-			var analyzed string
-			res, analyzed, err = eng.QueryAnalyze(query, args...)
-			if err == nil {
-				fmt.Print(analyzed)
-			}
-		} else {
-			res, err = eng.Query(query, args...)
-		}
+		res, err := eng.Query(query, params.args()...)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			return false
@@ -146,7 +125,9 @@ func main() {
 			printScan(s)
 		}
 		if truthDB != nil {
-			scoreQuery(truthDB, query, res)
+			if err := scoreQuery(truthDB, query, &params, res); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+			}
 		}
 		return true
 	}
@@ -190,7 +171,7 @@ func runLoop(runOne func(string) bool) {
 // printed output as the embedded mode; the usage and scan lines describe
 // the server-side session, so cache and coalescing hits reflect sharing
 // with every other connected session.
-func runRemote(addr, tenant string, params *paramFlags, explain, analyze bool) {
+func runRemote(addr, tenant string, params *paramFlags) {
 	c, err := serve.Dial(addr)
 	if err != nil {
 		fatal(err)
@@ -207,23 +188,15 @@ func runRemote(addr, tenant string, params *paramFlags, explain, analyze bool) {
 	runOne := func(query string) bool {
 		var resp *serve.Response
 		var err error
-		switch {
-		case explain:
-			resp, err = c.Explain(query)
-			if err == nil && resp.OK {
-				fmt.Print(resp.Plan)
-				return true
-			}
-		case isLocalWrite(query):
+		if isLocalWrite(query) {
 			resp, err = c.Exec(query)
 			if err == nil && resp.OK {
 				fmt.Println("ok")
 				return true
 			}
-		default:
-			req := serve.Request{Op: "query", SQL: query, Analyze: analyze}
-			req.Args, req.Named = params.wire()
-			resp, err = c.Do(req)
+		} else {
+			// Set keeps the two binding styles exclusive, so at most one is set.
+			resp, err = c.Query(query, params.pos, params.named)
 		}
 		if err != nil {
 			// Transport failure: the session is gone, so there is no point
@@ -237,9 +210,6 @@ func runRemote(addr, tenant string, params *paramFlags, explain, analyze bool) {
 				fmt.Fprintln(os.Stderr, "error:", resp.Error)
 			}
 			return false
-		}
-		if analyze {
-			fmt.Print(resp.Plan)
 		}
 		res, err := serve.DecodeRows(resp.Columns, resp.Types, resp.Rows)
 		if err != nil {
@@ -349,12 +319,36 @@ func (p *paramFlags) args() []any {
 	return p.pos
 }
 
-// wire renders the collected flags as serve.Request bindings.
-func (p *paramFlags) wire() (args []any, named map[string]any) {
+// bindings renders the collected flags as SQL bindings, for binding the
+// ground-truth query outside the engine.
+func (p *paramFlags) bindings() *sql.Bindings {
 	if len(p.named) > 0 {
-		return nil, p.named
+		vals := make(map[string]rel.Value, len(p.named))
+		for name, v := range p.named {
+			vals[name] = relValue(v)
+		}
+		return sql.NewNamed(vals)
 	}
-	return p.pos, nil
+	vals := make([]rel.Value, len(p.pos))
+	for i, v := range p.pos {
+		vals[i] = relValue(v)
+	}
+	return sql.NewPositional(vals)
+}
+
+// relValue is the SQL value of one parseParamValue result.
+func relValue(v any) rel.Value {
+	switch v := v.(type) {
+	case int64:
+		return rel.Int(v)
+	case float64:
+		return rel.Float(v)
+	case bool:
+		return rel.Bool(v)
+	case string:
+		return rel.Text(v)
+	}
+	return rel.Null()
 }
 
 // parseParamValue types a flag value: int, float, bool and null literals
@@ -377,24 +371,29 @@ func parseParamValue(s string) any {
 	return s
 }
 
-func scoreQuery(db *storage.DB, query string, res *core.QueryResult) {
+// scoreQuery runs query, bound to the same -param values, on the world's
+// row store and prints the engine result's precision/recall/F1 against it.
+// Statements that are not a plain SELECT (EXPLAIN, DDL) have nothing to score.
+func scoreQuery(db *storage.DB, query string, params *paramFlags, res *core.QueryResult) error {
 	sel, err := sql.ParseSelect(query)
 	if err != nil {
-		return
+		return nil
+	}
+	if sel, err = sql.BindSelect(sel, params.bindings()); err != nil {
+		return fmt.Errorf("score: baseline bind failed: %w", err)
 	}
 	node, err := plan.Plan(sel, &exec.StorageCatalog{DB: db})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "score: baseline plan failed:", err)
-		return
+		return fmt.Errorf("score: baseline plan failed: %w", err)
 	}
 	truth, err := exec.Execute(node, &exec.StorageSource{DB: db})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "score: baseline run failed:", err)
-		return
+		return fmt.Errorf("score: baseline run failed: %w", err)
 	}
 	m := metrics.Compare(res.Result.Rows, truth.Rows, metrics.Options{NumTolerance: 0.02})
 	fmt.Printf("score vs ground truth: precision %.3f, recall %.3f, F1 %.3f, attr-acc %.3f, hallucinated %.1f%%\n",
 		m.Precision(), m.Recall(), m.F1(), m.AttrAccuracy(), 100*m.HallucinationRate())
+	return nil
 }
 
 func fatal(err error) {

@@ -13,27 +13,24 @@ import (
 // EngineFlags groups the flags llmsql and llmsql-serve share: the synthetic
 // world, the simulated model's tier, the engine knobs and the record/replay
 // traces. One declaration, so a knob spells, defaults and documents the same
-// on both binaries.
+// on both binaries. Knobs only the bench tables and tests vary (MaxRounds,
+// Tolerant, Pushdown, LimitPushdown, BindJoin) keep their DefaultConfig
+// values here and are set on core.Config in-process.
 type EngineFlags struct {
-	Seed          int64
-	Model         string
-	Strategy      string
-	Temp          float64
-	Rounds        int
-	Votes         int
-	Batch         int
-	Parallel      int
-	Cache         int
-	CacheDir      string
-	Record        string
-	Replay        string
-	Pushdown      bool
-	LimitPushdown bool
-	BindJoin      bool
-	Tolerant      bool
-	ViewTTL       int
-	Countries     int
-	Movies        int
+	Seed      int64
+	Model     string
+	Strategy  string
+	Temp      float64
+	Votes     int
+	Batch     int
+	Parallel  int
+	Cache     int
+	CacheDir  string
+	Record    string
+	Replay    string
+	ViewTTL   int
+	Countries int
+	Movies    int
 }
 
 // Register installs the engine flags on fs.
@@ -42,7 +39,6 @@ func (f *EngineFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Model, "model", "medium", "model quality tier: small, medium, large")
 	fs.StringVar(&f.Strategy, "strategy", "full-table", "prompt strategy: full-table, key-then-attr, paged, auto (cost-based per table)")
 	fs.Float64Var(&f.Temp, "temp", 0.7, "sampling temperature")
-	fs.IntVar(&f.Rounds, "rounds", 8, "max sampling rounds")
 	fs.IntVar(&f.Votes, "votes", 1, "self-consistency votes for attribute retrieval")
 	fs.IntVar(&f.Batch, "batch", 1, "keys per batched ATTR prompt on the key-then-attr path (1 = unbatched)")
 	fs.IntVar(&f.Parallel, "parallel", 1, "worker-pool width for concurrent model calls per scan (1 = serial)")
@@ -50,10 +46,6 @@ func (f *EngineFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.CacheDir, "cache-dir", "", "persistent prompt-cache directory (content-addressed, survives processes, shared by a server's sessions; empty = off)")
 	fs.StringVar(&f.Record, "record", "", "record every live model completion into this trace file on exit (replay fixture)")
 	fs.StringVar(&f.Replay, "replay", "", "serve all completions from this trace file instead of the live model")
-	fs.BoolVar(&f.Pushdown, "pushdown", true, "verbalise pushed filters into prompts and gate key-then-attr keys on key-only predicates")
-	fs.BoolVar(&f.LimitPushdown, "limit-pushdown", true, "push LIMIT hints onto scans so streaming key-then-attr retrieval stops early (identical rows, fewer prompts)")
-	fs.BoolVar(&f.BindJoin, "bind-join", true, "let joins pass the outer side's distinct keys into the inner key-then-attr scan (identical rows, fewer prompts)")
-	fs.BoolVar(&f.Tolerant, "tolerant", true, "use the repairing completion parser")
 	fs.IntVar(&f.ViewTTL, "view-ttl", 0, "warm reads a materialized view serves before going stale and falling back to live scans until REFRESH (0 = never)")
 	fs.IntVar(&f.Countries, "countries", 120, "world size: countries")
 	fs.IntVar(&f.Movies, "movies", 200, "world size: movies")
@@ -66,16 +58,11 @@ func (f *EngineFlags) Register(fs *flag.FlagSet) {
 func (f *EngineFlags) Build() (cfg core.Config, w *world.World, model llm.Model, record *llm.Trace, err error) {
 	cfg = core.DefaultConfig()
 	cfg.Temperature = f.Temp
-	cfg.MaxRounds = f.Rounds
 	cfg.Votes = f.Votes
 	cfg.BatchSize = f.Batch
 	cfg.Parallelism = f.Parallel
 	cfg.CacheCapacity = f.Cache
 	cfg.CacheDir = f.CacheDir
-	cfg.Pushdown = f.Pushdown
-	cfg.LimitPushdown = f.LimitPushdown
-	cfg.BindJoin = f.BindJoin
-	cfg.Tolerant = f.Tolerant
 	cfg.ViewTTLReads = f.ViewTTL
 	if cfg.Strategy, err = strategyByName(f.Strategy); err != nil {
 		return cfg, nil, nil, nil, err

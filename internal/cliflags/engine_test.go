@@ -11,9 +11,8 @@ import (
 // command lines and README recipes in the wild depend on both.
 var engineDefaults = map[string]string{
 	"seed": "2024", "model": "medium", "strategy": "full-table", "temp": "0.7",
-	"rounds": "8", "votes": "1", "batch": "1", "parallel": "1", "cache": "0",
-	"cache-dir": "", "record": "", "replay": "", "pushdown": "true",
-	"limit-pushdown": "true", "bind-join": "true", "tolerant": "true",
+	"votes": "1", "batch": "1", "parallel": "1", "cache": "0",
+	"cache-dir": "", "record": "", "replay": "",
 	"view-ttl": "0", "countries": "120", "movies": "200",
 }
 

@@ -56,10 +56,10 @@ func TestExplainForcedStrategyDecision(t *testing.T) {
 
 // TestAutoQueryRunsChosenStrategy: executing under auto resolves to a
 // concrete strategy, reports it in ScanStats with the Auto flag, and the
-// chosen strategy matches the planner's annotation.
+// chosen strategy matches the executed plan's annotation.
 func TestAutoQueryRunsChosenStrategy(t *testing.T) {
 	e, _ := autoTestEngine(t, nil)
-	res, err := e.Query("SELECT name, capital FROM country")
+	res, err := e.Query("EXPLAIN ANALYZE SELECT name, capital FROM country")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,10 +73,10 @@ func TestAutoQueryRunsChosenStrategy(t *testing.T) {
 	if s.Strategy == StrategyAuto {
 		t.Fatal("ScanStats.Strategy must be the resolved strategy, not auto")
 	}
-	if !strings.Contains(res.Plan, "auto="+s.Strategy.String()) {
-		t.Fatalf("plan annotation (%s) disagrees with executed strategy %s", res.Plan, s.Strategy)
+	if plan := renderRowsTest(res); !strings.Contains(plan, "auto="+s.Strategy.String()) {
+		t.Fatalf("plan annotation (%s) disagrees with executed strategy %s", plan, s.Strategy)
 	}
-	if len(res.Result.Rows) == 0 {
+	if s.RowsEmitted == 0 {
 		t.Fatal("auto scan returned no rows")
 	}
 }

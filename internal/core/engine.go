@@ -178,8 +178,6 @@ type QueryResult struct {
 	Usage llm.Usage
 	// Scans reports per-virtual-table retrieval statistics.
 	Scans []ScanStats
-	// Plan is the executed plan, rendered.
-	Plan string
 }
 
 // Query plans and executes a SELECT (or EXPLAIN [ANALYZE] SELECT)
@@ -196,8 +194,7 @@ func (e *Engine) Query(query string, args ...any) (*QueryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	qr, _, err := e.run(pq, args, false)
-	return qr, err
+	return e.run(pq, args)
 }
 
 // Exec runs a DDL/DML statement: CREATE TABLE and INSERT against the local
@@ -306,17 +303,6 @@ func insertRows(tbl *storage.Table, st *sql.InsertStmt) error {
 		}
 	}
 	return nil
-}
-
-// QueryAnalyze executes the query and returns the result plus the plan
-// annotated with per-operator row counts (EXPLAIN ANALYZE). A bare EXPLAIN
-// statement is not executed; its analyzed-plan text is empty.
-func (e *Engine) QueryAnalyze(query string, args ...any) (*QueryResult, string, error) {
-	pq, err := e.prepare(query)
-	if err != nil {
-		return nil, "", err
-	}
-	return e.run(pq, args, true)
 }
 
 // Explain plans the query and renders the plan without executing it.

@@ -465,18 +465,21 @@ func TestEngineExecErrors(t *testing.T) {
 	}
 }
 
+// TestEngineQueryAnalyze: the EXPLAIN ANALYZE statement executes the query
+// and returns only the plan, annotated with each operator's observed rows.
 func TestEngineQueryAnalyze(t *testing.T) {
 	w := testWorld()
 	e := newTestEngine(t, w, llm.ProfileLarge, DefaultConfig())
-	res, analyzed, err := e.QueryAnalyze("SELECT name FROM country WHERE population > 10 LIMIT 5")
+	res, err := e.Query("EXPLAIN ANALYZE SELECT name FROM country WHERE population > 10 LIMIT 5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Result.Rows) == 0 || len(res.Result.Rows) > 5 {
-		t.Fatalf("rows: %d", len(res.Result.Rows))
+	if n := res.Scans[0].RowsEmitted; n == 0 {
+		t.Fatalf("analyzed scan emitted %d rows", n)
 	}
-	if !strings.Contains(analyzed, "rows=") {
-		t.Fatalf("analyze output missing counts:\n%s", analyzed)
+	analyzed := renderRowsTest(res)
+	if !strings.Contains(analyzed, "[rows=5]") {
+		t.Fatalf("analyze output missing the LIMIT's count:\n%s", analyzed)
 	}
 	if !strings.Contains(analyzed, "Scan country") {
 		t.Fatalf("analyze output missing scan:\n%s", analyzed)

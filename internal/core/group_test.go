@@ -177,8 +177,10 @@ func TestGroupSessionSeesSharedDiskCache(t *testing.T) {
 	cfg.Temperature = 0 // one deterministic enumeration round
 	cfg.Votes = 1
 	cfg.CacheDir = t.TempDir()
-	// No coalescer memo: it sits above the disk cache and would go on
-	// answering the prompts invalidated below it.
+	// No coalescer memo: its copies keep the leader's uncached flags, so a
+	// refresh's LastLiveCalls would count memo hits as live calls (see
+	// InvalidateCachedCompletions). TestGroupInvalidationReachesCoalescerMemo
+	// covers the default memo.
 	cfg.CoalesceCapacity = -1
 	g, err := NewEngineGroup(llm.NewSynthLM(w, llm.ProfileMedium, 7), cfg)
 	if err != nil {
@@ -247,5 +249,49 @@ func TestGroupSessionSeesSharedDiskCache(t *testing.T) {
 	}
 	if res.Usage.Calls == 0 || res.Usage.CachedCalls != res.Usage.Calls {
 		t.Fatalf("another session's scan was not served from the shared cache: %+v", res.Usage)
+	}
+}
+
+// TestGroupInvalidationReachesCoalescerMemo: with the default coalescer
+// memo above the disk cache, invalidating N cached completions through a
+// session makes the next REFRESH ask exactly those N prompts live — the memo
+// must not go on answering for the dropped disk entries.
+func TestGroupInvalidationReachesCoalescerMemo(t *testing.T) {
+	w := parWorld()
+	cfg := groupConfig()
+	cfg.Temperature = 0
+	cfg.Votes = 1
+	cfg.CacheDir = t.TempDir()
+	g, err := NewEngineGroup(llm.NewSynthLM(w, llm.ProfileMedium, 7), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	g.RegisterWorldDomain(w.Domain("country"))
+
+	a := g.Session()
+	if err := a.Exec("CREATE MATERIALIZED VIEW v AS SELECT name, capital FROM country"); err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := a.ViewRequests("v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const drop = 4
+	dropped := 0
+	for _, req := range reqs {
+		if dropped < drop {
+			dropped += a.InvalidateCachedCompletions(req)
+		}
+	}
+	if dropped != drop {
+		t.Fatalf("invalidated %d cached completions, want %d (manifest %d)", dropped, drop, len(reqs))
+	}
+	liveBefore := g.Stats().Live.Calls
+	if err := a.Exec("REFRESH MATERIALIZED VIEW v"); err != nil {
+		t.Fatal(err)
+	}
+	if live := g.Stats().Live.Calls - liveBefore; live != drop {
+		t.Fatalf("refresh after invalidating %d cached completions made %d live calls", drop, live)
 	}
 }

@@ -333,8 +333,10 @@ func parseAttrCompletion(text string, t rel.DataType, tolerant bool) (rel.Value,
 			return rel.NullOf(t), false
 		}
 	}
-	// "The X of Y is VALUE."
-	if idx := lastIndexFold(lower, " is "); idx >= 0 && tolerant {
+	// "The X of Y is VALUE." The marker is found in line itself, not in the
+	// lower-cased copy: lower-casing can change a line's byte length (invalid
+	// UTF-8, 'Ⱥ'), so an index into the copy may not be one into line.
+	if idx := lastIndexFold(line, " is "); idx >= 0 && tolerant {
 		candidate := strings.TrimSpace(line[idx+4:])
 		candidate = strings.TrimSuffix(candidate, ".")
 		if v, err := rel.ParseTyped(candidate, t); err == nil && !v.IsNull() {

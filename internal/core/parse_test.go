@@ -193,6 +193,8 @@ func TestParseAttrCompletion(t *testing.T) {
 		{"La capitale de la Côte d'Ivoire is Yamoussoukro.", rel.TypeText, "Yamoussoukro", true},
 		{"Ünknown, sorry", rel.TypeText, "Ünknown, sorry", true}, // "ünknown" is not the marker
 		{"İ: unknown", rel.TypeText, "", false},                  // a non-ASCII line is still scanned
+		{"\xff\xff is 5", rel.TypeInt, "5", true},                // lower-casing grows invalid UTF-8
+		{"ȺȺ is 5", rel.TypeInt, "5", true},                      // ... and 'Ⱥ'
 		{"68", rel.TypeInt, "68", true},
 		{"The population of France is 68.", rel.TypeInt, "68", true},
 		{"about 68 million", rel.TypeInt, "68", true},
@@ -297,4 +299,66 @@ func TestNormalizeKeyTextFastPath(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _ = normalizeKeyText("United Kingdom") }); n != 0 {
 		t.Errorf("canonical key allocated %v times", n)
 	}
+}
+
+// FuzzParseCompletion drives the three completion decoders — raw model
+// output, the least trusted input in the system — in tolerant and strict
+// mode alike. Whatever the text, they must not panic, every LIST/KEYS row
+// must span the schema with a typed cell per column and a canonical key, a
+// strict parse must repair nothing, an ATTR value must be typed and NULL
+// exactly when rejected, and a batched ATTRS parse must answer every key.
+func FuzzParseCompletion(f *testing.F) {
+	f.Add("France | Paris | 68\nJapan | Tokyo | 125", "France\nJapan", uint8(0), true)
+	f.Add("Here are the rows I know of:\n- France | Paris | 68\nRow: Japan | Tokyo | 125.\n(end of list)", "France", uint8(3), true)
+	f.Add("France, Paris, about 68 million\nUnited  Kingdom | London", "United Kingdom", uint8(5), false)
+	f.Add("The population of France is 68.\nIt is large.", "France", uint8(3), true)
+	f.Add("United  Kingdom | London\n* France: Paris\nFrance | Lyon", "United Kingdom\nFrance", uint8(0), true)
+	f.Add("İ: unknown\nCôte  d'Ivoire | Yamoussoukro | 1,408", "Côte d'Ivoire", uint8(6), true)
+	f.Add("\xff\xff\xff is 5\nx | y | z", "x", uint8(3), true)
+	f.Add("", "", uint8(9), false)
+	colSets := [][]int{allCols(), {0}, {0, 2}}
+	attrTypes := []rel.DataType{rel.TypeText, rel.TypeInt, rel.TypeFloat, rel.TypeBool}
+	f.Fuzz(func(t *testing.T, text, keyLines string, shape uint8, tolerant bool) {
+		cols := colSets[int(shape)%len(colSets)]
+		rows, stats := parseListCompletion(text, parseSchema, cols, 0, tolerant)
+		if stats.RowsParsed != len(rows) || stats.LinesSeen != stats.RowsParsed+stats.RowsDropped {
+			t.Fatalf("stats %+v disagree with %d rows", stats, len(rows))
+		}
+		if !tolerant && stats.Repairs != 0 {
+			t.Fatalf("strict parse repaired: %+v", stats)
+		}
+		for _, row := range rows {
+			if len(row) != parseSchema.Len() {
+				t.Fatalf("row %v has %d cells, schema %d", row, len(row), parseSchema.Len())
+			}
+			for i, v := range row {
+				if v.Type() != parseSchema.Col(i).Type {
+					t.Fatalf("row %v: cell %d is %s, column is %s", row, i, v.Type(), parseSchema.Col(i).Type)
+				}
+			}
+			if k := row[0]; k.IsNull() || k.AsText() == "" || normalizeKeyText(k.AsText()) != k.AsText() {
+				t.Fatalf("row %v: key %q is not canonical", row, k.AsText())
+			}
+		}
+
+		typ := attrTypes[int(shape/3)%len(attrTypes)]
+		v, ok := parseAttrCompletion(text, typ, tolerant)
+		if v.Type() != typ || ok == v.IsNull() {
+			t.Fatalf("ATTR %q as %s: %v (%s), ok=%v", text, typ, v, v.Type(), ok)
+		}
+
+		var keys []string
+		if keyLines != "" {
+			keys = strings.Split(keyLines, "\n")
+		}
+		vals, oks, found := parseAttrBatchCompletion(text, keys, typ, tolerant)
+		if len(vals) != len(keys) || len(oks) != len(keys) || len(found) != len(keys) {
+			t.Fatalf("%d keys, got %d values / %d ok / %d found", len(keys), len(vals), len(oks), len(found))
+		}
+		for i := range keys {
+			if vals[i].Type() != typ || oks[i] == vals[i].IsNull() || oks[i] && !found[i] {
+				t.Fatalf("key %q: %v (%s), ok=%v found=%v", keys[i], vals[i], vals[i].Type(), oks[i], found[i])
+			}
+		}
+	})
 }

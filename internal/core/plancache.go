@@ -13,7 +13,7 @@ import (
 const DefaultPlanCacheCapacity = 256
 
 // stmtKind classifies what a prepared statement does when run. All entry
-// points (Query, QueryAnalyze, Explain, prepared statements) share this one
+// points (Query, Explain, prepared statements) share this one
 // classification, so EXPLAIN and EXPLAIN ANALYZE behave identically
 // everywhere.
 type stmtKind int

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"llmsql/internal/exec"
@@ -41,7 +42,7 @@ func (e *Engine) prepare(query string) (*preparedQuery, error) {
 }
 
 // planQuery parses, classifies and plans one statement. This is the single
-// classification path behind Query, QueryAnalyze, Explain and Prepare:
+// classification path behind Query, Explain and Prepare:
 // SELECT, EXPLAIN SELECT and EXPLAIN ANALYZE SELECT are all accepted
 // everywhere and behave identically.
 func (e *Engine) planQuery(query string, gen uint64) (*preparedQuery, error) {
@@ -99,89 +100,64 @@ func (e *Engine) planQuery(query string, gen uint64) (*preparedQuery, error) {
 	return pq, nil
 }
 
-// run executes a prepared query with the given arguments. forceAnalyze
-// additionally profiles per-operator row counts (QueryAnalyze); the second
-// return is the analyzed plan text when profiling ran.
-func (e *Engine) run(pq *preparedQuery, args []any, forceAnalyze bool) (*QueryResult, string, error) {
+// run executes a prepared query with the given arguments.
+func (e *Engine) run(pq *preparedQuery, args []any) (*QueryResult, error) {
 	node := pq.node
 	// EXPLAIN (without ANALYZE) may render a parameterized plan unbound —
 	// placeholders appear as $n — but binds when arguments are supplied.
 	if len(pq.params) > 0 && !(pq.kind == kindExplain && len(args) == 0) {
 		binds, err := e.makeBindings(pq, args)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
 		bound, err := plan.Bind(pq.node, binds)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
 		node = bound
 	} else if len(args) > 0 {
-		return nil, "", fmt.Errorf("sql: statement has no parameters but %d argument(s) supplied", len(args))
+		return nil, fmt.Errorf("sql: statement has no parameters but %d argument(s) supplied", len(args))
 	}
 
 	if pq.kind == kindExplain {
-		return planTextResult(plan.Explain(node)), "", nil
+		return &QueryResult{Result: planTextResult(plan.Explain(node))}, nil
 	}
 
 	before := e.model.Usage()
 	e.store.TakeStats() // clear any stale stats
-	var (
-		res      *exec.Result
-		analyzed string
-	)
-	if forceAnalyze || pq.kind == kindExplainAnalyze {
-		r, prof, err := exec.ExecuteAnalyzed(node, e.source())
+	var res *exec.Result
+	if pq.kind == kindExplainAnalyze {
+		// Like a real database, EXPLAIN ANALYZE returns the annotated plan as
+		// the result rows; the query's own rows are discarded after execution.
+		_, prof, err := exec.ExecuteAnalyzed(node, e.source())
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
-		res = r
-		analyzed = plan.ExplainWithRows(node, prof.Rows)
+		res = planTextResult(plan.ExplainWithRows(node, prof.Rows))
 	} else {
 		r, err := exec.Execute(node, e.source())
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
 		res = r
 	}
 	after := e.model.Usage()
-	qr := &QueryResult{
+	return &QueryResult{
 		Result: res,
 		Usage:  after.Sub(before),
 		Scans:  e.store.TakeStats(),
-		Plan:   plan.Explain(node),
-	}
-	if pq.kind == kindExplainAnalyze {
-		// Like a real database, EXPLAIN ANALYZE returns the annotated plan as
-		// the result rows; the query's own rows are discarded after execution.
-		qr.Result = planTextResult(analyzed).Result
-	}
-	return qr, analyzed, nil
+	}, nil
 }
 
-// planTextResult wraps rendered plan text as a one-column result.
-func planTextResult(text string) *QueryResult {
+// planTextResult wraps rendered plan text as a one-column result, a row per
+// line.
+func planTextResult(text string) *exec.Result {
 	schema := rel.NewSchema(rel.Column{Name: "plan", Type: rel.TypeText})
 	var rows []rel.Row
-	for _, line := range planTextLines(text) {
+	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
 		rows = append(rows, rel.Row{rel.Text(line)})
 	}
-	return &QueryResult{Result: &exec.Result{Schema: schema, Rows: rows}, Plan: text}
-}
-
-func planTextLines(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		out = append(out, s[start:])
-	}
-	return out
+	return &exec.Result{Schema: schema, Rows: rows}
 }
 
 // makeBindings converts Go argument values into typed bindings and validates
@@ -319,26 +295,5 @@ func (s *Stmt) Query(args ...any) (*QueryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	qr, _, err := s.eng.run(pq, args, false)
-	return qr, err
-}
-
-// QueryAnalyze executes the statement and additionally returns the plan
-// annotated with observed per-operator row counts.
-func (s *Stmt) QueryAnalyze(args ...any) (*QueryResult, string, error) {
-	pq, err := s.current()
-	if err != nil {
-		return nil, "", err
-	}
-	return s.eng.run(pq, args, true)
-}
-
-// Explain renders the prepared plan without executing it. Parameters appear
-// as placeholders ($n / :name).
-func (s *Stmt) Explain() (string, error) {
-	pq, err := s.current()
-	if err != nil {
-		return "", err
-	}
-	return plan.Explain(pq.node), nil
+	return s.eng.run(pq, args)
 }

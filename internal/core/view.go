@@ -569,11 +569,19 @@ func (e *Engine) ViewRequests(name string) ([]llm.CompletionRequest, error) {
 // InvalidateCachedCompletions drops the requests' entries from the
 // persistent prompt cache (durably: tombstones survive reopen), returning
 // how many were live. The next query — or REFRESH — must re-ask exactly
-// these prompts at the live model. Only the disk layer is touched: an
-// in-memory completion cache (Config.CacheCapacity) or, on a session, the
-// group's coalescer memo above the disk cache may still serve invalidated
-// prompts from memory within the same process. On a session the cache is the
-// group's, so the entries are gone for every session.
+// these prompts at the live model. On a session the cache is the group's,
+// so the entries are gone for every session, and the same keys leave the
+// group's coalescer memo above it. An in-memory completion cache
+// (Config.CacheCapacity) may still serve them within the same process.
+//
+// Known drift, not fixed: memo copies keep the leader's Cached/DiskCached
+// flags (the contract that keeps session billing solo-identical), so a
+// REFRESH whose prompts the memo answers with copies of the build's live
+// calls counts them as live, though none reached the provider. In
+// TestGroupSessionSeesSharedDiskCache's configuration with the default
+// memo, an all-warm REFRESH right after CREATE reports LastLiveCalls 5 and
+// LastLiveTokens 585 where the memo-off run reports 0, and llmsql-serve
+// -cache-dir charges the tenant for a refresh that cost nothing.
 func (e *Engine) InvalidateCachedCompletions(reqs ...llm.CompletionRequest) int {
 	disk := e.backend.disk
 	if disk == nil {
@@ -583,6 +591,9 @@ func (e *Engine) InvalidateCachedCompletions(reqs ...llm.CompletionRequest) int 
 	for _, req := range reqs {
 		if disk.Invalidate(req) {
 			n++
+		}
+		if e.backend.coal != nil {
+			e.backend.coal.Forget(req)
 		}
 	}
 	return n

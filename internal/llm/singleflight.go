@@ -165,6 +165,17 @@ func (c *Coalescer) Complete(req CompletionRequest) (CompletionResponse, error) 
 	return fl.resp, fl.err
 }
 
+// Forget drops the request's completed response from the memo, so the next
+// caller leads a call of its own. A flight in progress is left alone.
+// Whoever drops an entry from a layer below (DiskCache.Invalidate) must
+// forget it here too, or the memo goes on answering for it.
+func (c *Coalescer) Forget(req CompletionRequest) {
+	key := keyOf(req)
+	c.mu.Lock()
+	c.memo.Remove(key)
+	c.mu.Unlock()
+}
+
 // Stats returns a snapshot of the counters.
 func (c *Coalescer) Stats() CoalescerStats {
 	c.mu.Lock()

@@ -95,11 +95,6 @@ func (c *Client) Views() ([]core.ViewInfo, error) {
 	return resp.Views, nil
 }
 
-// Explain returns the rendered plan without executing.
-func (c *Client) Explain(sqlText string) (*Response, error) {
-	return c.Do(Request{Op: "explain", SQL: sqlText})
-}
-
 // Stats fetches the server-wide counters.
 func (c *Client) Stats() (*Stats, error) {
 	resp, err := c.Do(Request{Op: "stats"})

@@ -25,12 +25,14 @@ import (
 type Request struct {
 	// ID is an opaque client correlation token echoed on the response.
 	ID int64 `json:"id,omitempty"`
-	// Op is one of: hello, query, exec, explain, prepare, stmt, close_stmt,
-	// set, stats, views, ping. exec also carries the materialized-view
-	// lifecycle (CREATE/REFRESH/DROP MATERIALIZED VIEW); views lists the
-	// session's materialized views and their freshness state.
+	// Op is one of: hello, query, exec, prepare, stmt, close_stmt, set,
+	// stats, views, ping. exec also carries the materialized-view lifecycle
+	// (CREATE/REFRESH/DROP MATERIALIZED VIEW); views lists the session's
+	// materialized views and their freshness state. Plans are statements:
+	// query or prepare "EXPLAIN [ANALYZE] SELECT ..." and the plan comes
+	// back as the result rows.
 	Op string `json:"op"`
-	// SQL carries the statement for query/exec/explain/prepare.
+	// SQL carries the statement for query/exec/prepare.
 	SQL string `json:"sql,omitempty"`
 	// Args binds positional parameters ($1/?) in order. JSON numbers become
 	// INT when integral, FLOAT otherwise.
@@ -43,8 +45,6 @@ type Request struct {
 	// Tenant identifies the budget/concurrency bucket (hello only; empty
 	// selects the default tenant).
 	Tenant string `json:"tenant,omitempty"`
-	// Analyze makes query/stmt return the EXPLAIN ANALYZE plan too.
-	Analyze bool `json:"analyze,omitempty"`
 }
 
 // Response is one server-to-client message, one JSON object per line.
@@ -62,8 +62,6 @@ type Response struct {
 	Columns []string `json:"columns,omitempty"`
 	Types   []string `json:"types,omitempty"`
 	Rows    [][]any  `json:"rows,omitempty"`
-	// Plan is the rendered plan (explain, or query/stmt with Analyze).
-	Plan string `json:"plan,omitempty"`
 	// Usage and Scans report the query's billed consumption, exactly as a
 	// solo engine would report them. exec responses carry Usage too (a view
 	// build or refresh spends model tokens; plain local DDL reports zeros).

@@ -284,6 +284,101 @@ func TestServePreparedStatementsAndNamedDefaults(t *testing.T) {
 	}
 }
 
+// TestServeExplainStatements: plans reach clients as statements through the
+// query and stmt ops. EXPLAIN returns plan rows without a model call or a
+// token charged; EXPLAIN ANALYZE executes, returns the plan annotated with
+// observed row counts, and is charged the executed query's tokens. Both go
+// through admission and count as queries.
+func TestServeExplainStatements(t *testing.T) {
+	w := testWorld()
+	g, err := core.NewEngineGroup(llm.NewSynthLM(w, llm.ProfileMedium, 7), servingConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	g.RegisterWorldDomain(w.Domain("country"))
+	addr, srv := startServer(t, g, Config{})
+
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Hello("planner"); err != nil {
+		t.Fatal(err)
+	}
+	tokensUsed := func() int { return srv.Stats().Admission.Tenants["planner"].TokensUsed }
+	plan := func(what string, resp *Response, err error) string {
+		t.Helper()
+		if err != nil || !resp.OK {
+			t.Fatalf("%s: %+v err=%v", what, resp, err)
+		}
+		if !reflect.DeepEqual(resp.Columns, []string{"plan"}) || len(resp.Rows) == 0 {
+			t.Fatalf("%s: no plan rows: columns %v, %d rows", what, resp.Columns, len(resp.Rows))
+		}
+		var b strings.Builder
+		for _, row := range resp.Rows {
+			b.WriteString(row[0].(string))
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	prepare := func(sqlText string) int64 {
+		t.Helper()
+		resp, err := c.Do(Request{Op: "prepare", SQL: sqlText})
+		if err != nil || !resp.OK {
+			t.Fatalf("prepare %q: %+v err=%v", sqlText, resp, err)
+		}
+		return resp.Stmt
+	}
+
+	explained := []struct {
+		what string
+		req  Request
+		want string
+	}{
+		{"query EXPLAIN", Request{Op: "query", SQL: "EXPLAIN SELECT name FROM country WHERE population > 20"}, "Scan country"},
+		{"stmt EXPLAIN unbound", Request{Op: "stmt", Stmt: prepare("EXPLAIN SELECT name FROM country WHERE population > $1")}, "population > $1"},
+		{"stmt EXPLAIN bound", Request{Op: "stmt", Stmt: prepare("EXPLAIN SELECT name FROM country WHERE population > $1"), Args: []any{int64(20)}}, "population > 20"},
+	}
+	for _, tc := range explained {
+		resp, err := c.Do(tc.req)
+		if text := plan(tc.what, resp, err); !strings.Contains(text, tc.want) {
+			t.Fatalf("%s: plan lacks %q:\n%s", tc.what, tc.want, text)
+		}
+		if resp.Usage.Calls != 0 || len(resp.Scans) != 0 {
+			t.Fatalf("%s executed: usage %+v, %d scans", tc.what, *resp.Usage, len(resp.Scans))
+		}
+	}
+	if used := tokensUsed(); used != 0 {
+		t.Fatalf("EXPLAIN charged the tenant %d tokens", used)
+	}
+
+	analyzed := []struct {
+		what string
+		req  Request
+	}{
+		{"query EXPLAIN ANALYZE", Request{Op: "query", SQL: "EXPLAIN ANALYZE SELECT name FROM country WHERE population > 20"}},
+		{"stmt EXPLAIN ANALYZE", Request{Op: "stmt", Stmt: prepare("EXPLAIN ANALYZE SELECT name FROM country WHERE population > $1"), Args: []any{int64(20)}}},
+	}
+	for _, tc := range analyzed {
+		before := tokensUsed()
+		resp, err := c.Do(tc.req)
+		if text := plan(tc.what, resp, err); !strings.Contains(text, "[rows=") {
+			t.Fatalf("%s: plan carries no row counts:\n%s", tc.what, text)
+		}
+		if len(resp.Scans) == 0 || resp.Usage.TotalTokens() == 0 {
+			t.Fatalf("%s did not execute: usage %+v, %d scans", tc.what, *resp.Usage, len(resp.Scans))
+		}
+		if charged := tokensUsed() - before; charged != resp.Usage.TotalTokens() {
+			t.Fatalf("%s charged the tenant %d tokens, want the query's %d", tc.what, charged, resp.Usage.TotalTokens())
+		}
+	}
+	if got, want := srv.Stats().Queries, len(explained)+len(analyzed); got != want {
+		t.Fatalf("server counted %d queries, want %d", got, want)
+	}
+}
+
 func TestServeExecVisibleAcrossSessions(t *testing.T) {
 	w := testWorld()
 	g, err := core.NewEngineGroup(llm.NewSynthLM(w, llm.ProfileMedium, 7), servingConfig())

@@ -154,12 +154,6 @@ func (s *session) handle(req *Request) *Response {
 			s.defaults[strings.ToLower(name)] = v
 		}
 		return &Response{OK: true}
-	case "explain":
-		plan, err := s.eng.Explain(req.SQL)
-		if err != nil {
-			return errResponse(err)
-		}
-		return &Response{OK: true, Plan: plan}
 	case "prepare":
 		stmt, err := s.eng.Prepare(req.SQL)
 		if err != nil {
@@ -233,19 +227,10 @@ func (s *session) runQuery(req *Request, sqlText string, stmt *core.Stmt) *Respo
 	}
 	s.server.countQuery()
 	var qr *core.QueryResult
-	var analyzed string
 	if stmt != nil {
-		if req.Analyze {
-			qr, analyzed, err = stmt.QueryAnalyze(args...)
-		} else {
-			qr, err = stmt.Query(args...)
-		}
+		qr, err = stmt.Query(args...)
 	} else {
-		if req.Analyze {
-			qr, analyzed, err = s.eng.QueryAnalyze(sqlText, args...)
-		} else {
-			qr, err = s.eng.Query(sqlText, args...)
-		}
+		qr, err = s.eng.Query(sqlText, args...)
 	}
 	if err != nil {
 		release(0)
@@ -254,7 +239,7 @@ func (s *session) runQuery(req *Request, sqlText string, stmt *core.Stmt) *Respo
 	release(qr.Usage.TotalTokens())
 	s.server.countScans(qr.Scans)
 	cols, types, rows := EncodeRows(qr.Result)
-	resp := &Response{
+	return &Response{
 		OK:      true,
 		Columns: cols,
 		Types:   types,
@@ -262,10 +247,6 @@ func (s *session) runQuery(req *Request, sqlText string, stmt *core.Stmt) *Respo
 		Usage:   &qr.Usage,
 		Scans:   qr.Scans,
 	}
-	if req.Analyze {
-		resp.Plan = analyzed
-	}
-	return resp
 }
 
 // bindArgs turns a request's bindings into engine arguments. Positional
