@@ -80,11 +80,11 @@ bench-check:
 	[ -z "$$cleanup" ] || rm -f "$$cleanup"; \
 	exit $$status
 
-## bench-smoke: vet and test the nested benchmark module (root ./... cannot see it, yet it imports internal/llm and internal/core), then run the hot-path micro-benchmarks of those two packages once each so none can rot
+## bench-smoke: vet and test the nested benchmark module (root ./... cannot see it, yet it imports internal/llm and internal/core), then run the hot-path micro-benchmarks of the sql, exec, llm and core packages once each so none can rot
 bench-smoke:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
-	$(GO) test ./internal/llm ./internal/core -run '^$$' -bench . -benchtime 1x
+	$(GO) test ./internal/sql ./internal/exec ./internal/llm ./internal/core -run '^$$' -bench . -benchtime 1x
 
 ## replay-check: run the efficiency suite twice from the checked-in replay fixture and fail on any byte difference (what the CI replay-determinism job runs)
 replay-check:

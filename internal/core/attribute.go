@@ -24,7 +24,7 @@ func (sc *llmScan) startKeyThenAttr() (func() (rel.Row, bool, error), error) {
 	// Phase 1: enumerate keys. The prompt carries the conjuncts the key
 	// column alone can decide; the gate below enforces them locally.
 	keyFilter := sc.keyFilter()
-	keyRows, err := sc.enumerate(buildKeysPrompt(sc.table, keyFilter, nil, 0), []int{sc.keyPos})
+	keyRows, ents, err := sc.enumerate(buildKeysPrompt(sc.table, keyFilter, nil, 0), []int{sc.keyPos})
 	if err != nil {
 		return nil, err
 	}
@@ -37,7 +37,7 @@ func (sc *llmScan) startKeyThenAttr() (func() (rel.Row, bool, error), error) {
 	// The gate: keys a key-only pushed conjunct rejects would have their
 	// rows dropped by the executor's re-check anyway — spending attribute
 	// prompts on them buys nothing.
-	keyRows = sc.gateKeys(keyRows, keyFilter)
+	keyRows, ents = sc.gateKeys(keyRows, ents, keyFilter)
 	// The bind gate: a bind join bound this scan to the outer side's
 	// distinct join keys, so entities outside that set could never survive
 	// the join — their attribute fan-out is skipped. The enumeration above
@@ -47,7 +47,7 @@ func (sc *llmScan) startKeyThenAttr() (func() (rel.Row, bool, error), error) {
 	// and vote seed is byte-identical to the unbound scan's; emit masks
 	// the rider keys that were attributed only to preserve their group's
 	// prompt.
-	keyRows, emit := sc.bindGate(keyRows)
+	keyRows, emit := sc.bindGate(keyRows, ents)
 
 	prompters := make([]attrPrompter, len(sc.attrCols))
 	for i, c := range sc.attrCols {
@@ -79,30 +79,30 @@ func (sc *llmScan) startKeyThenAttr() (func() (rel.Row, bool, error), error) {
 }
 
 // gateKeys enforces the key-only pushed conjuncts locally on the
-// enumerated key rows, before any attribute spend. Only rows the
-// executor's re-applied filter would certainly drop are removed: a row
-// whose predicate evaluation errors is kept so the error still surfaces
-// where the unpushed plan would raise it.
-func (sc *llmScan) gateKeys(keyRows []rel.Row, keyFilter sql.Expr) []rel.Row {
+// enumerated key rows, before any attribute spend, keeping their entity
+// keys ents parallel. Only rows the executor's re-applied filter would
+// certainly drop are removed: a row whose predicate evaluation errors is
+// kept so the error still surfaces where the unpushed plan would raise it.
+func (sc *llmScan) gateKeys(keyRows []rel.Row, ents []string, keyFilter sql.Expr) ([]rel.Row, []string) {
 	if keyFilter == nil || len(keyRows) == 0 {
-		return keyRows
+		return keyRows, ents
 	}
 	pred, err := expr.CompileBool(keyFilter, sc.schema)
 	if err != nil {
 		// The hint is advisory; an uncompilable predicate (which the
 		// executor will reject on its own) must not break the scan.
-		return keyRows
+		return keyRows, ents
 	}
-	kept := keyRows[:0]
-	for _, row := range keyRows {
+	keptRows, keptEnts := keyRows[:0], ents[:0]
+	for i, row := range keyRows {
 		ts, err := pred(row)
 		if err == nil && ts != rel.True {
 			sc.stats.KeysGated++
 			continue
 		}
-		kept = append(kept, row)
+		keptRows, keptEnts = append(keptRows, row), append(keptEnts, ents[i])
 	}
-	return kept
+	return keptRows, keptEnts
 }
 
 // canonicalBoundKeys normalizes a bind join's key values through the same
@@ -150,8 +150,8 @@ func batchGroup[T any](keys []T, g, batch int) []T {
 // case-insensitive on canonicalized spellings (like entity dedup); a kept
 // row whose exact spelling differs from the outer value is still dropped
 // by the executor's equality check, so the gate can only waste — never
-// corrupt — an attribute prompt.
-func (sc *llmScan) bindGate(keyRows []rel.Row) ([]rel.Row, []bool) {
+// corrupt — an attribute prompt. ents holds the rows' entity keys.
+func (sc *llmScan) bindGate(keyRows []rel.Row, ents []string) ([]rel.Row, []bool) {
 	if sc.bound == nil || len(keyRows) == 0 {
 		return keyRows, nil
 	}
@@ -163,20 +163,13 @@ func (sc *llmScan) bindGate(keyRows []rel.Row) ([]rel.Row, []bool) {
 	var kept []rel.Row
 	var emit []bool
 	for g := 0; g*batch < len(keyRows); g++ {
-		group := batchGroup(keyRows, g, batch)
-		any := false
-		for _, row := range group {
-			if inBound[entityKey(row, sc.keyPos)] {
-				any = true
-				break
-			}
-		}
-		if !any {
+		group := batchGroup(ents, g, batch)
+		if !slices.ContainsFunc(group, func(k string) bool { return inBound[k] }) {
 			continue
 		}
-		for _, row := range group {
-			kept = append(kept, row)
-			emit = append(emit, inBound[entityKey(row, sc.keyPos)])
+		kept = append(kept, batchGroup(keyRows, g, batch)...)
+		for _, k := range group {
+			emit = append(emit, inBound[k])
 		}
 	}
 	return kept, emit

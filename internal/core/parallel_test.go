@@ -313,12 +313,27 @@ func TestCacheWarmSecondQueryIsFree(t *testing.T) {
 // real-clock benchmark's fanout_scan shape) over a warm completion cache, so
 // the scan is what is measured, not the model.
 func BenchmarkKeyThenAttrScan(b *testing.B) {
-	w := parWorld()
 	cfg := DefaultConfig()
 	cfg.Strategy = StrategyKeyThenAttr
 	cfg.Votes = 3
 	cfg.Parallelism = 4
 	cfg.BatchSize = 1
+	benchWarmScan(b, cfg)
+}
+
+// BenchmarkCachedFullTableScan times a repeated full-table scan — LIST
+// prompts over up to 8 sampling rounds at temperature 0.7, the real-clock
+// benchmark's hot_repeat shape — whose every completion the session cache
+// and the parse memo already hold.
+func BenchmarkCachedFullTableScan(b *testing.B) {
+	benchWarmScan(b, DefaultConfig())
+}
+
+// benchWarmScan times a scan of country's name, capital and population
+// under cfg over a warm completion cache, so the scan is what is measured,
+// not the model.
+func benchWarmScan(b *testing.B, cfg Config) {
+	w := parWorld()
 	s := NewLLMStore(llm.NewCache(llm.NewSynthLM(w, llm.ProfileMedium, 7)), cfg)
 	d := w.Domain("country")
 	s.Register(VirtualTable{Name: d.Name, Description: d.Description, Schema: d.Schema})

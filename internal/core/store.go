@@ -9,6 +9,7 @@ import (
 
 	"llmsql/internal/exec"
 	"llmsql/internal/llm"
+	"llmsql/internal/lru"
 	"llmsql/internal/rel"
 )
 
@@ -118,6 +119,7 @@ type LLMStore struct {
 	cache *llm.CacheModel // in-memory completion cache in the model chain, if any
 	disk  *llm.DiskCache  // persistent prompt cache in the model chain, if any
 	coal  *llm.Coalescer  // serving-mode request coalescer in the chain, if any
+	memo  *parseMemo      // parsed LIST/KEYS completions (enumerate.go); non-nil iff cache is
 	cfg   Config
 	// costModel prices candidate decompositions for the scan planner; it
 	// mirrors the accounting CostModel (Engine.CostModel keeps them in
@@ -134,7 +136,7 @@ type LLMStore struct {
 
 // NewLLMStore builds a store over the model with the given configuration.
 func NewLLMStore(model llm.Model, cfg Config) *LLMStore {
-	return &LLMStore{
+	s := &LLMStore{
 		model:     model,
 		cache:     llm.FindCache(model),
 		disk:      llm.FindDiskCache(model),
@@ -144,6 +146,10 @@ func NewLLMStore(model llm.Model, cfg Config) *LLMStore {
 		tables:    make(map[string]*VirtualTable),
 		estRows:   make(map[string]int),
 	}
+	if s.cache != nil {
+		s.memo = &parseMemo{entries: lru.New[parseKey, parsedCompletion](s.cache.CacheStats().Capacity)}
+	}
+	return s
 }
 
 // SetCostModel replaces the constants the scan planner prices with.

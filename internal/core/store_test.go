@@ -419,11 +419,12 @@ func parseFilter(src string) (sql.Expr, error) {
 }
 
 func TestStoreConfidenceFilter(t *testing.T) {
-	// "France" appears every round; "Phantomia" only in round 0. With
-	// MinConfidence 0.5 over 4 rounds the phantom must be dropped.
+	// "France" appears every round; "Phantomia" only in round 0, twice —
+	// an appearance counts rounds, not rows. With MinConfidence 0.5 over 4
+	// rounds the phantom must be dropped.
 	model := &scriptModel{respond: func(req llm.CompletionRequest) string {
 		if req.Seed == 0 {
-			return "France | Paris | 68\nPhantomia | Ghost City | 1"
+			return "France | Paris | 68\nPhantomia | Ghost City | 1\nPHANTOMIA | Ghost City | 1"
 		}
 		return "France | Paris | 68"
 	}}

@@ -2,7 +2,7 @@ package exec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"llmsql/internal/expr"
 	"llmsql/internal/plan"
@@ -245,31 +245,34 @@ func (b *builder) buildSort(n *plan.SortNode) (RowIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys := n.Keys
-	sort.SliceStable(rows, func(i, j int) bool {
-		for _, k := range keys {
-			a, b := rows[i][k.Col], rows[j][k.Col]
-			// NULLs sort after all values regardless of direction.
-			switch {
-			case a.IsNull() && b.IsNull():
-				continue
-			case a.IsNull():
-				return false
-			case b.IsNull():
-				return true
-			}
-			c, ts := rel.Compare(a, b)
-			if ts != rel.True || c == 0 {
-				continue
-			}
-			if k.Desc {
-				c = -c
-			}
-			return c < 0
-		}
-		return false
-	})
+	slices.SortStableFunc(rows, func(x, y rel.Row) int { return compareSortKeys(x, y, n.Keys) })
 	return newSliceIter(rows), nil
+}
+
+// compareSortKeys orders two rows by ORDER BY keys, three-way. NULLs sort
+// after all values regardless of direction, and a key whose comparison is
+// not True (values of incomparable types) is a tie on that key.
+func compareSortKeys(x, y rel.Row, keys []plan.SortKey) int {
+	for _, k := range keys {
+		a, b := x[k.Col], y[k.Col]
+		switch {
+		case a.IsNull() && b.IsNull():
+			continue
+		case a.IsNull():
+			return 1
+		case b.IsNull():
+			return -1
+		}
+		c, ts := rel.Compare(a, b)
+		if ts != rel.True || c == 0 {
+			continue
+		}
+		if k.Desc {
+			c = -c
+		}
+		return c
+	}
+	return 0
 }
 
 func (b *builder) buildLimit(n *plan.LimitNode) (RowIter, error) {
