@@ -151,6 +151,88 @@ func TestAutoDeterministic(t *testing.T) {
 	}
 }
 
+// TestCachedPlanRunsItsDecision: a cached plan runs the strategy its EXPLAIN
+// shows on every execution, and returns the same rows each time — although
+// its first run teaches the store a cardinality under which a fresh plan
+// prices a different strategy. The scan runs the plan's decision; it never
+// re-prices it.
+func TestCachedPlanRunsItsDecision(t *testing.T) {
+	e, w := autoTestEngine(t, func(c *Config) { c.Temperature = 0 })
+	d := w.Domain("country")
+	e.RegisterTable(VirtualTable{Name: d.Name, Description: d.Description, Schema: d.Schema, EstRows: 1000})
+	const query = "SELECT name FROM country"
+	explain, err := e.Explain(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [2]string
+	for run := range rows {
+		res, err := e.Query(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := res.Scans[0]
+		if !strings.Contains(explain, "auto="+s.Strategy.String()+" ") {
+			t.Fatalf("run %d ran %s, the cached plan says:\n%s", run+1, s.Strategy, explain)
+		}
+		rows[run] = renderRowsTest(res)
+	}
+	if rows[0] != rows[1] {
+		t.Fatalf("the same cached plan returned different rows:\n%s\nvs\n%s", rows[0], rows[1])
+	}
+	if e.PlanCacheStats().Hits < 2 {
+		t.Fatalf("the runs did not reuse the cached plan: %+v", e.PlanCacheStats())
+	}
+	// The case is only worth pinning while re-planning would decide otherwise.
+	e.invalidatePlans()
+	replanned, err := e.Explain(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strategyOf(replanned) == strategyOf(explain) {
+		t.Fatalf("re-planning kept %s; the learned cardinality no longer moves the decision", strategyOf(explain))
+	}
+}
+
+// TestWarmCacheKeepsColdStrategy: a warm persistent cache discounts every
+// candidate's $ and wall to zero, and auto still chooses on cold cost, so a
+// second engine over the warm directory runs the strategy the cold engine
+// ran and makes no live model call.
+func TestWarmCacheKeepsColdStrategy(t *testing.T) {
+	for _, tc := range []struct {
+		temp  float64
+		query string
+	}{
+		{0, "SELECT name FROM country"},
+		{0.7, "SELECT name, capital FROM country"},
+	} {
+		dir := t.TempDir()
+		run := func() *QueryResult {
+			e, _ := autoTestEngine(t, func(c *Config) { c.Temperature = tc.temp; c.CacheDir = dir })
+			defer e.Close()
+			res, err := e.Query(tc.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		cold, warm := run(), run()
+		if got, want := warm.Scans[0].Strategy, cold.Scans[0].Strategy; got != want {
+			t.Fatalf("temp %v %q: warm run chose %s, cold run %s", tc.temp, tc.query, got, want)
+		}
+		if live := warm.Usage.Calls - warm.Usage.CachedCalls; live != 0 {
+			t.Fatalf("temp %v %q: warm run made %d live calls", tc.temp, tc.query, live)
+		}
+	}
+}
+
+// strategyOf extracts the auto= strategy of a single-scan EXPLAIN.
+func strategyOf(explain string) string {
+	_, after, _ := strings.Cut(explain, "auto=")
+	name, _, _ := strings.Cut(after, " ")
+	return name
+}
+
 func renderRowsTest(res *QueryResult) string {
 	var b strings.Builder
 	for _, row := range res.Result.Rows {

@@ -164,9 +164,11 @@ func (s *LLMStore) scanCostModel(sp *scanSpec) plan.ScanCostModel {
 	}
 }
 
-// ScanDecision implements plan.ScanAdvisor: the planner calls it while
-// annotating scans so EXPLAIN can show the strategy choice and its cost
-// breakdown, including the limit hint and the expected attribute fan-out.
+// ScanDecision implements plan.ScanAdvisor: the planner calls it once per
+// scan while annotating the plan, and the decision it returns — the
+// strategy choice, its cost breakdown and the model they were priced from —
+// is what EXPLAIN shows, what the join planner prices bind joins from and
+// what Scan runs.
 func (s *LLMStore) ScanDecision(table string, needed []bool, filter sql.Expr, limit int64) (plan.ScanDecision, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -174,28 +176,8 @@ func (s *LLMStore) ScanDecision(table string, needed []bool, filter sql.Expr, li
 	if !ok {
 		return plan.ScanDecision{}, false
 	}
-	var d plan.ScanDecision
-	s.specLocked(t, needed, filter, limit, &d)
-	return d, true
-}
-
-// BindScanCost implements plan.BindAdvisor: it prices the bound
-// key-then-attr scan a bind join would issue against this table, with the
-// attribute fan-out restricted to boundKeys outer join-key values. ok is
-// false when the scan could not be bound (see scanSpec.bind) — the join
-// planner then falls back to hash.
-func (s *LLMStore) BindScanCost(table string, needed []bool, filter sql.Expr, boundKeys int) (plan.StrategyCost, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.tables[strings.ToLower(table)]
-	if !ok {
-		return plan.StrategyCost{}, false
-	}
-	sp := s.specLocked(t, needed, filter, 0, nil)
-	if !sp.bind {
-		return plan.StrategyCost{}, false
-	}
-	return s.scanCostModel(&sp).BindScan(boundKeys), true
+	sp := s.shapeLocked(t, needed, filter, limit)
+	return s.decideLocked(&sp), true
 }
 
 // EstimateRows implements plan.Cardinalities with the same estimate the

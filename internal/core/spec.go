@@ -10,9 +10,9 @@ import (
 )
 
 // scanSpec is everything one virtual-table scan decides before its first
-// prompt, resolved once by specLocked. Scan runs it; ScanDecision,
-// BindScanCost and the cost model price it; the view manifest rebuilds its
-// prompts from it.
+// prompt, resolved once by specLocked. Scan runs it, under the strategy of
+// the plan's ScanDecision (priced by decideLocked); the view manifest
+// rebuilds its prompts from it.
 type scanSpec struct {
 	table    *VirtualTable
 	cols     []int // needed schema positions, ascending, key column(s) included
@@ -30,17 +30,33 @@ type scanSpec struct {
 }
 
 // specLocked resolves a scan of t for the executor's needed mask, pushed
-// filter and limit hint under the store's configuration: Pushdown gates the
-// filter (stored with qualifiers stripped, as prompts name columns),
-// LimitPushdown the limit and BindJoin the key binding. With StrategyAuto
-// the cost model prices the decompositions for exactly this column set,
-// filter and limit and the cheapest becomes the effective strategy — the
-// decision EXPLAIN annotates. The strategy never depends on a binding, so a
-// bound scan runs exactly the strategy the hash-join plan's scan would. d,
-// when non-nil, receives the pricing, done even for a forced strategy (its
-// candidates are then advisory). Callers must hold s.mu.
+// filter and limit hint (see shapeLocked) and its strategy. d is the plan's
+// decision for the scan, and the scan adopts its strategy and Auto flag
+// rather than pricing again — a cached plan runs the strategy its EXPLAIN
+// shows. Only an unplanned scan (d nil, a direct Scan caller) under
+// StrategyAuto prices for itself. The strategy never depends on a binding,
+// so a bound scan runs exactly the strategy the hash-join plan's scan would.
+// Callers must hold s.mu.
 func (s *LLMStore) specLocked(t *VirtualTable, needed []bool, filter sql.Expr, limit int64, d *plan.ScanDecision) scanSpec {
-	sp := scanSpec{table: t, strategy: s.cfg.Strategy}
+	sp := s.shapeLocked(t, needed, filter, limit)
+	sp.strategy = s.cfg.Strategy
+	if d == nil && sp.strategy == StrategyAuto {
+		dec := s.decideLocked(&sp)
+		d = &dec
+	}
+	if d != nil {
+		sp.strategy, sp.auto = strategyByName(d.Chosen), d.Auto
+	}
+	sp.bind = s.cfg.BindJoin && sp.strategy == StrategyKeyThenAttr
+	return sp
+}
+
+// shapeLocked resolves everything of a scan but its strategy under the
+// store's configuration: the columns, the filter Pushdown lets through
+// (stored with qualifiers stripped, as prompts name columns) and the limit
+// LimitPushdown lets through. Callers must hold s.mu.
+func (s *LLMStore) shapeLocked(t *VirtualTable, needed []bool, filter sql.Expr, limit int64) scanSpec {
+	sp := scanSpec{table: t}
 	sp.cols, sp.keyPos, sp.attrCols = neededColumns(t.Schema, needed)
 	if s.cfg.Pushdown {
 		sp.filter = stripQualifiers(filter)
@@ -48,32 +64,31 @@ func (s *LLMStore) specLocked(t *VirtualTable, needed []bool, filter sql.Expr, l
 	if s.cfg.LimitPushdown && limit > 0 {
 		sp.limit = limit
 	}
-	if sp.strategy == StrategyAuto || d != nil {
-		dec := s.scanCostModel(&sp).Decide()
-		if sp.strategy == StrategyAuto {
-			sp.auto = true
-			sp.strategy = strategyByName(dec.Chosen)
-		} else {
-			dec.Auto, dec.Chosen = false, sp.strategy.String()
-		}
-		if d != nil {
-			*d = dec
-		}
-	}
-	sp.bind = s.cfg.BindJoin && sp.strategy == StrategyKeyThenAttr
 	return sp
 }
 
-// spec resolves a scan of the named table as Scan would (see specLocked),
-// for callers that rebuild its prompts without running it.
-func (s *LLMStore) spec(table string, needed []bool, filter sql.Expr, limit int64) (scanSpec, bool) {
+// decideLocked prices sp's decompositions, the one place a scan is priced:
+// under StrategyAuto the cheapest becomes the decision; a forced strategy
+// stays Chosen and the candidates are advisory. Callers must hold s.mu.
+func (s *LLMStore) decideLocked(sp *scanSpec) plan.ScanDecision {
+	d := s.scanCostModel(sp).Decide()
+	if s.cfg.Strategy != StrategyAuto {
+		d.Auto, d.Chosen = false, s.cfg.Strategy.String()
+	}
+	return d
+}
+
+// spec resolves a scan of the named table as Scan would under the plan's
+// decision d (see specLocked), for callers that rebuild its prompts without
+// running it.
+func (s *LLMStore) spec(table string, needed []bool, filter sql.Expr, limit int64, d *plan.ScanDecision) (scanSpec, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.tables[strings.ToLower(table)]
 	if !ok {
 		return scanSpec{}, false
 	}
-	return s.specLocked(t, needed, filter, limit, nil), true
+	return s.specLocked(t, needed, filter, limit, d), true
 }
 
 // keyFilter is the conjunction of the pushed conjuncts that reference the

@@ -207,12 +207,13 @@ func (s *LLMStore) TakeStats() []ScanStats {
 // Config returns the store configuration.
 func (s *LLMStore) Config() Config { return s.cfg }
 
-// Scan implements exec.Source: it runs the configured prompt strategy and
-// returns a row stream. The enumeration phase runs eagerly (its errors
-// surface here); the key-then-attr attribute phase streams demand-driven,
-// so a LIMIT upstream that stops pulling also stops the prompt spend. The
-// scan's statistics and critical-path accounting are published when the
-// stream is exhausted or closed.
+// Scan implements exec.Source: it runs the prompt strategy the plan's
+// decision names (req.Decision; an unplanned scan runs the configured
+// strategy, priced under auto) and returns a row stream. The enumeration
+// phase runs eagerly (its errors surface here); the key-then-attr attribute
+// phase streams demand-driven, so a LIMIT upstream that stops pulling also
+// stops the prompt spend. The scan's statistics and critical-path
+// accounting are published when the stream is exhausted or closed.
 func (s *LLMStore) Scan(req exec.ScanRequest) (exec.RowIter, error) {
 	s.mu.Lock()
 	t, ok := s.tables[strings.ToLower(req.Table)]
@@ -220,7 +221,7 @@ func (s *LLMStore) Scan(req exec.ScanRequest) (exec.RowIter, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("core: unknown virtual table %q", req.Table)
 	}
-	sp := s.specLocked(t, req.Needed, req.Filter, req.Limit, nil)
+	sp := s.specLocked(t, req.Needed, req.Filter, req.Limit, req.Decision)
 	s.mu.Unlock()
 
 	scan := &llmScan{

@@ -484,7 +484,7 @@ func (e *Engine) viewRequests(v *matView) []llm.CompletionRequest {
 			}
 			return
 		}
-		sp, ok := e.store.spec(sn.Table, sn.Needed, sn.Filter, sn.Limit)
+		sp, ok := e.store.spec(sn.Table, sn.Needed, sn.Filter, sn.Limit, sn.Decision)
 		if !ok {
 			return // row-store scan: no prompts to reconstruct
 		}

@@ -123,13 +123,14 @@ func (b *builder) buildRaw(node plan.Node) (RowIter, error) {
 
 func (b *builder) buildScan(n *plan.ScanNode) (RowIter, error) {
 	it, err := b.src.Scan(ScanRequest{
-		Table:  n.Table,
-		Alias:  n.Alias,
-		Schema: n.TableSchema,
-		Needed: n.Needed,
-		Filter: n.Filter,
-		Limit:  n.Limit,
-		Keys:   b.bindKeys[n],
+		Table:    n.Table,
+		Alias:    n.Alias,
+		Schema:   n.TableSchema,
+		Needed:   n.Needed,
+		Filter:   n.Filter,
+		Limit:    n.Limit,
+		Keys:     b.bindKeys[n],
+		Decision: n.Decision,
 	})
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@
 package exec
 
 import (
+	"llmsql/internal/plan"
 	"llmsql/internal/rel"
 	"llmsql/internal/sql"
 )
@@ -49,6 +50,10 @@ type ScanRequest struct {
 	// An empty non-nil slice means no key can match (the scan may return
 	// nothing at all).
 	Keys []string
+	// Decision, when non-nil, is the planner's strategy decision for this
+	// scan (plan.ScanNode.Decision): a source that prices decompositions
+	// runs the one it names instead of deciding again. nil means unplanned.
+	Decision *plan.ScanDecision
 }
 
 // Source provides table access for scans.

@@ -43,9 +43,11 @@ type StrategyCost struct {
 func (c StrategyCost) Tokens() int { return c.PromptTokens + c.CompletionTokens }
 
 // ScanDecision records which decomposition a virtual-table scan will use
-// and why: the full per-strategy cost breakdown behind the choice. It is
-// attached to ScanNode by the planner (via ScanAdvisor) so EXPLAIN can
-// surface it, and computed again by the store when the scan runs.
+// and why: the full per-strategy cost breakdown behind the choice and the
+// estimator inputs it was priced from. The planner attaches it to ScanNode
+// (via ScanAdvisor) once per plan; EXPLAIN renders it, the join planner
+// prices bind joins from its Model, and the executor hands it to the source,
+// which runs Chosen without pricing the scan again.
 type ScanDecision struct {
 	// Auto reports that the strategy was chosen by the cost model; when
 	// false the configuration forced Chosen and Candidates are advisory.
@@ -70,6 +72,8 @@ type ScanDecision struct {
 	FaultRate float64
 	// Candidates holds the cost breakdown per strategy, in a stable order.
 	Candidates []StrategyCost
+	// Model is the normalized estimator the candidates were priced with.
+	Model ScanCostModel
 }
 
 // Candidate returns the cost entry for the named strategy (zero value when
@@ -113,9 +117,10 @@ func (d ScanDecision) String() string {
 
 // ScanAdvisor is an optional Catalog capability: catalogs that price scan
 // decompositions per table (the LLM store) report the decision for a given
-// needed-column mask so the planner can annotate ScanNode and EXPLAIN can
-// surface it. Catalogs without an opinion (row stores) simply do not
-// implement it.
+// needed-column mask so the planner can annotate ScanNode with it — the
+// one decision EXPLAIN shows, bind joins are priced from and the scan
+// runs. Catalogs without an opinion (row stores) simply do not implement
+// it.
 type ScanAdvisor interface {
 	// ScanDecision prices the scan of table with the given needed mask
 	// (nil = all columns), pushed-down filter (nil = none, used for a
@@ -140,7 +145,7 @@ func (m MultiCatalog) ScanDecision(table string, needed []bool, filter sql.Expr,
 // annotateScans walks an optimized plan and attaches a ScanDecision to
 // every scan the catalog can price. It runs after column pruning and limit
 // pushdown so the Needed masks and Limit hints the estimator sees are
-// final.
+// final, and before planJoins, which prices bind joins from the decisions.
 func annotateScans(n Node, cat Catalog) {
 	if n == nil {
 		return
@@ -210,10 +215,10 @@ type ScanCostModel struct {
 	// scan's prompts (0 = cold or no cache; the engine probes the cache's
 	// content-addressed index with the scan's deterministic round-0
 	// enumeration fingerprints). Cached calls cost no dollars or latency,
-	// so estimated $ and wall are discounted by the rate — uniformly across
-	// candidates, which leaves the strategy choice itself unchanged.
-	// Prompt and token counts stay undiscounted: the calls are still
-	// issued, they are just free.
+	// so the $ and wall a decision reports, and BindScan's, are discounted
+	// by the rate. Decide chooses before discounting, so the rate never
+	// changes the strategy choice itself. Prompt and token counts stay
+	// undiscounted: the calls are still issued, they are just free.
 	WarmHitRate float64
 	// FaultRate is the expected per-attempt probability that a model call
 	// fails retryably (the engine derives it from the configured chaos
@@ -381,21 +386,27 @@ func (m ScanCostModel) fanOutWall(n int, d time.Duration) time.Duration {
 	return sched.Makespan()
 }
 
-// price assembles a StrategyCost from call shape totals. perCallPrompt and
-// perCallCompletion describe the average call so wall latency can be
-// scheduled; token totals carry the exact sums. An expected warm-cache hit
-// rate discounts $ and wall — cached calls are free — while the prompt and
-// token columns keep the full workload shape.
+// price assembles a cold-cache StrategyCost from call shape totals and the
+// scheduled wall latency.
 func (m ScanCostModel) price(name string, prompts, promptTok, complTok int, wall time.Duration) StrategyCost {
-	cold := 1 - m.WarmHitRate
 	return StrategyCost{
 		Strategy:         name,
 		Prompts:          prompts,
 		PromptTokens:     promptTok,
 		CompletionTokens: complTok,
-		Wall:             time.Duration(float64(wall) * cold),
-		Dollars:          m.Cost.Dollars(promptTok, complTok) * cold,
+		Wall:             wall,
+		Dollars:          m.Cost.Dollars(promptTok, complTok),
 	}
+}
+
+// warm discounts a cold cost's $ and wall by the expected warm-cache hit
+// rate — cached calls are free — while the prompt and token columns keep
+// the full workload shape.
+func (m ScanCostModel) warm(c StrategyCost) StrategyCost {
+	cold := 1 - m.WarmHitRate
+	c.Wall = time.Duration(float64(c.Wall) * cold)
+	c.Dollars *= cold
+	return c
 }
 
 // FullTable prices the full-table decomposition: Rounds LIST prompts, each
@@ -463,7 +474,8 @@ func (m ScanCostModel) KeyThenAttr() StrategyCost {
 // the dominant cost term, attrCols x votes prompts per key. The bind gate
 // keeps whole batch groups (batched prompts must stay identical to the
 // unbound scan's), so worst-case scatter touches one full group per bound
-// key: price min(boundKeys, groups) groups.
+// key: price min(boundKeys, groups) groups. The cost is warm-discounted,
+// like the scan candidates of a decision it is compared against.
 func (m ScanCostModel) BindScan(boundKeys int) StrategyCost {
 	m = m.normalized()
 	if boundKeys < 0 {
@@ -477,7 +489,7 @@ func (m ScanCostModel) BindScan(boundKeys int) StrategyCost {
 	if bound := groups * m.BatchSize; bound < keys {
 		keys = bound
 	}
-	return m.keyThenAttrKeys("bind", keys)
+	return m.warm(m.keyThenAttrKeys("bind", keys))
 }
 
 // keyThenAttrKeys assembles the key-then-attr cost shape for an attribute
@@ -506,19 +518,17 @@ func (m ScanCostModel) keyThenAttrKeys(name string, attrKeys int) StrategyCost {
 	return m.price(name, m.Rounds+attrPrompts, promptTok, complTok, wall)
 }
 
-// Candidates prices every strategy in display order.
-func (m ScanCostModel) Candidates() []StrategyCost {
-	return []StrategyCost{m.FullTable(), m.Paged(), m.KeyThenAttr()}
-}
-
 // Decide prices every strategy and picks the cheapest by estimated dollars,
 // breaking ties toward lower wall latency and then candidate order. Dollar
 // cost is the primary axis because it is the one the paper's trade-off is
 // about (tokens are what you pay for); wall latency is the tiebreak because
-// it is what the user waits for.
+// it is what the user waits for. The choice is made on cold-cache cost: a
+// warm discount scales every candidate alike, and at rate 1 it would zero
+// them all into a tie that falls to full-table whatever the cold costs say.
+// The candidates the decision carries are the discounted figures.
 func (m ScanCostModel) Decide() ScanDecision {
 	m = m.normalized()
-	cands := m.Candidates()
+	cands := []StrategyCost{m.FullTable(), m.Paged(), m.KeyThenAttr()}
 	best := 0
 	for i := 1; i < len(cands); i++ {
 		if cands[i].Dollars < cands[best].Dollars ||
@@ -526,14 +536,19 @@ func (m ScanCostModel) Decide() ScanDecision {
 			best = i
 		}
 	}
+	chosen := cands[best].Strategy
+	for i := range cands {
+		cands[i] = m.warm(cands[i])
+	}
 	return ScanDecision{
 		Auto:              true,
-		Chosen:            cands[best].Strategy,
+		Chosen:            chosen,
 		EstRows:           m.Rows,
 		Limit:             m.Limit,
 		EstKeysAttributed: m.attrKeys(),
 		WarmHitRate:       m.WarmHitRate,
 		FaultRate:         m.FaultRate,
 		Candidates:        cands,
+		Model:             m,
 	}
 }

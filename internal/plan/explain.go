@@ -10,13 +10,38 @@ import (
 // Explain renders the plan as an indented tree, one operator per line.
 func Explain(n Node) string {
 	var b strings.Builder
-	explain(&b, n, 0)
+	explain(&b, n, 0, nil)
 	return b.String()
 }
 
-func explain(b *strings.Builder, n Node, depth int) {
-	indent := strings.Repeat("  ", depth)
-	b.WriteString(indent)
+// ExplainWithRows renders the plan like Explain, annotating each operator
+// with its observed output cardinality (EXPLAIN ANALYZE). rows maps plan
+// nodes to emitted row counts as collected by the executor's profile; a
+// nil map renders like Explain.
+func ExplainWithRows(n Node, rows map[Node]int64) string {
+	var b strings.Builder
+	explain(&b, n, 0, rows)
+	return b.String()
+}
+
+// explain writes n's subtree, one line per operator indented by depth,
+// each line suffixed with the operator's row count when rows is non-nil.
+func explain(b *strings.Builder, n Node, depth int, rows map[Node]int64) {
+	for i := 0; i < depth; i++ {
+		b.WriteString("  ")
+	}
+	explainNode(b, n)
+	if rows != nil {
+		fmt.Fprintf(b, "  [rows=%d]", rows[n])
+	}
+	b.WriteByte('\n')
+	for _, c := range n.Children() {
+		explain(b, c, depth+1, rows)
+	}
+}
+
+// explainNode writes one operator's line, without indent or newline.
+func explainNode(b *strings.Builder, n Node) {
 	switch x := n.(type) {
 	case *ScanNode:
 		fmt.Fprintf(b, "Scan %s", x.Table)
@@ -44,19 +69,16 @@ func explain(b *strings.Builder, n Node, depth int) {
 		if x.Materialized != "" {
 			fmt.Fprintf(b, " [materialized=%s age=%d]", x.Materialized, x.MaterializedAge)
 		}
-		b.WriteByte('\n')
 
 	case *FilterNode:
-		fmt.Fprintf(b, "Filter %s\n", sql.Deparse(x.Pred))
-		explain(b, x.Child, depth+1)
+		fmt.Fprintf(b, "Filter %s", sql.Deparse(x.Pred))
 
 	case *ProjectNode:
 		var parts []string
 		for i, e := range x.Exprs {
 			parts = append(parts, fmt.Sprintf("%s AS %s", sql.Deparse(e), x.Out.Col(i).Name))
 		}
-		fmt.Fprintf(b, "Project %s\n", strings.Join(parts, ", "))
-		explain(b, x.Child, depth+1)
+		fmt.Fprintf(b, "Project %s", strings.Join(parts, ", "))
 
 	case *JoinNode:
 		b.WriteString(x.Kind.String())
@@ -93,9 +115,6 @@ func explain(b *strings.Builder, n Node, depth int) {
 		if x.Decision != nil {
 			fmt.Fprintf(b, " [%s]", x.Decision)
 		}
-		b.WriteByte('\n')
-		explain(b, x.Left, depth+1)
-		explain(b, x.Right, depth+1)
 
 	case *AggregateNode:
 		var groups, aggs []string
@@ -122,8 +141,6 @@ func explain(b *strings.Builder, n Node, depth int) {
 		if len(aggs) > 0 {
 			fmt.Fprintf(b, " aggs=[%s]", strings.Join(aggs, ", "))
 		}
-		b.WriteByte('\n')
-		explain(b, x.Child, depth+1)
 
 	case *SortNode:
 		var keys []string
@@ -134,44 +151,18 @@ func explain(b *strings.Builder, n Node, depth int) {
 			}
 			keys = append(keys, fmt.Sprintf("#%d %s", k.Col, dir))
 		}
-		fmt.Fprintf(b, "Sort %s\n", strings.Join(keys, ", "))
-		explain(b, x.Child, depth+1)
+		fmt.Fprintf(b, "Sort %s", strings.Join(keys, ", "))
 
 	case *LimitNode:
-		fmt.Fprintf(b, "Limit %d offset %d\n", x.Limit, x.Offset)
-		explain(b, x.Child, depth+1)
+		fmt.Fprintf(b, "Limit %d offset %d", x.Limit, x.Offset)
 
 	case *DistinctNode:
-		b.WriteString("Distinct\n")
-		explain(b, x.Child, depth+1)
+		b.WriteString("Distinct")
 
 	case *ValuesNode:
-		fmt.Fprintf(b, "Values (%d rows)\n", len(x.Rows))
+		fmt.Fprintf(b, "Values (%d rows)", len(x.Rows))
 
 	default:
-		fmt.Fprintf(b, "<?node %T>\n", n)
-	}
-}
-
-// ExplainWithRows renders the plan like Explain, annotating each operator
-// with its observed output cardinality (EXPLAIN ANALYZE). rows maps plan
-// nodes to emitted row counts as collected by the executor's profile.
-func ExplainWithRows(n Node, rows map[Node]int64) string {
-	var b strings.Builder
-	explainRows(&b, n, 0, rows)
-	return b.String()
-}
-
-func explainRows(b *strings.Builder, n Node, depth int, rows map[Node]int64) {
-	var line strings.Builder
-	explain(&line, n, depth)
-	text := line.String()
-	// Annotate only the first line (the node itself); children follow.
-	if idx := strings.IndexByte(text, '\n'); idx >= 0 {
-		head := text[:idx]
-		fmt.Fprintf(b, "%s  [rows=%d]\n", head, rows[n])
-	}
-	for _, c := range n.Children() {
-		explainRows(b, c, depth+1, rows)
+		fmt.Fprintf(b, "<?node %T>", n)
 	}
 }

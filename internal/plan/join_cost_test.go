@@ -3,20 +3,21 @@ package plan
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"llmsql/internal/rel"
 	"llmsql/internal/sql"
 )
 
-// joinTestCatalog is a synthetic catalog with per-table cardinalities,
-// scan pricing ($1 per 10 estimated rows) and bind pricing ($1 per 10
-// bound keys, capped at the table size) — enough structure for the join
-// planner's decisions to be inspectable.
+// joinTestCatalog is a synthetic catalog with per-table cardinalities whose
+// priced tables get decisions from the real estimator (testCostModel sized
+// to the table), forced to one strategy — enough structure for the join
+// planner's decisions to be inspectable, with bind pricing going through
+// the decision's model exactly as it does for the engine's scans.
 type joinTestCatalog struct {
-	schemas  map[string]rel.Schema
-	rows     map[string]int
-	bindable map[string]bool
+	schemas map[string]rel.Schema
+	rows    map[string]int
+	priced  map[string]bool
+	chosen  string // the strategy every priced scan is forced to
 }
 
 func (c *joinTestCatalog) TableSchema(name string) (rel.Schema, error) {
@@ -28,33 +29,16 @@ func (c *joinTestCatalog) EstimateRows(name string) (int, bool) {
 	return n, ok
 }
 
-func (c *joinTestCatalog) priced(name string, rows int) StrategyCost {
-	return StrategyCost{Strategy: name, Prompts: rows, Dollars: float64(rows) / 10, Wall: time.Duration(rows) * time.Millisecond}
-}
-
 func (c *joinTestCatalog) ScanDecision(table string, needed []bool, filter sql.Expr, limit int64) (ScanDecision, bool) {
 	rows, ok := c.rows[strings.ToLower(table)]
-	if !ok || !c.bindable[strings.ToLower(table)] {
+	if !ok || !c.priced[strings.ToLower(table)] {
 		return ScanDecision{}, false
 	}
-	return ScanDecision{
-		Auto:              true,
-		Chosen:            "key-then-attr",
-		EstRows:           rows,
-		EstKeysAttributed: rows,
-		Candidates:        []StrategyCost{c.priced("key-then-attr", rows)},
-	}, true
-}
-
-func (c *joinTestCatalog) BindScanCost(table string, needed []bool, filter sql.Expr, boundKeys int) (StrategyCost, bool) {
-	rows, ok := c.rows[strings.ToLower(table)]
-	if !ok || !c.bindable[strings.ToLower(table)] {
-		return StrategyCost{}, false
-	}
-	if boundKeys > rows {
-		boundKeys = rows
-	}
-	return c.priced("bind", boundKeys), true
+	m := testCostModel()
+	m.Rows, m.Limit = rows, limit
+	d := m.Decide()
+	d.Auto, d.Chosen = false, c.chosen
+	return d, true
 }
 
 func testJoinCatalog() *joinTestCatalog {
@@ -74,8 +58,9 @@ func testJoinCatalog() *joinTestCatalog {
 				rel.Column{Name: "ref", Type: rel.TypeText},
 			),
 		},
-		rows:     map[string]int{"big": 1000, "small": 10, "localtbl": 10},
-		bindable: map[string]bool{"big": true, "small": true},
+		rows:   map[string]int{"big": 1000, "small": 10, "localtbl": 10},
+		priced: map[string]bool{"big": true, "small": true},
+		chosen: "key-then-attr",
 	}
 }
 
@@ -131,20 +116,43 @@ func TestBindJoinChosenWhenCheaper(t *testing.T) {
 	}
 }
 
-// TestBindJoinDisabledByOption: the ablation gate removes bind from
-// selection but keeps the hash decision inspectable.
+// TestBindJoinDisabledByOption: the ablation gate removes bind from the
+// candidates but keeps the hash decision inspectable.
 func TestBindJoinDisabledByOption(t *testing.T) {
 	cat := testJoinCatalog()
 	opts := DefaultOptions()
 	opts.BindJoin = false
 	n := planJoinQuery(t, cat,
 		"SELECT s.val, b.val FROM small s JOIN big b ON s.ref = b.name", opts)
+	assertNoBindCandidate(t, n)
+}
+
+// TestNoBindCandidateUnlessKeyThenAttr: a scan whose decision runs any
+// other decomposition cannot honour a binding, so it offers no bind
+// candidate, however cheap binding would be.
+func TestNoBindCandidateUnlessKeyThenAttr(t *testing.T) {
+	for _, chosen := range []string{"full-table", "paged"} {
+		cat := testJoinCatalog()
+		cat.chosen = chosen
+		n := planJoinQuery(t, cat,
+			"SELECT s.val, b.val FROM small s JOIN big b ON s.ref = b.name", DefaultOptions())
+		assertNoBindCandidate(t, n)
+	}
+}
+
+// assertNoBindCandidate checks that the plan's join runs hash, with a
+// decision that lists no bind candidate, and that EXPLAIN mentions none.
+func assertNoBindCandidate(t *testing.T, n Node) {
+	t.Helper()
 	j := findJoin(n)
 	if j.Strategy != JoinHash || j.BindScan != nil {
-		t.Fatalf("bind chosen despite ablation: %+v", j.Strategy)
+		t.Fatalf("bind chosen: %+v\n%s", j.Strategy, Explain(n))
 	}
-	if j.Decision == nil || j.Decision.Chosen != JoinHash {
+	if j.Decision == nil || j.Decision.Chosen != JoinHash || len(j.Decision.Candidates) != 2 {
 		t.Fatalf("decision: %+v", j.Decision)
+	}
+	if out := Explain(n); strings.Contains(out, "bind") {
+		t.Fatalf("EXPLAIN lists a bind candidate:\n%s", out)
 	}
 }
 
@@ -196,7 +204,7 @@ func TestBindThroughSubqueryProjection(t *testing.T) {
 // side).
 func TestHashBuildSideSelection(t *testing.T) {
 	cat := testJoinCatalog()
-	cat.bindable = map[string]bool{} // force hash
+	cat.priced = map[string]bool{} // force hash
 	opts := DefaultOptions()
 
 	n := planJoinQuery(t, cat,
@@ -232,7 +240,7 @@ func TestHashBuildSideSelection(t *testing.T) {
 // their cost-free EXPLAIN.
 func TestJoinDecisionOmittedForLocalJoins(t *testing.T) {
 	cat := testJoinCatalog()
-	cat.bindable = map[string]bool{}
+	cat.priced = map[string]bool{}
 	n := planJoinQuery(t, cat,
 		"SELECT a.id, b.id FROM localtbl a JOIN localtbl b ON a.ref = b.ref", DefaultOptions())
 	j := findJoin(n)

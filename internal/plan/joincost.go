@@ -91,29 +91,6 @@ func (m MultiCatalog) EstimateRows(table string) (int, bool) {
 	return 0, false
 }
 
-// BindAdvisor is an optional Catalog capability: catalogs whose scans can
-// honour a bound key set (the LLM store) price the bound scan so the join
-// planner can compare bind against hash. ok is false when the table is not
-// this catalog's or binding does not apply.
-type BindAdvisor interface {
-	// BindScanCost prices the scan of table retrieving the needed columns
-	// (nil = all) under the pushed filter, with the attribute fan-out
-	// restricted to at most boundKeys distinct outer join-key values.
-	BindScanCost(table string, needed []bool, filter sql.Expr, boundKeys int) (StrategyCost, bool)
-}
-
-// BindScanCost implements BindAdvisor for MultiCatalog.
-func (m MultiCatalog) BindScanCost(table string, needed []bool, filter sql.Expr, boundKeys int) (StrategyCost, bool) {
-	for _, c := range m {
-		if adv, ok := c.(BindAdvisor); ok {
-			if sc, ok := adv.BindScanCost(table, needed, filter, boundKeys); ok {
-				return sc, true
-			}
-		}
-	}
-	return StrategyCost{}, false
-}
-
 // defaultRowEstimate is the cardinality guess for tables no catalog can
 // size (mirrors the scan planner's default).
 const defaultRowEstimate = 40
@@ -313,10 +290,14 @@ func planJoins(n Node, cat Catalog, opts Options) {
 	rightScan := subtreeScanCost(j.Right)
 	hash := addCost("hash", leftScan, rightScan)
 
-	// Bind candidates: one key pair only (the scan binds a single entity-key
-	// column), and the bound side must trace to a bindable scan the catalog
-	// can price. For non-inner joins only the right side may be bound (the
-	// left stream must be preserved / is the output).
+	// Bind candidates, only with BindJoin on: one key pair only (the scan
+	// binds a single entity-key column), and the bound side must trace to a
+	// bindable scan whose decision runs key-then-attr — any other
+	// decomposition could not honour the binding without changing its
+	// prompts, and therefore its rows, relative to the unbound scan. The
+	// bound scan is priced from the model its decision was priced with. For
+	// non-inner joins only the right side may be bound (the left stream must
+	// be preserved / is the output).
 	type bindOption struct {
 		cost  StrategyCost
 		scan  *ScanNode
@@ -324,21 +305,15 @@ func planJoins(n Node, cat Catalog, opts Options) {
 		bound int
 	}
 	var bindOpts []bindOption
-	adv, haveAdv := cat.(BindAdvisor)
-	if haveAdv && len(j.LeftKey) == 1 {
+	if opts.BindJoin && len(j.LeftKey) == 1 {
 		consider := func(side Node, key sql.Expr, outer Node, outerKey sql.Expr, outerRows int, left bool) {
 			scan, ok := bindableScan(side, key)
-			if !ok {
+			if !ok || scan.Decision == nil || scan.Decision.Chosen != "key-then-attr" {
 				return
 			}
 			bound := estimateKeyNDV(outer, outerKey, outerRows)
-			cost, ok := adv.BindScanCost(scan.Table, scan.Needed, scan.Filter, bound)
-			if !ok {
-				return
-			}
-			outerCost := subtreeScanCost(outer)
 			bindOpts = append(bindOpts, bindOption{
-				cost:  addCost("bind", outerCost, cost),
+				cost:  addCost("bind", subtreeScanCost(outer), scan.Decision.Model.BindScan(bound)),
 				scan:  scan,
 				left:  left,
 				bound: bound,
@@ -371,7 +346,7 @@ func planJoins(n Node, cat Catalog, opts Options) {
 	// Choose: cheapest dollars; ties prefer bind (it can only shrink the
 	// attribute fan-out at runtime), then hash, then nested-loop.
 	chosen := JoinHash
-	if opts.BindJoin && bind != nil && bind.cost.Dollars <= hash.Dollars {
+	if bind != nil && bind.cost.Dollars <= hash.Dollars {
 		chosen = JoinBind
 	}
 

@@ -44,7 +44,8 @@ type ScanNode struct {
 	Limit int64
 	// Decision, when non-nil, is the scan-cost decision the source reported
 	// for this table (virtual tables only): the chosen prompt decomposition
-	// and its per-strategy cost breakdown, surfaced by EXPLAIN.
+	// and its per-strategy cost breakdown. EXPLAIN surfaces it and the
+	// executor passes it back in the scan request, so the scan runs it.
 	Decision *ScanDecision
 	// Materialized, when non-empty, names the materialized view whose row
 	// store serves this scan instead of a live LLM retrieval; EXPLAIN
