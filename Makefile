@@ -80,11 +80,11 @@ bench-check:
 	[ -z "$$cleanup" ] || rm -f "$$cleanup"; \
 	exit $$status
 
-## bench-smoke: vet and test the nested benchmark module (root ./... cannot see it, yet it imports internal/llm and internal/core), then run the hot-path micro-benchmarks of the sql, exec, llm and core packages once each so none can rot
+## bench-smoke: vet and test the nested benchmark module (root ./... cannot see it, yet it imports internal/llm and internal/core), then run the hot-path micro-benchmarks of the sql, exec, llm, core and serve packages once each so none can rot
 bench-smoke:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
-	$(GO) test ./internal/sql ./internal/exec ./internal/llm ./internal/core -run '^$$' -bench . -benchtime 1x
+	$(GO) test ./internal/sql ./internal/exec ./internal/llm ./internal/core ./internal/serve -run '^$$' -bench . -benchtime 1x
 
 ## replay-check: run the efficiency suite twice from the checked-in replay fixture and fail on any byte difference (what the CI replay-determinism job runs)
 replay-check:
@@ -161,3 +161,5 @@ fuzz:
 	$(GO) test ./internal/sql -run '^$$' -fuzz '^FuzzParseParams$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/llm -run '^$$' -fuzz '^FuzzFingerprintMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzParseCompletion$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzWireResponse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME)

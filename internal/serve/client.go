@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net"
 	"strings"
 	"time"
@@ -16,7 +19,7 @@ import (
 type Client struct {
 	conn   net.Conn
 	enc    *json.Encoder
-	dec    *json.Decoder
+	lines  *bufio.Scanner
 	nextID int64
 }
 
@@ -29,9 +32,9 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: dial %s %s: %w", network, target, err)
 	}
-	dec := json.NewDecoder(conn)
-	dec.UseNumber()
-	return &Client{conn: conn, enc: json.NewEncoder(conn), dec: dec}, nil
+	lines := bufio.NewScanner(conn)
+	lines.Buffer(make([]byte, 64<<10), math.MaxInt) // responses have no size limit
+	return &Client{conn: conn, enc: json.NewEncoder(conn), lines: lines}, nil
 }
 
 // SplitAddr classifies a server address into a dial network and target:
@@ -52,18 +55,26 @@ func (c *Client) Close() error { return c.conn.Close() }
 
 // Do sends one request and waits for its response. A response with
 // ok=false is returned as-is, not as an error — callers inspect
-// Response.OK/Error/Code.
+// Response.OK/Error/Code. The Response shares no memory with the client's
+// buffers, so it stays valid across later calls.
 func (c *Client) Do(req Request) (*Response, error) {
 	c.nextID++
 	req.ID = c.nextID
 	if err := c.enc.Encode(req); err != nil {
 		return nil, fmt.Errorf("serve: send: %w", err)
 	}
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
+	if !c.lines.Scan() {
+		err := c.lines.Err()
+		if err == nil {
+			err = io.EOF
+		}
 		return nil, fmt.Errorf("serve: receive: %w", err)
 	}
-	return &resp, nil
+	resp := new(Response)
+	if err := decodeResponse(c.lines.Bytes(), resp); err != nil {
+		return nil, fmt.Errorf("serve: receive: %w", err)
+	}
+	return resp, nil
 }
 
 // Hello announces the session's tenant.

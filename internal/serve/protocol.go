@@ -1,5 +1,6 @@
 // Package serve implements the long-lived serving layer over the core
-// engine: a newline-delimited JSON protocol spoken over TCP or unix
+// engine: a newline-delimited JSON protocol (one object per line, request
+// lines bounded by MaxRequestLine) spoken over TCP or unix
 // sockets, per-connection sessions with prepared statements and named
 // parameter state, admission control with per-tenant concurrency and token
 // budgets, and graceful drain. Each connection gets its own engine from a
@@ -12,6 +13,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"llmsql/internal/core"
@@ -47,7 +49,9 @@ type Request struct {
 	Tenant string `json:"tenant,omitempty"`
 }
 
-// Response is one server-to-client message, one JSON object per line.
+// Response is one server-to-client message, one JSON object per line. Its
+// JSON goes through the package's wire codec (MarshalJSON, UnmarshalJSON):
+// the bytes encoding/json would write, read back without reflection.
 type Response struct {
 	// ID echoes the request's correlation token.
 	ID int64 `json:"id,omitempty"`
@@ -75,11 +79,17 @@ type Response struct {
 	Session int64 `json:"session,omitempty"`
 	// Stats is the server-wide counter snapshot (stats).
 	Stats *Stats `json:"stats,omitempty"`
+
+	// result, when set, is written in place of Columns/Types/Rows, straight
+	// from its values (the server's query responses).
+	result *exec.Result
 }
 
 // EncodeRows flattens a result into the wire shape: column names, type
 // spellings and one []any per row (nil for NULL, bool, int64, float64 or
-// string otherwise — all round-trip exactly through JSON).
+// string otherwise — all round-trip exactly through JSON). The server does
+// not box rows: it writes a result's values straight onto the wire, in the
+// same bytes a Response holding EncodeRows' output encodes to.
 func EncodeRows(res *exec.Result) (cols []string, types []string, rows [][]any) {
 	cols = res.Schema.Names()
 	types = make([]string, res.Schema.Len())
@@ -114,8 +124,10 @@ func encodeValue(v rel.Value) any {
 }
 
 // DecodeRows rebuilds a materialized result from the wire shape (the
-// client-side inverse of EncodeRows). Numbers must have been decoded with
-// json.Decoder.UseNumber for INT columns to round-trip exactly.
+// client-side inverse of EncodeRows). Numbers must have been decoded as
+// json.Number (as Client and Response.UnmarshalJSON do) for INT columns to
+// round-trip exactly. A FLOAT cell may also be one of the strings "NaN",
+// "+Inf" and "-Inf", the wire spelling of non-finite values.
 func DecodeRows(cols, types []string, rows [][]any) (*exec.Result, error) {
 	if len(cols) != len(types) {
 		return nil, fmt.Errorf("serve: %d columns but %d types", len(cols), len(types))
@@ -194,6 +206,11 @@ func decodeValue(t rel.DataType, cell any) (rel.Value, error) {
 			return rel.Float(f), nil
 		case float64:
 			return rel.Float(n), nil
+		case string:
+			if n == "NaN" || n == "+Inf" || n == "-Inf" {
+				f, _ := strconv.ParseFloat(n, 64)
+				return rel.Float(f), nil
+			}
 		}
 		return rel.Value{}, fmt.Errorf("not a float: %v", cell)
 	default:

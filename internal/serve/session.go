@@ -1,9 +1,10 @@
 package serve
 
 import (
-	"encoding/json"
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -28,6 +29,9 @@ type session struct {
 	nextStmt int64
 	defaults map[string]any // session named-parameter state (set op)
 
+	requests requestDecoder
+	out      []byte // the response line being written, reused
+
 	// mu guards the drain handshake: inFlight marks a request being
 	// handled; closing asks the session to exit after the response is
 	// written.
@@ -48,31 +52,38 @@ func newSession(s *Server, conn net.Conn, id int64) *session {
 	}
 }
 
-// run is the session loop: decode one request per line, handle it, write
-// one response line. It returns (closing the connection and retiring the
-// session's engine) on client EOF, protocol errors, idle timeout or drain.
+// run is the session loop: read one request line, handle it, write one
+// response line. It returns (closing the connection and retiring the
+// session's engine) on client EOF, an over-long line, idle timeout, a failed
+// write or drain.
 func (s *session) run() {
 	defer func() {
 		s.conn.Close()
 		s.server.cfg.Group.CloseSession(s.eng)
 		s.server.endSession(s)
 	}()
-	dec := json.NewDecoder(s.conn)
-	dec.UseNumber()
-	enc := json.NewEncoder(s.conn)
+	lines := bufio.NewScanner(s.conn)
+	lines.Buffer(nil, MaxRequestLine+1) // +1 for the newline
 	for {
 		if s.server.cfg.IdleTimeout > 0 {
 			s.conn.SetReadDeadline(time.Now().Add(s.server.cfg.IdleTimeout))
 		}
 		var req Request
-		if err := dec.Decode(&req); err != nil {
-			if !errors.Is(err, net.ErrClosed) {
-				var ne net.Error
-				if errors.As(err, &ne) && ne.Timeout() {
-					s.server.logf("session %d: idle timeout", s.id)
-				}
+		var resp *Response
+		if !lines.Scan() {
+			err := lines.Err()
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				s.server.logf("session %d: idle timeout", s.id)
 			}
-			return
+			if !errors.Is(err, bufio.ErrTooLong) {
+				return
+			}
+			resp = &Response{Error: fmt.Sprintf("serve: request line over %d bytes", MaxRequestLine), Code: CodeTooLarge}
+		} else if err := s.requests.decode(lines.Bytes(), &req); err == io.EOF {
+			continue // a blank line
+		} else if err != nil {
+			resp = &Response{Error: err.Error(), Code: CodeBadRequest}
 		}
 		s.mu.Lock()
 		if s.closing {
@@ -83,38 +94,56 @@ func (s *session) run() {
 			// reconnect instead of retrying here.
 			resp := errResponse(&RejectError{Code: CodeDraining, Msg: "server shutting down"})
 			resp.ID = req.ID
-			s.server.countError()
-			if wt := s.server.cfg.WriteTimeout; wt > 0 {
-				s.conn.SetWriteDeadline(time.Now().Add(wt))
-			}
-			enc.Encode(resp)
+			s.write(req.Op, resp)
 			return
 		}
 		s.inFlight = true
 		s.mu.Unlock()
 
-		resp := s.handle(&req)
+		if resp == nil {
+			resp = s.handle(&req)
+		}
 		resp.ID = req.ID
-		if !resp.OK {
-			s.server.countError()
-			s.server.logf("session %d: %s failed: %s", s.id, req.Op, resp.Error)
-		}
-		// Writes get a deadline too, so a stalled client cannot wedge the
-		// drain handshake.
-		if wt := s.server.cfg.WriteTimeout; wt > 0 {
-			s.conn.SetWriteDeadline(time.Now().Add(wt))
-		}
-		err := enc.Encode(resp)
-		s.conn.SetWriteDeadline(time.Time{})
+		werr := s.write(req.Op, resp)
 
 		s.mu.Lock()
 		s.inFlight = false
 		closing := s.closing
 		s.mu.Unlock()
-		if err != nil || closing {
+		if werr != nil || closing || resp.Code == CodeTooLarge {
 			return
 		}
 	}
+}
+
+// write encodes resp into the session's reused buffer and sends it as one
+// line under the write deadline, so a stalled client cannot wedge the drain
+// handshake. A response the codec cannot encode is replaced by an error
+// response, so the client is always answered. Failed requests are counted
+// and logged, and so is a failed write.
+func (s *session) write(op string, resp *Response) error {
+	out, err := appendResponse(s.out[:0], resp)
+	if err != nil {
+		resp = &Response{ID: resp.ID, Error: "serve: encode response: " + err.Error(), Code: "error"}
+		out, _ = appendResponse(out[:0], resp)
+	}
+	if !resp.OK {
+		if op == "" {
+			op = "request"
+		}
+		s.server.countError()
+		s.server.logf("session %d: %s failed: %s", s.id, op, resp.Error)
+	}
+	s.out = append(out, '\n')
+	if wt := s.server.cfg.WriteTimeout; wt > 0 {
+		s.conn.SetWriteDeadline(time.Now().Add(wt))
+	}
+	_, err = s.conn.Write(s.out)
+	s.conn.SetWriteDeadline(time.Time{})
+	if err != nil {
+		s.server.logf("session %d: write response: %v", s.id, err)
+	}
+	return err
 }
 
 // drain asks the session to exit: immediately when idle (the blocked read
@@ -238,15 +267,7 @@ func (s *session) runQuery(req *Request, sqlText string, stmt *core.Stmt) *Respo
 	}
 	release(qr.Usage.TotalTokens())
 	s.server.countScans(qr.Scans)
-	cols, types, rows := EncodeRows(qr.Result)
-	return &Response{
-		OK:      true,
-		Columns: cols,
-		Types:   types,
-		Rows:    rows,
-		Usage:   &qr.Usage,
-		Scans:   qr.Scans,
-	}
+	return &Response{OK: true, result: qr.Result, Usage: &qr.Usage, Scans: qr.Scans}
 }
 
 // bindArgs turns a request's bindings into engine arguments. Positional
