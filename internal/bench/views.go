@@ -25,9 +25,9 @@ func Table16MaterializedViews(o Options) (Report, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	// Deterministic single-round enumeration, no voting, unbatched ATTRs:
-	// the refresh manifest then mirrors the issued prompts one-to-one, so
-	// "live calls == invalidated fingerprints" is exact.
+	// Deterministic single-round enumeration, no voting, unbatched ATTRs.
+	// The manifest is the requests the build completed, so "live calls ==
+	// invalidated fingerprints" is exact.
 	cfg := keyThenAttrConfig()
 	cfg.Votes = 1
 	cfg.Temperature = 0

@@ -232,8 +232,8 @@ func DefaultConfig() Config {
 }
 
 // request is the completion request every scan prompt goes out as; the cache
-// probes and the view manifest rebuild theirs here too, so their fingerprints
-// match. MaxTokens stays 0, the model default.
+// probes build theirs here too, so their fingerprints match. MaxTokens stays
+// 0, the model default.
 func (c Config) request(prompt string, seed int64) llm.CompletionRequest {
 	return llm.CompletionRequest{Prompt: prompt, Temperature: c.Temperature, Seed: seed}
 }

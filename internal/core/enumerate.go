@@ -324,7 +324,7 @@ func (sc *llmScan) runPaged() ([]rel.Row, error) {
 // roundZeroRequests returns the deterministic round-0 enumeration requests
 // of a scan, one per enumeration shape — LIST, paged page 0, KEYS — whatever
 // strategy it runs: the fingerprints warmHitRate probes the persistent
-// cache with, and the head of a materialized view's manifest.
+// cache with to price a scan before it runs (a scan issues at most one).
 func (s *LLMStore) roundZeroRequests(sp *scanSpec) [3]llm.CompletionRequest {
 	return [3]llm.CompletionRequest{
 		s.cfg.request(buildListPrompt(sp.table, sp.cols, sp.filter, nil, 0), 0),

@@ -170,85 +170,117 @@ func TestGroupCloseSessionFoldsBilledUsage(t *testing.T) {
 
 // TestGroupSessionSeesSharedDiskCache: the persistent cache belongs to the
 // group, and every session must reach it — for the refresh probe, for
-// invalidation, and still after another session has closed.
+// invalidation, and still after another session has closed. It runs with the
+// default coalescer memo and without one, where the shared disk cache itself
+// serves the warm calls.
 func TestGroupSessionSeesSharedDiskCache(t *testing.T) {
-	w := parWorld()
-	cfg := groupConfig()
-	cfg.Temperature = 0 // one deterministic enumeration round
-	cfg.Votes = 1
-	cfg.CacheDir = t.TempDir()
-	// No coalescer memo: its copies keep the leader's uncached flags, so a
-	// refresh's LastLiveCalls would count memo hits as live calls (see
-	// InvalidateCachedCompletions). TestGroupInvalidationReachesCoalescerMemo
-	// covers the default memo.
-	cfg.CoalesceCapacity = -1
-	g, err := NewEngineGroup(llm.NewSynthLM(w, llm.ProfileMedium, 7), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	g.RegisterWorldDomain(w.Domain("country"))
-	g.RegisterWorldDomain(w.Domain("movie"))
+	for _, tc := range []struct {
+		name     string
+		coalesce int
+		// The session's uncached usage for an all-warm refresh after CREATE.
+		billedCalls, billedTokens int
+	}{
+		// The memo answers the refresh with copies of the build's live
+		// calls. They keep the build's uncached flags, so the session is
+		// billed for them as a solo engine would be, but none reached the
+		// provider, so the view counts none as live.
+		{"memo", 0, 5, 585},
+		// Without the memo the disk cache answers, and its hits are cached.
+		{"no-memo", -1, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := parWorld()
+			cfg := groupConfig()
+			cfg.Temperature = 0 // one deterministic enumeration round
+			cfg.Votes = 1
+			cfg.CacheDir = t.TempDir()
+			cfg.CoalesceCapacity = tc.coalesce
+			g, err := NewEngineGroup(llm.NewSynthLM(w, llm.ProfileMedium, 7), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			g.RegisterWorldDomain(w.Domain("country"))
+			g.RegisterWorldDomain(w.Domain("movie"))
 
-	a, b := g.Session(), g.Session()
-	if err := a.Exec("CREATE MATERIALIZED VIEW v AS SELECT name, capital FROM country"); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Exec("REFRESH MATERIALIZED VIEW v"); err != nil {
-		t.Fatal(err)
-	}
-	warm, _ := a.View("v")
-	if warm.LastWarmFingerprints == 0 || warm.LastLiveCalls != 0 {
-		t.Fatalf("refresh through a session did not see the shared cache warm: %+v", warm)
-	}
-	if got, want := a.DiskCacheStats(), g.Stats().DiskCache; got != want || got.Entries == 0 {
-		t.Fatalf("session reports disk cache %+v, group %+v", got, want)
-	}
+			a, b := g.Session(), g.Session()
+			if err := a.Exec("CREATE MATERIALIZED VIEW v AS SELECT name, capital FROM country"); err != nil {
+				t.Fatal(err)
+			}
+			billedBefore := a.TotalUsage()
+			if err := a.Exec("REFRESH MATERIALIZED VIEW v"); err != nil {
+				t.Fatal(err)
+			}
+			warm, _ := a.View("v")
+			if warm.LastWarmFingerprints == 0 || warm.LastColdFingerprints != 0 ||
+				warm.LastLiveCalls != 0 || warm.LastLiveTokens != 0 {
+				t.Fatalf("refresh through a session did not see the shared cache warm: %+v", warm)
+			}
+			if billed := a.TotalUsage().Sub(billedBefore); billed.Calls-billed.CachedCalls != tc.billedCalls ||
+				billed.TotalTokens() != tc.billedTokens {
+				t.Fatalf("all-warm refresh billed %+v, want %d uncached calls and %d tokens",
+					billed, tc.billedCalls, tc.billedTokens)
+			}
+			if got, want := a.DiskCacheStats(), g.Stats().DiskCache; got != want || got.Entries == 0 {
+				t.Fatalf("session reports disk cache %+v, group %+v", got, want)
+			}
 
-	reqs, err := a.ViewRequests("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The manifest also lists the enumeration probes of the strategies that
-	// did not run, which were never cached: count what was really dropped.
-	const drop = 4
-	dropped := 0
-	for _, req := range reqs {
-		if dropped < drop {
-			dropped += a.InvalidateCachedCompletions(req)
-		}
-	}
-	if dropped != drop {
-		t.Fatalf("invalidated %d cached completions, want %d (manifest %d)", dropped, drop, len(reqs))
-	}
-	liveBefore := g.Stats().Live.Calls
-	if err := a.Exec("REFRESH MATERIALIZED VIEW v"); err != nil {
-		t.Fatal(err)
-	}
-	info, _ := a.View("v")
-	if live := g.Stats().Live.Calls - liveBefore; live != drop || info.LastLiveCalls != drop ||
-		info.LastColdFingerprints != warm.LastColdFingerprints+drop {
-		t.Fatalf("refresh after invalidating %d made %d live calls: %+v (warm refresh: %+v)", drop, live, info, warm)
-	}
+			reqs, err := a.ViewRequests("v")
+			if err != nil {
+				t.Fatal(err)
+			}
+			const drop = 4
+			dropped := 0
+			for _, req := range reqs {
+				if dropped < drop {
+					dropped += a.InvalidateCachedCompletions(req)
+				}
+			}
+			if dropped != drop {
+				t.Fatalf("invalidated %d cached completions, want %d (manifest %d)", dropped, drop, len(reqs))
+			}
+			liveBefore := g.Stats().Live.Calls
+			if err := a.Exec("REFRESH MATERIALIZED VIEW v"); err != nil {
+				t.Fatal(err)
+			}
+			info, _ := a.View("v")
+			if live := g.Stats().Live.Calls - liveBefore; live != drop || info.LastLiveCalls != drop ||
+				info.LastColdFingerprints != drop {
+				t.Fatalf("refresh after invalidating %d made %d live calls: %+v (warm refresh: %+v)", drop, live, info, warm)
+			}
 
-	// Closing a session (both ways) must leave the group's cache open.
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	g.CloseSession(a)
-	entries := g.Stats().DiskCache.Entries
-	if _, err := b.Query("SELECT title, year FROM movie"); err != nil {
-		t.Fatal(err)
-	}
-	if s := g.Stats().DiskCache; s.WriteErrors != 0 || s.Entries <= entries {
-		t.Fatalf("disk cache stopped persisting after a session closed: %+v (had %d entries)", s, entries)
-	}
-	res, err := b.Query("SELECT name, capital FROM country")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Usage.Calls == 0 || res.Usage.CachedCalls != res.Usage.Calls {
-		t.Fatalf("another session's scan was not served from the shared cache: %+v", res.Usage)
+			// Closing a session (both ways) must leave the group's cache open.
+			if err := a.Close(); err != nil {
+				t.Fatal(err)
+			}
+			g.CloseSession(a)
+			entries := g.Stats().DiskCache.Entries
+			if _, err := b.Query("SELECT title, year FROM movie"); err != nil {
+				t.Fatal(err)
+			}
+			if s := g.Stats().DiskCache; s.WriteErrors != 0 || s.Entries <= entries {
+				t.Fatalf("disk cache stopped persisting after a session closed: %+v (had %d entries)", s, entries)
+			}
+			// The group's shared layers answer every call of the other session's
+			// scan: none reaches the provider. Without the memo every one is a hit
+			// in the shared disk cache.
+			liveBefore = g.Stats().Live.Calls
+			hitsBefore := g.Stats().DiskCache.Hits
+			res, err := b.Query("SELECT name, capital FROM country")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if live := g.Stats().Live.Calls - liveBefore; res.Usage.Calls == 0 || live != 0 {
+				t.Fatalf("another session's scan made %d live calls, want 0 of %d", live, res.Usage.Calls)
+			}
+			if tc.coalesce < 0 {
+				if hits := g.Stats().DiskCache.Hits - hitsBefore; res.Usage.CachedCalls != res.Usage.Calls ||
+					hits != res.Usage.Calls {
+					t.Fatalf("another session's scan was not served from the shared cache: %+v (%d disk hits)",
+						res.Usage, hits)
+				}
+			}
+		})
 	}
 }
 

@@ -11,8 +11,7 @@ import (
 
 // scanSpec is everything one virtual-table scan decides before its first
 // prompt, resolved once by specLocked. Scan runs it, under the strategy of
-// the plan's ScanDecision (priced by decideLocked); the view manifest
-// rebuilds its prompts from it.
+// the plan's ScanDecision (priced by decideLocked).
 type scanSpec struct {
 	table    *VirtualTable
 	cols     []int // needed schema positions, ascending, key column(s) included
@@ -76,19 +75,6 @@ func (s *LLMStore) decideLocked(sp *scanSpec) plan.ScanDecision {
 		d.Auto, d.Chosen = false, s.cfg.Strategy.String()
 	}
 	return d
-}
-
-// spec resolves a scan of the named table as Scan would under the plan's
-// decision d (see specLocked), for callers that rebuild its prompts without
-// running it.
-func (s *LLMStore) spec(table string, needed []bool, filter sql.Expr, limit int64, d *plan.ScanDecision) (scanSpec, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.tables[strings.ToLower(table)]
-	if !ok {
-		return scanSpec{}, false
-	}
-	return s.specLocked(t, needed, filter, limit, d), true
 }
 
 // keyFilter is the conjunction of the pushed conjuncts that reference the

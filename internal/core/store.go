@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -129,6 +131,9 @@ type LLMStore struct {
 	mu     sync.Mutex
 	tables map[string]*VirtualTable
 	stats  []ScanStats
+	// record, while a materialized view's build runs its defining query,
+	// collects the calls that query's scans complete (see callRecord).
+	record *callRecord
 	// estRows caches observed per-table cardinalities from prior scans,
 	// refining the planner's estimates (see cost.go).
 	estRows map[string]int
@@ -204,6 +209,15 @@ func (s *LLMStore) TakeStats() []ScanStats {
 	return out
 }
 
+// setRecord makes every scan started from now on add its completed calls to
+// r (nil stops recording). Like TakeStats it runs on the engine's goroutine,
+// between queries.
+func (s *LLMStore) setRecord(r *callRecord) {
+	s.mu.Lock()
+	s.record = r
+	s.mu.Unlock()
+}
+
 // Config returns the store configuration.
 func (s *LLMStore) Config() Config { return s.cfg }
 
@@ -222,10 +236,12 @@ func (s *LLMStore) Scan(req exec.ScanRequest) (exec.RowIter, error) {
 		return nil, fmt.Errorf("core: unknown virtual table %q", req.Table)
 	}
 	sp := s.specLocked(t, req.Needed, req.Filter, req.Limit, req.Decision)
+	record := s.record
 	s.mu.Unlock()
 
 	scan := &llmScan{
 		store:    s,
+		record:   record,
 		scanSpec: sp,
 		schema:   req.Schema,
 		stats:    ScanStats{Table: t.Name, Strategy: sp.strategy, Auto: sp.auto},
@@ -284,7 +300,8 @@ func (s *LLMStore) Scan(req exec.ScanRequest) (exec.RowIter, error) {
 // from the scan's own goroutine: concurrent tasks write into index-disjoint
 // slots and results are merged in deterministic order afterwards.
 type llmScan struct {
-	store *LLMStore
+	store  *LLMStore
+	record *callRecord // non-nil while a materialized view is built
 	scanSpec
 	schema rel.Schema // alias-renamed schema expected by the executor
 	// bound, when non-nil, is the canonicalized distinct join-key set a
@@ -299,9 +316,51 @@ func (sc *llmScan) cfg() Config { return sc.store.cfg }
 
 // modelCall issues one raw model call. It does no accounting — callers own
 // prompt counting and critical-path bookkeeping — and is safe to invoke from
-// pool workers (Model implementations are concurrency-safe by contract).
+// pool workers (Model implementations are concurrency-safe by contract). It
+// is the one place a scan sends a call, so a view build's record is kept
+// here: every completed call, speculative prefetches included.
 func (sc *llmScan) modelCall(prompt string, seed int64) (llm.CompletionResponse, error) {
-	return sc.store.model.Complete(sc.cfg().request(prompt, seed))
+	req := sc.cfg().request(prompt, seed)
+	resp, err := sc.store.model.Complete(req)
+	if err == nil && sc.record != nil {
+		sc.record.add(req, resp)
+	}
+	return resp, err
+}
+
+// callRecord collects the calls a materialized view's defining query
+// completed: their distinct requests become the view's manifest and the
+// live ones its live spend. Pool workers add to it concurrently.
+type callRecord struct {
+	mu         sync.Mutex
+	reqs       []llm.CompletionRequest
+	liveCalls  int
+	liveTokens int
+}
+
+// add records one completed call. A call is live when it reached the
+// provider on this engine's behalf: neither a cache hit nor a coalesced
+// copy of another caller's call (which keeps that call's uncached flags).
+func (r *callRecord) add(req llm.CompletionRequest, resp llm.CompletionResponse) {
+	r.mu.Lock()
+	r.reqs = append(r.reqs, req)
+	if !resp.Cached && !resp.Coalesced {
+		r.liveCalls++
+		r.liveTokens += resp.PromptTokens + resp.CompletionTokens
+	}
+	r.mu.Unlock()
+}
+
+// manifest returns the distinct recorded requests ordered by prompt, then
+// seed, so the order does not depend on which pool worker finished first.
+func (r *callRecord) manifest() []llm.CompletionRequest {
+	r.mu.Lock()
+	out := slices.Clone(r.reqs)
+	r.mu.Unlock()
+	slices.SortFunc(out, func(a, b llm.CompletionRequest) int {
+		return cmp.Or(strings.Compare(a.Prompt, b.Prompt), cmp.Compare(a.Seed, b.Seed))
+	})
+	return slices.Compact(out)
 }
 
 // addWall extends the scan's simulated critical path by d.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -24,6 +25,9 @@ type matView struct {
 	schema rel.Schema
 	stale  bool
 	reads  int // warm reads served since the last build/refresh
+	// manifest holds the distinct requests the last build or refresh
+	// completed (callRecord.manifest): what the next REFRESH probes.
+	manifest []llm.CompletionRequest
 	// refresh bookkeeping, surfaced in ViewInfo.
 	refreshes      int
 	lastLiveCalls  int
@@ -47,15 +51,20 @@ type ViewInfo struct {
 	Reads int
 	// Refreshes counts completed REFRESH MATERIALIZED VIEW runs.
 	Refreshes int
-	// LastLiveCalls and LastLiveTokens are the live (uncached) model spend
-	// of the last build or refresh: 0 calls means the whole defining query
-	// replayed from warm prompt-cache fingerprints.
+	// LastLiveCalls and LastLiveTokens are the live model spend of the last
+	// build or refresh: the calls that were neither a cache hit nor, in an
+	// EngineGroup, a coalesced copy of another call, and their tokens. 0
+	// calls means the whole defining query replayed without reaching the
+	// provider. On a solo engine they equal the query's Usage.Calls -
+	// Usage.CachedCalls and Usage.TotalTokens().
 	LastLiveCalls  int
 	LastLiveTokens int
 	// LastWarmFingerprints and LastColdFingerprints report the persistent
-	// prompt-cache probe the last refresh ran over the defining query's
-	// reconstructed request set (both zero without Config.CacheDir and on
-	// the initial build).
+	// prompt-cache probe the last refresh ran, before re-running the query,
+	// over the manifest of the run before it (both zero without
+	// Config.CacheDir and on the initial build). The probe prices what the
+	// previous run asked: a plan that changed since, such as auto picking
+	// another strategy, can ask more than LastColdFingerprints cold.
 	LastWarmFingerprints int
 	LastColdFingerprints int
 }
@@ -70,7 +79,8 @@ type ViewStats struct {
 	// cost instead of live LLM retrieval.
 	WarmReads int
 	// Refreshes counts REFRESH runs; RefreshLiveCalls and RefreshLiveTokens
-	// the live model spend they incurred (warm fingerprints refresh free).
+	// the live model spend they incurred, counted as ViewInfo.LastLiveCalls
+	// is (warm fingerprints refresh free).
 	Refreshes         int
 	RefreshLiveCalls  int
 	RefreshLiveTokens int
@@ -157,7 +167,7 @@ func (e *Engine) createView(st *sql.CreateViewStmt) error {
 	e.viewMu.Unlock()
 
 	query := sql.DeparseStmt(st.Select)
-	res, err := e.Query(query)
+	res, rec, err := e.recordedQuery(query)
 	if err != nil {
 		return fmt.Errorf("core: build materialized view %q: %w", st.Name, err)
 	}
@@ -176,8 +186,9 @@ func (e *Engine) createView(st *sql.CreateViewStmt) error {
 		name:           st.Name,
 		query:          query,
 		schema:         tbl.Schema(),
-		lastLiveCalls:  res.Usage.Calls - res.Usage.CachedCalls,
-		lastLiveTokens: res.Usage.TotalTokens(),
+		manifest:       rec.manifest(),
+		lastLiveCalls:  rec.liveCalls,
+		lastLiveTokens: rec.liveTokens,
 	}
 	e.viewMu.Lock()
 	if e.views == nil {
@@ -202,16 +213,18 @@ func (e *Engine) createView(st *sql.CreateViewStmt) error {
 func (e *Engine) refreshView(name string) error {
 	e.viewMu.Lock()
 	v, ok := e.views[name]
-	e.viewMu.Unlock()
 	if !ok {
+		e.viewMu.Unlock()
 		return fmt.Errorf("core: unknown materialized view %q", name)
 	}
-	// Probe the prompt cache for the defining query's reconstructed request
-	// set: the warm/cold split is the refresh's expected cost, surfaced in
+	manifest := v.manifest
+	e.viewMu.Unlock()
+	// Probe the prompt cache for the requests the previous run completed:
+	// the warm/cold split is the refresh's expected cost, surfaced in
 	// ViewInfo before any model traffic happens.
 	warm, cold := 0, 0
 	if disk := e.backend.disk; disk != nil {
-		for _, req := range e.viewRequests(v) {
+		for _, req := range manifest {
 			if disk.Contains(req) {
 				warm++
 			} else {
@@ -219,7 +232,7 @@ func (e *Engine) refreshView(name string) error {
 			}
 		}
 	}
-	res, err := e.Query(v.query)
+	res, rec, err := e.recordedQuery(v.query)
 	if err != nil {
 		return fmt.Errorf("core: refresh materialized view %q: %w", name, err)
 	}
@@ -235,8 +248,8 @@ func (e *Engine) refreshView(name string) error {
 	v.stale = false
 	v.reads = 0
 	v.refreshes++
-	v.lastLiveCalls = res.Usage.Calls - res.Usage.CachedCalls
-	v.lastLiveTokens = res.Usage.TotalTokens()
+	v.manifest = rec.manifest()
+	v.lastLiveCalls, v.lastLiveTokens = rec.liveCalls, rec.liveTokens
 	v.lastWarm, v.lastCold = warm, cold
 	e.viewTotals.Refreshes++
 	e.viewTotals.RefreshLiveCalls += v.lastLiveCalls
@@ -247,6 +260,16 @@ func (e *Engine) refreshView(name string) error {
 	// every prepared statement re-plan against the rebuilt view.
 	e.invalidatePlans()
 	return nil
+}
+
+// recordedQuery runs a view's defining query with its scans recording the
+// calls they complete (LLMStore.setRecord).
+func (e *Engine) recordedQuery(query string) (*QueryResult, *callRecord, error) {
+	rec := &callRecord{}
+	e.store.setRecord(rec)
+	defer e.store.setRecord(nil)
+	res, err := e.Query(query)
+	return res, rec, err
 }
 
 // dropView removes the view and its rows. The generation bump guarantees no
@@ -453,117 +476,21 @@ func (e *Engine) annotateViewScans(n plan.Node) {
 	}
 }
 
-// viewRequests reconstructs the completion requests the defining query's
-// virtual-table scans address the prompt cache with: each scan's round-0
-// enumeration requests (the probes the cost model's warmHitRate uses) plus,
-// under a key-then-attr or auto configuration, one ATTR(S) request per key
-// x attribute column x vote, with keys taken from the materialized rows in
-// row order. The set is the fingerprint manifest REFRESH probes and tests
-// invalidate selectively; requests a different effective strategy never
-// issued are simply absent from the cache and count as cold.
-func (e *Engine) viewRequests(v *matView) []llm.CompletionRequest {
-	sel, err := sql.ParseSelect(v.query)
-	if err != nil {
-		return nil
-	}
-	node, err := plan.PlanOpts(sel, e.catalog(), e.planOptions())
-	if err != nil {
-		return nil
-	}
-	cfg := e.Config()
-	var out []llm.CompletionRequest
-	var walk func(plan.Node)
-	walk = func(n plan.Node) {
-		if n == nil {
-			return
-		}
-		sn, ok := n.(*plan.ScanNode)
-		if !ok {
-			for _, c := range n.Children() {
-				walk(c)
-			}
-			return
-		}
-		sp, ok := e.store.spec(sn.Table, sn.Needed, sn.Filter, sn.Limit, sn.Decision)
-		if !ok {
-			return // row-store scan: no prompts to reconstruct
-		}
-		probes := e.store.roundZeroRequests(&sp)
-		out = append(out, probes[:]...)
-		if !sp.auto && sp.strategy != StrategyKeyThenAttr {
-			return
-		}
-		keys := e.viewKeysFor(v, sp.table.Schema.Col(sp.keyPos).Name)
-		for _, c := range sp.attrCols {
-			prompter := newAttrPrompter(sp.table, c)
-			for vote := 0; vote < cfg.Votes; vote++ {
-				if cfg.BatchSize <= 1 {
-					for _, k := range keys {
-						out = append(out, cfg.request(prompter.prompt(k), voteSeed(vote)))
-					}
-					continue
-				}
-				for g := 0; g*cfg.BatchSize < len(keys); g++ {
-					out = append(out, cfg.request(buildAttrBatchPrompt(sp.table, batchGroup(keys, g, cfg.BatchSize), c), voteSeed(vote)))
-				}
-			}
-		}
-	}
-	walk(node)
-	return out
-}
-
-// viewKeysFor extracts the scanned table's entity keys from the view's
-// materialized rows (matched by column name, deduplicated in row order —
-// the order the defining scan enumerated them in). An empty result means
-// the projection dropped the key column; only enumeration fingerprints can
-// be reconstructed then.
-func (e *Engine) viewKeysFor(v *matView, keyName string) []string {
-	tbl, err := e.viewDB.Table(v.name)
-	if err != nil {
-		return nil
-	}
-	pos := tbl.Schema().IndexOf(keyName)
-	if pos < 0 {
-		return nil
-	}
-	var keys []string
-	seen := map[string]bool{}
-	for _, row := range tbl.All() {
-		k := row[pos].AsText()
-		lower := strings.ToLower(k)
-		if k == "" || seen[lower] {
-			continue
-		}
-		seen[lower] = true
-		keys = append(keys, k)
-	}
-	return keys
-}
-
-// ViewRequests returns the fingerprint manifest of the named view: the
-// completion requests its defining query addresses the prompt cache with
-// under the engine's current configuration (see viewRequests). Tests and
-// staleness drills invalidate subsets of it to force selective re-asks.
-//
-// Known drift, not fixed: the manifest rebuilds keys from the materialized
-// rows, so it misses every key the executor filtered out after the scan
-// attributed it, and regroups the survivors' batched prompts. Key-then-attr,
-// temperature 0, one vote, "SELECT name, capital FROM country WHERE
-// population > 50" on a 50-country world: at BatchSize 1 the manifest lists
-// 7 requests while the refresh consumes 21 calls; at BatchSize 2 an all-warm
-// refresh (0 live calls) reports 4 of 5 fingerprints cold. Every
-// key-then-attr view also lists 2 always-cold probes (LIST, paged page 0).
-// Fixing this changes Table 16's numbers; the per-query prompt record that
-// query tracing builds is the proper source.
+// ViewRequests returns a copy of the named view's fingerprint manifest: the
+// distinct completion requests its last build or refresh completed, ordered
+// by prompt, then seed. Failed calls are absent; speculative prefetches are
+// listed (they warmed the cache), so above temperature 0 a build at
+// Parallelism > 1 may list enumeration rounds a serial one never asked.
+// Tests and staleness drills invalidate subsets of it to force selective
+// re-asks.
 func (e *Engine) ViewRequests(name string) ([]llm.CompletionRequest, error) {
 	e.viewMu.Lock()
+	defer e.viewMu.Unlock()
 	v, ok := e.views[strings.ToLower(name)]
-	e.viewMu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("core: unknown materialized view %q", name)
 	}
-	return e.viewRequests(v), nil
+	return slices.Clone(v.manifest), nil
 }
 
 // InvalidateCachedCompletions drops the requests' entries from the
@@ -576,11 +503,11 @@ func (e *Engine) ViewRequests(name string) ([]llm.CompletionRequest, error) {
 //
 // Known drift, not fixed: memo copies keep the leader's Cached/DiskCached
 // flags (the contract that keeps session billing solo-identical), so a
-// REFRESH whose prompts the memo answers with copies of the build's live
-// calls counts them as live, though none reached the provider. In
-// TestGroupSessionSeesSharedDiskCache's configuration with the default
-// memo, an all-warm REFRESH right after CREATE reports LastLiveCalls 5 and
-// LastLiveTokens 585 where the memo-off run reports 0, and llmsql-serve
+// session's Usage bills a REFRESH whose prompts the memo answers with copies
+// of the build's live calls as live, though none reached the provider (the
+// view's LastLiveCalls does not count them). In the memo case of
+// TestGroupSessionSeesSharedDiskCache, an all-warm REFRESH
+// right after CREATE bills 5 calls and 585 tokens, and llmsql-serve
 // -cache-dir charges the tenant for a refresh that cost nothing.
 func (e *Engine) InvalidateCachedCompletions(reqs ...llm.CompletionRequest) int {
 	disk := e.backend.disk

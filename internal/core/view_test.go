@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -131,8 +132,67 @@ func TestViewRefreshReasksOnlyColdFingerprints(t *testing.T) {
 	if info.Refreshes != 2 || info.LastLiveCalls != invalidated {
 		t.Fatalf("partial refresh info: %+v", info)
 	}
-	if info.LastColdFingerprints < invalidated {
-		t.Fatalf("probe reported %d cold, want >= %d", info.LastColdFingerprints, invalidated)
+	if info.LastColdFingerprints != invalidated {
+		t.Fatalf("probe reported %d cold, want %d", info.LastColdFingerprints, invalidated)
+	}
+}
+
+// TestViewManifestIsWhatTheBuildAsked: a view's manifest is the set of
+// requests its last build or refresh completed, so it lists exactly what a
+// REFRESH consumes, an all-warm refresh probes nothing cold, and the manifest
+// does not depend on Parallelism. The defining query's filter drops keys the
+// scan attributed, which a manifest rebuilt from the materialized rows would
+// miss.
+func TestViewManifestIsWhatTheBuildAsked(t *testing.T) {
+	w := testWorld()
+	const defQ = "SELECT name, capital FROM country WHERE population > 50"
+	for _, tc := range []struct {
+		batch, calls int
+	}{
+		{batch: 1, calls: 21},
+		{batch: 2, calls: 11},
+	} {
+		t.Run(fmt.Sprintf("batch=%d", tc.batch), func(t *testing.T) {
+			var manifests [][]llm.CompletionRequest
+			for _, par := range []int{1, 4} {
+				cfg := DefaultConfig()
+				cfg.Strategy = StrategyKeyThenAttr
+				cfg.Temperature = 0
+				cfg.Votes = 1
+				cfg.BatchSize = tc.batch
+				cfg.Parallelism = par
+				cfg.CacheDir = t.TempDir()
+				e := newTestEngine(t, w, llm.ProfileMedium, cfg)
+				defer e.Close()
+				if err := e.Exec("CREATE MATERIALIZED VIEW v AS " + defQ); err != nil {
+					t.Fatal(err)
+				}
+				reqs, err := e.ViewRequests("v")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(reqs) != tc.calls {
+					t.Fatalf("par=%d: manifest lists %d requests, want %d", par, len(reqs), tc.calls)
+				}
+				before := e.TotalUsage()
+				if err := e.Exec("REFRESH MATERIALIZED VIEW v"); err != nil {
+					t.Fatal(err)
+				}
+				diff := e.TotalUsage().Sub(before)
+				info, _ := e.View("v")
+				if diff.Calls != len(reqs) || diff.CachedCalls != diff.Calls {
+					t.Fatalf("par=%d: all-warm refresh consumed %+v, want %d cached calls", par, diff, len(reqs))
+				}
+				if info.LastWarmFingerprints != len(reqs) || info.LastColdFingerprints != 0 ||
+					info.LastLiveCalls != 0 || info.LastLiveTokens != 0 {
+					t.Fatalf("par=%d: all-warm refresh info: %+v", par, info)
+				}
+				manifests = append(manifests, reqs)
+			}
+			if !reflect.DeepEqual(manifests[0], manifests[1]) {
+				t.Fatalf("manifest differs between Parallelism 1 and 4:\n%v\n%v", manifests[0], manifests[1])
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -21,6 +22,11 @@ const DefaultDiskCacheBytes = 64 << 20
 // compactionFloor is the minimum dead-byte volume before a compaction is
 // worth the rewrite.
 const compactionFloor = 1 << 20
+
+// maxRecordBytes bounds one on-disk record, its newline included. put does
+// not persist a longer record and load skips a longer line, so the two sides
+// agree on what a segment can hold.
+const maxRecordBytes = 1 << 20
 
 // DiskCache is a persistent content-addressed prompt cache that layers in
 // front of any Backend: completions are keyed by Fingerprint (model id +
@@ -150,7 +156,9 @@ func (c *DiskCache) segments() ([]string, error) {
 // records override earlier ones (the overridden record becomes dead bytes),
 // and read order doubles as recency: the last-written record is the most
 // recently used. Records of a different fingerprint version are dead on
-// arrival. A torn final line (crash mid-append) is skipped.
+// arrival. A torn final line (crash mid-append), a line that is not a record
+// and a line over maxRecordBytes are skipped as dead bytes: a segment's
+// content never fails the open, only an I/O error does.
 func (c *DiskCache) load(version int) error {
 	segs, err := c.segments()
 	if err != nil {
@@ -161,36 +169,9 @@ func (c *DiskCache) load(version int) error {
 		if err != nil {
 			return fmt.Errorf("llm: disk cache: %w", err)
 		}
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 1<<20), 1<<20)
-		for sc.Scan() {
-			line := sc.Bytes()
-			size := int64(len(line) + 1) // the trailing newline
-			var rec diskRecord
-			if err := json.Unmarshal(line, &rec); err != nil || rec.FP == "" {
-				c.deadBytes += size
-				continue // torn or foreign line
-			}
-			if rec.Version != version {
-				c.deadBytes += size
-				continue // format change invalidates persisted entries
-			}
-			if rec.Deleted {
-				// Tombstone: the fingerprint's earlier record (if still live)
-				// and the tombstone itself are both dead bytes now.
-				c.removeLocked(rec.FP)
-				c.deadBytes += size
-				continue
-			}
-			c.insertLocked(rec.FP, CompletionResponse{
-				Text:             rec.Text,
-				PromptTokens:     rec.Prompt,
-				CompletionTokens: rec.Compl,
-				Truncated:        rec.Truncated,
-			}, size)
-		}
+		err = c.loadSegment(bufio.NewReaderSize(f, maxRecordBytes), version)
 		f.Close()
-		if err := sc.Err(); err != nil {
+		if err != nil {
 			return fmt.Errorf("llm: disk cache %s: %w", path, err)
 		}
 		if i := segIndexOf(path); i >= c.segIndex {
@@ -198,6 +179,44 @@ func (c *DiskCache) load(version int) error {
 		}
 	}
 	return nil
+}
+
+// loadSegment replays one segment's lines into the index (see load).
+func (c *DiskCache) loadSegment(r *bufio.Reader, version int) error {
+	for {
+		line, err := r.ReadSlice('\n')
+		size := int64(len(line))
+		for err == bufio.ErrBufferFull { // over maxRecordBytes: dead to its end
+			line, err = r.ReadSlice('\n')
+			size += int64(len(line))
+			line = nil
+		}
+		if err != nil && err != io.EOF {
+			return err
+		}
+		var rec diskRecord
+		switch {
+		case size == 0:
+		case json.Unmarshal(line, &rec) != nil || rec.FP == "" || rec.Version != version:
+			// Torn, foreign or over-long, or of another format version.
+			c.deadBytes += size
+		case rec.Deleted:
+			// Tombstone: the fingerprint's earlier record (if still live)
+			// and the tombstone itself are both dead bytes now.
+			c.removeLocked(rec.FP)
+			c.deadBytes += size
+		default:
+			c.insertLocked(rec.FP, CompletionResponse{
+				Text:             rec.Text,
+				PromptTokens:     rec.Prompt,
+				CompletionTokens: rec.Compl,
+				Truncated:        rec.Truncated,
+			}, size)
+		}
+		if err == io.EOF {
+			return nil
+		}
+	}
 }
 
 func segIndexOf(path string) int {
@@ -310,6 +329,10 @@ func (c *DiskCache) put(fp string, resp CompletionResponse) {
 	data = append(data, '\n')
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if len(data) > maxRecordBytes {
+		c.stats.WriteErrors++ // load could not read it back
+		return
+	}
 	if _, err := c.seg.Write(data); err != nil {
 		c.stats.WriteErrors++
 		return

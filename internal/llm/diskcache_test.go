@@ -2,8 +2,10 @@ package llm
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -336,4 +338,99 @@ func TestDiskCacheCrashRecovery(t *testing.T) {
 	if r, err := c2.Complete(CompletionRequest{Prompt: "epsilon"}); err != nil || !r.DiskCached {
 		t.Fatalf("post-recovery write path broken: %+v %v", r, err)
 	}
+}
+
+// TestDiskCacheOversizeRecord: a completion whose record would exceed
+// maxRecordBytes is still returned but not persisted (counted in
+// WriteErrors), so the directory always reopens.
+func TestDiskCacheOversizeRecord(t *testing.T) {
+	dir := t.TempDir()
+	big := &bigModel{size: 2 << 20}
+	c := mustDiskCache(t, big, dir, 0)
+	req := CompletionRequest{Prompt: "huge"}
+	r, err := c.Complete(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Text) != big.size {
+		t.Fatalf("oversize completion came back with %d bytes, want %d", len(r.Text), big.size)
+	}
+	if s := c.Stats(); s.WriteErrors != 1 || s.Entries != 0 {
+		t.Fatalf("oversize record: %+v, want 1 write error and no entry", s)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c2 := mustDiskCache(t, big, dir, 0)
+	if c2.Contains(req) {
+		t.Fatal("oversize record reloaded")
+	}
+}
+
+// TestDiskCacheLoadSkipsOverlongLine: a segment line over maxRecordBytes —
+// written by an older build, or by anything else — is dead bytes, and the
+// records after it load normally.
+func TestDiskCacheLoadSkipsOverlongLine(t *testing.T) {
+	dir := t.TempDir()
+	req := CompletionRequest{Prompt: "after the long line"}
+	rec, err := json.Marshal(diskRecord{FP: Fingerprint("echo", req), Version: FingerprintVersion, Text: "kept", Prompt: 3, Compl: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := append(bytes.Repeat([]byte("x"), 3*maxRecordBytes/2), '\n')
+	seg := append(long, append(rec, '\n')...)
+	if err := os.WriteFile(filepath.Join(dir, "seg-000000.jsonl"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	inner := &echoModel{}
+	c := mustDiskCache(t, inner, dir, 0)
+	r, err := c.Complete(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.DiskCached || r.Text != "kept" || inner.calls != 0 {
+		t.Fatalf("record after the over-long line not live: %+v (%d inner calls)", r, inner.calls)
+	}
+	if s := c.Stats(); s.DeadBytes != int64(len(long)) || s.Entries != 1 {
+		t.Fatalf("stats: %+v, want %d dead bytes and 1 entry", s, len(long))
+	}
+}
+
+// FuzzDiskCacheLoad: no segment content fails the open or panics, and two
+// opens of the same bytes report identical Stats.
+func FuzzDiskCacheLoad(f *testing.F) {
+	req := CompletionRequest{Prompt: "alpha"}
+	fp := Fingerprint("echo", req)
+	record := func(r diskRecord) []byte {
+		b, err := json.Marshal(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return append(b, '\n')
+	}
+	valid := record(diskRecord{FP: fp, Version: FingerprintVersion, Text: "a", Prompt: 1, Compl: 1})
+	f.Add(valid)
+	f.Add(append(append([]byte{}, valid...), record(diskRecord{FP: fp, Version: FingerprintVersion, Deleted: true})...))
+	f.Add(append(append([]byte{}, valid...), valid[:len(valid)/2]...))
+	f.Add(record(diskRecord{FP: fp, Version: FingerprintVersion + 1, Text: "a"}))
+	f.Fuzz(func(t *testing.T, seg []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "seg-000000.jsonl"), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		open := func() DiskCacheStats {
+			c, err := NewDiskCache(nopBackend{}, dir, 0)
+			if err != nil {
+				t.Fatalf("open failed on segment bytes: %v", err)
+			}
+			s := c.Stats()
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		if first, second := open(), open(); first != second {
+			t.Fatalf("two opens of the same segment disagree:\n%+v\n%+v", first, second)
+		}
+	})
 }
