@@ -161,6 +161,8 @@ fuzz:
 	$(GO) test ./internal/sql -run '^$$' -fuzz '^FuzzParseParams$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/llm -run '^$$' -fuzz '^FuzzFingerprintMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/llm -run '^$$' -fuzz '^FuzzDiskCacheLoad$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/llm -run '^$$' -fuzz '^FuzzLoadTrace$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/llm -run '^$$' -fuzz '^FuzzCountTokens$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzParseCompletion$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzWireResponse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME)

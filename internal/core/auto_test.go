@@ -246,3 +246,20 @@ func renderRowsTest(res *QueryResult) string {
 	}
 	return b.String()
 }
+
+// TestScanDecisionAllocs guards pricing an unfiltered scan: the prompt
+// boilerplate was counted at Register, so deciding renders no prompt (56
+// allocations per call when it did) — what is left is the scan's column
+// lists and the decision's candidates.
+func TestScanDecisionAllocs(t *testing.T) {
+	const maxAllocs = 7
+	e, _ := autoTestEngine(t, nil)
+	n := testing.AllocsPerRun(100, func() {
+		if _, ok := e.store.ScanDecision("country", nil, nil, 0); !ok {
+			t.Fatal("country is not registered")
+		}
+	})
+	if n > maxAllocs {
+		t.Fatalf("ScanDecision: %v allocs per call, want at most %d", n, maxAllocs)
+	}
+}

@@ -11,10 +11,10 @@ import (
 
 // This file bridges the engine to the planner's scan-cost estimator
 // (internal/plan/cost.go): it measures prompt token counts on the real
-// prompt templates, estimates completion token widths from column types,
-// supplies a per-table cardinality estimate (registration metadata refined
-// by prior-scan statistics), and maps the resulting decision back onto
-// core.Strategy.
+// prompt templates once per registered table, estimates completion token
+// widths from column types, supplies a per-table cardinality estimate
+// (registration metadata refined by prior-scan statistics), and maps the
+// resulting decision back onto core.Strategy.
 
 // defaultCardinality is the rows estimate for tables registered without
 // metadata and never scanned: one page of unknown.
@@ -31,6 +31,54 @@ func estValueTokens(t rel.DataType) int {
 	default: // TEXT: a short name or phrase
 		return 4
 	}
+}
+
+// promptTokens is a table's prompt boilerplate in tokens, measured on the
+// real templates once, when the table is registered, so pricing a scan
+// renders no prompt. The tokenizer starts afresh at every whitespace rune
+// and whitespace surrounds each column segment of the LIST prompt's COLUMNS
+// line, so the LIST count over any column set is exactly listBase, plus
+// each segment's own count, plus one token per " | " separator
+// (TestPromptTokensAdditive pins all three counts to the rendered
+// templates).
+type promptTokens struct {
+	keys     int   // the unfiltered KEYS prompt
+	attr     []int // per column, its ATTR prompt with the table name standing in for a key
+	listBase int   // the unfiltered LIST prompt over no columns
+	listCol  []int // per column, its COLUMNS-line segment (writeListColumn)
+}
+
+// measurePrompts renders t's unfiltered templates and counts their tokens.
+// The ATTR prompts are measured with the table name standing in for an
+// entity key — keys and table names have comparable token widths.
+func measurePrompts(t *VirtualTable) promptTokens {
+	n := t.Schema.Len()
+	p := promptTokens{
+		keys:     llm.CountTokens(buildKeysPrompt(t, nil, nil, 0)),
+		attr:     make([]int, n),
+		listBase: llm.CountTokens(buildListPrompt(t, nil, nil, nil, 0)),
+		listCol:  make([]int, n),
+	}
+	var seg strings.Builder
+	for c := 0; c < n; c++ {
+		p.attr[c] = llm.CountTokens(buildAttrPrompt(t, t.Name, c))
+		seg.Reset()
+		writeListColumn(&seg, t.Schema.Col(c))
+		p.listCol[c] = llm.CountTokens(seg.String())
+	}
+	return p
+}
+
+// list returns the tokens of the unfiltered LIST prompt over cols.
+func (p *promptTokens) list(cols []int) int {
+	n := p.listBase
+	for i, c := range cols {
+		if i > 0 {
+			n++ // the "|" of " | "
+		}
+		n += p.listCol[c]
+	}
+	return n
 }
 
 // estRowTokens estimates completion tokens for one full row over cols
@@ -122,9 +170,6 @@ func (s *LLMStore) warmHitRate(sp *scanSpec) float64 {
 func (s *LLMStore) scanCostModel(sp *scanSpec) plan.ScanCostModel {
 	cfg := s.cfg
 	t := sp.table
-	// Measure prompt boilerplate on the real templates. The ATTR prompt is
-	// measured with the table name standing in for an entity key — keys
-	// and table names have comparable token widths.
 	attrCol := sp.keyPos
 	if len(sp.attrCols) > 0 {
 		attrCol = sp.attrCols[0]
@@ -143,9 +188,9 @@ func (s *LLMStore) scanCostModel(sp *scanSpec) plan.ScanCostModel {
 		Cost:             s.costModel,
 		Rows:             estRows,
 		AttrCols:         len(sp.attrCols),
-		ListPromptTokens: llm.CountTokens(buildListPrompt(t, sp.cols, nil, nil, 0)),
-		KeysPromptTokens: llm.CountTokens(buildKeysPrompt(t, nil, nil, 0)),
-		AttrPromptTokens: llm.CountTokens(buildAttrPrompt(t, t.Name, attrCol)),
+		ListPromptTokens: t.prompts.list(sp.cols),
+		KeysPromptTokens: t.prompts.keys,
+		AttrPromptTokens: t.prompts.attr[attrCol],
 		RowTokens:        estRowTokens(t.Schema, sp.cols),
 		KeyTokens:        estValueTokens(t.Schema.Col(sp.keyPos).Type),
 		AttrTokens:       estValueTokens(t.Schema.Col(attrCol).Type) + 4, // answers arrive wrapped in short sentences

@@ -110,6 +110,7 @@ func (sc *llmScan) runRounds(cols []int, promptVaries bool, issue func(seed int6
 		p := parse(resp.Text)
 		if seen.ids == nil {
 			seen.ids = make(map[string]int32, len(p.rows))
+			rows, keys = make([]rel.Row, 0, len(p.rows)), make([]string, 0, len(p.rows))
 		}
 		newThisRound := 0
 		for i, row := range p.rows {

@@ -23,6 +23,10 @@ type VirtualTable struct {
 	// estimate for this table (RegisterWorldDomain fills it from the
 	// domain size). Prior-scan statistics refine it; zero means unknown.
 	EstRows int
+
+	// prompts is the prompt boilerplate's token counts, measured by
+	// LLMStore.Register.
+	prompts promptTokens
 }
 
 const promptHeader = "You are a precise data assistant. Answer strictly from your world knowledge."
@@ -38,12 +42,7 @@ func buildListPrompt(t *VirtualTable, cols []int, filter sql.Expr, exclude []str
 		if i > 0 {
 			b.WriteString(" | ")
 		}
-		col := t.Schema.Col(c)
-		b.WriteString(col.Name)
-		if col.Desc != "" {
-			b.WriteString(" -- ")
-			b.WriteString(col.Desc)
-		}
+		writeListColumn(&b, t.Schema.Col(c))
 	}
 	b.WriteByte('\n')
 	writeFilterLines(&b, filter)
@@ -53,6 +52,17 @@ func buildListPrompt(t *VirtualTable, cols []int, filter sql.Expr, exclude []str
 	}
 	b.WriteString("Respond with one row per line, fields separated by ' | ', in the column order given. Output data only, no commentary.")
 	return b.String()
+}
+
+// writeListColumn writes one column's segment of the LIST prompt's COLUMNS
+// line. Whitespace surrounds every segment, so its tokens are its own
+// (promptTokens.list relies on this).
+func writeListColumn(b *strings.Builder, col rel.Column) {
+	b.WriteString(col.Name)
+	if col.Desc != "" {
+		b.WriteString(" -- ")
+		b.WriteString(col.Desc)
+	}
 }
 
 // buildKeysPrompt asks only for entity keys.

@@ -160,3 +160,56 @@ func TestNeededColumns(t *testing.T) {
 		t.Fatalf("masked: %v %v", cols, attrCols)
 	}
 }
+
+// TestPromptTokensAdditive: the token counts Register measures price every
+// column set exactly as the rendered templates would — the LIST count over
+// each column subset of the world's tables and of a table of awkward names,
+// the KEYS count and each column's ATTR count.
+func TestPromptTokensAdditive(t *testing.T) {
+	s := NewLLMStore(&scriptModel{}, DefaultConfig())
+	w := parWorld()
+	var names []string
+	for _, name := range w.DomainNames() {
+		d := w.Domain(name)
+		s.Register(VirtualTable{Name: d.Name, Description: d.Description, Schema: d.Schema})
+		names = append(names, d.Name)
+	}
+	s.Register(VirtualTable{
+		Name:        "Städte",
+		Description: "a city with 100k+ inhabitants",
+		Schema: rel.NewSchema(
+			rel.Column{Name: "name", Type: rel.TypeText, Key: true, Desc: "the city's name"},
+			rel.Column{Name: "count", Type: rel.TypeInt},
+			rel.Column{Name: "größe", Type: rel.TypeFloat, Desc: "area in km² (2024)"},
+			rel.Column{Name: "pop_2020", Type: rel.TypeInt, Desc: "population—2020 census, in 1000s"},
+			rel.Column{Name: "abcde", Type: rel.TypeText, Desc: "1234 56789 x"},
+		),
+	})
+	names = append(names, "städte")
+	subsets := 0
+	for _, name := range names {
+		vt := s.tables[name]
+		n := vt.Schema.Len()
+		if got, want := vt.prompts.keys, llm.CountTokens(buildKeysPrompt(vt, nil, nil, 0)); got != want {
+			t.Errorf("%s KEYS: %d tokens, the template has %d", name, got, want)
+		}
+		for c := 0; c < n; c++ {
+			if got, want := vt.prompts.attr[c], llm.CountTokens(buildAttrPrompt(vt, vt.Name, c)); got != want {
+				t.Errorf("%s ATTR %s: %d tokens, the template has %d", name, vt.Schema.Col(c).Name, got, want)
+			}
+		}
+		for mask := 1; mask < 1<<n; mask++ {
+			var cols []int
+			for c := 0; c < n; c++ {
+				if mask&(1<<c) != 0 {
+					cols = append(cols, c)
+				}
+			}
+			if got, want := vt.prompts.list(cols), llm.CountTokens(buildListPrompt(vt, cols, nil, nil, 0)); got != want {
+				t.Errorf("%s LIST %v: %d tokens, the template has %d", name, cols, got, want)
+			}
+			subsets++
+		}
+	}
+	t.Logf("%d column subsets over %d tables", subsets, len(names))
+}

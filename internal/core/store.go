@@ -167,6 +167,7 @@ func (s *LLMStore) SetCostModel(c llm.CostModel) {
 // Register declares a virtual table.
 func (s *LLMStore) Register(t VirtualTable) {
 	t.Name = strings.ToLower(t.Name)
+	t.prompts = measurePrompts(&t)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tables[t.Name] = &t

@@ -10,7 +10,10 @@
 // same Complete() code path a real API would exercise, at controllable rates.
 package llm
 
-import "strings"
+import (
+	"strings"
+	"unicode/utf8"
+)
 
 // tokenSpan is one token's byte range within the source text.
 type tokenSpan struct{ start, end int }
@@ -33,7 +36,7 @@ func tokenSpans(text string) []tokenSpan {
 	}
 	for i, r := range text {
 		switch {
-		case r == ' ' || r == '\t' || r == '\n' || r == '\r':
+		case isSpace(r):
 			flush(i)
 		case isWordRune(r):
 			if wordStart < 0 {
@@ -48,31 +51,23 @@ func tokenSpans(text string) []tokenSpan {
 			wordRunes++
 		default:
 			flush(i)
-			spans = append(spans, tokenSpan{i, i + runeLen(r)})
+			// A byte of invalid UTF-8 decodes as utf8.RuneError but spans
+			// one byte, not RuneError's three.
+			_, size := utf8.DecodeRuneInString(text[i:])
+			spans = append(spans, tokenSpan{i, i + size})
 		}
 	}
 	flush(len(text))
 	return spans
 }
 
+func isSpace(r rune) bool { return r == ' ' || r == '\t' || r == '\n' || r == '\r' }
+
 func isWordRune(r rune) bool {
 	return r == '_' ||
 		('a' <= r && r <= 'z') ||
 		('A' <= r && r <= 'Z') ||
 		('0' <= r && r <= '9')
-}
-
-func runeLen(r rune) int {
-	switch {
-	case r < 0x80:
-		return 1
-	case r < 0x800:
-		return 2
-	case r < 0x10000:
-		return 3
-	default:
-		return 4
-	}
 }
 
 // Tokenize splits text into subword tokens (see tokenSpans for the rules).
@@ -85,8 +80,27 @@ func Tokenize(text string) []string {
 	return out
 }
 
-// CountTokens returns the number of tokens in text.
-func CountTokens(text string) int { return len(tokenSpans(text)) }
+// CountTokens returns the number of tokens in text: len(Tokenize(text)),
+// counted in one pass without materialising the spans.
+func CountTokens(text string) int {
+	n := 0
+	wordRunes := 0 // runes into the current subword chunk, modulo 4
+	for _, r := range text {
+		switch {
+		case isSpace(r):
+			wordRunes = 0
+		case isWordRune(r):
+			if wordRunes == 0 {
+				n++
+			}
+			wordRunes = (wordRunes + 1) % 4
+		default:
+			wordRunes = 0
+			n++
+		}
+	}
+	return n
+}
 
 // TruncateTokens returns the prefix of text containing at most maxTokens
 // tokens, cutting mid-text exactly where the budget runs out (as a hosted

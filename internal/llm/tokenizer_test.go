@@ -89,3 +89,16 @@ func TestCountTokensEmpty(t *testing.T) {
 		t.Fatal("whitespace must count zero tokens")
 	}
 }
+
+// FuzzCountTokens: the one-pass count agrees with the tokenizer on every
+// input, invalid UTF-8 included.
+func FuzzCountTokens(f *testing.F) {
+	for _, s := range []string{"", "The cat sat.", "supersymmetrization", "a|b || c", "abcd efghi", "größe 2024—est.\t\r\n", "\xff\xfeab"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := CountTokens(s), len(Tokenize(s)); got != want {
+			t.Fatalf("CountTokens(%q) = %d, Tokenize has %d tokens", s, got, want)
+		}
+	})
+}

@@ -52,13 +52,22 @@ func LoadTrace(path string) (*Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("llm: trace: %w", err)
 	}
-	var f traceFile
-	if err := json.Unmarshal(data, &f); err != nil {
+	t, err := decodeTrace(data)
+	if err != nil {
 		return nil, fmt.Errorf("llm: trace %s: %w", path, err)
 	}
+	return t, nil
+}
+
+// decodeTrace parses a fixture's bytes, rejecting any version but
+// FingerprintVersion.
+func decodeTrace(data []byte) (*Trace, error) {
+	var f traceFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		return nil, err
+	}
 	if f.Version != FingerprintVersion {
-		return nil, fmt.Errorf("llm: trace %s: fingerprint version %d, want %d — re-record the fixture",
-			path, f.Version, FingerprintVersion)
+		return nil, fmt.Errorf("fingerprint version %d, want %d — re-record the fixture", f.Version, FingerprintVersion)
 	}
 	t := NewTrace()
 	for fp, e := range f.Entries {

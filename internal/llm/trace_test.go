@@ -1,6 +1,9 @@
 package llm
 
 import (
+	"encoding/json"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -98,4 +101,38 @@ func TestLoadTraceRejectsVersionMismatch(t *testing.T) {
 	if _, err := LoadTrace(path); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("version mismatch must fail: %v", err)
 	}
+}
+
+// FuzzLoadTrace: no fixture bytes panic the decoder, a fixture of another
+// fingerprint version is refused, and whatever is accepted round-trips
+// through Save and LoadTrace with the same entries.
+func FuzzLoadTrace(f *testing.F) {
+	fp := Fingerprint("echo", CompletionRequest{Prompt: "alpha"})
+	f.Add([]byte(fmt.Sprintf(`{"version":%d,"entries":{%q:{"model":"echo","text":"a | b","pt":3,"ct":2,"tr":true}}}`, FingerprintVersion, fp)))
+	f.Add([]byte(fmt.Sprintf(`{"version":%d,"entries":{}}`, FingerprintVersion)))
+	f.Add([]byte(fmt.Sprintf(`{"version":%d,"entries":null}`, FingerprintVersion)))
+	f.Add([]byte(fmt.Sprintf(`{"version":%d,"entries":{}}`, FingerprintVersion+1)))
+	f.Add([]byte(`{"version":0}`))
+	f.Add([]byte(`{"version":`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := decodeTrace(data)
+		if err != nil {
+			return
+		}
+		var v struct{ Version int }
+		if err := json.Unmarshal(data, &v); err != nil || v.Version != FingerprintVersion {
+			t.Fatalf("accepted a fixture of version %d (%v), want %d", v.Version, err, FingerprintVersion)
+		}
+		path := filepath.Join(t.TempDir(), "trace.json")
+		if err := tr.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadTrace(path)
+		if err != nil {
+			t.Fatalf("reloading a saved trace: %v", err)
+		}
+		if !maps.Equal(tr.entries, back.entries) {
+			t.Fatalf("round trip changed the entries:\n%v\n%v", tr.entries, back.entries)
+		}
+	})
 }
