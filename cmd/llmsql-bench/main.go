@@ -2,9 +2,10 @@
 // figure of the reconstructed evaluation, through the Table 11 limit-sweep
 // of the streaming scan — and prints the reports in paper order. The
 // output of a full-scale run is recorded in EXPERIMENTS.md, and -json
-// emits a machine-readable run (BENCH_baseline.json is one, checked in so
-// future changes have a perf trajectory to compare against; cmd/benchdiff
-// -require keeps the efficiency series in the gate).
+// emits a machine-readable run. Every figure in it is on the virtual clock
+// (calls, tokens, dollars, simulated latency), so the output depends only on
+// the code and the flags: BENCH_baseline.json is a checked-in -json run, and
+// `make bench-check` fails on any byte of difference from it.
 //
 // Usage:
 //

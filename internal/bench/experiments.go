@@ -90,7 +90,7 @@ func Table3QueryClasses(o Options) (Report, error) {
 		}
 		a.n++
 		if cq.scalar {
-			truth, _, err := baseline(db, cq.query)
+			truth, err := baseline(db, cq.query)
 			if err != nil {
 				return Report{}, err
 			}
@@ -202,9 +202,9 @@ func Table6VsBaseline(o Options) (Report, error) {
 	}
 	e := o.newEngine(w, llm.ProfileMedium, core.DefaultConfig(), o.Seed+5)
 
-	t := NewTable("class", "query", "F1/err", "LLM tokens", "LLM sim latency", "store latency")
+	t := NewTable("class", "query", "F1/err", "LLM tokens", "LLM sim latency")
 	for _, cq := range queryClassSuite()[:8] {
-		truth, storeLat, err := baseline(db, cq.query)
+		truth, err := baseline(db, cq.query)
 		if err != nil {
 			return Report{}, err
 		}
@@ -224,7 +224,7 @@ func Table6VsBaseline(o Options) (Report, error) {
 			q = q[:45] + "..."
 		}
 		t.AddRow(cq.class, q, quality, d(got.Usage.TotalTokens()),
-			got.Usage.SimLatency.Round(1e6).String(), storeLat.String())
+			got.Usage.SimLatency.Round(1e6).String())
 	}
 	return Report{
 		ID:    "Table 6",
@@ -306,7 +306,7 @@ func Table8Confidence(o Options) (Report, error) {
 	}
 
 	query := "SELECT name, capital FROM country"
-	truth, _, err := baseline(db, query)
+	truth, err := baseline(db, query)
 	if err != nil {
 		return Report{}, err
 	}

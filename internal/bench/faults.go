@@ -44,7 +44,7 @@ func Table15FaultSweep(o Options) (Report, error) {
 		{"10% malformed", llm.ChaosProfile{Seed: seed, MalformedRate: 0.10}, llm.RetryPolicy{}},
 		{"60% errors (overwhelmed)", llm.ChaosProfile{Seed: seed, TransientRate: 0.60}, llm.RetryPolicy{}},
 		// No comma in the variant name: it is the CSV row label, and
-		// benchdiff splits rows on commas.
+		// CSV() joins fields on commas without quoting.
 		{"30% spikes (hedged)", llm.ChaosProfile{Seed: seed, SpikeRate: 0.30, SpikeLatency: 2e9},
 			llm.RetryPolicy{HedgeAfter: 1e9}},
 	}

@@ -162,10 +162,9 @@ func Figure6Popularity(o Options) (Report, error) {
 	}, nil
 }
 
-// Figure7Crossover studies cost scaling: (a) token/latency cost of an LLM
-// scan vs base-table size compared with the row store's wall clock, and
-// (b) the effect of predicate selectivity with and without prompt
-// pushdown.
+// Figure7Crossover studies cost scaling: (a) token/latency cost and recall
+// of an LLM scan vs base-table size, and (b) the effect of predicate
+// selectivity with and without prompt pushdown.
 func Figure7Crossover(o Options) (Report, error) {
 	o = o.normalize()
 
@@ -173,7 +172,7 @@ func Figure7Crossover(o Options) (Report, error) {
 	if o.Scale < 0.5 {
 		sizes = []int{10, 25, 50}
 	}
-	sizeTable := NewTable("table size", "LLM tokens", "LLM sim latency", "store latency", "LLM recall")
+	sizeTable := NewTable("table size", "LLM tokens", "LLM sim latency", "LLM recall")
 	for _, n := range sizes {
 		w := world.Generate(world.Config{Seed: o.Seed, Countries: n, Movies: 10, Laureates: 10, Companies: 10})
 		db, err := world.LoadDB(w)
@@ -182,7 +181,7 @@ func Figure7Crossover(o Options) (Report, error) {
 		}
 		e := o.newEngine(w, llm.ProfileMedium, core.DefaultConfig(), o.Seed+10)
 		query := "SELECT name, population FROM country"
-		truth, storeLat, err := baseline(db, query)
+		truth, err := baseline(db, query)
 		if err != nil {
 			return Report{}, err
 		}
@@ -192,7 +191,7 @@ func Figure7Crossover(o Options) (Report, error) {
 		}
 		m := metrics.Compare(got.Result.Rows, truth.Rows, metrics.Options{NumTolerance: attrTolerance})
 		sizeTable.AddRow(d(n), d(got.Usage.TotalTokens()),
-			got.Usage.SimLatency.Round(1e6).String(), storeLat.String(), f3(m.Recall()))
+			got.Usage.SimLatency.Round(1e6).String(), f3(m.Recall()))
 	}
 
 	// Selectivity sweep: thresholds at population quantiles.
@@ -289,11 +288,7 @@ var experiments = []struct {
 	{"Figure 6", Figure6Popularity},
 	{"Figure 7", Figure7Crossover},
 	{"Figure 8", Figure8CacheWarmup},
-	{"Frontend", FrontendAllocs},
 }
-
-// RunAll executes every experiment and returns the reports in paper order.
-func RunAll(o Options) ([]Report, error) { return RunOnly(o, "") }
 
 // RunOnly executes the experiments whose ID contains any of the
 // comma-separated, case-insensitive substrings in filter (empty = all), in

@@ -20,7 +20,7 @@ func TestTable13WarmCache(t *testing.T) {
 		t.Fatalf("warm-hit estimate missing:\n%s", r.Body)
 	}
 	if r.CSV == "" {
-		t.Fatal("Table 13 must emit CSV (benchdiff gates it)")
+		t.Fatal("Table 13 must emit CSV")
 	}
 	// Warm runs — same engine and fresh engine alike — must cost zero live
 	// calls and zero tokens.

@@ -136,7 +136,7 @@ func TestBindJoinHybridNullAndDuplicateKeys(t *testing.T) {
 			{rel.Int(4), rel.Null()},           // NULL join key
 			{rel.Int(5), rel.Text("Atlantis")}, // never enumerated
 		}
-		if err := tbl.InsertAll(rows); err != nil {
+		if err := tbl.InsertBatch(rows); err != nil {
 			t.Fatal(err)
 		}
 		return db

@@ -261,7 +261,9 @@ func (e *Engine) Exec(statement string) error {
 }
 
 // insertRows evaluates the literal rows of an INSERT and stores them,
-// honouring an optional column list (missing columns become NULL).
+// honouring an optional column list (missing columns become NULL). The
+// statement is all-or-nothing: every row is evaluated first and the batch
+// is stored with one InsertBatch, so a bad row leaves the table unchanged.
 func insertRows(tbl *storage.Table, st *sql.InsertStmt) error {
 	schema := tbl.Schema()
 	// Map insert position -> schema position.
@@ -279,6 +281,7 @@ func insertRows(tbl *storage.Table, st *sql.InsertStmt) error {
 			target = append(target, idx)
 		}
 	}
+	rows := make([]rel.Row, len(st.Rows))
 	for rowIdx, exprs := range st.Rows {
 		if len(exprs) != len(target) {
 			return fmt.Errorf("core: row %d has %d values, want %d", rowIdx+1, len(exprs), len(target))
@@ -298,9 +301,10 @@ func insertRows(tbl *storage.Table, st *sql.InsertStmt) error {
 			}
 			row[target[i]] = v
 		}
-		if err := tbl.Insert(row); err != nil {
-			return fmt.Errorf("core: row %d: %w", rowIdx+1, err)
-		}
+		rows[rowIdx] = row
+	}
+	if err := tbl.InsertBatch(rows); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }

@@ -465,6 +465,42 @@ func TestEngineExecErrors(t *testing.T) {
 	}
 }
 
+// TestEngineInsertAllOrNothing: a multi-row INSERT whose later row is bad
+// (uncoercible value or wrong arity) stores no row at all; a valid
+// multi-row INSERT stores every row.
+func TestEngineInsertAllOrNothing(t *testing.T) {
+	w := testWorld()
+	e := newTestEngine(t, w, llm.ProfileLarge, DefaultConfig())
+	if err := e.Exec("CREATE TABLE t (a INT, b TEXT)"); err != nil {
+		t.Fatal(err)
+	}
+	count := func() int64 {
+		t.Helper()
+		res, err := e.Query("SELECT COUNT(*) FROM t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Result.Rows[0][0].AsInt()
+	}
+	for _, bad := range []string{
+		"INSERT INTO t VALUES (1, 'a'), ('x', 'b')",
+		"INSERT INTO t VALUES (1, 'a'), (2)",
+	} {
+		if err := e.Exec(bad); err == nil {
+			t.Fatalf("%s: want an error", bad)
+		}
+		if n := count(); n != 0 {
+			t.Fatalf("%s: failed INSERT left %d rows, want 0", bad, n)
+		}
+	}
+	if err := e.Exec("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c')"); err != nil {
+		t.Fatal(err)
+	}
+	if n := count(); n != 3 {
+		t.Fatalf("valid INSERT stored %d rows, want 3", n)
+	}
+}
+
 // TestEngineQueryAnalyze: the EXPLAIN ANALYZE statement executes the query
 // and returns only the plan, annotated with each operator's observed rows.
 func TestEngineQueryAnalyze(t *testing.T) {

@@ -33,7 +33,7 @@ func testDB(t *testing.T) *storage.DB {
 		{rel.Text("Brazil"), rel.Text("Brasilia"), rel.Text("South America"), rel.Int(214)},
 		{rel.Text("Mystery"), rel.Null(), rel.Text("Atlantis"), rel.Null()},
 	}
-	if err := country.InsertAll(rows); err != nil {
+	if err := country.InsertBatch(rows); err != nil {
 		t.Fatal(err)
 	}
 
@@ -54,7 +54,7 @@ func testDB(t *testing.T) *storage.DB {
 		{rel.Text("Metropolis"), rel.Text("Lang"), rel.Int(1927), rel.Text("Germany")},
 		{rel.Text("Orphan Film"), rel.Text("Unknown"), rel.Int(1990), rel.Null()},
 	}
-	if err := movie.InsertAll(mrows); err != nil {
+	if err := movie.InsertBatch(mrows); err != nil {
 		t.Fatal(err)
 	}
 	return db

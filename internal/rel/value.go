@@ -2,7 +2,6 @@ package rel
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -278,48 +277,6 @@ func (v Value) IdenticalTo(o Value) bool {
 	}
 	c, t := Compare(v, o)
 	return t == True && c == 0
-}
-
-// Hash returns a hash consistent with IdenticalTo: identical values hash
-// equally (numeric 2 and 2.0 collide on purpose).
-func (v Value) Hash() uint64 {
-	h := fnv.New64a()
-	if v.IsNull() {
-		h.Write([]byte{0})
-		return h.Sum64()
-	}
-	switch v.typ {
-	case TypeInt, TypeFloat:
-		f := v.AsFloat()
-		if f == math.Trunc(f) && !math.IsInf(f, 0) {
-			// Canonicalise integral floats so 2 and 2.0 hash alike.
-			var buf [9]byte
-			buf[0] = 1
-			u := uint64(int64(f))
-			for i := 0; i < 8; i++ {
-				buf[1+i] = byte(u >> (8 * i))
-			}
-			h.Write(buf[:])
-		} else {
-			var buf [9]byte
-			buf[0] = 2
-			u := math.Float64bits(f)
-			for i := 0; i < 8; i++ {
-				buf[1+i] = byte(u >> (8 * i))
-			}
-			h.Write(buf[:])
-		}
-	case TypeText:
-		h.Write([]byte{3})
-		h.Write([]byte(v.s))
-	case TypeBool:
-		if v.b {
-			h.Write([]byte{4, 1})
-		} else {
-			h.Write([]byte{4, 0})
-		}
-	}
-	return h.Sum64()
 }
 
 // Coerce converts v to type t when a sensible conversion exists, otherwise

@@ -2,10 +2,7 @@ package storage
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
-
-	"llmsql/internal/rel"
 )
 
 // ExportCSV writes the table (header + rows) to w in CSV form. NULL values
@@ -33,53 +30,4 @@ func (t *Table) ExportCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ImportCSV reads CSV data with a header row and inserts every record,
-// mapping header names to schema columns (extra CSV columns are ignored,
-// missing ones become NULL). It returns the number of rows inserted.
-func (t *Table) ImportCSV(r io.Reader) (int, error) {
-	cr := csv.NewReader(r)
-	cr.TrimLeadingSpace = true
-	header, err := cr.Read()
-	if err != nil {
-		return 0, fmt.Errorf("storage: reading CSV header: %w", err)
-	}
-	// Map schema column position -> CSV field position (-1 when absent).
-	fieldOf := make([]int, t.schema.Len())
-	for i := range fieldOf {
-		fieldOf[i] = -1
-	}
-	for fi, h := range header {
-		if ci := t.schema.IndexOf(h); ci >= 0 {
-			fieldOf[ci] = fi
-		}
-	}
-	n := 0
-	for {
-		record, err := cr.Read()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, fmt.Errorf("storage: reading CSV record: %w", err)
-		}
-		row := make(rel.Row, t.schema.Len())
-		for ci := range row {
-			fi := fieldOf[ci]
-			if fi < 0 || fi >= len(record) {
-				row[ci] = rel.NullOf(t.schema.Col(ci).Type)
-				continue
-			}
-			v, err := rel.ParseTyped(record[fi], t.schema.Col(ci).Type)
-			if err != nil {
-				return n, fmt.Errorf("storage: row %d column %s: %w", n+1, t.schema.Col(ci).Name, err)
-			}
-			row[ci] = v
-		}
-		if err := t.Insert(row); err != nil {
-			return n, err
-		}
-		n++
-	}
 }

@@ -1,7 +1,7 @@
 // Package storage implements the classical in-memory row store used both as
 // the ground-truth database and as the baseline the LLM-storage engine is
 // compared against. It provides a catalog of heap tables, insertion with type
-// checking, full scans, equality (hash) indexes, and CSV import/export.
+// checking, full scans, and CSV export.
 package storage
 
 import (
@@ -34,7 +34,7 @@ func (db *DB) CreateTable(name string, schema rel.Schema) (*Table, error) {
 	if _, ok := db.tables[name]; ok {
 		return nil, fmt.Errorf("storage: table %q already exists", name)
 	}
-	t := &Table{name: name, schema: schema.Rename(name), indexes: make(map[string]*HashIndex)}
+	t := &Table{name: name, schema: schema.Rename(name)}
 	db.tables[name] = t
 	return t, nil
 }
@@ -77,13 +77,12 @@ func (db *DB) TableNames() []string {
 	return names
 }
 
-// Table is a heap of rows plus optional hash indexes.
+// Table is a heap of rows.
 type Table struct {
-	mu      sync.RWMutex
-	name    string
-	schema  rel.Schema
-	rows    []rel.Row
-	indexes map[string]*HashIndex // keyed by column name
+	mu     sync.RWMutex
+	name   string
+	schema rel.Schema
+	rows   []rel.Row
 }
 
 // Name returns the table name.
@@ -115,39 +114,26 @@ func (t *Table) Insert(row rel.Row) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	pos := len(t.rows)
 	t.rows = append(t.rows, stored)
-	for _, idx := range t.indexes {
-		idx.add(stored, pos)
-	}
-	return nil
-}
-
-// InsertAll inserts a batch, stopping at the first error.
-func (t *Table) InsertAll(rows []rel.Row) error {
-	for _, r := range rows {
-		if err := t.Insert(r); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
 // InsertBatch appends many rows under a single lock acquisition: every row
 // is coerced first, so a bad row fails the whole batch before any row is
-// stored (all-or-nothing, unlike InsertAll's stop-at-first-error). This is
-// the bulk-ingestion path materialized views load through.
+// stored (all-or-nothing). Row numbers in errors count from 1. This is the
+// bulk-ingestion path of INSERT statements, materialized views and world
+// loading.
 func (t *Table) InsertBatch(rows []rel.Row) error {
 	stored := make([]rel.Row, len(rows))
 	for r, row := range rows {
 		if len(row) != t.schema.Len() {
-			return fmt.Errorf("storage: %s expects %d values, got %d (row %d)", t.name, t.schema.Len(), len(row), r)
+			return fmt.Errorf("storage: %s expects %d values, got %d (row %d)", t.name, t.schema.Len(), len(row), r+1)
 		}
 		out := make(rel.Row, len(row))
 		for i, v := range row {
 			cv, err := rel.Coerce(v, t.schema.Col(i).Type)
 			if err != nil {
-				return fmt.Errorf("storage: %s.%s (row %d): %w", t.name, t.schema.Col(i).Name, r, err)
+				return fmt.Errorf("storage: %s.%s (row %d): %w", t.name, t.schema.Col(i).Name, r+1, err)
 			}
 			out[i] = cv
 		}
@@ -155,13 +141,7 @@ func (t *Table) InsertBatch(rows []rel.Row) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, row := range stored {
-		pos := len(t.rows)
-		t.rows = append(t.rows, row)
-		for _, idx := range t.indexes {
-			idx.add(row, pos)
-		}
-	}
+	t.rows = append(t.rows, stored...)
 	return nil
 }
 
@@ -181,14 +161,11 @@ func (t *Table) All() []rel.Row {
 	return t.rows[:len(t.rows):len(t.rows)]
 }
 
-// Truncate removes all rows and clears indexes.
+// Truncate removes all rows.
 func (t *Table) Truncate() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.rows = nil
-	for _, idx := range t.indexes {
-		idx.clear()
-	}
 }
 
 // Rows is a forward-only iterator over a row snapshot.
@@ -209,85 +186,3 @@ func (r *Rows) Next() (rel.Row, bool) {
 
 // Len returns the total number of rows in the snapshot.
 func (r *Rows) Len() int { return len(r.rows) }
-
-// CreateIndex builds a hash index on the named column. Building is
-// idempotent: an existing index is returned unchanged.
-func (t *Table) CreateIndex(column string) (*HashIndex, error) {
-	column = strings.ToLower(column)
-	pos := t.schema.IndexOf(column)
-	if pos < 0 {
-		return nil, fmt.Errorf("storage: %s has no column %q", t.name, column)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if idx, ok := t.indexes[column]; ok {
-		return idx, nil
-	}
-	idx := &HashIndex{column: column, colPos: pos, buckets: make(map[uint64][]int)}
-	for i, row := range t.rows {
-		idx.add(row, i)
-	}
-	t.indexes[column] = idx
-	return idx, nil
-}
-
-// Index returns the index on the column, or nil.
-func (t *Table) Index(column string) *HashIndex {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.indexes[strings.ToLower(column)]
-}
-
-// Lookup returns the rows whose indexed column equals v, using the index
-// when available and falling back to a scan.
-func (t *Table) Lookup(column string, v rel.Value) ([]rel.Row, error) {
-	column = strings.ToLower(column)
-	if idx := t.Index(column); idx != nil {
-		t.mu.RLock()
-		defer t.mu.RUnlock()
-		var out []rel.Row
-		for _, pos := range idx.lookup(v) {
-			row := t.rows[pos]
-			if row[idx.colPos].IdenticalTo(v) {
-				out = append(out, row)
-			}
-		}
-		return out, nil
-	}
-	pos := t.schema.IndexOf(column)
-	if pos < 0 {
-		return nil, fmt.Errorf("storage: %s has no column %q", t.name, column)
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var out []rel.Row
-	for _, row := range t.rows {
-		if row[pos].IdenticalTo(v) {
-			out = append(out, row)
-		}
-	}
-	return out, nil
-}
-
-// HashIndex is an equality index mapping value hashes to row positions.
-type HashIndex struct {
-	column  string
-	colPos  int
-	buckets map[uint64][]int
-}
-
-// Column returns the indexed column name.
-func (ix *HashIndex) Column() string { return ix.column }
-
-func (ix *HashIndex) add(row rel.Row, pos int) {
-	h := row[ix.colPos].Hash()
-	ix.buckets[h] = append(ix.buckets[h], pos)
-}
-
-func (ix *HashIndex) lookup(v rel.Value) []int {
-	return ix.buckets[v.Hash()]
-}
-
-func (ix *HashIndex) clear() {
-	ix.buckets = make(map[uint64][]int)
-}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/csv"
 	"fmt"
 	"strings"
 	"testing"
@@ -30,7 +31,7 @@ func newCountryTable(t *testing.T) *Table {
 		{rel.Text("Japan"), rel.Text("Tokyo"), rel.Int(125)},
 		{rel.Text("Brazil"), rel.Text("Brasilia"), rel.Int(214)},
 	}
-	if err := tbl.InsertAll(rows); err != nil {
+	if err := tbl.InsertBatch(rows); err != nil {
 		t.Fatal(err)
 	}
 	return tbl
@@ -119,121 +120,64 @@ func TestScanSnapshot(t *testing.T) {
 	}
 }
 
-func TestHashIndexLookup(t *testing.T) {
+func TestTruncate(t *testing.T) {
 	tbl := newCountryTable(t)
-	if _, err := tbl.CreateIndex("name"); err != nil {
+	tbl.Truncate()
+	if tbl.RowCount() != 0 || tbl.Scan().Len() != 0 {
+		t.Fatal("truncate")
+	}
+	if err := tbl.Insert(rel.Row{rel.Text("Kenya"), rel.Text("Nairobi"), rel.Int(54)}); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := tbl.Lookup("name", rel.Text("Japan"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || rows[0][1].AsText() != "Tokyo" {
-		t.Fatalf("lookup: %v", rows)
-	}
-	// Index maintained across later inserts.
-	if err := tbl.Insert(rel.Row{rel.Text("Japan"), rel.Text("Tokio?"), rel.Int(125)}); err != nil {
-		t.Fatal(err)
-	}
-	rows, _ = tbl.Lookup("name", rel.Text("Japan"))
-	if len(rows) != 2 {
-		t.Fatalf("index not maintained: %v", rows)
-	}
-	// Missing value.
-	rows, _ = tbl.Lookup("name", rel.Text("Atlantis"))
-	if len(rows) != 0 {
-		t.Fatalf("phantom rows: %v", rows)
-	}
-	// Unindexed column falls back to scan.
-	rows, err = tbl.Lookup("capital", rel.Text("Paris"))
-	if err != nil || len(rows) != 1 {
-		t.Fatalf("scan fallback: %v %v", rows, err)
-	}
-	if _, err := tbl.Lookup("nope", rel.Text("x")); err == nil {
-		t.Fatal("unknown column must error")
-	}
-	if _, err := tbl.CreateIndex("nope"); err == nil {
-		t.Fatal("index on unknown column must error")
-	}
-	// Idempotent index creation.
-	ix1 := tbl.Index("name")
-	ix2, err := tbl.CreateIndex("name")
-	if err != nil || ix1 != ix2 {
-		t.Fatal("CreateIndex must be idempotent")
+	if tbl.RowCount() != 1 {
+		t.Fatalf("row count after truncate + insert: %d", tbl.RowCount())
 	}
 }
 
-func TestTruncate(t *testing.T) {
+func TestInsertBatchAllOrNothing(t *testing.T) {
 	tbl := newCountryTable(t)
-	if _, err := tbl.CreateIndex("name"); err != nil {
-		t.Fatal(err)
+	err := tbl.InsertBatch([]rel.Row{
+		{rel.Text("Kenya"), rel.Text("Nairobi"), rel.Int(54)},
+		{rel.Text("Chad"), rel.Text("N'Djamena"), rel.Text("lots")},
+	})
+	if err == nil || !strings.Contains(err.Error(), "(row 2)") {
+		t.Fatalf("bad second row: err = %v, want a row 2 error", err)
 	}
-	tbl.Truncate()
-	if tbl.RowCount() != 0 {
-		t.Fatal("truncate")
-	}
-	rows, _ := tbl.Lookup("name", rel.Text("France"))
-	if len(rows) != 0 {
-		t.Fatal("index not cleared")
+	if tbl.RowCount() != 3 {
+		t.Fatalf("a failed batch stored rows: count %d, want 3", tbl.RowCount())
 	}
 }
 
 func TestCSVRoundTrip(t *testing.T) {
 	tbl := newCountryTable(t)
+	if err := tbl.Insert(rel.Row{rel.Text("Atlantis"), rel.Text("Poseidonia"), rel.NullOf(rel.TypeInt)}); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := tbl.ExportCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	db := NewDB()
-	tbl2, err := db.CreateTable("country2", countrySchema())
+	records, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := tbl2.ImportCSV(&buf)
-	if err != nil || n != 3 {
-		t.Fatalf("import: %d %v", n, err)
-	}
-	if tbl2.RowCount() != 3 {
-		t.Fatal("row count after import")
-	}
-	a, b := tbl.All(), tbl2.All()
-	for i := range a {
-		if a[i].AllKey() != b[i].AllKey() {
-			t.Fatalf("row %d differs: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestImportCSVColumnMapping(t *testing.T) {
-	db := NewDB()
-	tbl, err := db.CreateTable("c", countrySchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reordered header, extra column, missing capital.
-	csvData := "population,extra,name\n68,x,France\n,y,Narnia\n"
-	n, err := tbl.ImportCSV(strings.NewReader(csvData))
-	if err != nil || n != 2 {
-		t.Fatalf("import: %d %v", n, err)
+	if got := strings.Join(records[0], ","); got != "name,capital,population" {
+		t.Fatalf("header: %q", got)
 	}
 	rows := tbl.All()
-	if rows[0][0].AsText() != "France" || rows[0][2].AsInt() != 68 {
-		t.Fatalf("mapped row: %v", rows[0])
+	if len(records) != len(rows)+1 {
+		t.Fatalf("exported %d records for %d rows", len(records)-1, len(rows))
 	}
-	if !rows[0][1].IsNull() {
-		t.Fatalf("missing column must be NULL: %v", rows[0])
-	}
-	if !rows[1][2].IsNull() {
-		t.Fatalf("empty int must be NULL: %v", rows[1])
-	}
-}
-
-func TestImportCSVBadValue(t *testing.T) {
-	db := NewDB()
-	tbl, _ := db.CreateTable("c", countrySchema())
-	_, err := tbl.ImportCSV(strings.NewReader("name,population\nX,notanumber\n"))
-	if err == nil {
-		t.Fatal("bad value must error")
+	for i, row := range rows {
+		for c, field := range records[i+1] {
+			v, err := rel.ParseTyped(field, tbl.Schema().Col(c).Type)
+			if err != nil {
+				t.Fatalf("row %d column %d: %v", i, c, err)
+			}
+			if !v.IdenticalTo(row[c]) {
+				t.Fatalf("row %d column %d: %q reads back as %v, stored %v", i, c, field, v, row[c])
+			}
+		}
 	}
 }
 
@@ -269,42 +213,6 @@ func TestInsertScanProperty(t *testing.T) {
 				return false
 			}
 		}
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: index lookup agrees with a full scan filter for random data.
-func TestIndexScanAgreementProperty(t *testing.T) {
-	f := func(keys []uint8, probe uint8) bool {
-		db := NewDB()
-		tbl, err := db.CreateTable("p", rel.NewSchema(
-			rel.Column{Name: "k", Type: rel.TypeInt},
-			rel.Column{Name: "pos", Type: rel.TypeInt},
-		))
-		if err != nil {
-			return false
-		}
-		for i, k := range keys {
-			if err := tbl.Insert(rel.Row{rel.Int(int64(k)), rel.Int(int64(i))}); err != nil {
-				return false
-			}
-		}
-		if _, err := tbl.CreateIndex("k"); err != nil {
-			return false
-		}
-		indexed, err := tbl.Lookup("k", rel.Int(int64(probe)))
-		if err != nil {
-			return false
-		}
-		want := 0
-		for _, k := range keys {
-			if k == probe {
-				want++
-			}
-		}
-		return len(indexed) == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

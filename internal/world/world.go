@@ -153,7 +153,7 @@ func LoadDB(w *World) (*storage.DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := tbl.InsertAll(d.Rows()); err != nil {
+		if err := tbl.InsertBatch(d.Rows()); err != nil {
 			return nil, fmt.Errorf("world: loading %s: %w", d.Name, err)
 		}
 	}
