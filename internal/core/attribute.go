@@ -14,17 +14,21 @@ import (
 
 // startKeyThenAttr runs the enumeration phase of the key-then-attr
 // pipeline eagerly — KEYS prompts, then the local key gate — and returns a
-// demand-driven stream over the attribute phase. Attribute prompts are
-// issued in batch-aligned prefetch windows: a window's fan-out launches
-// only when the consumer demands a row beyond what is buffered, so a LIMIT
-// upstream that stops pulling stops the spend after at most one window of
-// over-fetch. Rows stream in key order, so at any Parallelism/BatchSize the
-// emitted prefix is byte-identical to the fully materialized scan.
+// demand-driven stream over the attribute phase. A scan no LIMIT can stop
+// early will be drained, so it attributes every key in one fan-out: the
+// fully materializing scan. Under a LIMIT (sc.windowed) attribute prompts
+// are issued in batch-aligned prefetch windows instead: a window's fan-out
+// launches only when the consumer demands a row beyond what is buffered,
+// so a LIMIT that stops pulling stops the spend after at most one window
+// of over-fetch. Rows stream in key order, so at any
+// Parallelism/BatchSize the emitted prefix is byte-identical to the fully
+// materialized scan.
 func (sc *llmScan) startKeyThenAttr() (func() (rel.Row, bool, error), error) {
 	// Phase 1: enumerate keys. The prompt carries the conjuncts the key
-	// column alone can decide; the gate below enforces them locally.
+	// column alone can decide; the gate below enforces them locally. The
+	// rows are the entity key alone.
 	keyFilter := sc.keyFilter()
-	keyRows, ents, err := sc.enumerate(buildKeysPrompt(sc.table, keyFilter, nil, 0), []int{sc.keyPos})
+	keyRows, ents, err := sc.enumerate(buildKeysPrompt(sc.table, keyFilter, nil, 0), []int{sc.keyPos}, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -55,13 +59,11 @@ func (sc *llmScan) startKeyThenAttr() (func() (rel.Row, bool, error), error) {
 	}
 	keys := make([]string, len(keyRows))
 	for i, row := range keyRows {
-		keys[i] = row[sc.keyPos].AsText()
+		keys[i] = row[0].AsText()
 	}
 	cfg := sc.cfg()
-	// Without limit pushdown every key is attributed in one window — the
-	// fully materializing scan, bit-for-bit.
 	window := len(keyRows)
-	if cfg.LimitPushdown {
+	if sc.windowed {
 		window = plan.PrefetchWindow(cfg.Parallelism, len(sc.attrCols), cfg.Votes, cfg.BatchSize, sc.limit)
 	}
 	st := &attrStream{
@@ -79,10 +81,12 @@ func (sc *llmScan) startKeyThenAttr() (func() (rel.Row, bool, error), error) {
 }
 
 // gateKeys enforces the key-only pushed conjuncts locally on the
-// enumerated key rows, before any attribute spend, keeping their entity
-// keys ents parallel. Only rows the executor's re-applied filter would
-// certainly drop are removed: a row whose predicate evaluation errors is
-// kept so the error still surfaces where the unpushed plan would raise it.
+// enumerated key rows (the key alone), before any attribute spend, keeping
+// their entity keys ents parallel. The conjuncts are evaluated over one
+// scratch row of the scan's schema holding each key in turn. Only rows the
+// executor's re-applied filter would certainly drop are removed: a row
+// whose predicate evaluation errors is kept so the error still surfaces
+// where the unpushed plan would raise it.
 func (sc *llmScan) gateKeys(keyRows []rel.Row, ents []string, keyFilter sql.Expr) ([]rel.Row, []string) {
 	if keyFilter == nil || len(keyRows) == 0 {
 		return keyRows, ents
@@ -93,9 +97,14 @@ func (sc *llmScan) gateKeys(keyRows []rel.Row, ents []string, keyFilter sql.Expr
 		// executor will reject on its own) must not break the scan.
 		return keyRows, ents
 	}
+	scratch := make(rel.Row, sc.schema.Len())
+	for i := range scratch {
+		scratch[i] = rel.NullOf(sc.schema.Col(i).Type)
+	}
 	keptRows, keptEnts := keyRows[:0], ents[:0]
 	for i, row := range keyRows {
-		ts, err := pred(row)
+		scratch[sc.keyPos] = row[0]
+		ts, err := pred(scratch)
 		if err == nil && ts != rel.True {
 			sc.stats.KeysGated++
 			continue
@@ -211,7 +220,7 @@ type attrVote struct {
 // changes how far the key list gets, never what any row contains.
 type attrStream struct {
 	sc      *llmScan
-	keyRows []rel.Row
+	keyRows []rel.Row // the entity key alone
 	keys    []string
 	// emit, when non-nil, marks which keys produce output rows: bind-gate
 	// rider keys are attributed (their group's prompt needs them) but
@@ -285,7 +294,7 @@ func (st *attrStream) fetchWindow() error {
 		for i := range row {
 			row[i] = rel.NullOf(schema.Col(i).Type)
 		}
-		row[sc.keyPos] = st.keyRows[ki][sc.keyPos]
+		row[sc.keyPos] = st.keyRows[ki][0]
 		for ci, c := range sc.attrCols {
 			base := st.layout.index(ki-lo, ci, 0)
 			row[c] = mergeVotes(results[base:base+st.layout.votes], schema.Col(c).Type)

@@ -21,9 +21,10 @@ const pageSize = 40
 // says each round changes the prompt (paged scans).
 //
 // issue performs the model call for one round; each completion is parsed over
-// cols on the scan goroutine in round order, so parser statistics and caller
-// state (the paged exclude list, which onNew, when non-nil, receives the
-// first row of each new entity for) need no locking. When the prompt is
+// cols into rows of width cells (see parseListCompletion) on the scan
+// goroutine in round order, so parser statistics and caller state (the paged
+// exclude list, which onNew, when non-nil, receives the first row of each new
+// entity for) need no locking. When the prompt is
 // constant across rounds (promptVaries == false) and Parallelism allows,
 // rounds are independent and are prefetched concurrently — speculatively,
 // since convergence may stop before consuming them all. Consumed rounds are
@@ -32,7 +33,7 @@ const pageSize = 40
 // in the model's Usage.
 //
 // The rows come back with their entity keys: keys[i] belongs to rows[i].
-func (sc *llmScan) runRounds(cols []int, promptVaries bool, issue func(seed int64) (llm.CompletionResponse, error), onNew func(row rel.Row)) (rows []rel.Row, keys []string, err error) {
+func (sc *llmScan) runRounds(cols []int, width int, promptVaries bool, issue func(seed int64) (llm.CompletionResponse, error), onNew func(row rel.Row)) (rows []rel.Row, keys []string, err error) {
 	maxRounds := sc.cfg().MaxRounds
 	if sc.cfg().Temperature <= 0 && !promptVaries {
 		maxRounds = 1
@@ -81,7 +82,7 @@ func (sc *llmScan) runRounds(cols []int, promptVaries bool, issue func(seed int6
 		}
 	}
 
-	parse := sc.parser(cols)
+	parse := sc.parser(cols, width)
 	var seen entityIndex
 	dedup := sc.cfg().Dedup
 	stable := 0
@@ -202,27 +203,31 @@ func (sc *llmScan) filterByConfidence(rows []rel.Row, keys []string, seen *entit
 // normalized key (see normalizeKeyText), case-folded. It is computed once
 // per parsed row, by parseCompletion; enumeration, the confidence filter,
 // the paged exclude list and the bind gate all take the key from there.
-func entityKey(row rel.Row, keyPos int) string {
-	return strings.ToLower(normalizeKeyText(row[keyPos].AsText()))
+func entityKey(key rel.Value) string {
+	return strings.ToLower(normalizeKeyText(key.AsText()))
 }
 
-// parsedCompletion is a LIST or KEYS completion parsed over a column set:
-// its rows, each row's entity key (keys[i] belongs to rows[i]) and the
-// parser's counters. A memoised one is shared by every scan that parses the
-// same text, so neither it nor its rows may be modified.
+// parsedCompletion is a LIST or KEYS completion parsed over a column set
+// into rows of one width: its rows, each row's entity key (keys[i] belongs
+// to rows[i]) and the parser's counters. A memoised one is shared by every
+// scan that parses the same text, so neither it nor its rows may be
+// modified.
 type parsedCompletion struct {
 	rows  []rel.Row
 	keys  []string
 	stats ParseStats
 }
 
-// parseCompletion parses text over cols of the schema (see
-// parseListCompletion) and derives each row's entity key.
-func parseCompletion(text string, schema rel.Schema, cols []int, keyPos int, tolerant bool) parsedCompletion {
-	rows, stats := parseListCompletion(text, schema, cols, keyPos, tolerant)
+// parseCompletion parses text over cols of the schema into rows of width
+// cells (see parseListCompletion) and derives each row's entity key.
+func parseCompletion(text string, schema rel.Schema, cols []int, keyPos, width int, tolerant bool) parsedCompletion {
+	rows, stats := parseListCompletion(text, schema, cols, keyPos, width, tolerant)
+	if width != schema.Len() {
+		keyPos = 0 // the key is the row
+	}
 	keys := make([]string, len(rows))
 	for i, row := range rows {
-		keys[i] = entityKey(row, keyPos)
+		keys[i] = entityKey(row[keyPos])
 	}
 	return parsedCompletion{rows: rows, keys: keys, stats: stats}
 }
@@ -241,12 +246,14 @@ type parseMemo struct {
 
 // parseKey identifies one parse; the parser mode is fixed per store. The
 // table pointer stands for its schema and key position (Register stores a
-// fresh one) and shape encodes the column positions (see shapeOf). Cache
-// hits return the stored string, so comparing text is a pointer check.
+// fresh one), shape encodes the column positions (see shapeOf) and width
+// the output row width. Cache hits return the stored string, so comparing
+// text is a pointer check.
 type parseKey struct {
 	text  string
 	table *VirtualTable
 	shape string
+	width int
 }
 
 // shapeOf encodes column positions as a parseKey shape.
@@ -277,10 +284,11 @@ func (m *parseMemo) parse(k parseKey, parse func() parsedCompletion) parsedCompl
 	return p
 }
 
-// parser returns the scan's parse of LIST or KEYS completions over cols,
-// which folds the parser's counters into the scan's — from the store's
-// memo when it has seen the text, counters included.
-func (sc *llmScan) parser(cols []int) func(text string) parsedCompletion {
+// parser returns the scan's parse of LIST or KEYS completions over cols
+// into rows of width cells, which folds the parser's counters into the
+// scan's — from the store's memo when it has seen the text, counters
+// included.
+func (sc *llmScan) parser(cols []int, width int) func(text string) parsedCompletion {
 	schema, keyPos, tolerant := sc.table.Schema, sc.keyPos, sc.cfg().Tolerant
 	memo := sc.store.memo
 	var shape string
@@ -288,23 +296,24 @@ func (sc *llmScan) parser(cols []int) func(text string) parsedCompletion {
 		shape = shapeOf(cols)
 	}
 	return func(text string) parsedCompletion {
-		p := memo.parse(parseKey{text: text, table: sc.table, shape: shape}, func() parsedCompletion {
-			return parseCompletion(text, schema, cols, keyPos, tolerant)
+		p := memo.parse(parseKey{text: text, table: sc.table, shape: shape, width: width}, func() parsedCompletion {
+			return parseCompletion(text, schema, cols, keyPos, width, tolerant)
 		})
 		sc.stats.Parse.Add(p.stats)
 		return p
 	}
 }
 
-// enumerate runs the constant-prompt enumeration of cols: the full-table
-// scan's LIST prompt, or the KEYS prompt of the key-then-attr pipeline.
-func (sc *llmScan) enumerate(prompt string, cols []int) ([]rel.Row, []string, error) {
-	return sc.runRounds(cols, false,
+// enumerate runs the constant-prompt enumeration of cols into rows of
+// width cells: the full-table scan's LIST prompt, or the KEYS prompt of the
+// key-then-attr pipeline, whose rows are the entity key alone.
+func (sc *llmScan) enumerate(prompt string, cols []int, width int) ([]rel.Row, []string, error) {
+	return sc.runRounds(cols, width, false,
 		func(seed int64) (llm.CompletionResponse, error) { return sc.modelCall(prompt, seed) }, nil)
 }
 
 func (sc *llmScan) runFullTable() ([]rel.Row, error) {
-	rows, _, err := sc.enumerate(buildListPrompt(sc.table, sc.cols, sc.filter, nil, 0), sc.cols)
+	rows, _, err := sc.enumerate(buildListPrompt(sc.table, sc.cols, sc.filter, nil, 0), sc.cols, sc.table.Schema.Len())
 	return rows, err
 }
 
@@ -314,7 +323,7 @@ func (sc *llmScan) runPaged() ([]rel.Row, error) {
 	// pages. Pages form a dependency chain (each prompt needs the previous
 	// pages' keys), so promptVaries keeps them strictly serial.
 	var exclude []string
-	rows, _, err := sc.runRounds(sc.cols, true,
+	rows, _, err := sc.runRounds(sc.cols, sc.table.Schema.Len(), true,
 		func(seed int64) (llm.CompletionResponse, error) {
 			return sc.modelCall(buildListPrompt(sc.table, sc.cols, sc.filter, exclude, pageSize), seed)
 		},

@@ -85,7 +85,9 @@ func attrCallsFor(m *scriptModel, entity string) int {
 // TestLimitPushdownPropertyByteIdentical is the determinism contract of the
 // streaming scan: for every Parallelism x BatchSize x LIMIT combination the
 // pushed plan returns byte-identical rows to the unpushed plan (which
-// materializes the whole table), never spending more calls.
+// materializes the whole table), never spending more calls. A drained scan
+// (no LIMIT, or one beyond the table) is the unpushed scan outright: its
+// Usage, SimWall included, and its ScanStats are equal too.
 func TestLimitPushdownPropertyByteIdentical(t *testing.T) {
 	w := parWorld()
 	query := func(k int) string {
@@ -110,7 +112,7 @@ func TestLimitPushdownPropertyByteIdentical(t *testing.T) {
 		return res
 	}
 	for _, k := range []int{1, 3, 7, 1000, -1} {
-		for _, b := range []int{1, 3, 8} {
+		for _, b := range []int{1, 3, 4, 8} {
 			// The reference for this batch size: serial and fully
 			// materializing. (Batching itself changes which prompts are
 			// issued, so references are per batch size; see Table 10 for
@@ -124,6 +126,14 @@ func TestLimitPushdownPropertyByteIdentical(t *testing.T) {
 				}
 				if got := renderRows(pushed.Result.Rows); got != want {
 					t.Fatalf("P=%d B=%d k=%d pushed rows diverged:\n%s\nvs\n%s", p, b, k, got, want)
+				}
+				if k < 0 || k >= 1000 {
+					if pushed.Usage != unpushed.Usage {
+						t.Fatalf("P=%d B=%d k=%d drained scan usage diverged:\n%+v\nvs\n%+v", p, b, k, pushed.Usage, unpushed.Usage)
+					}
+					if !scanStatsEqual(pushed.Scans, unpushed.Scans) {
+						t.Fatalf("P=%d B=%d k=%d drained scan stats diverged:\n%+v\nvs\n%+v", p, b, k, pushed.Scans, unpushed.Scans)
+					}
 				}
 				if pushed.Usage.Calls > unpushed.Usage.Calls {
 					t.Fatalf("P=%d B=%d k=%d pushed spent more calls (%d) than unpushed (%d)",
@@ -169,6 +179,54 @@ func TestLimitBoundsAttrCalls(t *testing.T) {
 	}
 	if s := res.Scans[0]; s.KeysAttributed >= tableRows || s.KeysAttributed < 4 {
 		t.Fatalf("keys attributed: %+v", s)
+	}
+}
+
+// TestLimitAboveUnpushableOperatorStreams: a LIMIT the planner cannot push
+// as a hint — above a hash join or a DISTINCT — still stops pulling early,
+// so the streamed key-then-attr scan below it must attribute in prefetch
+// windows (at most limit plus one window of keys), not in one fan-out over
+// the whole table.
+func TestLimitAboveUnpushableOperatorStreams(t *testing.T) {
+	const tableRows, limit = 40, 3
+	// One attribute column at 3 votes: 3 tasks per key, so
+	// PrefetchWindow(8, 1, 3, 1, 0) is 3 keys.
+	const window = 3
+	for _, tc := range []struct{ name, query string }{
+		// Without binding the build side (b, key only) is drained and the
+		// probe side (a) streams through the join.
+		{"hash join", "SELECT a.name, a.capital FROM country a JOIN country b ON a.name = b.name LIMIT 3"},
+		{"distinct", "SELECT DISTINCT name, capital FROM country LIMIT 3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			model := &scriptModel{respond: countryScript(tableRows)}
+			e := ktaEngine(model, func(c *Config) {
+				c.Votes = 3
+				c.Parallelism = 8
+				c.BindJoin = false
+			})
+			res, err := e.Query(tc.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Result.Rows) != limit {
+				t.Fatalf("rows: %d", len(res.Result.Rows))
+			}
+			streamed := 0
+			for _, s := range res.Scans {
+				if s.Prompts == s.Rounds {
+					continue // the key-only build side: no attribute prompts
+				}
+				streamed++
+				if s.KeysAttributed > limit+window {
+					t.Fatalf("the scan under LIMIT %d attributed %d of %d keys, want at most %d: %+v",
+						limit, s.KeysAttributed, tableRows, limit+window, s)
+				}
+			}
+			if streamed != 1 {
+				t.Fatalf("want one scan with attribute prompts: %+v", res.Scans)
+			}
+		})
 	}
 }
 
@@ -340,5 +398,54 @@ func TestScanAbandonedEarlyFlushesStats(t *testing.T) {
 	}
 	if extra := s.TakeStats(); len(extra) != 0 {
 		t.Fatalf("double close duplicated stats: %d", len(extra))
+	}
+}
+
+// keysScript answers KEYS prompts with a fixed list of keys and every
+// attribute prompt with one fixed value, allocating nothing itself: an
+// allocation count over it sees only the scan.
+type keysScript struct{ keys string }
+
+func (keysScript) Name() string { return "keys" }
+
+func (m keysScript) Complete(req llm.CompletionRequest) (llm.CompletionResponse, error) {
+	if strings.Contains(req.Prompt, "TASK: KEYS") {
+		return llm.CompletionResponse{Text: m.keys}, nil
+	}
+	return llm.CompletionResponse{Text: "42"}, nil
+}
+
+// TestDrainedKeyThenAttrScanAllocs guards a drained key-then-attr scan of
+// 40 keys at the fanout_scan shape (3 votes, 4 workers, batch 1): the KEYS
+// completion parses to the keys alone and the attribute phase is one
+// fan-out: 336 allocations on Go 1.24, 342 under -race. Fanning the drained
+// scan out in prefetch windows made it 753, and parsing the KEYS lines to
+// full table rows on top of that 798.
+func TestDrainedKeyThenAttrScanAllocs(t *testing.T) {
+	const maxAllocs = 400
+	var keys strings.Builder
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&keys, "Country%02d\n", i)
+	}
+	cfg := DefaultConfig()
+	cfg.Strategy = StrategyKeyThenAttr
+	cfg.Temperature = 0
+	cfg.Votes = 3
+	cfg.Parallelism = 4
+	cfg.BatchSize = 1
+	s := NewLLMStore(keysScript{keys.String()}, cfg)
+	s.Register(storeTable())
+	n := testing.AllocsPerRun(50, func() {
+		it, err := s.Scan(exec.ScanRequest{Table: "country", Schema: storeTable().Schema})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows, err := exec.Drain(it); err != nil || len(rows) != 40 {
+			t.Fatalf("%d rows, %v", len(rows), err)
+		}
+		s.TakeStats()
+	})
+	if n > maxAllocs {
+		t.Fatalf("drained key-then-attr scan: %v allocs, want at most %d", n, maxAllocs)
 	}
 }

@@ -28,17 +28,42 @@ func (s *ParseStats) Add(o ParseStats) {
 	s.Repairs += o.Repairs
 }
 
-// parseListCompletion parses a LIST/KEYS completion into rows over the full
-// table schema: fields arrive in the order of cols (positions into the
-// schema); all other columns become typed NULLs. keyPos is the schema
-// position of the entity key; rows with a NULL key are dropped.
+// parseListCompletion parses a LIST/KEYS completion into rows of width
+// cells: fields arrive in the order of cols (positions into the schema);
+// keyPos is the schema position of the entity key; rows with a NULL key
+// are dropped. At width schema.Len() a row spans the table — each field at
+// its column's position, every other column a typed NULL. At width 1 it is
+// the entity key alone: the other fields are still parsed, so which lines
+// are accepted and the ParseStats do not depend on the width, but their
+// values are not kept. The rows of one completion share one backing slab.
 //
 // tolerant enables the repair heuristics; when false, only lines with the
 // exact field count and cleanly parsing values are accepted.
-func parseListCompletion(text string, schema rel.Schema, cols []int, keyPos int, tolerant bool) ([]rel.Row, ParseStats) {
+func parseListCompletion(text string, schema rel.Schema, cols []int, keyPos, width int, tolerant bool) ([]rel.Row, ParseStats) {
+	// slot is a schema position's cell in an output row (-1: not kept).
+	slot := func(c int) int {
+		switch {
+		case width == schema.Len():
+			return c
+		case c == keyPos:
+			return 0
+		}
+		return -1
+	}
+	blank := make(rel.Row, width)
+	for i := 0; i < schema.Len(); i++ {
+		if at := slot(i); at >= 0 {
+			blank[at] = rel.NullOf(schema.Col(i).Type)
+		}
+	}
+	key := slot(keyPos)
+	lines := strings.Count(text, "\n") + 1
+	slab := make([]rel.Value, lines*width)
+	rows := make([]rel.Row, 0, lines)
 	var stats ParseStats
-	var rows []rel.Row
-	for _, line := range strings.Split(text, "\n") {
+	for rest := text; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
 		line = strings.TrimSpace(line)
 		if line == "" {
 			continue
@@ -51,10 +76,11 @@ func parseListCompletion(text string, schema rel.Schema, cols []int, keyPos int,
 		}
 		stats.Repairs += repairs
 
-		row := make(rel.Row, schema.Len())
-		for i := range row {
-			row[i] = rel.NullOf(schema.Col(i).Type)
-		}
+		// The next free cells of the slab; a dropped line leaves them to
+		// the line after it.
+		n := len(rows) * width
+		row := rel.Row(slab[n : n+width : n+width])
+		copy(row, blank)
 		bad := false
 		for i, c := range cols {
 			if i >= len(fields) {
@@ -77,9 +103,11 @@ func parseListCompletion(text string, schema rel.Schema, cols []int, keyPos int,
 			if rescued {
 				stats.Repairs++
 			}
-			row[c] = v
+			if at := slot(c); at >= 0 {
+				row[at] = v
+			}
 		}
-		if bad || row[keyPos].IsNull() || strings.TrimSpace(row[keyPos].AsText()) == "" {
+		if bad || row[key].IsNull() || strings.TrimSpace(row[key].AsText()) == "" {
 			stats.RowsDropped++
 			continue
 		}
@@ -92,8 +120,8 @@ func parseListCompletion(text string, schema rel.Schema, cols []int, keyPos int,
 		// repair: it applies (and is uncounted) under the strict parser
 		// too, which accepts or rejects lines before this point.
 		if schema.Col(keyPos).Type == rel.TypeText {
-			if norm := normalizeKeyText(row[keyPos].AsText()); norm != row[keyPos].AsText() {
-				row[keyPos] = rel.Text(norm)
+			if norm := normalizeKeyText(row[key].AsText()); norm != row[key].AsText() {
+				row[key] = rel.Text(norm)
 			}
 		}
 		rows = append(rows, row)

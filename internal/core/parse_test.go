@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,11 +14,19 @@ var parseSchema = rel.NewSchema(
 	rel.Column{Name: "population", Type: rel.TypeInt},
 )
 
+// keyMidSchema puts the entity key in the middle, so parses are checked at
+// a key position other than 0.
+var keyMidSchema = rel.NewSchema(
+	rel.Column{Name: "capital", Type: rel.TypeText},
+	rel.Column{Name: "name", Type: rel.TypeText, Key: true},
+	rel.Column{Name: "population", Type: rel.TypeInt},
+)
+
 func allCols() []int { return []int{0, 1, 2} }
 
 func TestParseCleanRows(t *testing.T) {
 	text := "France | Paris | 68\nJapan | Tokyo | 125"
-	rows, stats := parseListCompletion(text, parseSchema, allCols(), 0, true)
+	rows, stats := parseListCompletion(text, parseSchema, allCols(), 0, parseSchema.Len(), true)
 	if len(rows) != 2 || stats.RowsParsed != 2 || stats.RowsDropped != 0 {
 		t.Fatalf("rows=%d stats=%+v", len(rows), stats)
 	}
@@ -31,7 +40,7 @@ func TestParseCleanRows(t *testing.T) {
 
 func TestParseSkipsProse(t *testing.T) {
 	text := "Here are the rows I know of:\nFrance | Paris | 68\n(end of list)"
-	rows, stats := parseListCompletion(text, parseSchema, allCols(), 0, true)
+	rows, stats := parseListCompletion(text, parseSchema, allCols(), 0, parseSchema.Len(), true)
 	if len(rows) != 1 {
 		t.Fatalf("rows: %v", rows)
 	}
@@ -42,7 +51,7 @@ func TestParseSkipsProse(t *testing.T) {
 
 func TestParseRepairsBulletsAndCommentary(t *testing.T) {
 	text := "- France | Paris | 68\nRow: Japan | Tokyo | 125."
-	rows, stats := parseListCompletion(text, parseSchema, allCols(), 0, true)
+	rows, stats := parseListCompletion(text, parseSchema, allCols(), 0, parseSchema.Len(), true)
 	if len(rows) != 2 {
 		t.Fatalf("rows: %v", rows)
 	}
@@ -56,12 +65,12 @@ func TestParseRepairsBulletsAndCommentary(t *testing.T) {
 
 func TestParseCommaFallback(t *testing.T) {
 	text := "France, Paris, 68"
-	rows, stats := parseListCompletion(text, parseSchema, allCols(), 0, true)
+	rows, stats := parseListCompletion(text, parseSchema, allCols(), 0, parseSchema.Len(), true)
 	if len(rows) != 1 || rows[0][1].AsText() != "Paris" {
 		t.Fatalf("comma fallback: %v (%+v)", rows, stats)
 	}
 	// Strict mode rejects it.
-	rows, _ = parseListCompletion(text, parseSchema, allCols(), 0, false)
+	rows, _ = parseListCompletion(text, parseSchema, allCols(), 0, parseSchema.Len(), false)
 	if len(rows) != 0 {
 		t.Fatalf("strict mode accepted comma row: %v", rows)
 	}
@@ -70,7 +79,7 @@ func TestParseCommaFallback(t *testing.T) {
 func TestParseRaggedRows(t *testing.T) {
 	// Missing field -> NULL-padded; extra field -> truncated.
 	text := "France | Paris\nJapan | Tokyo | 125 | extra"
-	rows, stats := parseListCompletion(text, parseSchema, allCols(), 0, true)
+	rows, stats := parseListCompletion(text, parseSchema, allCols(), 0, parseSchema.Len(), true)
 	if len(rows) != 2 {
 		t.Fatalf("ragged rows: %v", rows)
 	}
@@ -84,7 +93,7 @@ func TestParseRaggedRows(t *testing.T) {
 		t.Fatalf("repairs: %+v", stats)
 	}
 	// Strict mode rejects both.
-	rows, _ = parseListCompletion(text, parseSchema, allCols(), 0, false)
+	rows, _ = parseListCompletion(text, parseSchema, allCols(), 0, parseSchema.Len(), false)
 	if len(rows) != 0 {
 		t.Fatalf("strict accepted ragged rows: %v", rows)
 	}
@@ -92,7 +101,7 @@ func TestParseRaggedRows(t *testing.T) {
 
 func TestParseNumericRescue(t *testing.T) {
 	text := "France | Paris | about 68 million\nJapan | Tokyo | 1,254"
-	rows, stats := parseListCompletion(text, parseSchema, allCols(), 0, true)
+	rows, stats := parseListCompletion(text, parseSchema, allCols(), 0, parseSchema.Len(), true)
 	if len(rows) != 2 {
 		t.Fatalf("rows: %v", rows)
 	}
@@ -107,7 +116,7 @@ func TestParseNumericRescue(t *testing.T) {
 
 func TestParseDropsRowsWithoutKey(t *testing.T) {
 	text := " | Paris | 68\nunknown | Rome | 59"
-	rows, _ := parseListCompletion(text, parseSchema, allCols(), 0, true)
+	rows, _ := parseListCompletion(text, parseSchema, allCols(), 0, parseSchema.Len(), true)
 	// First row has empty key; second has "unknown" which ParseTyped maps
 	// to NULL for text? No: "unknown" maps to NULL only for non-text; for
 	// TEXT it is the literal string "unknown"... which IS the NULL marker.
@@ -121,7 +130,7 @@ func TestParseDropsRowsWithoutKey(t *testing.T) {
 func TestParsePartialColumns(t *testing.T) {
 	// Only columns 0 and 2 requested; column 1 must be NULL.
 	text := "France | 68"
-	rows, _ := parseListCompletion(text, parseSchema, []int{0, 2}, 0, true)
+	rows, _ := parseListCompletion(text, parseSchema, []int{0, 2}, 0, parseSchema.Len(), true)
 	if len(rows) != 1 {
 		t.Fatalf("rows: %v", rows)
 	}
@@ -132,7 +141,7 @@ func TestParsePartialColumns(t *testing.T) {
 
 func TestParseKeysOnly(t *testing.T) {
 	text := "France\nJapan\nHere are more:\nBrazil."
-	rows, _ := parseListCompletion(text, parseSchema, []int{0}, 0, true)
+	rows, _ := parseListCompletion(text, parseSchema, []int{0}, 0, parseSchema.Len(), true)
 	if len(rows) != 3 {
 		t.Fatalf("keys: %v", rows)
 	}
@@ -144,7 +153,7 @@ func TestParseKeysOnly(t *testing.T) {
 func TestParseTruncatedLastLine(t *testing.T) {
 	// Mid-row truncation: last line misses the numeric tail.
 	text := "France | Paris | 68\nJapan | Tok"
-	rows, _ := parseListCompletion(text, parseSchema, allCols(), 0, true)
+	rows, _ := parseListCompletion(text, parseSchema, allCols(), 0, parseSchema.Len(), true)
 	if len(rows) != 2 {
 		t.Fatalf("rows: %v", rows)
 	}
@@ -225,7 +234,7 @@ func TestParseNormalizesKeyWhitespace(t *testing.T) {
 	// time, so the emitted row, dedup identity, ATTR prompts and cache all
 	// agree on one spelling (regression: variants used to flow through).
 	text := "United  Kingdom | London | 67\nNew\t York | Albany | 20"
-	rows, stats := parseListCompletion(text, parseSchema, allCols(), 0, true)
+	rows, stats := parseListCompletion(text, parseSchema, allCols(), 0, parseSchema.Len(), true)
 	if len(rows) != 2 {
 		t.Fatalf("rows: %v", rows)
 	}
@@ -244,7 +253,7 @@ func TestParseNormalizesKeyWhitespace(t *testing.T) {
 	if stats.Repairs != 0 {
 		t.Fatalf("normalization must not count as a repair: %+v", stats)
 	}
-	strictRows, strictStats := parseListCompletion(text, parseSchema, allCols(), 0, false)
+	strictRows, strictStats := parseListCompletion(text, parseSchema, allCols(), 0, parseSchema.Len(), false)
 	if len(strictRows) != 2 || strictStats.Repairs != 0 {
 		t.Fatalf("strict parse: rows=%d stats=%+v", len(strictRows), strictStats)
 	}
@@ -303,10 +312,12 @@ func TestNormalizeKeyTextFastPath(t *testing.T) {
 
 // FuzzParseCompletion drives the three completion decoders — raw model
 // output, the least trusted input in the system — in tolerant and strict
-// mode alike. Whatever the text, they must not panic, every LIST/KEYS row
-// must span the schema with a typed cell per column and a canonical key, a
-// strict parse must repair nothing, an ATTR value must be typed and NULL
-// exactly when rejected, and a batched ATTRS parse must answer every key.
+// mode alike. Whatever the text, they must not panic, every full-width
+// LIST/KEYS row must span the schema with a typed cell per column and a
+// canonical key, the key-only parse must accept the same lines with the
+// same keys and counters, a strict parse must repair nothing, an ATTR value
+// must be typed and NULL exactly when rejected, and a batched ATTRS parse
+// must answer every key.
 func FuzzParseCompletion(f *testing.F) {
 	f.Add("France | Paris | 68\nJapan | Tokyo | 125", "France\nJapan", uint8(0), true)
 	f.Add("Here are the rows I know of:\n- France | Paris | 68\nRow: Japan | Tokyo | 125.\n(end of list)", "France", uint8(3), true)
@@ -315,12 +326,21 @@ func FuzzParseCompletion(f *testing.F) {
 	f.Add("United  Kingdom | London\n* France: Paris\nFrance | Lyon", "United Kingdom\nFrance", uint8(0), true)
 	f.Add("İ: unknown\nCôte  d'Ivoire | Yamoussoukro | 1,408", "Côte d'Ivoire", uint8(6), true)
 	f.Add("\xff\xff\xff is 5\nx | y | z", "x", uint8(3), true)
+	f.Add("Paris | France | 68\n | Tokyo\nLyon |  France  ", "France", uint8(4), false)
 	f.Add("", "", uint8(9), false)
-	colSets := [][]int{allCols(), {0}, {0, 2}}
+	shapes := []struct {
+		schema rel.Schema
+		cols   []int
+		keyPos int
+	}{
+		{parseSchema, allCols(), 0}, {parseSchema, []int{0}, 0}, {parseSchema, []int{0, 2}, 0},
+		{keyMidSchema, allCols(), 1}, {keyMidSchema, []int{1}, 1}, {keyMidSchema, []int{1, 2}, 1},
+	}
 	attrTypes := []rel.DataType{rel.TypeText, rel.TypeInt, rel.TypeFloat, rel.TypeBool}
 	f.Fuzz(func(t *testing.T, text, keyLines string, shape uint8, tolerant bool) {
-		cols := colSets[int(shape)%len(colSets)]
-		rows, stats := parseListCompletion(text, parseSchema, cols, 0, tolerant)
+		sh := shapes[int(shape)%len(shapes)]
+		full := parseCompletion(text, sh.schema, sh.cols, sh.keyPos, sh.schema.Len(), tolerant)
+		rows, stats := full.rows, full.stats
 		if stats.RowsParsed != len(rows) || stats.LinesSeen != stats.RowsParsed+stats.RowsDropped {
 			t.Fatalf("stats %+v disagree with %d rows", stats, len(rows))
 		}
@@ -328,20 +348,31 @@ func FuzzParseCompletion(f *testing.F) {
 			t.Fatalf("strict parse repaired: %+v", stats)
 		}
 		for _, row := range rows {
-			if len(row) != parseSchema.Len() {
-				t.Fatalf("row %v has %d cells, schema %d", row, len(row), parseSchema.Len())
+			if len(row) != sh.schema.Len() {
+				t.Fatalf("row %v has %d cells, schema %d", row, len(row), sh.schema.Len())
 			}
 			for i, v := range row {
-				if v.Type() != parseSchema.Col(i).Type {
-					t.Fatalf("row %v: cell %d is %s, column is %s", row, i, v.Type(), parseSchema.Col(i).Type)
+				if v.Type() != sh.schema.Col(i).Type {
+					t.Fatalf("row %v: cell %d is %s, column is %s", row, i, v.Type(), sh.schema.Col(i).Type)
 				}
 			}
-			if k := row[0]; k.IsNull() || k.AsText() == "" || normalizeKeyText(k.AsText()) != k.AsText() {
+			if k := row[sh.keyPos]; k.IsNull() || k.AsText() == "" || normalizeKeyText(k.AsText()) != k.AsText() {
 				t.Fatalf("row %v: key %q is not canonical", row, k.AsText())
 			}
 		}
 
-		typ := attrTypes[int(shape/3)%len(attrTypes)]
+		keyOnly := parseCompletion(text, sh.schema, sh.cols, sh.keyPos, 1, tolerant)
+		if keyOnly.stats != stats || len(keyOnly.rows) != len(rows) || !slices.Equal(keyOnly.keys, full.keys) {
+			t.Fatalf("key-only parse %+v (%d rows, keys %q) disagrees with full-width %+v (%d rows, keys %q)",
+				keyOnly.stats, len(keyOnly.rows), keyOnly.keys, stats, len(rows), full.keys)
+		}
+		for i, row := range keyOnly.rows {
+			if len(row) != 1 || row[0] != rows[i][sh.keyPos] {
+				t.Fatalf("key-only row %v, full-width key %v", row, rows[i][sh.keyPos])
+			}
+		}
+
+		typ := attrTypes[int(shape)/len(shapes)%len(attrTypes)]
 		v, ok := parseAttrCompletion(text, typ, tolerant)
 		if v.Type() != typ || ok == v.IsNull() {
 			t.Fatalf("ATTR %q as %s: %v (%s), ok=%v", text, typ, v, v.Type(), ok)

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"strings"
 
+	"llmsql/internal/exec"
 	"llmsql/internal/plan"
 	"llmsql/internal/rel"
 	"llmsql/internal/sql"
@@ -21,6 +22,10 @@ type scanSpec struct {
 	limit    int64    // advisory row cap (0 = none)
 	strategy Strategy // effective strategy: StrategyAuto is resolved
 	auto     bool     // strategy was chosen by the cost model
+	// windowed reports that a LIMIT may stop pulling from the scan before
+	// it is drained (a pushed limit hint, or a LimitNode above it), so the
+	// key-then-attr attribute phase fans out in prefetch windows.
+	windowed bool
 	// bind reports that a bind join's keys may restrict this scan: binding
 	// is on and the strategy is key-then-attr — any other decomposition
 	// could not honour it without changing its prompts, and therefore its
@@ -28,16 +33,20 @@ type scanSpec struct {
 	bind bool
 }
 
-// specLocked resolves a scan of t for the executor's needed mask, pushed
-// filter and limit hint (see shapeLocked) and its strategy. d is the plan's
-// decision for the scan, and the scan adopts its strategy and Auto flag
-// rather than pricing again — a cached plan runs the strategy its EXPLAIN
-// shows. Only an unplanned scan (d nil, a direct Scan caller) under
-// StrategyAuto prices for itself. The strategy never depends on a binding,
-// so a bound scan runs exactly the strategy the hash-join plan's scan would.
-// Callers must hold s.mu.
-func (s *LLMStore) specLocked(t *VirtualTable, needed []bool, filter sql.Expr, limit int64, d *plan.ScanDecision) scanSpec {
-	sp := s.shapeLocked(t, needed, filter, limit)
+// specLocked resolves a scan of t for the executor's request: its needed
+// mask, pushed filter and limit hint (see shapeLocked), whether a LIMIT may
+// stop it early, and its strategy. req.Decision is the plan's decision for
+// the scan, and the scan adopts its strategy and Auto flag rather than
+// pricing again — a cached plan runs the strategy its EXPLAIN shows. Only
+// an unplanned scan (no decision, a direct Scan caller) under StrategyAuto
+// prices for itself. The strategy never depends on a binding, so a bound
+// scan runs exactly the strategy the hash-join plan's scan would. Callers
+// must hold s.mu.
+func (s *LLMStore) specLocked(t *VirtualTable, req *exec.ScanRequest) scanSpec {
+	sp := s.shapeLocked(t, req.Needed, req.Filter, req.Limit)
+	// LimitPushdown off is the ablation: every scan materializes fully.
+	sp.windowed = sp.limit > 0 || s.cfg.LimitPushdown && req.UnderLimit
+	d := req.Decision
 	sp.strategy = s.cfg.Strategy
 	if d == nil && sp.strategy == StrategyAuto {
 		dec := s.decideLocked(&sp)

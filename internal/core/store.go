@@ -43,8 +43,8 @@ type ScanStats struct {
 	// would have dropped their rows anyway).
 	KeysGated int
 	// KeysAttributed counts keys that actually entered the attribute
-	// phase. With a pushed limit this stops at the last demand-driven
-	// prefetch window; without one it equals the surviving key count.
+	// phase. Under a LIMIT this stops at the last demand-driven prefetch
+	// window; a drained scan's equals the surviving key count.
 	KeysAttributed int
 	// KeysBound counts the distinct join-key values a bind join pushed
 	// into this scan (0 when the scan was unbound). Enumerated keys
@@ -236,7 +236,7 @@ func (s *LLMStore) Scan(req exec.ScanRequest) (exec.RowIter, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("core: unknown virtual table %q", req.Table)
 	}
-	sp := s.specLocked(t, req.Needed, req.Filter, req.Limit, req.Decision)
+	sp := s.specLocked(t, &req)
 	record := s.record
 	s.mu.Unlock()
 

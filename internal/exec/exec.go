@@ -68,6 +68,9 @@ type builder struct {
 	// reaches that node (the bound side is built after the outer side has
 	// been drained, so the keys are final by then).
 	bindKeys map[*plan.ScanNode][]string
+	// limits counts the LimitNodes above the node being built: scans built
+	// while it is positive may be abandoned early (ScanRequest.UnderLimit).
+	limits int
 }
 
 // instrument wraps it so the node's emitted rows are counted when a
@@ -123,14 +126,15 @@ func (b *builder) buildRaw(node plan.Node) (RowIter, error) {
 
 func (b *builder) buildScan(n *plan.ScanNode) (RowIter, error) {
 	it, err := b.src.Scan(ScanRequest{
-		Table:    n.Table,
-		Alias:    n.Alias,
-		Schema:   n.TableSchema,
-		Needed:   n.Needed,
-		Filter:   n.Filter,
-		Limit:    n.Limit,
-		Keys:     b.bindKeys[n],
-		Decision: n.Decision,
+		Table:      n.Table,
+		Alias:      n.Alias,
+		Schema:     n.TableSchema,
+		Needed:     n.Needed,
+		Filter:     n.Filter,
+		Limit:      n.Limit,
+		UnderLimit: b.limits > 0,
+		Keys:       b.bindKeys[n],
+		Decision:   n.Decision,
 	})
 	if err != nil {
 		return nil, err
@@ -277,6 +281,11 @@ func compareSortKeys(x, y rel.Row, keys []plan.SortKey) int {
 }
 
 func (b *builder) buildLimit(n *plan.LimitNode) (RowIter, error) {
+	// Only a finite limit stops pulling; OFFSET alone drains its child.
+	if n.Limit >= 0 {
+		b.limits++
+		defer func() { b.limits-- }()
+	}
 	child, err := b.build(n.Child)
 	if err != nil {
 		return nil, err

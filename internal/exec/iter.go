@@ -39,6 +39,12 @@ type ScanRequest struct {
 	// qualifying rows than they otherwise would; the executor's LimitNode
 	// enforces the real limit regardless. 0 means no hint.
 	Limit int64
+	// UnderLimit reports that a LimitNode sits above the scan, so its
+	// consumer may stop pulling before the stream ends even when no hint
+	// could be pushed (a join, a filter or DISTINCT lies in between). A
+	// source that works ahead of demand should do so in small steps then;
+	// without it the scan will be drained.
+	UnderLimit bool
 	// Keys, when non-nil, binds the scan to the given entity-key values
 	// (sideways information passing from a bind join: the distinct join
 	// keys the outer side produced). A source may use it to retrieve only

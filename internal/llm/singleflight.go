@@ -39,16 +39,23 @@ const DefaultCoalescerMemo = 4096
 // and the rest join it. One backend failure therefore costs one caller one
 // retry tier, never a whole coalesced cohort; a caller only sees an error
 // from a call it led itself.
+//
+// Most calls are never joined, so a leader only marks its request as in
+// flight (a nil entry); the first follower to join allocates the flight
+// the cohort waits on, and the leader releases it once its response is in
+// the memo.
 type Coalescer struct {
 	Inner Model
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// inflight holds every request a leader is calling for: nil until a
+	// follower joins, then the flight its followers wait on.
 	inflight map[requestKey]*flight
 	memo     *lru.Cache[requestKey, CompletionResponse] // completed responses
 	stats    CoalescerStats
 }
 
-// flight is one in-progress leader call; followers wait on done.
+// flight is one joined leader call; followers wait on done.
 type flight struct {
 	done sync.WaitGroup
 	resp CompletionResponse
@@ -131,6 +138,11 @@ func (c *Coalescer) Complete(req CompletionRequest) (CompletionResponse, error) 
 		if !ok {
 			break
 		}
+		if fl == nil {
+			fl = &flight{}
+			fl.done.Add(1)
+			c.inflight[key] = fl
+		}
 		c.stats.FlightHits++
 		joined = true
 		c.mu.Unlock()
@@ -145,24 +157,26 @@ func (c *Coalescer) Complete(req CompletionRequest) (CompletionResponse, error) 
 	if joined {
 		c.stats.Promotions++
 	}
-	fl := &flight{}
-	fl.done.Add(1)
-	c.inflight[key] = fl
+	c.inflight[key] = nil
 	c.stats.LiveCalls++
 	c.mu.Unlock()
 
-	fl.resp, fl.err = c.Inner.Complete(req)
-	fl.done.Done()
+	resp, err := c.Inner.Complete(req)
 
 	c.mu.Lock()
+	fl := c.inflight[key]
 	delete(c.inflight, key)
-	if fl.err != nil {
+	if err != nil {
 		c.stats.Errors++
-	} else if c.memo.Put(key, fl.resp) {
+	} else if c.memo.Put(key, resp) {
 		c.stats.Evictions++
 	}
 	c.mu.Unlock()
-	return fl.resp, fl.err
+	if fl != nil {
+		fl.resp, fl.err = resp, err
+		fl.done.Done()
+	}
+	return resp, err
 }
 
 // Forget drops the request's completed response from the memo, so the next

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -453,6 +454,108 @@ type fixedModel struct{ resp CompletionResponse }
 func (fixedModel) Name() string { return "fixed" }
 
 func (m fixedModel) Complete(CompletionRequest) (CompletionResponse, error) { return m.resp, nil }
+
+// TestCoalescerMissAllocs guards the leader's path: a miss that no
+// follower joins allocates nothing of the coalescer's own (the flight
+// followers wait on is made only when one joins), here with every call
+// evicting a memo entry over an inner model that allocates nothing.
+func TestCoalescerMissAllocs(t *testing.T) {
+	const distinct = 64
+	reqs := make([]CompletionRequest, distinct)
+	for i := range reqs {
+		reqs[i] = attrRequest
+		reqs[i].Prompt += fmt.Sprint(i)
+	}
+	c := NewCoalescerSized(fixedModel{CompletionResponse{Text: "Paris"}}, distinct/2)
+	next := 0
+	miss := func() {
+		if _, err := c.Complete(reqs[next%distinct]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for range reqs {
+		miss() // fill the memo, so every measured call evicts
+	}
+	if n := testing.AllocsPerRun(200, miss); n != 0 {
+		t.Fatalf("a coalescer miss allocates %v times, want 0", n)
+	}
+	if s := c.Stats(); s.MemoHits != 0 || s.FlightHits != 0 {
+		t.Fatalf("the calls must only miss: %+v", s)
+	}
+}
+
+// stagedModel holds each inner call open until the test releases it, and
+// fails the first: a coalescer leader that fails with a cohort waiting.
+type stagedModel struct {
+	entered chan struct{}
+	release [2]chan struct{}
+	calls   atomic.Int32
+}
+
+func (m *stagedModel) Name() string { return "staged" }
+
+func (m *stagedModel) Complete(req CompletionRequest) (CompletionResponse, error) {
+	call := m.calls.Add(1) - 1
+	m.entered <- struct{}{}
+	<-m.release[min(call, 1)]
+	if call == 0 {
+		return CompletionResponse{}, errors.New("boom")
+	}
+	return CompletionResponse{Text: "ans:" + req.Prompt}, nil
+}
+
+// TestCoalescerFollowersOfFailedLeaderPromoted: N followers join a leader
+// whose call fails. The leader alone sees the error; one follower is
+// promoted to lead a fresh call and the other N-1 join that one, so both
+// lazily made flights carry a cohort (run under -race, this exercises their
+// handoff). Every follower gets the answer.
+func TestCoalescerFollowersOfFailedLeaderPromoted(t *testing.T) {
+	const N = 8
+	inner := &stagedModel{entered: make(chan struct{}, 2), release: [2]chan struct{}{make(chan struct{}), make(chan struct{})}}
+	c := NewCoalescer(inner)
+	req := CompletionRequest{Prompt: "p"}
+	waitHits := func(n int) {
+		for c.Stats().FlightHits < n {
+			runtime.Gosched()
+		}
+	}
+
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := c.Complete(req)
+		leaderErr <- err
+	}()
+	<-inner.entered
+	var wg sync.WaitGroup
+	resps := make([]CompletionResponse, N)
+	errs := make([]error, N)
+	for i := 0; i < N; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resps[i], errs[i] = c.Complete(req)
+		}()
+	}
+	waitHits(N)
+	close(inner.release[0])
+	if err := <-leaderErr; err == nil {
+		t.Fatal("the failed leader must see its error")
+	}
+	<-inner.entered // the promoted follower leads the second call
+	waitHits(2*N - 1)
+	close(inner.release[1])
+	wg.Wait()
+
+	for i := range resps {
+		if errs[i] != nil || resps[i].Text != "ans:p" {
+			t.Fatalf("follower %d: %+v, %v", i, resps[i], errs[i])
+		}
+	}
+	if s := c.Stats(); s.LiveCalls != 2 || s.Errors != 1 || s.Promotions != 1 || s.FlightHits != 2*N-1 {
+		t.Fatalf("stats: %+v", s)
+	}
+}
 
 // BenchmarkCoalescerMissEvict cycles twice as many distinct requests as the
 // memo holds, so every call misses, leads a flight, inserts and evicts — the
