@@ -156,11 +156,9 @@ func TestNaNTemperatureDoesNotLeak(t *testing.T) {
 	if n := cache.entries.Len(); n > capacity || chainLen(cache.entries) != n {
 		t.Fatalf("cache holds %d entries (list %d), capacity %d", n, chainLen(cache.entries), capacity)
 	}
-	if n := coal.memo.Len(); n > capacity || chainLen(coal.memo) != n {
-		t.Fatalf("coalescer memo holds %d entries (list %d), capacity %d", n, chainLen(coal.memo), capacity)
-	}
-	if len(coal.inflight) != 0 {
-		t.Fatalf("%d flights leaked", len(coal.inflight))
+	checkIdle(t, coal)
+	if s := coal.Stats(); s.Size != capacity {
+		t.Fatalf("coalescer memo holds %d entries, capacity %d", s.Size, capacity)
 	}
 	// And a NaN request is found again like any other.
 	last := CompletionRequest{Prompt: fmt.Sprintf("p%d", 3*capacity-1), Temperature: math.NaN()}

@@ -1,10 +1,6 @@
 package llm
 
-import (
-	"sync"
-
-	"llmsql/internal/lru"
-)
+import "sync"
 
 // DefaultCoalescerMemo bounds the Coalescer's completed-results memo. It is
 // sized like DefaultCacheCapacity: large enough that every prompt of a
@@ -40,19 +36,33 @@ const DefaultCoalescerMemo = 4096
 // retry tier, never a whole coalesced cohort; a caller only sees an error
 // from a call it led itself.
 //
-// Most calls are never joined, so a leader only marks its request as in
-// flight (a nil entry); the first follower to join allocates the flight
-// the cohort waits on, and the leader releases it once its response is in
-// the memo.
+// The two tiers are one table: each request is one entry from its leader's
+// start until its call fails, it is evicted, or Forget drops it. An entry in
+// flight is outside the LRU bound; a done entry is a memo entry, linked into
+// the recency ring. Most calls are never joined, so the flight followers
+// wait on is made only when the first one joins, and evicted entries are
+// recycled: a miss nobody joins allocates nothing and makes three map
+// operations (a probe, an insert and, at capacity, the eviction's delete).
 type Coalescer struct {
 	Inner Model
 
-	mu sync.Mutex
-	// inflight holds every request a leader is calling for: nil until a
-	// follower joins, then the flight its followers wait on.
-	inflight map[requestKey]*flight
-	memo     *lru.Cache[requestKey, CompletionResponse] // completed responses
+	mu       sync.Mutex
+	table    map[requestKey]*entry
+	ring     entry  // sentinel of the done entries: ring.next is most recent
+	size     int    // done entries, at most capacity
+	capacity int    // 0 retains nothing
+	free     *entry // dropped entries for reuse, linked through next
 	stats    CoalescerStats
+}
+
+// entry is one request in the table. Its fields are the Coalescer's,
+// guarded by its mutex.
+type entry struct {
+	key        requestKey
+	resp       CompletionResponse // set once done
+	done       bool               // resp is published and the entry is in the ring
+	fl         *flight            // nil until a follower joins the call in flight
+	prev, next *entry
 }
 
 // flight is one joined leader call; followers wait on done.
@@ -97,14 +107,9 @@ func NewCoalescerSized(m Model, capacity int) *Coalescer {
 	if capacity == 0 {
 		capacity = DefaultCoalescerMemo
 	}
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &Coalescer{
-		Inner:    m,
-		inflight: make(map[requestKey]*flight),
-		memo:     lru.New[requestKey, CompletionResponse](capacity),
-	}
+	c := &Coalescer{Inner: m, table: make(map[requestKey]*entry), capacity: max(capacity, 0)}
+	c.ring.prev, c.ring.next = &c.ring, &c.ring
+	return c
 }
 
 // Name implements Model.
@@ -128,20 +133,24 @@ func (c *Coalescer) Complete(req CompletionRequest) (CompletionResponse, error) 
 	c.mu.Lock()
 	joined := false
 	for {
-		if resp, ok := c.memo.Get(key); ok {
+		e := c.table[key]
+		if e == nil {
+			break
+		}
+		if e.done {
+			c.unlink(e)
+			c.pushFront(e)
+			resp := e.resp
 			c.stats.MemoHits++
 			c.mu.Unlock()
 			resp.Coalesced = true
 			return resp, nil
 		}
-		fl, ok := c.inflight[key]
-		if !ok {
-			break
-		}
+		fl := e.fl
 		if fl == nil {
 			fl = &flight{}
 			fl.done.Add(1)
-			c.inflight[key] = fl
+			e.fl = fl
 		}
 		c.stats.FlightHits++
 		joined = true
@@ -157,19 +166,38 @@ func (c *Coalescer) Complete(req CompletionRequest) (CompletionResponse, error) 
 	if joined {
 		c.stats.Promotions++
 	}
-	c.inflight[key] = nil
+	e := c.free
+	if e != nil {
+		c.free = e.next
+		e.key, e.done, e.fl = key, false, nil
+	} else {
+		e = &entry{key: key}
+	}
+	c.table[key] = e
 	c.stats.LiveCalls++
 	c.mu.Unlock()
 
 	resp, err := c.Inner.Complete(req)
 
 	c.mu.Lock()
-	fl := c.inflight[key]
-	delete(c.inflight, key)
-	if err != nil {
+	fl := e.fl
+	switch {
+	case err != nil:
 		c.stats.Errors++
-	} else if c.memo.Put(key, resp) {
-		c.stats.Evictions++
+		c.drop(e)
+	case c.capacity == 0:
+		c.drop(e)
+	default:
+		if c.size == c.capacity {
+			old := c.ring.prev
+			c.unlink(old)
+			c.drop(old)
+			c.stats.Evictions++
+		} else {
+			c.size++
+		}
+		e.resp, e.done = resp, true
+		c.pushFront(e)
 	}
 	c.mu.Unlock()
 	if fl != nil {
@@ -186,8 +214,26 @@ func (c *Coalescer) Complete(req CompletionRequest) (CompletionResponse, error) 
 func (c *Coalescer) Forget(req CompletionRequest) {
 	key := keyOf(req)
 	c.mu.Lock()
-	c.memo.Remove(key)
+	if e := c.table[key]; e != nil && e.done {
+		c.unlink(e)
+		c.size--
+		c.drop(e)
+	}
 	c.mu.Unlock()
+}
+
+// drop deletes e's key from the table and keeps e for reuse; e must be out
+// of the ring.
+func (c *Coalescer) drop(e *entry) {
+	delete(c.table, e.key)
+	e.next, c.free = c.free, e
+}
+
+func (c *Coalescer) unlink(e *entry) { e.prev.next, e.next.prev = e.next, e.prev }
+
+func (c *Coalescer) pushFront(e *entry) {
+	e.prev, e.next = &c.ring, c.ring.next
+	e.prev.next, e.next.prev = e, e
 }
 
 // Stats returns a snapshot of the counters.
@@ -195,8 +241,7 @@ func (c *Coalescer) Stats() CoalescerStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
-	s.Size = c.memo.Len()
-	s.Capacity = c.memo.Cap()
+	s.Size, s.Capacity = c.size, c.capacity
 	return s
 }
 

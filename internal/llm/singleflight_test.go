@@ -4,11 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"llmsql/internal/lru"
 )
 
 // blockModel lets a test hold inner calls open so concurrent callers pile up
@@ -189,9 +192,7 @@ func TestCoalescerMemoBoundAndEviction(t *testing.T) {
 	if s.LiveCalls != 4 || s.MemoHits != 1 {
 		t.Fatalf("stats: %+v", s)
 	}
-	if got := chainLen(c.memo); got != c.memo.Len() {
-		t.Fatalf("map/list out of sync: %d vs %d", c.memo.Len(), got)
-	}
+	checkIdle(t, c)
 }
 
 func TestCoalescerMemoDisabled(t *testing.T) {
@@ -555,6 +556,232 @@ func TestCoalescerFollowersOfFailedLeaderPromoted(t *testing.T) {
 	if s := c.Stats(); s.LiveCalls != 2 || s.Errors != 1 || s.Promotions != 1 || s.FlightHits != 2*N-1 {
 		t.Fatalf("stats: %+v", s)
 	}
+}
+
+// checkIdle asserts what holds of a coalescer no call is inside: every
+// table entry is done and linked into the recency ring exactly once, so no
+// flight leaked, and the ring is within the bound. The ring and the table
+// are maintained separately, so the walk checks the back links as it goes.
+func checkIdle(t *testing.T, c *Coalescer) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for e := c.ring.next; e != &c.ring && n <= len(c.table); e = e.next {
+		if e.next.prev != e || !e.done || c.table[e.key] != e {
+			t.Fatalf("ring entry %q is not the table's done entry", e.key.prompt)
+		}
+		n++
+	}
+	if n != len(c.table) || n != c.size || c.size > c.capacity {
+		t.Fatalf("table %d, ring %d, size %d, capacity %d", len(c.table), n, c.size, c.capacity)
+	}
+}
+
+// refCoalescer is the two-structure coalescer the one table replaced: a
+// map of the calls in flight beside an lru.Cache memo of completed
+// responses. TestCoalescerMatchesTwoMapReference holds Coalescer to it.
+type refCoalescer struct {
+	inner    Model
+	mu       sync.Mutex
+	inflight map[requestKey]*flight
+	memo     *lru.Cache[requestKey, CompletionResponse]
+	stats    CoalescerStats
+}
+
+func newRefCoalescer(m Model, capacity int) *refCoalescer {
+	if capacity == 0 {
+		capacity = DefaultCoalescerMemo
+	}
+	return &refCoalescer{
+		inner:    m,
+		inflight: make(map[requestKey]*flight),
+		memo:     lru.New[requestKey, CompletionResponse](max(capacity, 0)),
+	}
+}
+
+func (c *refCoalescer) Complete(req CompletionRequest) (CompletionResponse, error) {
+	key := keyOf(req)
+	c.mu.Lock()
+	joined := false
+	for {
+		if resp, ok := c.memo.Get(key); ok {
+			c.stats.MemoHits++
+			c.mu.Unlock()
+			resp.Coalesced = true
+			return resp, nil
+		}
+		fl, ok := c.inflight[key]
+		if !ok {
+			break
+		}
+		if fl == nil {
+			fl = &flight{}
+			fl.done.Add(1)
+			c.inflight[key] = fl
+		}
+		c.stats.FlightHits++
+		joined = true
+		c.mu.Unlock()
+		fl.done.Wait()
+		if fl.err == nil {
+			resp := fl.resp
+			resp.Coalesced = true
+			return resp, nil
+		}
+		c.mu.Lock()
+	}
+	if joined {
+		c.stats.Promotions++
+	}
+	c.inflight[key] = nil
+	c.stats.LiveCalls++
+	c.mu.Unlock()
+
+	resp, err := c.inner.Complete(req)
+
+	c.mu.Lock()
+	fl := c.inflight[key]
+	delete(c.inflight, key)
+	if err != nil {
+		c.stats.Errors++
+	} else if c.memo.Put(key, resp) {
+		c.stats.Evictions++
+	}
+	c.mu.Unlock()
+	if fl != nil {
+		fl.resp, fl.err = resp, err
+		fl.done.Done()
+	}
+	return resp, err
+}
+
+func (c *refCoalescer) Forget(req CompletionRequest) {
+	c.mu.Lock()
+	c.memo.Remove(keyOf(req))
+	c.mu.Unlock()
+}
+
+func (c *refCoalescer) Stats() CoalescerStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := c.stats
+	s.Size, s.Capacity = c.memo.Len(), c.memo.Cap()
+	return s
+}
+
+// numberedModel numbers its answers by call ("ans:<prompt>#<n>"), so a memo
+// copy reads differently from a fresh call, and fails while fail is set.
+type numberedModel struct {
+	calls int
+	fail  bool
+}
+
+func (m *numberedModel) Name() string { return "numbered" }
+
+func (m *numberedModel) Complete(req CompletionRequest) (CompletionResponse, error) {
+	m.calls++
+	if m.fail {
+		return CompletionResponse{}, errors.New("boom")
+	}
+	return CompletionResponse{Text: fmt.Sprintf("ans:%s#%d", req.Prompt, m.calls), PromptTokens: len(req.Prompt)}, nil
+}
+
+// TestCoalescerMatchesTwoMapReference drives Coalescer and refCoalescer
+// through the same seeded Complete and Forget calls over a dozen prompts,
+// with seeded inner failures, at every memo shape (disabled, tiny, larger
+// than the prompt set): after every step the two must have answered alike
+// and agree on every counter, so eviction order, Forget and the error path
+// are the parent algorithm's.
+func TestCoalescerMatchesTwoMapReference(t *testing.T) {
+	for _, capacity := range []int{-1, 1, 2, 3, 8} {
+		for seed := int64(1); seed <= 10; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			refInner, inner := &numberedModel{}, &numberedModel{}
+			ref, c := newRefCoalescer(refInner, capacity), NewCoalescerSized(inner, capacity)
+			for step := 0; step < 400; step++ {
+				req := CompletionRequest{Prompt: fmt.Sprintf("p%d", rng.Intn(12))}
+				if rng.Intn(5) == 0 {
+					ref.Forget(req)
+					c.Forget(req)
+				} else {
+					refInner.fail = rng.Intn(4) == 0
+					inner.fail = refInner.fail
+					want, wantErr := ref.Complete(req)
+					got, err := c.Complete(req)
+					if got != want || (err == nil) != (wantErr == nil) {
+						t.Fatalf("capacity %d seed %d step %d: %+v, %v; reference %+v, %v", capacity, seed, step, got, err, want, wantErr)
+					}
+				}
+				if got, want := c.Stats(), ref.Stats(); got != want {
+					t.Fatalf("capacity %d seed %d step %d: stats %+v; reference %+v", capacity, seed, step, got, want)
+				}
+				checkIdle(t, c)
+			}
+		}
+	}
+}
+
+// yieldingModel yields inside every call, so concurrent callers interleave
+// around it, and fails every 5th call.
+type yieldingModel struct{ calls, fails atomic.Int64 }
+
+func (m *yieldingModel) Name() string { return "yielding" }
+
+func (m *yieldingModel) Complete(req CompletionRequest) (CompletionResponse, error) {
+	n := m.calls.Add(1)
+	runtime.Gosched()
+	if n%5 == 0 {
+		m.fails.Add(1)
+		return CompletionResponse{}, errors.New("boom")
+	}
+	return CompletionResponse{Text: "ans:" + req.Prompt}, nil
+}
+
+// TestCoalescerConcurrentInvariants runs 8 callers over 16 prompts against
+// a 4-entry memo while one of them also forgets prompts: entries join
+// flights, fail, promote, evict and are recycled concurrently. Every answer
+// must be its own prompt's (a recycled entry handed to the wrong caller
+// would show here), every error a leader's own, and once idle the table,
+// ring and Size agree and the counters match the inner model's.
+func TestCoalescerConcurrentInvariants(t *testing.T) {
+	const callers, calls, prompts = 8, 2000, 16
+	reqs := make([]CompletionRequest, prompts)
+	for i := range reqs {
+		reqs[i] = CompletionRequest{Prompt: fmt.Sprintf("p%d", i)}
+	}
+	inner := &yieldingModel{}
+	c := NewCoalescerSized(inner, 4)
+	var wg sync.WaitGroup
+	var callerErrs atomic.Int64
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < calls; i++ {
+				req := reqs[rng.Intn(prompts)]
+				resp, err := c.Complete(req)
+				if err != nil {
+					callerErrs.Add(1)
+				} else if resp.Text != "ans:"+req.Prompt {
+					t.Errorf("%q answered %q", req.Prompt, resp.Text)
+					return
+				}
+				if g == 0 {
+					c.Forget(reqs[rng.Intn(prompts)])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	checkIdle(t, c)
+	s := c.Stats()
+	if int64(s.LiveCalls) != inner.calls.Load() || int64(s.Errors) != inner.fails.Load() || callerErrs.Load() != inner.fails.Load() {
+		t.Fatalf("stats %+v: inner %d calls, %d failed; callers saw %d errors", s, inner.calls.Load(), inner.fails.Load(), callerErrs.Load())
+	}
+	t.Logf("%+v", s)
 }
 
 // BenchmarkCoalescerMissEvict cycles twice as many distinct requests as the

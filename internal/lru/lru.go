@@ -1,8 +1,7 @@
 // Package lru is the one bounded least-recently-used map the engine's
-// caches share: llm.CacheModel, the llm.Coalescer memo and core's
-// parsed-rows memo (count-bounded, evicting on Put), llm.DiskCache
-// (byte-bounded: the owner evicts through Oldest and Remove) and core's
-// prepared-plan cache.
+// caches share: llm.CacheModel and core's parsed-rows memo (count-bounded,
+// evicting on Put), llm.DiskCache (byte-bounded: the owner evicts through
+// Oldest and Remove) and core's prepared-plan cache.
 package lru
 
 // Cache is a bounded least-recently-used map whose recency ring runs through
