@@ -7,14 +7,20 @@ BENCH_CURRENT ?=
 REPLAY_FIXTURE := testdata/replay/bench_suite.json
 REPLAY_SCALE := 0.25
 REPLAY_ONLY := Table 9,Table 10,Table 11,Table 12,Table 13,Table 14,Table 16
+REPLAY_FLAGS := -scale $(REPLAY_SCALE) -replay $(REPLAY_FIXTURE) -only "$(REPLAY_ONLY)" -json
+# replay-check and chaos-check also cmp their output with these goldens, so
+# a change to the replayed suite's figures fails even when it is
+# deterministic; `make baseline` re-records them.
+REPLAY_GOLDEN := testdata/replay/golden.json
+CHAOS_GOLDEN_DIR := testdata/chaos
 # chaos-check runs the replayed efficiency suite with seeded fault
 # injection on top (the chaos layer sits above the trace layer, so the two
 # compose): each pinned seed must produce byte-identical output across two
-# runs (fault streams are keyed on fingerprints, not timing), and the suite
-# must complete — zero failed queries — because retries and PartialResults
-# absorb every injected fault.
+# runs (fault streams are keyed on fingerprints, not timing) and match its
+# golden, and the suite must complete — zero failed queries — because
+# retries and PartialResults absorb every injected fault.
 CHAOS_SEEDS := 7 1337 99991
-CHAOS_FLAGS := -scale $(REPLAY_SCALE) -replay $(REPLAY_FIXTURE) -only "$(REPLAY_ONLY)" -chaos-error 0.10 -chaos-ratelimit 0.05 -chaos-spike 0.2 -hedge-after 1s -partial-results -json
+CHAOS_FLAGS := $(REPLAY_FLAGS) -chaos-error 0.10 -chaos-ratelimit 0.05 -chaos-spike 0.2 -hedge-after 1s -partial-results
 
 # Single source of truth for the staticcheck pin; CI installs the same
 # version via `make staticcheck-install`.
@@ -60,9 +66,14 @@ staticcheck-install:
 bench:
 	$(GO) run ./cmd/llmsql-bench
 
-## baseline: regenerate the checked-in perf baseline
+## baseline: regenerate the checked-in perf baseline and the replay and chaos goldens
 baseline:
 	$(GO) run ./cmd/llmsql-bench -json > BENCH_baseline.json
+	$(GO) run ./cmd/llmsql-bench $(REPLAY_FLAGS) > $(REPLAY_GOLDEN)
+	@mkdir -p $(CHAOS_GOLDEN_DIR)
+	@for seed in $(CHAOS_SEEDS); do \
+		$(GO) run ./cmd/llmsql-bench $(CHAOS_FLAGS) -chaos-seed $$seed > $(CHAOS_GOLDEN_DIR)/$$seed.json || exit 1; \
+	done
 
 ## bench-check: run the suite and fail on any byte of difference from BENCH_baseline.json (every figure is on the virtual clock, so the output depends only on the code; `make baseline` re-records it)
 bench-check:
@@ -89,23 +100,26 @@ bench-smoke:
 	$(GO) -C benchmark test ./...
 	$(GO) test ./internal/sql ./internal/exec ./internal/llm ./internal/core ./internal/serve -run '^$$' -bench . -benchtime 1x
 
-## replay-check: run the efficiency suite twice from the checked-in replay fixture and fail on any byte difference (what the CI replay-determinism job runs)
+## replay-check: run the efficiency suite twice from the checked-in replay fixture and fail on any byte difference between the runs or from the golden (what the CI replay-determinism job runs)
 replay-check:
 	@a="$$(mktemp -t llmsql_replay_a.XXXXXX)"; b="$$(mktemp -t llmsql_replay_b.XXXXXX)"; status=0; \
-	$(GO) run ./cmd/llmsql-bench -scale $(REPLAY_SCALE) -replay $(REPLAY_FIXTURE) -only "$(REPLAY_ONLY)" -json > "$$a" || status=$$?; \
+	$(GO) run ./cmd/llmsql-bench $(REPLAY_FLAGS) > "$$a" || status=$$?; \
 	if [ "$$status" -eq 0 ]; then \
-		$(GO) run ./cmd/llmsql-bench -scale $(REPLAY_SCALE) -replay $(REPLAY_FIXTURE) -only "$(REPLAY_ONLY)" -json > "$$b" || status=$$?; \
+		$(GO) run ./cmd/llmsql-bench $(REPLAY_FLAGS) > "$$b" || status=$$?; \
 	fi; \
 	if [ "$$status" -eq 0 ]; then \
-		if cmp -s "$$a" "$$b"; then \
-			echo "replay-check: OK — two replayed runs are byte-identical"; \
-		else \
+		if ! cmp -s "$$a" "$$b"; then \
 			echo "replay-check: FAIL — replayed runs differ:"; diff "$$a" "$$b" | head -40; status=1; \
+		elif ! cmp -s $(REPLAY_GOLDEN) "$$a"; then \
+			echo "replay-check: FAIL — the replayed suite differs from $(REPLAY_GOLDEN) (re-record with make baseline if the change is intended):"; \
+			diff $(REPLAY_GOLDEN) "$$a" | head -40; status=1; \
+		else \
+			echo "replay-check: OK — two replayed runs are byte-identical to $(REPLAY_GOLDEN)"; \
 		fi; \
 	fi; \
 	rm -f "$$a" "$$b"; exit $$status
 
-## chaos-check: run the full suite under seeded fault injection for each pinned seed, twice, and fail if any run errors or the two runs differ (fault-recovery determinism gate)
+## chaos-check: run the full suite under seeded fault injection for each pinned seed, twice, and fail if any run errors, the two runs differ or they differ from the seed's golden (fault-recovery determinism gate)
 chaos-check:
 	@status=0; \
 	for seed in $(CHAOS_SEEDS); do \
@@ -115,10 +129,13 @@ chaos-check:
 			$(GO) run ./cmd/llmsql-bench $(CHAOS_FLAGS) -chaos-seed $$seed > "$$b" || status=$$?; \
 		fi; \
 		if [ "$$status" -eq 0 ]; then \
-			if cmp -s "$$a" "$$b"; then \
-				echo "chaos-check: seed $$seed OK — two chaos runs are byte-identical"; \
-			else \
+			if ! cmp -s "$$a" "$$b"; then \
 				echo "chaos-check: seed $$seed FAIL — chaos runs differ:"; diff "$$a" "$$b" | head -40; status=1; \
+			elif ! cmp -s $(CHAOS_GOLDEN_DIR)/$$seed.json "$$a"; then \
+				echo "chaos-check: seed $$seed FAIL — differs from $(CHAOS_GOLDEN_DIR)/$$seed.json (re-record with make baseline if the change is intended):"; \
+				diff $(CHAOS_GOLDEN_DIR)/$$seed.json "$$a" | head -40; status=1; \
+			else \
+				echo "chaos-check: seed $$seed OK — two chaos runs are byte-identical to $(CHAOS_GOLDEN_DIR)/$$seed.json"; \
 			fi; \
 		fi; \
 		rm -f "$$a" "$$b"; \

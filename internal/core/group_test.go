@@ -181,7 +181,7 @@ func TestGroupSessionSeesSharedDiskCache(t *testing.T) {
 		billedCalls, billedTokens int
 	}{
 		// The memo answers the refresh with copies of the build's live
-		// calls. They keep the build's uncached flags, so the session is
+		// calls. They keep the build's live provenance, so the session is
 		// billed for them as a solo engine would be, but none reached the
 		// provider, so the view counts none as live.
 		{"memo", 0, 5, 585},
@@ -325,5 +325,44 @@ func TestGroupInvalidationReachesCoalescerMemo(t *testing.T) {
 	}
 	if live := g.Stats().Live.Calls - liveBefore; live != drop {
 		t.Fatalf("refresh after invalidating %d cached completions made %d live calls", drop, live)
+	}
+}
+
+// TestGroupMemoryHitIsNotCoalesced: a session's in-memory cache re-serving a
+// response that first reached it as a coalesced copy answers from its own
+// memory — the copy's Coalesced mark was the first call's, not this one's.
+func TestGroupMemoryHitIsNotCoalesced(t *testing.T) {
+	w := parWorld()
+	cfg := groupConfig()
+	cfg.CacheCapacity = 4096
+	g, err := NewEngineGroup(llm.NewSynthLM(w, llm.ProfileMedium, 7), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	g.RegisterWorldDomain(w.Domain("country"))
+	const query = "SELECT name, capital FROM country"
+	if _, err := g.Session().Query(query); err != nil {
+		t.Fatal(err)
+	}
+	b := g.Session()
+	first, err := b.Query(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := first.Scans[0]; s.CoalescedHits != s.Prompts || s.Prompts == 0 {
+		t.Fatalf("first run: %d of %d calls coalesced, want all", s.CoalescedHits, s.Prompts)
+	}
+	hits := g.CoalescerStats().Hits()
+	repeat, err := b.Query(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := repeat.Scans[0]; s.CacheHits != s.Prompts || s.CoalescedHits != 0 {
+		t.Fatalf("repeat: CacheHits=%d CoalescedHits=%d of %d calls, want all memory hits and none coalesced",
+			s.CacheHits, s.CoalescedHits, s.Prompts)
+	}
+	if got := g.CoalescerStats().Hits(); got != hits {
+		t.Fatalf("memory hits reached the coalescer: hits %d -> %d", hits, got)
 	}
 }

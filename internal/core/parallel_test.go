@@ -167,8 +167,8 @@ func TestParallelismShortensCriticalPath(t *testing.T) {
 }
 
 func TestCacheScanStatsDeterministicAcrossParallelism(t *testing.T) {
-	// Cache counters in ScanStats come from the consumed responses' Cached
-	// flags, so a cold query must report identical stats at any
+	// Cache counters in ScanStats come from the consumed responses'
+	// provenance, so a cold query must report identical stats at any
 	// parallelism even though speculative prefetch touches the cache.
 	w := parWorld()
 	run := func(p int) (*QueryResult, error) {

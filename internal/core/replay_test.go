@@ -190,7 +190,7 @@ func TestDiskCacheWarmSecondRunCostsNothing(t *testing.T) {
 
 // TestScanStatsTierAttributionWithBothCaches pins per-scan counting with
 // the memory and disk tiers stacked: a disk hit travels out through the
-// memory layer's miss path with Cached still set, and must land in
+// memory layer's miss path still from Disk, and must land in
 // CacheMisses + DiskHits — never CacheHits.
 func TestScanStatsTierAttributionWithBothCaches(t *testing.T) {
 	w := parWorld()

@@ -120,7 +120,6 @@ type LLMStore struct {
 	model llm.Model
 	cache *llm.CacheModel // in-memory completion cache in the model chain, if any
 	disk  *llm.DiskCache  // persistent prompt cache in the model chain, if any
-	coal  *llm.Coalescer  // serving-mode request coalescer in the chain, if any
 	memo  *parseMemo      // parsed LIST/KEYS completions (enumerate.go); non-nil iff cache is
 	cfg   Config
 	// costModel prices candidate decompositions for the scan planner; it
@@ -145,7 +144,6 @@ func NewLLMStore(model llm.Model, cfg Config) *LLMStore {
 		model:     model,
 		cache:     llm.FindCache(model),
 		disk:      llm.FindDiskCache(model),
-		coal:      llm.FindCoalescer(model),
 		cfg:       cfg.normalize(),
 		costModel: llm.DefaultCostModel(),
 		tables:    make(map[string]*VirtualTable),
@@ -341,11 +339,11 @@ type callRecord struct {
 
 // add records one completed call. A call is live when it reached the
 // provider on this engine's behalf: neither a cache hit nor a coalesced
-// copy of another caller's call (which keeps that call's uncached flags).
+// copy of another caller's call (which keeps that call's provenance).
 func (r *callRecord) add(req llm.CompletionRequest, resp llm.CompletionResponse) {
 	r.mu.Lock()
 	r.reqs = append(r.reqs, req)
-	if !resp.Cached && !resp.Coalesced {
+	if !resp.Cached() && !resp.Coalesced {
 		r.liveCalls++
 		r.liveTokens += resp.PromptTokens + resp.CompletionTokens
 	}
@@ -369,29 +367,19 @@ func (sc *llmScan) addWall(d time.Duration) { sc.wall += d }
 
 // callAccount is what a scan keeps of one model call once the completion
 // text has been parsed: the virtual time the call occupied a lane for and the
-// flags countCall attributes from. A fan-out holds one per task until the
-// scan goroutine accounts for it, so it is a fraction of the response's size.
-// For a call that failed and degraded, latency is the failure's virtual time
-// and attempts the budget it burned; nothing else but failed is set.
+// provenance countCall attributes from. A fan-out holds one per task until
+// the scan goroutine accounts for it, so it is a fraction of the response's
+// size (32 bytes on 64-bit platforms). For a call that failed and degraded,
+// latency is the failure's virtual time and Attempts the budget it burned;
+// nothing else but failed is set.
 type callAccount struct {
-	latency   time.Duration
-	diskBytes int64
-	attempts  int
-
-	failed, cached, diskCached, coalesced, hedgeLaunched, hedgeWon bool
+	latency time.Duration
+	failed  bool
+	llm.Provenance
 }
 
 func accountOf(resp llm.CompletionResponse) callAccount {
-	return callAccount{
-		latency:       resp.SimLatency,
-		diskBytes:     resp.DiskBytes,
-		attempts:      resp.Attempts,
-		cached:        resp.Cached,
-		diskCached:    resp.DiskCached,
-		coalesced:     resp.Coalesced,
-		hedgeLaunched: resp.HedgeLaunched,
-		hedgeWon:      resp.HedgeWon,
-	}
+	return callAccount{latency: resp.SimLatency, Provenance: resp.Provenance}
 }
 
 // degrade decides whether a failed model call degrades the scan instead of
@@ -408,9 +396,10 @@ func (sc *llmScan) degrade(err error) (failed callAccount, ok bool) {
 	}
 	var re *llm.RetryError
 	if errors.As(err, &re) {
-		return callAccount{failed: true, attempts: re.Attempts, latency: re.FaultLatency}, true
+		attempts := llm.Provenance{Attempts: int32(re.Attempts)}
+		return callAccount{latency: re.FaultLatency, failed: true, Provenance: attempts}, true
 	}
-	return callAccount{failed: true, attempts: 1}, true
+	return callAccount{failed: true, Provenance: llm.Provenance{Attempts: 1}}, true
 }
 
 // countCall attributes one consumed model call to the scan's cache and
@@ -422,43 +411,44 @@ func (sc *llmScan) degrade(err error) (failed callAccount, ok bool) {
 // afterwards.
 //
 // A degraded call only extends RetriesSpent: it never completed, so it hit
-// nothing. Cache flags: the disk layer is consulted only when the in-memory
-// layer missed, so an uncached response is a disk miss but a memory hit is
-// neither — and a disk-cached response, which kept Cached set on its way out
-// through the memory layer's miss path, is a memory miss, not a memory hit.
-// Coalesced responses carry the flags of the original call, so the cache
-// counters read as they would solo; CoalescedHits is counted on top, not
-// instead. Retry/hedge markings survive only on live responses (cache hits
-// strip them), so on a healthy backend the fault counters stay zero.
+// nothing. Cache counters: the disk layer is consulted only when the
+// in-memory layer missed, so a live response is a miss of both, a Memory
+// response a hit of the one, and a Disk response a memory miss and a disk
+// hit. Coalesced responses carry the provenance of the original call, so the
+// cache counters read as they would solo; CoalescedHits is counted on top,
+// not instead. Retry/hedge markings survive only on live responses (a cache
+// hit replaces the whole record), so on a healthy backend the fault counters
+// stay zero.
 func (sc *llmScan) countCall(c callAccount) {
-	if c.attempts > 1 {
-		sc.stats.RetriesSpent += c.attempts - 1
+	if c.Attempts > 1 {
+		sc.stats.RetriesSpent += int(c.Attempts) - 1
 	}
 	if c.failed {
 		return
 	}
 	if sc.store.cache != nil {
-		if c.cached && !c.diskCached {
+		if c.From == llm.Memory {
 			sc.stats.CacheHits++
 		} else {
 			sc.stats.CacheMisses++
 		}
 	}
 	if sc.store.disk != nil {
-		if c.diskCached {
+		switch c.From {
+		case llm.Disk:
 			sc.stats.DiskHits++
-			sc.stats.DiskBytes += c.diskBytes
-		} else if !c.cached {
+			sc.stats.DiskBytes += c.DiskBytes
+		case llm.Live:
 			sc.stats.DiskMisses++
 		}
 	}
-	if sc.store.coal != nil && c.coalesced {
+	if c.Coalesced {
 		sc.stats.CoalescedHits++
 	}
-	if c.hedgeLaunched {
+	if c.HedgeLaunched {
 		sc.stats.HedgesLaunched++
 	}
-	if c.hedgeWon {
+	if c.HedgeWon {
 		sc.stats.HedgesWon++
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"llmsql/internal/exec"
 	"llmsql/internal/llm"
@@ -604,5 +605,20 @@ func TestMergeVotesMatchesKeyGrouping(t *testing.T) {
 	}
 	if got := mergeVotes(nil, rel.TypeInt); !got.IsNull() || got.Type() != rel.TypeInt {
 		t.Fatalf("no votes must give a typed NULL, got %v", got)
+	}
+}
+
+// TestCallAccountSize: a fan-out keeps one callAccount per task, so its size
+// is paid once per model call; the provenance record is 16 bytes so the
+// account stays at 32 on 64-bit platforms.
+func TestCallAccountSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(llm.Provenance{}); got != 16 {
+		t.Errorf("llm.Provenance is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(callAccount{}); got != 32 {
+		t.Errorf("callAccount is %d bytes, want 32", got)
 	}
 }

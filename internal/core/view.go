@@ -501,14 +501,19 @@ func (e *Engine) ViewRequests(name string) ([]llm.CompletionRequest, error) {
 // group's coalescer memo above it. An in-memory completion cache
 // (Config.CacheCapacity) may still serve them within the same process.
 //
-// Known drift, not fixed: memo copies keep the leader's Cached/DiskCached
-// flags (the contract that keeps session billing solo-identical), so a
-// session's Usage bills a REFRESH whose prompts the memo answers with copies
-// of the build's live calls as live, though none reached the provider (the
-// view's LastLiveCalls does not count them). In the memo case of
+// Known drift, not fixed: memo copies keep the leader's llm.Provenance (the
+// contract that keeps session billing solo-identical), so a session's Usage
+// bills a REFRESH whose prompts the memo answers with copies of the build's
+// live calls as live, though none reached the provider (the view's
+// LastLiveCalls does not count them). In the memo case of
 // TestGroupSessionSeesSharedDiskCache, an all-warm REFRESH
 // right after CREATE bills 5 calls and 585 tokens, and llmsql-serve
-// -cache-dir charges the tenant for a refresh that cost nothing.
+// -cache-dir charges the tenant for a refresh that cost nothing. Billing a
+// memo copy as free would not fix it alone: a follower that joins the
+// leader's call in flight and one that arrives just after it lands in the
+// memo differ only in timing, so any rule that bills the two differently
+// makes a bill depend on scheduling. The fix is a billing policy for every
+// coalesced copy.
 func (e *Engine) InvalidateCachedCompletions(reqs ...llm.CompletionRequest) int {
 	disk := e.backend.disk
 	if disk == nil {

@@ -27,11 +27,14 @@ import (
 //	recorder | replayer    trace capture / deterministic playback (Config.RecordTrace | Config.ReplayTrace)
 //	SynthLM                the base backend (or any API adapter)
 //
-// Every layer implements Unwrapper, so capabilities can be located
-// regardless of stacking order (FindCache, FindDiskCache). The layers whose
-// keys outlive the process — DiskCache, Chaos, Recorder/Replayer — address
-// completions by Fingerprint, the versioned content hash of (model id,
-// prompt, decode parameters), and are the only ones that hash on every call.
+// Every layer implements Unwrapper, so the two caches a scan's counters
+// need can be located regardless of stacking order (FindCache,
+// FindDiskCache); core reaches every other layer through the backend that
+// built it. A response's Provenance, not the chain, says which layer
+// answered it. The layers whose keys outlive the process — DiskCache,
+// Chaos, Recorder/Replayer — address completions by Fingerprint, the
+// versioned content hash of (model id, prompt, decode parameters), and are
+// the only ones that hash on every call.
 // CacheModel and the Coalescer wrap one fixed model and key by the request's
 // value (requestKey); the Retrier fingerprints only a call that has already
 // failed, to seed its backoff jitter.

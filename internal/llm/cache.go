@@ -14,7 +14,7 @@ const DefaultCacheCapacity = 4096
 // CacheModel memoises completions keyed by (prompt, max tokens, temperature,
 // seed) with a bounded LRU eviction policy. It models a prompt cache in
 // front of the API: repeated identical requests cost nothing extra. Cached
-// responses come back with Cached set, so CountingModel charges them zero
+// responses come back from Memory, so CountingModel charges them zero
 // latency and dollars.
 type CacheModel struct {
 	Inner Model
@@ -63,13 +63,8 @@ func (c *CacheModel) Complete(req CompletionRequest) (CompletionResponse, error)
 	if resp, ok := c.entries.Get(key); ok {
 		c.stats.Hits++
 		c.mu.Unlock()
-		resp.Cached = true
 		// Served from memory, wherever the stored copy originally came from.
-		// The stored attempt's retries and hedges were billed when it was
-		// produced; this copy cost nothing.
-		resp.DiskCached = false
-		resp.DiskBytes = 0
-		resp.stripFaultMarkings()
+		resp.Provenance, resp.Recovery = Provenance{From: Memory}, Recovery{}
 		return resp, nil
 	}
 	c.stats.Misses++

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"llmsql/internal/lru"
 )
@@ -75,6 +76,10 @@ func TestNewCacheDefaultCapacity(t *testing.T) {
 	}
 }
 
+// TestCacheMarksCachedResponses: a memory hit replaces the stored
+// response's whole record, whatever layers stamped it on the way up — the
+// disk origin, a coalesced copy, retries, hedges and their recovery spend
+// were all the stored call's, and the copy costs nothing.
 func TestCacheMarksCachedResponses(t *testing.T) {
 	cache := NewCache(&echoModel{})
 	req := CompletionRequest{Prompt: "p"}
@@ -82,17 +87,40 @@ func TestCacheMarksCachedResponses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Cached {
+	if r1.Cached() {
 		t.Fatal("first response must not be marked cached")
 	}
 	r2, err := cache.Complete(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r2.Cached {
+	if !r2.Cached() {
 		t.Fatal("second response must be marked cached")
 	}
 	if r2.Text != r1.Text {
+		t.Fatal("cache changed the completion")
+	}
+
+	stamped := CompletionResponse{
+		Text: "stamped",
+		Provenance: Provenance{
+			From: Disk, Coalesced: true, HedgeLaunched: true, HedgeWon: true,
+			Attempts: 3, DiskBytes: 77,
+		},
+		Recovery: Recovery{FaultLatency: time.Second, WastedPromptTokens: 5, WastedCompletionTokens: 6},
+	}
+	cache = NewCache(fixedModel{stamped})
+	if r, err := cache.Complete(req); err != nil || r.Provenance != stamped.Provenance || r.Recovery != stamped.Recovery {
+		t.Fatalf("a miss must pass the record through: %+v err=%v", r, err)
+	}
+	hit, err := cache.Complete(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit.Provenance != (Provenance{From: Memory}) || hit.Recovery != (Recovery{}) {
+		t.Fatalf("a hit must carry exactly Provenance{From: Memory} and no recovery: %+v %+v", hit.Provenance, hit.Recovery)
+	}
+	if hit.Text != stamped.Text {
 		t.Fatal("cache changed the completion")
 	}
 }
@@ -162,7 +190,7 @@ func TestNaNTemperatureDoesNotLeak(t *testing.T) {
 	}
 	// And a NaN request is found again like any other.
 	last := CompletionRequest{Prompt: fmt.Sprintf("p%d", 3*capacity-1), Temperature: math.NaN()}
-	if resp, err := cache.Complete(last); err != nil || !resp.Cached {
+	if resp, err := cache.Complete(last); err != nil || !resp.Cached() {
 		t.Fatalf("repeated NaN request must hit the cache: %+v err=%v", resp, err)
 	}
 	if resp, err := coal.Complete(last); err != nil || !resp.Coalesced {

@@ -163,15 +163,3 @@ func TestChaosProfileNormalization(t *testing.T) {
 		t.Fatal("spikes delay but succeed; they are not failures")
 	}
 }
-
-func TestFindChaos(t *testing.T) {
-	inner := &echoModel{}
-	c := NewChaos(inner, ChaosProfile{Seed: 1, TransientRate: 0.1})
-	r := NewRetrier(c, RetryPolicy{})
-	if FindChaos(r) != c {
-		t.Fatal("FindChaos did not walk the chain")
-	}
-	if FindChaos(inner) != nil {
-		t.Fatal("FindChaos on a bare model must return nil")
-	}
-}

@@ -31,9 +31,9 @@ const maxRecordBytes = 1 << 20
 // DiskCache is a persistent content-addressed prompt cache that layers in
 // front of any Backend: completions are keyed by Fingerprint (model id +
 // prompt + decode parameters, versioned) and survive across queries,
-// sessions and processes. Hits come back with Cached and DiskCached set, so
-// CountingModel charges them zero latency and dollars and scans can
-// attribute them separately from in-memory hits.
+// sessions and processes. Hits come back from Disk, so CountingModel
+// charges them zero latency and dollars and scans can attribute them
+// separately from in-memory hits.
 //
 // On disk the cache is a directory of append-only segment files of JSON
 // records, one completion per line. The index — fingerprint to completion —
@@ -243,9 +243,7 @@ func (c *DiskCache) Complete(req CompletionRequest) (CompletionResponse, error) 
 		c.stats.Hits++
 		c.mu.Unlock()
 		resp := e.resp
-		resp.Cached = true
-		resp.DiskCached = true
-		resp.DiskBytes = e.size
+		resp.Provenance = Provenance{From: Disk, DiskBytes: e.size}
 		return resp, nil
 	}
 	c.stats.Misses++

@@ -31,14 +31,14 @@ func TestDiskCacheHitAndPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Cached || r1.DiskCached {
+	if r1.Cached() || r1.From == Disk {
 		t.Fatalf("first response must be a miss: %+v", r1)
 	}
 	r2, err := c.Complete(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r2.Cached || !r2.DiskCached || r2.DiskBytes <= 0 {
+	if !r2.Cached() || r2.From != Disk || r2.DiskBytes <= 0 {
 		t.Fatalf("second response must be a disk hit: %+v", r2)
 	}
 	if r2.Text != r1.Text || r2.PromptTokens != r1.PromptTokens || r2.CompletionTokens != r1.CompletionTokens {
@@ -58,14 +58,14 @@ func TestDiskCacheHitAndPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r3.DiskCached || r3.Text != r1.Text {
+	if r3.From != Disk || r3.Text != r1.Text {
 		t.Fatalf("reopened cache must hit: %+v", r3)
 	}
 	if inner2.calls != 0 {
 		t.Fatalf("inner called after reopen: %d", inner2.calls)
 	}
 	// Decode-parameter changes are different fingerprints.
-	if r, _ := c2.Complete(CompletionRequest{Prompt: "capital of France", Seed: 4}); r.DiskCached {
+	if r, _ := c2.Complete(CompletionRequest{Prompt: "capital of France", Seed: 4}); r.From == Disk {
 		t.Fatal("different seed must miss")
 	}
 	if inner2.calls != 1 {
@@ -302,7 +302,7 @@ func TestDiskCacheCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rA.DiskCached || rA.Text != "alpha-overridden" {
+	if rA.From != Disk || rA.Text != "alpha-overridden" {
 		t.Fatalf("last record must win after recovery: %+v", rA)
 	}
 	for _, req := range []CompletionRequest{reqB, reqC} {
@@ -310,7 +310,7 @@ func TestDiskCacheCrashRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !r.DiskCached {
+		if r.From != Disk {
 			t.Fatalf("intact record lost in recovery: %+v", r)
 		}
 	}
@@ -322,7 +322,7 @@ func TestDiskCacheCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rD.DiskCached {
+	if rD.From == Disk {
 		t.Fatal("torn record must be dropped, not resurrected")
 	}
 	if inner.calls != 1 {
@@ -335,7 +335,7 @@ func TestDiskCacheCrashRecovery(t *testing.T) {
 	if _, err := c2.Complete(CompletionRequest{Prompt: "epsilon"}); err != nil {
 		t.Fatal(err)
 	}
-	if r, err := c2.Complete(CompletionRequest{Prompt: "epsilon"}); err != nil || !r.DiskCached {
+	if r, err := c2.Complete(CompletionRequest{Prompt: "epsilon"}); err != nil || r.From != Disk {
 		t.Fatalf("post-recovery write path broken: %+v %v", r, err)
 	}
 }
@@ -388,7 +388,7 @@ func TestDiskCacheLoadSkipsOverlongLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.DiskCached || r.Text != "kept" || inner.calls != 0 {
+	if r.From != Disk || r.Text != "kept" || inner.calls != 0 {
 		t.Fatalf("record after the over-long line not live: %+v (%d inner calls)", r, inner.calls)
 	}
 	if s := c.Stats(); s.DeadBytes != int64(len(long)) || s.Entries != 1 {

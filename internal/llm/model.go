@@ -29,61 +29,67 @@ type CompletionResponse struct {
 	CompletionTokens int
 	// Truncated reports that MaxTokens cut the completion.
 	Truncated bool
-	// Cached reports the response was served from a completion cache and
-	// therefore cost no latency or dollars (set by CacheModel and
-	// DiskCache).
-	Cached bool
-	// DiskCached narrows Cached: the response came from the persistent
-	// on-disk prompt cache, not the in-memory LRU (set by DiskCache;
-	// cleared by CacheModel when it re-serves a memoized copy). DiskBytes
-	// is the on-disk record size served.
-	DiskCached bool
-	DiskBytes  int64
-	// Coalesced reports the response was served by a Coalescer from another
-	// caller's identical request (joined in flight, or replayed from the
-	// coalescer's memo) rather than by a call of its own. Unlike Cached it
-	// does NOT zero the accounting: the Cached/DiskCached flags of the
-	// original response are preserved, so every caller is billed exactly as
-	// if it had made the call itself — the saving is visible only in the
-	// operator-side CoalescerStats. Per-scan consumption shows up as
-	// ScanStats.CoalescedHits.
-	Coalesced bool
+	// Provenance and Recovery are the response's record of which layer
+	// answered and what it cost; the layers stamp them, and billing, a
+	// view's live-call count and ScanStats all read them.
+	Provenance
+	Recovery
 	// SimLatency is the simulated wall-clock time of this one call under the
 	// accounting CostModel (zero for cached responses; set by CountingModel).
 	// Schedulers use it to compute critical-path latency of concurrent scans.
 	// It includes FaultLatency.
 	SimLatency time.Duration
-	// FaultLatency is extra virtual time the fault-tolerance layer charged
-	// this call: failed attempts, backoff waits and the losing half of a
-	// hedge race (Retrier), plus injected latency spikes (Chaos).
-	// CountingModel folds it into SimLatency; cached responses carry none.
-	FaultLatency time.Duration
-	// Attempts is how many completions the Retrier issued to produce this
-	// response (0 or 1 = first try; hedges count too). Attempts-1 retries
-	// are billed to Usage.Retries.
-	Attempts int
+}
+
+// Source names the layer that answered a completion.
+type Source uint8
+
+const (
+	Live   Source = iota // below every cache: the provider, through the Retrier
+	Memory               // an engine's in-memory CacheModel
+	Disk                 // the persistent DiskCache
+)
+
+// Provenance is where a response came from, in 16 bytes so a scan can keep
+// one per fan-out task. A cache hit replaces it (and zeroes Recovery)
+// whole: the stored call's retries and hedges were billed when it was made.
+type Provenance struct {
+	// From is the layer that answered; only a Live response is billed.
+	From Source
+	// Coalesced reports a Coalescer served the response from another
+	// caller's identical request (joined in flight or replayed from its
+	// memo). The rest of the record is the leader's, so every caller is
+	// billed as if it had made the call itself; the saving shows only in
+	// CoalescerStats, the consumption in ScanStats.CoalescedHits.
+	Coalesced bool
 	// HedgeLaunched / HedgeWon report that the Retrier raced a duplicate
 	// request against a slow primary, and whether the duplicate won.
 	HedgeLaunched bool
 	HedgeWon      bool
-	// WastedPromptTokens / WastedCompletionTokens are tokens consumed by
-	// attempts whose answer was discarded (the losing half of a hedge
-	// race). They cost dollars but carry no information; CountingModel
-	// bills them into Usage separately from the useful tokens.
-	WastedPromptTokens     int
-	WastedCompletionTokens int
+	// Attempts is how many completions the Retrier issued to produce this
+	// response (0 or 1 = first try; hedges count too). Attempts-1 retries
+	// are billed to Usage.Retries.
+	Attempts int32
+	// DiskBytes is the on-disk record size a Disk response was served from.
+	DiskBytes int64
 }
 
-// stripFaultMarkings zeroes the fault-accounting fields on a response
-// copy served from a cache: the stored attempt's retries were billed when
-// it was produced, and the cached copy costs nothing.
-func (r *CompletionResponse) stripFaultMarkings() {
-	r.FaultLatency = 0
-	r.Attempts = 0
-	r.HedgeLaunched = false
-	r.HedgeWon = false
-	r.WastedPromptTokens = 0
-	r.WastedCompletionTokens = 0
+// Cached reports the response was served from a completion cache and
+// therefore cost no latency or dollars.
+func (p Provenance) Cached() bool { return p.From != Live }
+
+// Recovery is what fault tolerance spent on a live response beyond its own
+// tokens; above the stack, only billing reads it.
+type Recovery struct {
+	// FaultLatency is extra virtual time: failed attempts, backoff waits
+	// and the losing half of a hedge race (Retrier), plus injected latency
+	// spikes (Chaos). CountingModel folds it into SimLatency.
+	FaultLatency time.Duration
+	// WastedPromptTokens / WastedCompletionTokens are tokens of attempts
+	// whose answer was discarded (the losing half of a hedge race).
+	// CountingModel bills their dollars apart from the useful tokens.
+	WastedPromptTokens     int
+	WastedCompletionTokens int
 }
 
 // Model is anything that completes prompts. Implementations must be safe
@@ -276,7 +282,7 @@ func (c *CountingModel) Complete(req CompletionRequest) (CompletionResponse, err
 	}
 	var lat time.Duration
 	var usd float64
-	if !resp.Cached {
+	if !resp.Cached() {
 		lat = c.Cost.Latency(resp.PromptTokens, resp.CompletionTokens) + resp.FaultLatency
 		usd = c.Cost.Dollars(resp.PromptTokens, resp.CompletionTokens) +
 			c.Cost.Dollars(resp.WastedPromptTokens, resp.WastedCompletionTokens)
@@ -285,13 +291,13 @@ func (c *CountingModel) Complete(req CompletionRequest) (CompletionResponse, err
 	nano := int64(math.Round(usd * 1e9))
 	c.mu.Lock()
 	c.usage.Calls++
-	if resp.Cached {
+	if resp.Cached() {
 		c.usage.CachedCalls++
 	} else {
 		c.usage.PromptTokens += resp.PromptTokens
 		c.usage.CompletionTokens += resp.CompletionTokens
 		if resp.Attempts > 1 {
-			c.usage.Retries += resp.Attempts - 1
+			c.usage.Retries += int(resp.Attempts) - 1
 		}
 		if resp.HedgeLaunched {
 			c.usage.HedgesLaunched++

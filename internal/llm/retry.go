@@ -175,9 +175,6 @@ func (r *Retrier) SetCost(c CostModel) {
 	r.mu.Unlock()
 }
 
-// Policy returns the normalized policy in force.
-func (r *Retrier) Policy() RetryPolicy { return r.policy }
-
 // Stats returns a snapshot of the recovery counters.
 func (r *Retrier) Stats() RetrierStats {
 	r.mu.Lock()
@@ -211,7 +208,7 @@ func (r *Retrier) Complete(req CompletionRequest) (CompletionResponse, error) {
 		resp, err := r.Inner.Complete(req)
 		if err == nil {
 			resp, attempts = r.maybeHedge(req, resp, attempts, cost)
-			resp.Attempts = attempts
+			resp.Attempts = int32(attempts)
 			resp.FaultLatency += fault
 			r.noteOutcome(true, attempts-1)
 			return resp, nil
@@ -339,9 +336,3 @@ func backoffU(fp string, attempt int) float64 {
 	fmt.Fprintf(h, "backoff|%d|%s", attempt, fp)
 	return float64(h.Sum64()>>11) / float64(1<<53)
 }
-
-// FindRetrier walks a wrapper chain and returns the first Retrier, or nil.
-func FindRetrier(m Model) *Retrier { return findLayer[*Retrier](m) }
-
-// FindChaos walks a wrapper chain and returns the first Chaos, or nil.
-func FindChaos(m Model) *Chaos { return findLayer[*Chaos](m) }

@@ -32,7 +32,7 @@ func (f *flakyModel) Complete(req CompletionRequest) (CompletionResponse, error)
 		Text:             "ans:" + req.Prompt,
 		PromptTokens:     len(req.Prompt),
 		CompletionTokens: 4,
-		FaultLatency:     f.latency,
+		Recovery:         Recovery{FaultLatency: f.latency},
 	}, nil
 }
 
@@ -348,18 +348,6 @@ func TestRetrierOverChaosDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("fault-layer outcomes differ across runs:\n%s\n%s", a, b)
-	}
-}
-
-func TestFindRetrier(t *testing.T) {
-	inner := &echoModel{}
-	r := NewRetrier(inner, RetryPolicy{})
-	c := NewCache(r)
-	if FindRetrier(c) != r {
-		t.Fatal("FindRetrier did not walk the chain")
-	}
-	if FindRetrier(inner) != nil {
-		t.Fatal("FindRetrier on a bare model must return nil")
 	}
 }
 

@@ -17,8 +17,8 @@ const DefaultCoalescerMemo = 4096
 // completed responses) — receives a copy of the leader's response without
 // touching the inner backend.
 //
-// Accounting contract: follower copies keep the leader's Cached/DiskCached
-// flags and token counts, and only additionally set Coalesced. A
+// Accounting contract: follower copies keep the leader's Provenance and
+// token counts, and only additionally set Coalesced. A
 // CountingModel above the Coalescer therefore bills a coalesced caller
 // exactly as if it had made the call itself, which is what keeps per-session
 // Usage bit-identical to a solo run; the operator-side saving (calls that
@@ -244,7 +244,3 @@ func (c *Coalescer) Stats() CoalescerStats {
 	s.Size, s.Capacity = c.size, c.capacity
 	return s
 }
-
-// FindCoalescer walks a wrapper chain and returns the first Coalescer, or
-// nil.
-func FindCoalescer(m Model) *Coalescer { return findLayer[*Coalescer](m) }

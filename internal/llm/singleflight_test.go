@@ -127,7 +127,7 @@ func TestCoalescerMemoServesLaterCallers(t *testing.T) {
 
 func TestCoalescerPreservesCachedFlags(t *testing.T) {
 	// A response that came out of a cache below the coalescer keeps its
-	// Cached flag on follower copies, so billing above stays solo-identical.
+	// provenance on follower copies, so billing above stays solo-identical.
 	inner := &blockModel{}
 	cache := NewCache(inner)
 	c := NewCoalescer(cache)
@@ -138,15 +138,15 @@ func TestCoalescerPreservesCachedFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !first.Cached {
+	if !first.Cached() {
 		t.Fatalf("expected cached response, got %+v", first)
 	}
 	second, err := c.Complete(CompletionRequest{Prompt: "warm"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !second.Cached || !second.Coalesced {
-		t.Fatalf("follower must keep Cached and add Coalesced: %+v", second)
+	if !second.Cached() || !second.Coalesced {
+		t.Fatalf("follower must stay cached and add Coalesced: %+v", second)
 	}
 }
 
@@ -230,17 +230,6 @@ func TestCoalescerErrorsPropagateAndAreNotMemoized(t *testing.T) {
 	}
 	if s := c.Stats(); s.Errors != 1 || s.LiveCalls != 2 {
 		t.Fatalf("stats: %+v", s)
-	}
-}
-
-func TestFindCoalescer(t *testing.T) {
-	inner := &blockModel{}
-	c := NewCoalescer(inner)
-	if FindCoalescer(NewCounting(NewCache(c))) != c {
-		t.Fatal("FindCoalescer must walk the wrapper chain")
-	}
-	if FindCoalescer(NewCounting(inner)) != nil {
-		t.Fatal("FindCoalescer on a chain without one must return nil")
 	}
 }
 
