@@ -11,9 +11,10 @@ import (
 // FaultFlags groups the fault-injection and fault-tolerance flags so every
 // binary exposes them with identical names, defaults and semantics. All
 // defaults are off, so a command line without any of these flags runs
-// byte-identically to a build without the fault layer. The retry budget,
-// backoff and malformed-completion rate keep their llm defaults here; the
-// bench tables and tests set them on llm.RetryPolicy and llm.ChaosProfile.
+// byte-identically to a build without the fault layer. The retry budget and
+// malformed-completion rate keep their llm defaults here; the bench tables
+// and tests set them on llm.RetryPolicy and llm.ChaosProfile. The backoff
+// shape is fixed in llm and has no knob.
 type FaultFlags struct {
 	ChaosSeed      int64
 	ChaosError     float64

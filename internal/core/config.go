@@ -175,19 +175,22 @@ type Config struct {
 	// injector (llm.Chaos) directly above the base model: transient errors,
 	// rate-limit rejections, malformed completions and latency spikes are
 	// drawn from a stream keyed on (Chaos.Seed, request fingerprint,
-	// attempt number) — no wall clock, no global rand — so a chaos run is
-	// exactly replayable at any Parallelism. The zero value injects
+	// attempt number) — no wall clock, no global rand — so a chaos run, its
+	// retries included, is exactly replayable at any Parallelism. The zero value injects
 	// nothing. Chaos sits above RecordTrace/ReplayTrace, so recorded traces
 	// stay clean and replayed suites can be stressed with faults.
 	Chaos llm.ChaosProfile
 	// Retry tunes the fault-tolerance layer (llm.Retrier) that sits below
 	// the caches: typed error classification, capped exponential backoff
-	// with deterministic jitter, a per-backend circuit breaker and optional
-	// hedged requests (Retry.HedgeAfter). All waiting is virtual time —
-	// backoff and failed attempts are charged into SimLatency/SimWall and
-	// surfaced in ScanStats.RetriesSpent. Zero fields select
-	// llm.DefaultRetryPolicy, under which the layer is a transparent no-op
-	// until something actually fails.
+	// with deterministic jitter within an attempt budget
+	// (Retry.MaxAttempts) and optional hedged requests (Retry.HedgeAfter).
+	// All waiting is virtual time — backoff and failed attempts are charged
+	// into SimLatency/SimWall and surfaced in ScanStats.RetriesSpent. A
+	// call's retries depend only on its request and the fault stream, never
+	// on other calls, so faulty runs keep Chaos's replayability at any
+	// Parallelism. The zero value selects 4 attempts and no hedging, under
+	// which the layer is a transparent no-op until something actually
+	// fails.
 	Retry llm.RetryPolicy
 	// ViewTTLReads is the freshness budget of materialized views: a view
 	// that has served this many warm reads since its last build or refresh

@@ -180,10 +180,9 @@ func (s *LLMStore) scanCostModel(sp *scanSpec) plan.ScanCostModel {
 	}
 	estRows := s.cardinalityEstimate(t)
 	// Price expected fault recovery when a chaos profile is in force: the
-	// injector publishes its per-attempt failure probability, the retry
-	// policy the backoff the Retrier will charge. On a healthy backend both
-	// are zero-cost no-ops.
-	retry := cfg.Retry.Normalized()
+	// injector publishes its per-attempt failure probability, the
+	// Retrier's first backoff and attempt budget the recovery it will
+	// charge. On a healthy backend both are zero-cost no-ops.
 	return plan.ScanCostModel{
 		Cost:             s.costModel,
 		Rows:             estRows,
@@ -204,8 +203,8 @@ func (s *LLMStore) scanCostModel(sp *scanSpec) plan.ScanCostModel {
 		Selectivity:      keySelectivity(sp.filter, t.Schema.Col(sp.keyPos).Name, estRows),
 		WarmHitRate:      s.warmHitRate(sp),
 		FaultRate:        cfg.Chaos.FailureRate(),
-		RetryBackoff:     retry.BaseBackoff,
-		MaxAttempts:      retry.MaxAttempts,
+		RetryBackoff:     llm.BaseBackoff,
+		MaxAttempts:      cfg.Retry.Normalized().MaxAttempts,
 	}
 }
 

@@ -118,22 +118,18 @@ func TestFaultSweepRowGuaranteeAndReplayBilling(t *testing.T) {
 	}
 
 	profiles := []struct {
-		name    string
-		chaos   llm.ChaosProfile // Seed filled per sweep point
-		hedge   time.Duration
-		breaker int
+		name  string
+		chaos llm.ChaosProfile // Seed filled per sweep point
+		hedge time.Duration
 	}{
 		// Moderate: every fault clears inside the default 4-attempt budget
 		// (exhaustion probability 0.15^4 ≈ 0.05%), so rows must come back
 		// byte-identical; spikes above the hedge threshold exercise the
 		// hedged-request path under recording.
-		{"moderate", llm.ChaosProfile{TransientRate: 0.10, RateLimitRate: 0.05, SpikeRate: 0.2, SpikeLatency: 2 * time.Second}, time.Second, 0},
+		{"moderate", llm.ChaosProfile{TransientRate: 0.10, RateLimitRate: 0.05, SpikeRate: 0.2, SpikeLatency: 2 * time.Second}, time.Second},
 		// Harsh: 0.55^4 ≈ 9% of calls exhaust their budget, forcing the
-		// strict-subset path. The breaker is disabled here because its
-		// consecutive-failure counter depends on cross-goroutine completion
-		// order — the one piece of retry state that is not a pure function
-		// of the fault stream — and this test pins byte-identical replay.
-		{"harsh", llm.ChaosProfile{TransientRate: 0.55}, 0, -1},
+		// strict-subset path.
+		{"harsh", llm.ChaosProfile{TransientRate: 0.55}, 0},
 	}
 	type variant struct{ p, b int }
 	variants := []variant{{1, 1}, {4, 1}, {1, 3}, {4, 3}}
@@ -150,7 +146,6 @@ func TestFaultSweepRowGuaranteeAndReplayBilling(t *testing.T) {
 					cfg.Chaos = chaos
 					cfg.PartialResults = true
 					cfg.Retry.HedgeAfter = pr.hedge
-					cfg.Retry.BreakerThreshold = pr.breaker
 					return cfg
 				}
 
@@ -213,7 +208,6 @@ func TestFaultSweepCoalescingSessions(t *testing.T) {
 			cfg := groupConfig()
 			cfg.Chaos = llm.ChaosProfile{Seed: tc.seed, TransientRate: tc.rate}
 			cfg.PartialResults = true
-			cfg.Retry.BreakerThreshold = -1 // see TestFaultSweepRowGuaranteeAndReplayBilling
 			g, err := NewEngineGroup(llm.NewSynthLM(w, llm.ProfileMedium, 7), cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -260,6 +254,41 @@ func TestFaultSweepCoalescingSessions(t *testing.T) {
 				t.Fatalf("seed=%d session %d: repeat group run changed scan stats:\nfirst  %+v\nsecond %+v",
 					tc.seed, i, first[i].scans, second[i].scans)
 			}
+		}
+	}
+}
+
+// TestFaultRowsIndependentOfParallelism: under the default retry policy a
+// faulty run's rows are a function of the fault stream alone, never of the
+// order concurrent calls finish in. Every attribute call gets one attempt
+// against a 60% transient-error rate, so runs of exhausted calls are long
+// and frequent; rows at Parallelism 4 must equal rows at Parallelism 1 on
+// every one of ten runs.
+func TestFaultRowsIndependentOfParallelism(t *testing.T) {
+	w := world.Generate(world.Config{Seed: 13, Countries: 120, Movies: 10, Laureates: 10, Companies: 10})
+	const query = "SELECT name, capital, population FROM country"
+	cfg := DefaultConfig()
+	cfg.Strategy = StrategyKeyThenAttr
+	cfg.Temperature = 0
+	cfg.Chaos = llm.ChaosProfile{Seed: 2, TransientRate: 0.6}
+	cfg.Retry.MaxAttempts = 1
+	cfg.PartialResults = true
+	run := func(parallelism int) faultRun {
+		c := cfg
+		c.Parallelism = parallelism
+		return runFaultQuery(t, w, c, query)
+	}
+	want := run(1)
+	failed := 0
+	for _, s := range want.scans {
+		failed += s.KeysFailed
+	}
+	if want.rows == "" || failed == 0 {
+		t.Fatalf("serial run kept rows %q with %d failed keys; need both rows and failures", want.rows, failed)
+	}
+	for i := 0; i < 10; i++ {
+		if got := run(4); got.rows != want.rows {
+			t.Fatalf("run %d: rows at Parallelism 4 differ from Parallelism 1:\nP=1:\n%sP=4:\n%s", i, want.rows, got.rows)
 		}
 	}
 }

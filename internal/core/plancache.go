@@ -33,11 +33,9 @@ type preparedQuery struct {
 	kind stmtKind
 	sel  *sql.SelectStmt
 	node plan.Node
-	// named is true when the statement uses :name parameters; nparams is the
-	// number of positional parameters otherwise.
-	named   bool
-	nparams int
-	params  []*sql.Param
+	// named is true when the statement uses :name parameters.
+	named  bool
+	params []*sql.Param
 	// gen is the engine's catalog generation at planning time; a bumped
 	// generation (new table registered, cost model changed) invalidates the
 	// plan.

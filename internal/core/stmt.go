@@ -86,17 +86,7 @@ func (e *Engine) planQuery(query string, gen uint64) (*preparedQuery, error) {
 	}
 	pq.node = node
 	pq.params = sql.CollectParams(pq.sel)
-	if len(pq.params) > 0 {
-		if pq.params[0].Name != "" {
-			pq.named = true
-		} else {
-			for _, p := range pq.params {
-				if p.Ordinal > pq.nparams {
-					pq.nparams = p.Ordinal
-				}
-			}
-		}
-	}
+	pq.named = len(pq.params) > 0 && pq.params[0].Name != ""
 	return pq, nil
 }
 

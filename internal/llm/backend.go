@@ -21,7 +21,7 @@ import (
 //	---- the fork: core.Open puts one engine above this line, a group one per Session ----
 //	Coalescer              cross-session single-flight + memo (group)
 //	DiskCache              persistent content-addressed prompt cache (Config.CacheDir)
-//	Retrier                retry, backoff, hedging, circuit breaker
+//	Retrier                retry, backoff, hedging
 //	CountingModel          live, operator-side usage (group)
 //	Chaos                  seeded fault injection (Config.Chaos)
 //	recorder | replayer    trace capture / deterministic playback (Config.RecordTrace | Config.ReplayTrace)

@@ -38,19 +38,18 @@ func Degradable(err error) bool {
 }
 
 // RetryError is the Retrier's terminal failure: the attempt budget is
-// spent (or the circuit breaker refused the call) and the last attempt's
-// error is wrapped. It carries the accounting the scan layer needs to
+// spent and the last attempt's error is wrapped. It carries the accounting the scan layer needs to
 // charge an abandoned call honestly — how many attempts burned and how
 // much virtual time they cost — because no CompletionResponse exists to
 // carry it.
 type RetryError struct {
-	// Attempts is the number of completions actually issued (0 when the
-	// circuit breaker failed the call fast).
+	// Attempts is the number of completions actually issued: always at
+	// least 1, since every call reaches the backend.
 	Attempts int
 	// FaultLatency is the virtual time the failed attempts and backoff
 	// waits consumed.
 	FaultLatency time.Duration
-	// Err is the last attempt's error (or the breaker sentinel).
+	// Err is the last attempt's error.
 	Err error
 }
 

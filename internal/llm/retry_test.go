@@ -36,6 +36,13 @@ func (f *flakyModel) Complete(req CompletionRequest) (CompletionResponse, error)
 	}, nil
 }
 
+// jittered is the wait the Retrier charges for a backoff of nominal before
+// retry number attempt of the request fingerprinted fp: nominal spread by
+// ±25% jitter.
+func jittered(fp string, attempt int, nominal time.Duration) time.Duration {
+	return time.Duration(float64(nominal) * (0.75 + 0.5*backoffU(fp, attempt)))
+}
+
 func TestRetrierTransparentOnSuccess(t *testing.T) {
 	inner := &flakyModel{}
 	r := NewRetrier(inner, RetryPolicy{})
@@ -53,9 +60,10 @@ func TestRetrierTransparentOnSuccess(t *testing.T) {
 
 func TestRetrierRecoversTransientFault(t *testing.T) {
 	inner := &flakyModel{failFirst: 2, err: fmt.Errorf("hiccup: %w", Retryable)}
-	r := NewRetrier(inner, RetryPolicy{MaxAttempts: 4, BaseBackoff: 100 * time.Millisecond, JitterFrac: -1, BreakerThreshold: -1})
+	r := NewRetrier(inner, RetryPolicy{MaxAttempts: 4})
 	r.SetCost(CostModel{PerCallLatency: time.Second})
-	resp, err := r.Complete(CompletionRequest{Prompt: "bumpy"})
+	req := CompletionRequest{Prompt: "bumpy"}
+	resp, err := r.Complete(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,20 +73,23 @@ func TestRetrierRecoversTransientFault(t *testing.T) {
 	if resp.Attempts != 3 {
 		t.Fatalf("attempts: %d", resp.Attempts)
 	}
-	// Two failed round trips at 1s plus backoffs of 100ms and 200ms.
-	if want := 2*time.Second + 300*time.Millisecond; resp.FaultLatency != want {
+	// Two failed round trips at 1s plus jittered backoffs of 200ms and 400ms.
+	fp := Fingerprint("flaky", req)
+	wait := jittered(fp, 1, 200*time.Millisecond) + jittered(fp, 2, 400*time.Millisecond)
+	if want := 2*time.Second + wait; resp.FaultLatency != want {
 		t.Fatalf("fault latency: %v, want %v", resp.FaultLatency, want)
 	}
-	if s := r.Stats(); s.Retries != 2 || s.Failures != 0 || s.BackoffWait != 300*time.Millisecond {
+	if s := r.Stats(); s.Retries != 2 || s.Failures != 0 || s.BackoffWait != wait {
 		t.Fatalf("stats: %+v", s)
 	}
 }
 
 func TestRetrierExhaustsBudget(t *testing.T) {
 	inner := &flakyModel{failFirst: 1 << 30, err: fmt.Errorf("down: %w", Retryable)}
-	r := NewRetrier(inner, RetryPolicy{MaxAttempts: 3, BaseBackoff: 100 * time.Millisecond, JitterFrac: -1, BreakerThreshold: -1})
+	r := NewRetrier(inner, RetryPolicy{MaxAttempts: 3})
 	r.SetCost(CostModel{PerCallLatency: time.Second})
-	_, err := r.Complete(CompletionRequest{Prompt: "doomed"})
+	req := CompletionRequest{Prompt: "doomed"}
+	_, err := r.Complete(req)
 	var re *RetryError
 	if !errors.As(err, &re) {
 		t.Fatalf("want *RetryError, got %v", err)
@@ -86,7 +97,9 @@ func TestRetrierExhaustsBudget(t *testing.T) {
 	if re.Attempts != 3 {
 		t.Fatalf("attempts: %d", re.Attempts)
 	}
-	if want := 3*time.Second + 300*time.Millisecond; re.FaultLatency != want {
+	fp := Fingerprint("flaky", req)
+	wait := jittered(fp, 1, 200*time.Millisecond) + jittered(fp, 2, 400*time.Millisecond)
+	if want := 3*time.Second + wait; re.FaultLatency != want {
 		t.Fatalf("fault latency: %v, want %v", re.FaultLatency, want)
 	}
 	if !errors.Is(err, Retryable) || !Degradable(err) {
@@ -95,8 +108,39 @@ func TestRetrierExhaustsBudget(t *testing.T) {
 	if inner.calls != 3 {
 		t.Fatalf("inner calls: %d", inner.calls)
 	}
-	if s := r.Stats(); s.Failures != 1 || s.Retries != 2 {
+	if s := r.Stats(); s.Failures != 1 || s.Retries != 2 || s.BackoffWait != wait {
 		t.Fatalf("stats: %+v", s)
+	}
+}
+
+// TestRetrierCallsAreIndependent: an exhausted call leaves nothing behind
+// that fails a later one. However many calls for other prompts spent their
+// budget before it, a request the backend answers succeeds on its first
+// attempt, and every exhausted call reached the backend.
+func TestRetrierCallsAreIndependent(t *testing.T) {
+	for _, failed := range []int{1, 8, 32} {
+		inner := &flakyModel{failFirst: failed, err: fmt.Errorf("down: %w", Retryable)}
+		r := NewRetrier(inner, RetryPolicy{MaxAttempts: 1})
+		for i := 0; i < failed; i++ {
+			_, err := r.Complete(CompletionRequest{Prompt: fmt.Sprintf("doomed %d", i)})
+			var re *RetryError
+			if !errors.As(err, &re) || re.Attempts != 1 {
+				t.Fatalf("%d failed calls: call %d: want a one-attempt RetryError, got %v", failed, i, err)
+			}
+		}
+		resp, err := r.Complete(CompletionRequest{Prompt: "healthy"})
+		if err != nil {
+			t.Fatalf("after %d exhausted calls: %v", failed, err)
+		}
+		if resp.Text != "ans:healthy" || resp.Attempts != 1 {
+			t.Fatalf("after %d exhausted calls: %+v", failed, resp)
+		}
+		if inner.calls != failed+1 {
+			t.Fatalf("after %d exhausted calls: backend saw %d calls, want %d", failed, inner.calls, failed+1)
+		}
+		if s := r.Stats(); s.Calls != failed+1 || s.Failures != failed || s.Retries != 0 {
+			t.Fatalf("after %d exhausted calls: stats %+v", failed, s)
+		}
 	}
 }
 
@@ -121,41 +165,73 @@ func TestRetrierFatalPassesThrough(t *testing.T) {
 	}
 }
 
+// scriptedModel fails its calls with errs in order, then answers like an
+// echo model.
+type scriptedModel struct {
+	calls int
+	errs  []error
+}
+
+func (s *scriptedModel) Name() string { return "scripted" }
+
+func (s *scriptedModel) Complete(req CompletionRequest) (CompletionResponse, error) {
+	s.calls++
+	if s.calls <= len(s.errs) {
+		return CompletionResponse{}, s.errs[s.calls-1]
+	}
+	return CompletionResponse{Text: "ans:" + req.Prompt}, nil
+}
+
+// TestRetrierCountsRetriesBeforeFatal: a fatal error on a later attempt
+// still surfaces untouched, and the retry spent before it is counted (its
+// backoff already is), without counting the call as an exhausted budget.
+func TestRetrierCountsRetriesBeforeFatal(t *testing.T) {
+	fatal := fmt.Errorf("bad prompt: %w", Fatal)
+	inner := &scriptedModel{errs: []error{fmt.Errorf("hiccup: %w", Retryable), fatal}}
+	r := NewRetrier(inner, RetryPolicy{})
+	req := CompletionRequest{Prompt: "x"}
+	if _, err := r.Complete(req); err != fatal {
+		t.Fatalf("fatal error rewritten: %v", err)
+	}
+	if inner.calls != 2 {
+		t.Fatalf("inner calls: %d", inner.calls)
+	}
+	want := RetrierStats{Calls: 1, Retries: 1, BackoffWait: jittered(Fingerprint("scripted", req), 1, 200*time.Millisecond)}
+	if s := r.Stats(); s != want {
+		t.Fatalf("stats: %+v, want %+v", s, want)
+	}
+}
+
 func TestRetrierBackoff(t *testing.T) {
-	r := NewRetrier(&echoModel{}, RetryPolicy{
-		BaseBackoff: 100 * time.Millisecond, MaxBackoff: time.Second,
-		RateLimitFactor: 4, JitterFrac: -1,
-	})
 	for _, tc := range []struct {
 		attempt     int
 		rateLimited bool
-		want        time.Duration
+		nominal     time.Duration
 	}{
-		{1, false, 100 * time.Millisecond},
-		{2, false, 200 * time.Millisecond},
-		{3, false, 400 * time.Millisecond},
-		{5, false, time.Second},  // capped
-		{60, false, time.Second}, // shift overflow guard
-		{1, true, 400 * time.Millisecond},
-		{5, true, 4 * time.Second}, // cap × factor
+		{1, false, 200 * time.Millisecond},
+		{2, false, 400 * time.Millisecond},
+		{3, false, 800 * time.Millisecond},
+		{6, false, 5 * time.Second},  // capped
+		{60, false, 5 * time.Second}, // shift overflow guard
+		{1, true, 800 * time.Millisecond},
+		{6, true, 20 * time.Second}, // cap × factor
 	} {
-		if got := r.backoff("fp", tc.attempt, tc.rateLimited); got != tc.want {
-			t.Fatalf("backoff(attempt=%d, rl=%v) = %v, want %v", tc.attempt, tc.rateLimited, got, tc.want)
+		if got, want := backoff("fp", tc.attempt, tc.rateLimited), jittered("fp", tc.attempt, tc.nominal); got != want {
+			t.Fatalf("backoff(attempt=%d, rl=%v) = %v, want %v", tc.attempt, tc.rateLimited, got, want)
 		}
 	}
 }
 
 func TestRetrierJitterDeterministicAndBounded(t *testing.T) {
-	r := NewRetrier(&echoModel{}, RetryPolicy{BaseBackoff: time.Second, MaxBackoff: time.Hour, JitterFrac: 0.25})
 	seen := map[time.Duration]bool{}
 	for i := 0; i < 20; i++ {
 		fp := fmt.Sprintf("request %d", i)
-		d := r.backoff(fp, 1, false)
-		if d != r.backoff(fp, 1, false) {
+		d := backoff(fp, 1, false)
+		if d != backoff(fp, 1, false) {
 			t.Fatal("jitter is not deterministic")
 		}
-		if d < 750*time.Millisecond || d >= 1250*time.Millisecond {
-			t.Fatalf("jittered backoff %v outside [0.75s, 1.25s)", d)
+		if d < 150*time.Millisecond || d >= 250*time.Millisecond {
+			t.Fatalf("jittered backoff %v outside [150ms, 250ms)", d)
 		}
 		seen[d] = true
 	}
@@ -164,73 +240,11 @@ func TestRetrierJitterDeterministicAndBounded(t *testing.T) {
 	}
 }
 
-func TestRetrierBreaker(t *testing.T) {
-	inner := &flakyModel{failFirst: 1 << 30, err: fmt.Errorf("down: %w", Retryable)}
-	r := NewRetrier(inner, RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, JitterFrac: -1, BreakerThreshold: 2, BreakerCooldown: 3})
-
-	// Two exhausted calls trip the breaker.
-	for i := 0; i < 2; i++ {
-		if _, err := r.Complete(CompletionRequest{Prompt: "a"}); err == nil {
-			t.Fatal("want failure")
-		}
-	}
-	if s := r.Stats(); s.BreakerOpens != 1 {
-		t.Fatalf("breaker did not open: %+v", s)
-	}
-	callsBefore := inner.calls
-
-	// While open, the cooldown's worth of calls fail fast without touching
-	// the backend, classified retryable (degradable) with zero attempts.
-	for i := 0; i < 3; i++ {
-		_, err := r.Complete(CompletionRequest{Prompt: "b"})
-		var re *RetryError
-		if !errors.As(err, &re) || re.Attempts != 0 {
-			t.Fatalf("fast-fail shape: %v", err)
-		}
-		if !Degradable(err) {
-			t.Fatalf("fast-fail must be degradable: %v", err)
-		}
-	}
-	if inner.calls != callsBefore {
-		t.Fatal("open breaker let calls through")
-	}
-	if s := r.Stats(); s.BreakerFastFails != 3 {
-		t.Fatalf("fast fails: %+v", s)
-	}
-
-	// Cooldown spent: the next call probes (half-open). It fails, so the
-	// breaker reopens immediately.
-	if _, err := r.Complete(CompletionRequest{Prompt: "c"}); err == nil {
-		t.Fatal("probe should have failed")
-	}
-	if inner.calls == callsBefore {
-		t.Fatal("half-open probe never reached the backend")
-	}
-	if s := r.Stats(); s.BreakerOpens != 2 {
-		t.Fatalf("failed probe must reopen: %+v", s)
-	}
-
-	// Next cooldown, then a healthy backend closes the breaker via the
-	// probe and traffic flows again.
-	for i := 0; i < 3; i++ {
-		r.Complete(CompletionRequest{Prompt: "d"})
-	}
-	inner.mu.Lock()
-	inner.failFirst = 0
-	inner.mu.Unlock()
-	if _, err := r.Complete(CompletionRequest{Prompt: "e"}); err != nil {
-		t.Fatalf("probe against healthy backend: %v", err)
-	}
-	if _, err := r.Complete(CompletionRequest{Prompt: "f"}); err != nil {
-		t.Fatalf("closed breaker: %v", err)
-	}
-}
-
 func TestRetrierHedgeWins(t *testing.T) {
 	// The primary response carries a 5s latency spike; the duplicate is
 	// clean, so launching it HedgeAfter=1s in costs ~1.3s total and wins.
 	inner := &spikeOnceModel{spike: 5 * time.Second}
-	r := NewRetrier(inner, RetryPolicy{HedgeAfter: time.Second, BreakerThreshold: -1})
+	r := NewRetrier(inner, RetryPolicy{HedgeAfter: time.Second})
 	resp, err := r.Complete(CompletionRequest{Prompt: "spiky"})
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +280,7 @@ func TestRetrierHedgeLoses(t *testing.T) {
 	// Every response is slow, so the duplicate (launched 1s later) cannot
 	// beat the primary; the primary is kept and the duplicate is waste.
 	inner := &flakyModel{latency: 5 * time.Second}
-	r := NewRetrier(inner, RetryPolicy{HedgeAfter: time.Second, BreakerThreshold: -1})
+	r := NewRetrier(inner, RetryPolicy{HedgeAfter: time.Second})
 	resp, err := r.Complete(CompletionRequest{Prompt: "always slow"})
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +343,7 @@ func TestRetrierHedgeBelowThresholdDoesNothing(t *testing.T) {
 func TestRetrierOverChaosDeterministic(t *testing.T) {
 	run := func() string {
 		chaos := NewChaos(&echoModel{}, ChaosProfile{Seed: 99, TransientRate: 0.3, RateLimitRate: 0.1, SpikeRate: 0.2, SpikeLatency: time.Second})
-		r := NewRetrier(chaos, RetryPolicy{MaxAttempts: 3, BaseBackoff: 50 * time.Millisecond, HedgeAfter: 800 * time.Millisecond})
+		r := NewRetrier(chaos, RetryPolicy{MaxAttempts: 3, HedgeAfter: 800 * time.Millisecond})
 		out := ""
 		for i := 0; i < 60; i++ {
 			resp, err := r.Complete(CompletionRequest{Prompt: fmt.Sprintf("q%d", i)})

@@ -50,7 +50,6 @@ type planner struct {
 
 func (p *planner) planSelect(sel *sql.SelectStmt) (Node, error) {
 	// 1. FROM.
-	var node Node
 	if sel.From == nil {
 		if sel.Where != nil || len(sel.GroupBy) > 0 || sel.Having != nil {
 			return nil, fmt.Errorf("plan: WHERE/GROUP BY require a FROM clause")
@@ -59,22 +58,7 @@ func (p *planner) planSelect(sel *sql.SelectStmt) (Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		node = &ValuesNode{Rows: rows, Out: out}
-		if sel.Limit != nil || sel.Offset != nil {
-			limit, offset := int64(-1), int64(0)
-			if sel.Limit != nil {
-				if limit, err = constInt(sel.Limit); err != nil {
-					return nil, fmt.Errorf("plan: LIMIT must be a constant integer: %w", err)
-				}
-			}
-			if sel.Offset != nil {
-				if offset, err = constInt(sel.Offset); err != nil {
-					return nil, fmt.Errorf("plan: OFFSET must be a constant integer: %w", err)
-				}
-			}
-			node = &LimitNode{Child: node, Limit: limit, Offset: offset}
-		}
-		return node, nil
+		return applyLimit(sel, &ValuesNode{Rows: rows, Out: out})
 	}
 	node, err := p.planFrom(sel.From)
 	if err != nil {
@@ -89,7 +73,7 @@ func (p *planner) planSelect(sel *sql.SelectStmt) (Node, error) {
 			return nil, err
 		}
 	}
-	return p.finishSelect(sel, node, false)
+	return p.finishSelect(sel, node)
 }
 
 // planConstantSelect handles FROM-less queries: every item must be constant.
@@ -116,7 +100,7 @@ func planConstantSelect(sel *sql.SelectStmt) (rel.Schema, []rel.Row, error) {
 }
 
 // finishSelect applies aggregation, projection, distinct, order and limit.
-func (p *planner) finishSelect(sel *sql.SelectStmt, node Node, constant bool) (Node, error) {
+func (p *planner) finishSelect(sel *sql.SelectStmt, node Node) (Node, error) {
 	var err error
 	hasAgg := len(sel.GroupBy) > 0 || sel.Having != nil
 	for _, item := range sel.Items {
@@ -146,7 +130,7 @@ func (p *planner) finishSelect(sel *sql.SelectStmt, node Node, constant bool) (N
 	orderBy := make([]sql.OrderItem, len(sel.OrderBy))
 	copy(orderBy, sel.OrderBy)
 
-	if hasAgg && !constant {
+	if hasAgg {
 		node, items, having, orderBy, err = p.planAggregate(node, sel, items, having, orderBy)
 		if err != nil {
 			return nil, err
@@ -154,8 +138,6 @@ func (p *planner) finishSelect(sel *sql.SelectStmt, node Node, constant bool) (N
 		if having != nil {
 			node = &FilterNode{Child: node, Pred: having}
 		}
-	} else if constant && hasAgg {
-		return nil, fmt.Errorf("plan: aggregates require a FROM clause")
 	}
 
 	// Projection.
@@ -261,25 +243,27 @@ func (p *planner) finishSelect(sel *sql.SelectStmt, node Node, constant bool) (N
 		node = &ProjectNode{Child: node, Exprs: positionalRefs(node.Schema(), len(projExprs)), Out: rel.NewSchema(outCols...)}
 	}
 
-	if sel.Limit != nil || sel.Offset != nil {
-		limit, offset := int64(-1), int64(0)
-		if sel.Limit != nil {
-			v, err := constInt(sel.Limit)
-			if err != nil {
-				return nil, fmt.Errorf("plan: LIMIT must be a constant integer: %w", err)
-			}
-			limit = v
-		}
-		if sel.Offset != nil {
-			v, err := constInt(sel.Offset)
-			if err != nil {
-				return nil, fmt.Errorf("plan: OFFSET must be a constant integer: %w", err)
-			}
-			offset = v
-		}
-		node = &LimitNode{Child: node, Limit: limit, Offset: offset}
+	return applyLimit(sel, node)
+}
+
+// applyLimit wraps node in a LimitNode when sel has a LIMIT or an OFFSET.
+func applyLimit(sel *sql.SelectStmt, node Node) (Node, error) {
+	if sel.Limit == nil && sel.Offset == nil {
+		return node, nil
 	}
-	return node, nil
+	limit, offset := int64(-1), int64(0)
+	var err error
+	if sel.Limit != nil {
+		if limit, err = constInt(sel.Limit); err != nil {
+			return nil, fmt.Errorf("plan: LIMIT must be a constant integer: %w", err)
+		}
+	}
+	if sel.Offset != nil {
+		if offset, err = constInt(sel.Offset); err != nil {
+			return nil, fmt.Errorf("plan: OFFSET must be a constant integer: %w", err)
+		}
+	}
+	return &LimitNode{Child: node, Limit: limit, Offset: offset}, nil
 }
 
 // positionalRefs builds column references for the first n columns of schema
