@@ -86,7 +86,8 @@ func (sc *llmScan) startKeyThenAttr() (func() (rel.Row, bool, error), error) {
 // scratch row of the scan's schema holding each key in turn. Only rows the
 // executor's re-applied filter would certainly drop are removed: a row
 // whose predicate evaluation errors is kept so the error still surfaces
-// where the unpushed plan would raise it.
+// where the unpushed plan would raise it. The enumeration may be memoised
+// and shared with other scans, so the kept keys go to fresh slices.
 func (sc *llmScan) gateKeys(keyRows []rel.Row, ents []string, keyFilter sql.Expr) ([]rel.Row, []string) {
 	if keyFilter == nil || len(keyRows) == 0 {
 		return keyRows, ents
@@ -101,7 +102,7 @@ func (sc *llmScan) gateKeys(keyRows []rel.Row, ents []string, keyFilter sql.Expr
 	for i := range scratch {
 		scratch[i] = rel.NullOf(sc.schema.Col(i).Type)
 	}
-	keptRows, keptEnts := keyRows[:0], ents[:0]
+	keptRows, keptEnts := make([]rel.Row, 0, len(keyRows)), make([]string, 0, len(ents))
 	for i, row := range keyRows {
 		scratch[sc.keyPos] = row[0]
 		ts, err := pred(scratch)

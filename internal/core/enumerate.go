@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"strings"
 	"sync"
 	"time"
@@ -17,23 +16,30 @@ const pageSize = 40
 // runRounds obtains one enumeration round per seed, accumulating rows keyed
 // by entity, until MaxRounds or the convergence rule (StableRounds rounds
 // without a new entity) stops it. At temperature zero a single round is
-// issued — greedy decoding cannot produce new rows — unless promptVaries
-// says each round changes the prompt (paged scans).
+// issued — greedy decoding cannot produce new rows — unless each round
+// changes the prompt (paged scans, which pass an empty prompt).
 //
 // issue performs the model call for one round; each completion is parsed over
 // cols into rows of width cells (see parseListCompletion) on the scan
 // goroutine in round order, so parser statistics and caller state (the paged
 // exclude list, which onNew, when non-nil, receives the first row of each new
 // entity for) need no locking. When the prompt is
-// constant across rounds (promptVaries == false) and Parallelism allows,
+// constant across rounds and Parallelism allows,
 // rounds are independent and are prefetched concurrently — speculatively,
 // since convergence may stop before consuming them all. Consumed rounds are
 // accounted exactly as in the serial path, so result rows and ScanStats are
 // byte-identical at any parallelism; discarded speculative calls show up only
 // in the model's Usage.
 //
+// A constant-prompt enumeration is memoised under its prompt (see enumMemo):
+// while each round's text is the one the memoised enumeration consumed, the
+// round is accounted but neither parsed nor merged, and at its last round the
+// memoised result is returned. A differing text or a failed round merges the
+// rounds consumed so far from scratch and carries on.
+//
 // The rows come back with their entity keys: keys[i] belongs to rows[i].
-func (sc *llmScan) runRounds(cols []int, width int, promptVaries bool, issue func(seed int64) (llm.CompletionResponse, error), onNew func(row rel.Row)) (rows []rel.Row, keys []string, err error) {
+func (sc *llmScan) runRounds(prompt string, cols []int, width int, issue func(seed int64) (llm.CompletionResponse, error), onNew func(row rel.Row)) (rows []rel.Row, keys []string, err error) {
+	promptVaries := prompt == ""
 	maxRounds := sc.cfg().MaxRounds
 	if sc.cfg().Temperature <= 0 && !promptVaries {
 		maxRounds = 1
@@ -82,13 +88,35 @@ func (sc *llmScan) runRounds(cols []int, width int, promptVaries bool, issue fun
 		}
 	}
 
-	parse := sc.parser(cols, width)
-	var seen entityIndex
-	dedup := sc.cfg().Dedup
-	stable := 0
+	memo := sc.store.memo
+	if promptVaries {
+		memo = nil
+	}
+	key := enumKey{prompt: prompt, table: sc.table}
+	hit := memo.get(key)
+	m := merger{sc: sc, cols: cols, width: width, onNew: onNew, keepTexts: memo != nil}
 	for round := 0; round < maxRounds; round++ {
 		sc.stats.Rounds++
 		resp, err := next(round)
+		if err == nil {
+			sc.stats.Prompts++
+			sc.countCall(accountOf(resp))
+			if hit != nil && resp.Text == hit.texts[round] {
+				if round == len(hit.texts)-1 {
+					sc.stats.addCounts(hit.counts)
+					return hit.rows, hit.keys, nil
+				}
+				continue
+			}
+		}
+		if hit != nil {
+			// The round diverged from the memoised enumeration: merge the
+			// rounds it agreed on, as a miss would have.
+			for r, text := range hit.texts[:round] {
+				m.add(text, r)
+			}
+			hit = nil
+		}
 		if err != nil {
 			// A failed round stops enumeration at the rows already found.
 			// Earlier rounds consumed identical completions to the
@@ -98,51 +126,82 @@ func (sc *llmScan) runRounds(cols []int, width int, promptVaries bool, issue fun
 			// runs: over fewer rounds an entity needs fewer appearances to
 			// pass, so rows the fault-free run drops could survive. Then the
 			// query fails instead.
-			failed, ok := sc.degrade(err)
+			account, ok := sc.degrade(err)
 			if !ok || sc.cfg().MinConfidence > 0 {
 				return nil, nil, err
 			}
-			sc.countCall(failed)
-			sc.addWall(failed.latency)
+			sc.countCall(account)
+			sc.addWall(account.latency)
+			memo = nil // a healthy run would go on past this round
 			break
 		}
-		sc.stats.Prompts++
-		sc.countCall(accountOf(resp))
-		p := parse(resp.Text)
-		if seen.ids == nil {
-			seen.ids = make(map[string]int32, len(p.rows))
-			rows, keys = make([]rel.Row, 0, len(p.rows)), make([]string, 0, len(p.rows))
-		}
-		newThisRound := 0
-		for i, row := range p.rows {
-			if seen.see(p.keys[i], round) {
-				rows, keys = append(rows, row), append(keys, p.keys[i])
-				newThisRound++
-				if onNew != nil {
-					onNew(row)
-				}
-				continue
-			}
-			// Convergence always tracks entity novelty, but only the dedup
-			// feature (ablated in Table 7) suppresses the duplicate row
-			// itself.
-			if dedup {
-				sc.stats.Duplicates++
-				continue
-			}
-			rows, keys = append(rows, row), append(keys, p.keys[i])
-		}
-		if newThisRound == 0 {
-			stable++
-			if stable >= sc.cfg().StableRounds {
-				break
-			}
-		} else {
-			stable = 0
+		if m.add(resp.Text, round) >= sc.cfg().StableRounds {
+			break
 		}
 	}
-	rows, keys = sc.filterByConfidence(rows, keys, &seen)
-	return rows, keys, nil
+	if !promptVaries {
+		m.filterByConfidence(sc.cfg().MinConfidence, sc.stats.Rounds)
+	}
+	sc.stats.addCounts(m.out.counts)
+	if memo != nil {
+		e := m.out
+		memo.put(key, &e)
+	}
+	return m.out.rows, m.out.keys, nil
+}
+
+// merger is an enumeration in progress: it parses and merges one round's
+// completion at a time over cols into rows of width cells, into out.
+type merger struct {
+	sc        *llmScan
+	cols      []int
+	width     int
+	onNew     func(row rel.Row)
+	keepTexts bool // out may be memoised, so it records the round texts
+	seen      entityIndex
+	stable    int // rounds since the last new entity
+	out       enumeration
+}
+
+// add merges round's completion text and returns the number of rounds in a
+// row that found no new entity.
+func (m *merger) add(text string, round int) (stable int) {
+	sc, out := m.sc, &m.out
+	if m.keepTexts {
+		out.texts = append(out.texts, text)
+	}
+	p := parseCompletion(text, sc.table.Schema, m.cols, sc.keyPos, m.width, sc.cfg().Tolerant)
+	dedup := sc.cfg().Dedup
+	out.counts.parse.Add(p.stats)
+	if m.seen.ids == nil {
+		m.seen.ids = make(map[string]int32, len(p.rows))
+		out.rows, out.keys = make([]rel.Row, 0, len(p.rows)), make([]string, 0, len(p.rows))
+	}
+	newThisRound := 0
+	for i, row := range p.rows {
+		if m.seen.see(p.keys[i], round) {
+			out.rows, out.keys = append(out.rows, row), append(out.keys, p.keys[i])
+			newThisRound++
+			if m.onNew != nil {
+				m.onNew(row)
+			}
+			continue
+		}
+		// Convergence always tracks entity novelty, but only the dedup
+		// feature (ablated in Table 7) suppresses the duplicate row
+		// itself.
+		if dedup {
+			out.counts.duplicates++
+			continue
+		}
+		out.rows, out.keys = append(out.rows, row), append(out.keys, p.keys[i])
+	}
+	if newThisRound == 0 {
+		m.stable++
+	} else {
+		m.stable = 0
+	}
+	return m.stable
 }
 
 // entityIndex is an enumeration's one map over entities: the id of each
@@ -172,31 +231,26 @@ func (x *entityIndex) see(key string, round int) (first bool) {
 }
 
 // filterByConfidence drops entities whose appearance frequency across the
-// sampling rounds falls below Config.MinConfidence, keeping rows and their
-// keys parallel. Hallucinated rows tend to be one-off samples while real
-// entities recur, so the filter trades a little recall for precision (swept
-// in Table 8).
-func (sc *llmScan) filterByConfidence(rows []rel.Row, keys []string, seen *entityIndex) ([]rel.Row, []string) {
-	minConf := sc.cfg().MinConfidence
-	rounds := sc.stats.Rounds
+// enumeration's rounds falls below minConf, keeping rows and their keys
+// parallel. Hallucinated rows tend to be one-off samples while real entities
+// recur, so the filter trades a little recall for precision (swept in Table
+// 8). Paged scans do not run it: they exclude previously seen keys, so every
+// entity appears in exactly one round by construction.
+func (m *merger) filterByConfidence(minConf float64, rounds int) {
+	out := &m.out
 	if minConf <= 0 || rounds <= 1 {
-		return rows, keys
+		return
 	}
-	// Paged scans exclude previously seen keys, so every entity appears in
-	// exactly one round by construction — frequency is meaningless there.
-	if sc.strategy == StrategyPaged {
-		return rows, keys
-	}
-	keptRows, keptKeys := rows[:0], keys[:0]
-	for i, row := range rows {
-		conf := float64(seen.appearances[seen.ids[keys[i]]]) / float64(rounds)
+	keptRows, keptKeys := out.rows[:0], out.keys[:0]
+	for i, row := range out.rows {
+		conf := float64(m.seen.appearances[m.seen.ids[out.keys[i]]]) / float64(rounds)
 		if conf+1e-9 < minConf {
-			sc.stats.LowConfidenceDropped++
+			out.counts.lowConfidence++
 			continue
 		}
-		keptRows, keptKeys = append(keptRows, row), append(keptKeys, keys[i])
+		keptRows, keptKeys = append(keptRows, row), append(keptKeys, out.keys[i])
 	}
-	return keptRows, keptKeys
+	out.rows, out.keys = keptRows, keptKeys
 }
 
 // entityKey is the dedup/convergence identity of a row: the parse-time
@@ -209,9 +263,7 @@ func entityKey(key rel.Value) string {
 
 // parsedCompletion is a LIST or KEYS completion parsed over a column set
 // into rows of one width: its rows, each row's entity key (keys[i] belongs
-// to rows[i]) and the parser's counters. A memoised one is shared by every
-// scan that parses the same text, so neither it nor its rows may be
-// modified.
+// to rows[i]) and the parser's counters.
 type parsedCompletion struct {
 	rows  []rel.Row
 	keys  []string
@@ -232,75 +284,94 @@ func parseCompletion(text string, schema rel.Schema, cols []int, keyPos, width i
 	return parsedCompletion{rows: rows, keys: keys, stats: stats}
 }
 
-// parseMemo holds the parsed form of LIST and KEYS completions, so a
-// completion the session cache serves again is not parsed again. It is keyed
-// by what a parse depends on — the text and the shape it is parsed into —
-// so a hit returns exactly what parsing would: a changed answer, an
-// invalidated cache entry or a re-registered table is a different key and
-// simply misses, and no invalidation path exists. A store has one iff its
-// model chain has an in-memory llm.CacheModel, with that cache's capacity.
-type parseMemo struct {
+// enumeration is what one constant-prompt enumeration consumed and
+// produced: the completion text of each round in round order, the merged
+// rows with their entity keys, and the counters the merge moved. A memoised
+// one is shared by every scan that replays it, so neither it nor its rows
+// may be modified.
+type enumeration struct {
+	texts  []string
+	rows   []rel.Row
+	keys   []string
+	counts enumCounts
+}
+
+// enumCounts are the ScanStats counters parsing and merging move; the
+// rounds' call accounting is not among them, as a replay still performs it.
+type enumCounts struct {
+	parse         ParseStats
+	duplicates    int
+	lowConfidence int
+}
+
+func (s *ScanStats) addCounts(c enumCounts) {
+	s.Parse.Add(c.parse)
+	s.Duplicates += c.duplicates
+	s.LowConfidenceDropped += c.lowConfidence
+}
+
+// enumMemo holds finished constant-prompt enumerations — a full-table scan's
+// LIST rounds, a key-then-attr scan's KEYS rounds — so a scan whose rounds
+// are answered with the texts an earlier one consumed replays its result
+// instead of parsing and merging again. Merging is a function of the texts,
+// the table (Register stores a fresh pointer, standing for schema and key
+// position), the column set and the store's fixed configuration. The prompt
+// and table are the key — the prompt names the task and every column it
+// enumerates, so it fixes the column set — and the texts are checked while
+// the rounds arrive. So a replay returns exactly what the merge would:
+// a changed answer, an invalidated cache entry or a re-registered table
+// simply misses, and no invalidation path exists. Enumerations that ended
+// in a failed round are not kept. A store has a memo iff its model chain
+// has an in-memory llm.CacheModel, and it holds at most that cache's
+// capacity in consumed rounds.
+type enumMemo struct {
 	mu      sync.Mutex
-	entries *lru.Cache[parseKey, parsedCompletion]
+	entries *lru.Cache[enumKey, *enumeration]
+	rounds  int // texts held across entries, at most limit
+	limit   int
 }
 
-// parseKey identifies one parse; the parser mode is fixed per store. The
-// table pointer stands for its schema and key position (Register stores a
-// fresh one), shape encodes the column positions (see shapeOf) and width
-// the output row width. Cache hits return the stored string, so comparing
-// text is a pointer check.
-type parseKey struct {
-	text  string
-	table *VirtualTable
-	shape string
-	width int
+type enumKey struct {
+	prompt string
+	table  *VirtualTable
 }
 
-// shapeOf encodes column positions as a parseKey shape.
-func shapeOf(cols []int) string {
-	b := make([]byte, 0, len(cols))
-	for _, c := range cols {
-		b = binary.AppendUvarint(b, uint64(c))
-	}
-	return string(b)
+func newEnumMemo(limit int) *enumMemo {
+	return &enumMemo{entries: lru.New[enumKey, *enumeration](limit), limit: limit}
 }
 
-// parse returns the memoised parse under k, running parse on a miss — and
-// always on a nil memo. The lock is not held while parsing.
-func (m *parseMemo) parse(k parseKey, parse func() parsedCompletion) parsedCompletion {
+// get returns the enumeration memoised under k, or nil — always on a nil
+// memo.
+func (m *enumMemo) get(k enumKey) *enumeration {
 	if m == nil {
-		return parse()
+		return nil
 	}
 	m.mu.Lock()
-	p, ok := m.entries.Get(k)
-	m.mu.Unlock()
-	if ok {
-		return p
-	}
-	p = parse()
-	m.mu.Lock()
-	m.entries.Put(k, p)
-	m.mu.Unlock()
-	return p
+	defer m.mu.Unlock()
+	e, _ := m.entries.Get(k)
+	return e
 }
 
-// parser returns the scan's parse of LIST or KEYS completions over cols
-// into rows of width cells, which folds the parser's counters into the
-// scan's — from the store's memo when it has seen the text, counters
-// included.
-func (sc *llmScan) parser(cols []int, width int) func(text string) parsedCompletion {
-	schema, keyPos, tolerant := sc.table.Schema, sc.keyPos, sc.cfg().Tolerant
-	memo := sc.store.memo
-	var shape string
-	if memo != nil {
-		shape = shapeOf(cols)
+// put memoises e under k, replacing any entry there and evicting the least
+// recently used ones until the rounds held fit the limit.
+func (m *enumMemo) put(k enumKey, e *enumeration) {
+	if len(e.texts) > m.limit {
+		return
 	}
-	return func(text string) parsedCompletion {
-		p := memo.parse(parseKey{text: text, table: sc.table, shape: shape, width: width}, func() parsedCompletion {
-			return parseCompletion(text, schema, cols, keyPos, width, tolerant)
-		})
-		sc.stats.Parse.Add(p.stats)
-		return p
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.removeLocked(k)
+	for m.rounds+len(e.texts) > m.limit {
+		oldest, _, _ := m.entries.Oldest()
+		m.removeLocked(oldest)
+	}
+	m.entries.Put(k, e)
+	m.rounds += len(e.texts)
+}
+
+func (m *enumMemo) removeLocked(k enumKey) {
+	if e, ok := m.entries.Remove(k); ok {
+		m.rounds -= len(e.texts)
 	}
 }
 
@@ -308,7 +379,7 @@ func (sc *llmScan) parser(cols []int, width int) func(text string) parsedComplet
 // width cells: the full-table scan's LIST prompt, or the KEYS prompt of the
 // key-then-attr pipeline, whose rows are the entity key alone.
 func (sc *llmScan) enumerate(prompt string, cols []int, width int) ([]rel.Row, []string, error) {
-	return sc.runRounds(cols, width, false,
+	return sc.runRounds(prompt, cols, width,
 		func(seed int64) (llm.CompletionResponse, error) { return sc.modelCall(prompt, seed) }, nil)
 }
 
@@ -321,9 +392,10 @@ func (sc *llmScan) runPaged() ([]rel.Row, error) {
 	// Paged enumeration: each page excludes every entity already seen, in
 	// its first spelling; the rounds machinery handles convergence across
 	// pages. Pages form a dependency chain (each prompt needs the previous
-	// pages' keys), so promptVaries keeps them strictly serial.
+	// pages' keys), so the empty constant prompt keeps them strictly
+	// serial and unmemoised.
 	var exclude []string
-	rows, _, err := sc.runRounds(sc.cols, sc.table.Schema.Len(), true,
+	rows, _, err := sc.runRounds("", sc.cols, sc.table.Schema.Len(),
 		func(seed int64) (llm.CompletionResponse, error) {
 			return sc.modelCall(buildListPrompt(sc.table, sc.cols, sc.filter, exclude, pageSize), seed)
 		},

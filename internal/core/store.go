@@ -11,7 +11,6 @@ import (
 
 	"llmsql/internal/exec"
 	"llmsql/internal/llm"
-	"llmsql/internal/lru"
 	"llmsql/internal/rel"
 )
 
@@ -120,7 +119,7 @@ type LLMStore struct {
 	model llm.Model
 	cache *llm.CacheModel // in-memory completion cache in the model chain, if any
 	disk  *llm.DiskCache  // persistent prompt cache in the model chain, if any
-	memo  *parseMemo      // parsed LIST/KEYS completions (enumerate.go); non-nil iff cache is
+	memo  *enumMemo       // finished LIST/KEYS enumerations (enumerate.go); non-nil iff cache is
 	cfg   Config
 	// costModel prices candidate decompositions for the scan planner; it
 	// mirrors the accounting CostModel (Engine.CostModel keeps them in
@@ -150,7 +149,7 @@ func NewLLMStore(model llm.Model, cfg Config) *LLMStore {
 		estRows:   make(map[string]int),
 	}
 	if s.cache != nil {
-		s.memo = &parseMemo{entries: lru.New[parseKey, parsedCompletion](s.cache.CacheStats().Capacity)}
+		s.memo = newEnumMemo(s.cache.CacheStats().Capacity)
 	}
 	return s
 }

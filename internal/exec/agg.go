@@ -165,7 +165,7 @@ func newAccumulator(spec plan.AggSpec) (accumulator, error) {
 }
 
 func (b *builder) buildAggregate(n *plan.AggregateNode) (RowIter, error) {
-	child, err := b.build(n.Child)
+	child, err := b.buildDrained(n.Child)
 	if err != nil {
 		return nil, err
 	}

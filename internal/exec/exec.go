@@ -68,7 +68,8 @@ type builder struct {
 	// reaches that node (the bound side is built after the outer side has
 	// been drained, so the keys are final by then).
 	bindKeys map[*plan.ScanNode][]string
-	// limits counts the LimitNodes above the node being built: scans built
+	// limits counts the LimitNodes above the node being built that no
+	// draining operator separates from it (see buildDrained): scans built
 	// while it is positive may be abandoned early (ScanRequest.UnderLimit).
 	limits int
 }
@@ -89,6 +90,16 @@ func (b *builder) instrument(node plan.Node, it RowIter) RowIter {
 		},
 		close: it.Close,
 	}
+}
+
+// buildDrained builds a child its operator drains before emitting a row: no
+// LIMIT above the operator can stop the child early, so its scans are built
+// as drained ones.
+func (b *builder) buildDrained(node plan.Node) (RowIter, error) {
+	limits := b.limits
+	b.limits = 0
+	defer func() { b.limits = limits }()
+	return b.build(node)
 }
 
 func (b *builder) build(node plan.Node) (RowIter, error) {
@@ -242,7 +253,7 @@ func (b *builder) buildProject(n *plan.ProjectNode) (RowIter, error) {
 }
 
 func (b *builder) buildSort(n *plan.SortNode) (RowIter, error) {
-	child, err := b.build(n.Child)
+	child, err := b.buildDrained(n.Child)
 	if err != nil {
 		return nil, err
 	}

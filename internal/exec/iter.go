@@ -39,11 +39,13 @@ type ScanRequest struct {
 	// qualifying rows than they otherwise would; the executor's LimitNode
 	// enforces the real limit regardless. 0 means no hint.
 	Limit int64
-	// UnderLimit reports that a LimitNode sits above the scan, so its
-	// consumer may stop pulling before the stream ends even when no hint
-	// could be pushed (a join, a filter or DISTINCT lies in between). A
-	// source that works ahead of demand should do so in small steps then;
-	// without it the scan will be drained.
+	// UnderLimit reports that a LimitNode sits above the scan with only
+	// streaming operators between, so its consumer may stop pulling before
+	// the stream ends even when no hint could be pushed (a filter, DISTINCT
+	// or a join's probe side lies in between). A source that works ahead of
+	// demand should do so in small steps then; without it the scan will be
+	// drained — as it is under a sort, an aggregate or a join side that is
+	// materialized before the join emits.
 	UnderLimit bool
 	// Keys, when non-nil, binds the scan to the given entity-key values
 	// (sideways information passing from a bind join: the distinct join

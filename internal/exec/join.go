@@ -260,7 +260,7 @@ func (b *builder) buildHashJoin(n *plan.JoinNode) (RowIter, error) {
 	// by default, the left when the join planner judged it smaller
 	// (inner joins only; output order follows the probe side).
 	if n.BuildLeft && n.Kind == plan.KindInner {
-		leftIter, err := b.build(n.Left)
+		leftIter, err := b.buildDrained(n.Left)
 		if err != nil {
 			return nil, err
 		}
@@ -279,7 +279,7 @@ func (b *builder) buildHashJoin(n *plan.JoinNode) (RowIter, error) {
 		return h.probeRight(rightIter, table), nil
 	}
 
-	rightIter, err := b.build(n.Right)
+	rightIter, err := b.buildDrained(n.Right)
 	if err != nil {
 		return nil, err
 	}
@@ -320,7 +320,7 @@ func (b *builder) buildBindJoin(n *plan.JoinNode) (RowIter, error) {
 		outerEval, boundEval = h.rightEvals[0], h.leftEvals[0]
 	}
 
-	outerIter, err := b.build(outerNode)
+	outerIter, err := b.buildDrained(outerNode)
 	if err != nil {
 		return nil, err
 	}
@@ -345,7 +345,7 @@ func (b *builder) buildBindJoin(n *plan.JoinNode) (RowIter, error) {
 		}
 		b.bindKeys[n.BindScan] = keys
 	}
-	boundIter, err := b.build(boundNode)
+	boundIter, err := b.buildDrained(boundNode)
 	if bind {
 		delete(b.bindKeys, n.BindScan)
 	}
@@ -446,7 +446,7 @@ func (b *builder) buildNestedLoopJoin(n *plan.JoinNode) (RowIter, error) {
 		}
 	}
 
-	rightIter, err := b.build(n.Right)
+	rightIter, err := b.buildDrained(n.Right)
 	if err != nil {
 		return nil, err
 	}

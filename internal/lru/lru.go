@@ -1,7 +1,8 @@
 // Package lru is the one bounded least-recently-used map the engine's
-// caches share: llm.CacheModel and core's parsed-rows memo (count-bounded,
-// evicting on Put), llm.DiskCache (byte-bounded: the owner evicts through
-// Oldest and Remove) and core's prepared-plan cache.
+// caches share: llm.CacheModel (count-bounded, evicting on Put),
+// llm.DiskCache and core's enumeration memo (bounded in bytes and in
+// rounds held: the owner evicts through Oldest and Remove) and core's
+// prepared-plan cache.
 package lru
 
 // Cache is a bounded least-recently-used map whose recency ring runs through
