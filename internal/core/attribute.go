@@ -350,14 +350,17 @@ func (st *attrStream) fanOut(n int, sched *llm.Sched, ask func(i int) (string, i
 	return nil
 }
 
-// keepVote records the outcome of the single-key ATTR call behind result i.
-func (st *attrStream) keepVote(results []attrVote, i int, text string, ok bool) {
+// keepVote records the outcome of the single-key ATTR call behind result i
+// of the window over keys, reading the answer against the column and key
+// its prompt named.
+func (st *attrStream) keepVote(results []attrVote, keys []string, i int, text string, ok bool) {
 	if !ok {
 		results[i].failed = true
 		return
 	}
-	_, col, _ := st.layout.split(i)
-	results[i].val, results[i].ok = parseAttrCompletion(text, st.sc.table.Schema.Col(st.sc.attrCols[col]).Type, st.sc.cfg().Tolerant)
+	k, col, _ := st.layout.split(i)
+	c := st.sc.table.Schema.Col(st.sc.attrCols[col])
+	results[i].val, results[i].ok = parseAttrCompletion(text, c.Name, keys[k], c.Type, st.sc.cfg().Tolerant)
 }
 
 // single is the unbatched attribute phase for one window of keys: one ATTR
@@ -377,7 +380,7 @@ func (st *attrStream) single(keys []string) ([]attrVote, error) {
 	st.prompts, st.votes = prompts, results
 	err := st.fanOut(n, st.primary,
 		func(i int) (string, int64) { return prompts[i/st.layout.votes], voteSeed(i % st.layout.votes) },
-		func(i int, text string, ok bool) { st.keepVote(results, i, text, ok) })
+		func(i int, text string, ok bool) { st.keepVote(results, keys, i, text, ok) })
 	return results, err
 }
 
@@ -453,7 +456,7 @@ func (st *attrStream) batched(keys []string) ([]attrVote, error) {
 			k, col, vote := st.layout.split(repair[j])
 			return st.prompters[col].prompt(keys[k]), voteSeed(vote)
 		},
-		func(j int, text string, ok bool) { st.keepVote(results, repair[j], text, ok) })
+		func(j int, text string, ok bool) { st.keepVote(results, keys, repair[j], text, ok) })
 	return results, err
 }
 

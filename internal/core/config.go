@@ -105,8 +105,10 @@ type Config struct {
 	// Applies when the bound scan's effective strategy is key-then-attr;
 	// disabling restores the full build-side scan (ablation/debugging).
 	BindJoin bool
-	// Tolerant enables the repairing completion parser; when false only
-	// perfectly formatted rows are accepted (ablation).
+	// Tolerant enables the completion parser's repairs — bullets, the
+	// "Row: …." wrapper, comma fallback, NULL padding, numeric rescue; when
+	// false a line or value that needs one is dropped (ablation). Both modes
+	// read every answer phrasing (DESIGN.md "Completion parsing").
 	Tolerant bool
 	// Dedup removes duplicate entities from scan output (ablation).
 	Dedup bool

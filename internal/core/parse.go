@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 
 	"llmsql/internal/rel"
@@ -37,8 +38,8 @@ func (s *ParseStats) Add(o ParseStats) {
 // are accepted and the ParseStats do not depend on the width, but their
 // values are not kept. The rows of one completion share one backing slab.
 //
-// tolerant enables the repair heuristics; when false, only lines with the
-// exact field count and cleanly parsing values are accepted.
+// tolerant enables the repair heuristics; when false, only undecorated
+// lines with the exact field count and cleanly parsing values are accepted.
 func parseListCompletion(text string, schema rel.Schema, cols []int, keyPos, width int, tolerant bool) ([]rel.Row, ParseStats) {
 	// slot is a schema position's cell in an output row (-1: not kept).
 	slot := func(c int) int {
@@ -159,26 +160,15 @@ func keyTextIsCanonical(s string) bool {
 // of repairs applied and whether the line is usable at all.
 func splitRowLine(line string, wantFields int, tolerant bool) ([]string, int, bool) {
 	repairs := 0
-	if tolerant {
-		// Strip decoration the model sometimes adds.
-		for _, prefix := range []string{"- ", "* ", "Row: ", "row: "} {
-			if strings.HasPrefix(line, prefix) {
-				line = strings.TrimPrefix(line, prefix)
-				repairs++
-				break
-			}
+	if rest, decorated := cutDecoration(line); decorated {
+		if !tolerant {
+			return nil, 0, false
 		}
-		// Trailing period after a pipe row ("Row: a | b.").
-		if strings.HasSuffix(line, ".") && strings.Contains(line, "|") {
-			line = strings.TrimSuffix(line, ".")
-		}
+		line = rest
+		repairs++
 	}
 	if strings.Contains(line, "|") {
-		parts := strings.Split(line, "|")
-		fields := make([]string, len(parts))
-		for i, p := range parts {
-			fields[i] = strings.TrimSpace(p)
-		}
+		fields := trimFields(strings.Split(line, "|"))
 		if !tolerant && len(fields) != wantFields {
 			return nil, 0, false
 		}
@@ -193,44 +183,68 @@ func splitRowLine(line string, wantFields int, tolerant bool) ([]string, int, bo
 	}
 	// No pipe separator.
 	if wantFields == 1 {
-		// A single-column answer; prose lines are filtered by heuristics:
-		// skip obvious commentary (trailing colon, parenthesised notes).
+		// A single-column answer: the line is the value, unless it is the
+		// model's commentary.
 		if looksLikeProse(line) {
 			return nil, 0, false
 		}
-		return []string{strings.TrimSuffix(line, ".")}, repairs, true
+		return []string{line}, repairs, true
 	}
 	if !tolerant {
 		return nil, 0, false
 	}
 	// Comma fallback for rows emitted with the wrong separator.
 	if strings.Count(line, ",") >= wantFields-1 {
-		parts := strings.SplitN(line, ",", wantFields)
-		fields := make([]string, len(parts))
-		for i, p := range parts {
-			fields[i] = strings.TrimSpace(p)
-		}
-		return fields, repairs + 1, true
+		return trimFields(strings.SplitN(line, ",", wantFields)), repairs + 1, true
 	}
 	return nil, 0, false
 }
 
-// looksLikeProse detects preamble/closing lines such as "Here are the rows:"
-// or "(end of list)".
-func looksLikeProse(line string) bool {
-	if strings.HasSuffix(line, ":") {
-		return true
+// trimFields trims the space around each field, in place.
+func trimFields(fields []string) []string {
+	for i, f := range fields {
+		fields[i] = strings.TrimSpace(f)
 	}
-	if strings.HasPrefix(line, "(") && strings.HasSuffix(line, ")") {
-		return true
-	}
-	lower := strings.ToLower(line)
-	for _, marker := range []string{"here are", "no further", "i do not", "i don't", "end of list", "i'm not sure", "as requested"} {
-		if strings.Contains(lower, marker) {
-			return true
+	return fields
+}
+
+// cutDecoration removes the decoration a model sometimes puts around a
+// row — a "- " or "* " bullet, or the "Row: …." wrapper, the one decoration
+// that adds a period — and reports whether there was any.
+func cutDecoration(line string) (string, bool) {
+	for _, bullet := range [...]string{"- ", "* "} {
+		if rest, ok := strings.CutPrefix(line, bullet); ok {
+			return rest, true
 		}
 	}
-	return false
+	for _, wrapper := range [...]string{"Row: ", "row: "} {
+		if rest, ok := strings.CutPrefix(line, wrapper); ok {
+			return strings.TrimSuffix(rest, "."), true
+		}
+	}
+	return line, false
+}
+
+// refusals are the answers the model gives instead of a value or a row
+// (internal/llm's SynthLM says each of them), lower-cased and without
+// their period.
+var refusals = [...]string{"i'm not sure", "i do not know that attribute",
+	"i do not have information about that table", "no further rows", "no entities given"}
+
+// isRefusal reports whether a whole answer, without one final period, is
+// one of the refusals, compared case-insensitively. A value that merely
+// contains a refusal word ("Unknown Pleasures") is not one.
+func isRefusal(answer string) bool {
+	answer = strings.TrimSuffix(answer, ".")
+	return slices.ContainsFunc(refusals[:], func(r string) bool { return strings.EqualFold(answer, r) })
+}
+
+// looksLikeProse detects preamble/closing lines such as "Here are the rows:",
+// "(end of list)" or a refusal.
+func looksLikeProse(line string) bool {
+	return strings.HasSuffix(line, ":") ||
+		strings.HasPrefix(line, "(") && strings.HasSuffix(line, ")") ||
+		isRefusal(line)
 }
 
 // parseField parses one field into the column type. rescued reports that a
@@ -282,9 +296,11 @@ func extractNumber(s string) (string, bool) {
 // parseAttrBatchCompletion extracts per-key values from a batched ATTRS
 // completion ("<entity> | <value>" lines). Lines are matched to keys by
 // the key field, case-insensitively, so reordered or dropped lines cannot
-// misattribute a value; under tolerant parsing bullet prefixes and a
-// "key: value" separator are repaired. The three returned slices are
-// parallel to keys:
+// misattribute a value; under tolerant parsing a decoration (see
+// cutDecoration) and a "key: value" separator are repaired, and under
+// strict parsing a line needing either is skipped. The value after the
+// separator is the bare value: neither line format adds a period. The
+// three returned slices are parallel to keys:
 //
 //   - found[i] reports that key i's line was located and syntactically
 //     usable — when false the caller should fall back to a single-key
@@ -303,133 +319,96 @@ func parseAttrBatchCompletion(text string, keys []string, t rel.DataType, tolera
 	for i, k := range keys {
 		index[strings.ToLower(normalizeKeyText(k))] = i
 	}
+	lookup := func(keyPart string) (i int, known bool) {
+		i, known = index[strings.ToLower(normalizeKeyText(keyPart))]
+		return
+	}
 	for _, line := range strings.Split(text, "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || looksLikeProse(line) {
 			continue
 		}
-		if tolerant {
-			for _, prefix := range []string{"- ", "* "} {
-				if strings.HasPrefix(line, prefix) {
-					line = strings.TrimPrefix(line, prefix)
-					break
-				}
-			}
-		}
-		keyPart, valPart, split := strings.Cut(line, "|")
-		if !split {
+		if rest, decorated := cutDecoration(line); decorated {
 			if !tolerant {
 				continue
 			}
+			line = rest
+		}
+		i, known := -1, false
+		keyPart, valPart, split := strings.Cut(line, "|")
+		switch {
+		case split:
+			i, known = lookup(keyPart)
+		case tolerant:
 			// Colon fallback ("key: value") for lines emitted with the
-			// wrong separator.
-			keyPart, valPart, split = strings.Cut(line, ":")
-			if !split {
-				continue
+			// wrong separator. A key may itself contain ':' ("Star Trek:
+			// Voyager"), so the longest known key followed by ':' wins.
+			for at := strings.LastIndexByte(line, ':'); at >= 0 && !known; at = strings.LastIndexByte(line[:at], ':') {
+				if i, known = lookup(line[:at]); known {
+					valPart = line[at+1:]
+				}
 			}
 		}
-		i, known := index[strings.ToLower(normalizeKeyText(keyPart))]
 		if !known || found[i] {
 			continue // unattributable line, or a duplicate for a seen key
 		}
 		found[i] = true
-		vals[i], ok[i] = parseAttrCompletion(strings.TrimSpace(valPart), t, tolerant)
+		if valPart = strings.TrimSpace(valPart); !isRefusal(valPart) {
+			vals[i], ok[i] = parseAttrValue(valPart, t, tolerant)
+		}
 	}
 	return vals, ok, found
 }
 
-// parseAttrCompletion extracts a single value from an ATTR completion,
-// handling the phrasings the model uses ("Paris", "Paris.",
-// "The capital of France is Paris.", "capital: Paris", "I'm not sure.").
-func parseAttrCompletion(text string, t rel.DataType, tolerant bool) (rel.Value, bool) {
-	line := strings.TrimSpace(text)
-	if i := strings.IndexByte(line, '\n'); i >= 0 {
-		line = strings.TrimSpace(line[:i])
-	}
-	if line == "" {
+// parseAttrCompletion extracts a single value from the answer to the ATTR
+// prompt that asked for column of entity. Each phrasing the model answers
+// in is read by its exact inverse — "Paris", "Paris.", "The capital of
+// France is Paris." and "capital: Paris" all read as Paris — and a refusal
+// ("I'm not sure.") is an answer that is nothing but one. Only the first
+// line counts.
+func parseAttrCompletion(text, column, entity string, t rel.DataType, tolerant bool) (rel.Value, bool) {
+	line, _, _ := strings.Cut(strings.TrimSpace(text), "\n")
+	line = strings.TrimSpace(line)
+	if line == "" || isRefusal(line) {
 		return rel.NullOf(t), false
 	}
-	// Markers are matched case-insensitively. An ASCII line — nearly every
-	// answer — is matched in place; only a non-ASCII one is lower-cased into
-	// a copy first.
-	lower := line
-	if !isASCII(line) {
-		lower = strings.ToLower(line)
-	}
-	for _, refusal := range [...]string{"i'm not sure", "i am not sure", "i do not know", "i don't know", "unknown"} {
-		if lastIndexFold(lower, refusal) >= 0 {
-			return rel.NullOf(t), false
-		}
-	}
-	// "The X of Y is VALUE." The marker is found in line itself, not in the
-	// lower-cased copy: lower-casing can change a line's byte length (invalid
-	// UTF-8, 'Ⱥ'), so an index into the copy may not be one into line.
-	if idx := lastIndexFold(line, " is "); idx >= 0 && tolerant {
-		candidate := strings.TrimSpace(line[idx+4:])
-		candidate = strings.TrimSuffix(candidate, ".")
-		if v, err := rel.ParseTyped(candidate, t); err == nil && !v.IsNull() {
-			return v, true
-		}
-		if t.Numeric() {
-			if num, ok := extractNumber(candidate); ok {
-				if v, err := rel.ParseTyped(num, t); err == nil {
-					return v, true
-				}
-			}
-		}
-	}
-	// "column: VALUE"
-	if idx := strings.Index(line, ":"); idx >= 0 && tolerant {
-		candidate := strings.TrimSpace(line[idx+1:])
-		candidate = strings.TrimSuffix(candidate, ".")
-		if v, err := rel.ParseTyped(candidate, t); err == nil && !v.IsNull() {
-			return v, true
-		}
-	}
-	// Bare value, maybe with trailing period.
-	candidate := strings.TrimSuffix(line, ".")
-	if v, err := rel.ParseTyped(candidate, t); err == nil && !v.IsNull() {
-		return v, true
-	}
-	if tolerant && t.Numeric() {
-		if num, ok := extractNumber(line); ok {
-			if v, err := rel.ParseTyped(num, t); err == nil {
-				return v, true
-			}
-		}
-	}
-	if t == rel.TypeText {
-		return rel.Text(candidate), true
-	}
-	return rel.NullOf(t), false
+	return parseAttrValue(statedValue(line, column, entity), t, tolerant)
 }
 
-func isASCII(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= 0x80 {
-			return false
-		}
+// statedValue is the value an ATTR answer line states, undoing the one
+// phrasing the line is in. The sentence "The <column> of <entity> is V."
+// adds exactly one period and "<column>: V" none; any other line is the
+// bare value, possibly with one period added — so a bare value that itself
+// ends in '.' reads without it (DESIGN.md "Completion parsing").
+func statedValue(line, column, entity string) string {
+	if v, ok := cutPrefixesFold(line, "The ", column, " of ", entity, " is "); ok && strings.HasSuffix(v, ".") {
+		return v[:len(v)-1]
 	}
-	return true
+	if v, ok := cutPrefixesFold(line, column, ": "); ok {
+		return v
+	}
+	return strings.TrimSuffix(line, ".")
 }
 
-// lastIndexFold returns the index of the last occurrence in s of marker, a
-// lower-case ASCII string, ignoring the case of ASCII letters in s, or -1.
-// On ASCII input it equals strings.LastIndex(strings.ToLower(s), marker)
-// without the copy.
-func lastIndexFold(s, marker string) int {
-next:
-	for i := len(s) - len(marker); i >= 0; i-- {
-		for j := 0; j < len(marker); j++ {
-			c := s[i+j]
-			if c >= 'A' && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			if c != marker[j] {
-				continue next
-			}
+// cutPrefixesFold reports whether s begins with the concatenation of
+// prefixes, ignoring case, and returns the rest of s.
+func cutPrefixesFold(s string, prefixes ...string) (string, bool) {
+	for _, p := range prefixes {
+		if len(s) < len(p) || !strings.EqualFold(s[:len(p)], p) {
+			return "", false
 		}
-		return i
+		s = s[len(p):]
 	}
-	return -1
+	return s, true
+}
+
+// parseAttrValue parses a stated attribute value into the column type; ok
+// is false when it does not parse or is a NULL marker ("unknown"). Tolerant
+// parsing rescues a number from a chatty numeric ("about 68 million").
+func parseAttrValue(v string, t rel.DataType, tolerant bool) (rel.Value, bool) {
+	val, _, err := parseField(v, t, tolerant)
+	if err != nil || val.IsNull() {
+		return rel.NullOf(t), false
+	}
+	return val, true
 }

@@ -140,12 +140,13 @@ func TestParsePartialColumns(t *testing.T) {
 }
 
 func TestParseKeysOnly(t *testing.T) {
-	text := "France\nJapan\nHere are more:\nBrazil."
+	text := "France\nJapan\nHere are more:\nSt. Kitts and Nevis.\nI Don't Know Why\nNo further rows."
 	rows, _ := parseListCompletion(text, parseSchema, []int{0}, 0, parseSchema.Len(), true)
-	if len(rows) != 3 {
+	if len(rows) != 4 {
 		t.Fatalf("keys: %v", rows)
 	}
-	if rows[2][0].AsText() != "Brazil" {
+	// A key line adds no period, so a final one is the key's own.
+	if rows[2][0].AsText() != "St. Kitts and Nevis." {
 		t.Fatalf("trailing period on key: %v", rows[2])
 	}
 }
@@ -186,46 +187,128 @@ func TestExtractNumber(t *testing.T) {
 
 func TestParseAttrCompletion(t *testing.T) {
 	cases := []struct {
-		text string
-		typ  rel.DataType
-		want string
-		ok   bool
+		text   string
+		column string
+		entity string
+		typ    rel.DataType
+		want   string // "" with ok false: rejected
+		ok     bool
+		// tolerantOnly marks a value only the tolerant parser's numeric
+		// rescue reads; the strict parser rejects it.
+		tolerantOnly bool
 	}{
-		{"Paris", rel.TypeText, "Paris", true},
-		{"Paris.", rel.TypeText, "Paris", true},
-		{"The capital of France is Paris.", rel.TypeText, "Paris", true},
-		{"capital: Paris", rel.TypeText, "Paris", true},
-		{"I'm not sure.", rel.TypeText, "", false},
-		{"I DON'T KNOW", rel.TypeText, "", false},
-		{"Unknown.", rel.TypeText, "", false},
-		{"The capital IS Paris.", rel.TypeText, "Paris", true},
-		{"La capitale de la Côte d'Ivoire is Yamoussoukro.", rel.TypeText, "Yamoussoukro", true},
-		{"Ünknown, sorry", rel.TypeText, "Ünknown, sorry", true}, // "ünknown" is not the marker
-		{"İ: unknown", rel.TypeText, "", false},                  // a non-ASCII line is still scanned
-		{"\xff\xff is 5", rel.TypeInt, "5", true},                // lower-casing grows invalid UTF-8
-		{"ȺȺ is 5", rel.TypeInt, "5", true},                      // ... and 'Ⱥ'
-		{"68", rel.TypeInt, "68", true},
-		{"The population of France is 68.", rel.TypeInt, "68", true},
-		{"about 68 million", rel.TypeInt, "68", true},
-		{"population: 1,408", rel.TypeInt, "1408", true},
-		{"", rel.TypeText, "", false},
+		{"Paris", "capital", "France", rel.TypeText, "Paris", true, false},
+		{"Paris.", "capital", "France", rel.TypeText, "Paris", true, false},
+		{"The capital of France is Paris.", "capital", "France", rel.TypeText, "Paris", true, false},
+		{"capital: Paris", "capital", "France", rel.TypeText, "Paris", true, false},
+		{"The Capital of FRANCE is Paris.", "capital", "France", rel.TypeText, "Paris", true, false},
+		{"I'm not sure.", "capital", "France", rel.TypeText, "", false, false},
+		{"I'M NOT SURE", "capital", "France", rel.TypeText, "", false, false},
+		{"I do not know that attribute.", "capital", "France", rel.TypeText, "", false, false},
+		{"Unknown.", "capital", "France", rel.TypeText, "", false, false},
+		{"capital: unknown", "capital", "France", rel.TypeText, "", false, false},
+		{"", "capital", "France", rel.TypeText, "", false, false},
+		// A value is read whole: a refusal word, " is ", ':' or a period
+		// inside it is the value's, and only the phrasing's own period goes.
+		{"Unknown Pleasures", "label", "Joy Division", rel.TypeText, "Unknown Pleasures", true, false},
+		{"What is Love", "title", "Haddaway", rel.TypeText, "What is Love", true, false},
+		{"The title of Haddaway is What is Love.", "title", "Haddaway", rel.TypeText, "What is Love", true, false},
+		{"Star Trek: Voyager", "series", "Kate Mulgrew", rel.TypeText, "Star Trek: Voyager", true, false},
+		{"series: Star Trek: Voyager", "series", "Kate Mulgrew", rel.TypeText, "Star Trek: Voyager", true, false},
+		{"Washington D.C..", "capital", "United States", rel.TypeText, "Washington D.C.", true, false},
+		{"capital: Washington D.C.", "capital", "United States", rel.TypeText, "Washington D.C.", true, false},
+		{"The capital of United States is Washington D.C..", "capital", "United States", rel.TypeText, "Washington D.C.", true, false},
+		{"The capital of Côte d'Ivoire is Yamoussoukro.", "capital", "Côte d'Ivoire", rel.TypeText, "Yamoussoukro", true, false},
+		{"The capital of Star Trek: Voyager is Delta.", "capital", "Star Trek: Voyager", rel.TypeText, "Delta", true, false},
+		// A sentence about another entity or column is no phrasing of this
+		// prompt's answer: it is read as a bare value.
+		{"The capital IS Paris.", "capital", "France", rel.TypeText, "The capital IS Paris", true, false},
+		{"Ünknown, sorry", "capital", "France", rel.TypeText, "Ünknown, sorry", true, false},
+		{"68", "population", "France", rel.TypeInt, "68", true, false},
+		{"68.", "population", "France", rel.TypeInt, "68", true, false},
+		{"The population of France is 68.", "population", "France", rel.TypeInt, "68", true, false},
+		{"population: 68", "population", "France", rel.TypeInt, "68", true, false},
+		{"population: 1,408", "population", "France", rel.TypeInt, "1408", true, false},
+		{"about 68 million", "population", "France", rel.TypeInt, "68", true, true},
+		{"The population of Japan is 125.", "population", "France", rel.TypeInt, "125", true, true},
 	}
 	for _, c := range cases {
-		v, ok := parseAttrCompletion(c.text, c.typ, true)
-		if ok != c.ok {
-			t.Errorf("parseAttr(%q): ok=%v want %v", c.text, ok, c.ok)
-			continue
-		}
-		if ok && v.String() != c.want {
-			t.Errorf("parseAttr(%q) = %q, want %q", c.text, v.String(), c.want)
+		for _, tolerant := range []bool{true, false} {
+			v, ok := parseAttrCompletion(c.text, c.column, c.entity, c.typ, tolerant)
+			wantOK := c.ok && (tolerant || !c.tolerantOnly)
+			if ok != wantOK {
+				t.Errorf("parseAttr(%q, tolerant=%v): ok=%v want %v", c.text, tolerant, ok, wantOK)
+				continue
+			}
+			if ok && v.String() != c.want {
+				t.Errorf("parseAttr(%q, tolerant=%v) = %q, want %q", c.text, tolerant, v.String(), c.want)
+			}
 		}
 	}
 }
 
 func TestParseAttrMultiline(t *testing.T) {
-	v, ok := parseAttrCompletion("Paris\nIt is a lovely city.", rel.TypeText, true)
+	v, ok := parseAttrCompletion("Paris\nIt is a lovely city.", "capital", "France", rel.TypeText, true)
 	if !ok || v.AsText() != "Paris" {
 		t.Fatalf("multiline attr: %v %v", v, ok)
+	}
+}
+
+// A strict parse accepts no decorated line — a bullet or the "Row: …."
+// wrapper — and counts each as dropped; a tolerant one strips the
+// decoration as a repair, and only the wrapper's period with it.
+func TestParseStrictDropsDecoratedLines(t *testing.T) {
+	keys := "- France\n* Japan\nRow: Brazil.\nRow: Washington D.C..\nChile"
+	rows, stats := parseListCompletion(keys, parseSchema, []int{0}, 0, 1, false)
+	if len(rows) != 1 || rows[0][0].AsText() != "Chile" || stats.RowsDropped != 4 {
+		t.Fatalf("strict KEYS parse kept %v (%+v), want only Chile and 4 dropped", rows, stats)
+	}
+	rows, stats = parseListCompletion(keys, parseSchema, []int{0}, 0, 1, true)
+	var got []string
+	for _, r := range rows {
+		got = append(got, r[0].AsText())
+	}
+	if want := []string{"France", "Japan", "Brazil", "Washington D.C.", "Chile"}; !slices.Equal(got, want) || stats.Repairs != 4 {
+		t.Fatalf("tolerant KEYS parse = %q (%+v), want %q with 4 repairs", got, stats, want)
+	}
+
+	list := "Row: France | Paris | 67.\nJapan | Tokyo | 125\n- Chile | Santiago | 19"
+	rows, stats = parseListCompletion(list, parseSchema, allCols(), 0, parseSchema.Len(), false)
+	if len(rows) != 1 || rows[0][0].AsText() != "Japan" || stats.RowsDropped != 2 {
+		t.Fatalf("strict LIST parse kept %v (%+v), want only Japan and 2 dropped", rows, stats)
+	}
+	rows, _ = parseListCompletion(list, parseSchema, allCols(), 0, parseSchema.Len(), true)
+	if len(rows) != 3 || rows[0][0].AsText() != "France" || rows[0][2].AsInt() != 67 {
+		t.Fatalf("tolerant LIST parse: %v", rows)
+	}
+}
+
+// A pipe row's last cell keeps its own period: only the "Row: …." wrapper
+// adds one.
+func TestParseKeepsValuePeriods(t *testing.T) {
+	schema := rel.NewSchema(
+		rel.Column{Name: "name", Type: rel.TypeText, Key: true},
+		rel.Column{Name: "capital", Type: rel.TypeText},
+	)
+	for _, tolerant := range []bool{true, false} {
+		rows, _ := parseListCompletion("United States | Washington D.C.", schema, []int{0, 1}, 0, 2, tolerant)
+		if len(rows) != 1 || rows[0][1].AsText() != "Washington D.C." {
+			t.Fatalf("tolerant=%v: LIST rows %v", tolerant, rows)
+		}
+	}
+}
+
+// The batched colon fallback attributes a line to the longest key followed
+// by ':', so a key that is a prefix of another cannot take its value.
+func TestParseBatchColonFallbackLongestKey(t *testing.T) {
+	keys := []string{"Star Trek", "Star Trek: Voyager"}
+	vals, ok, found := parseAttrBatchCompletion("Star Trek: Voyager: 1995\nStar Trek: 1979", keys, rel.TypeInt, true)
+	if !found[0] || !ok[0] || vals[0].AsInt() != 1979 || !found[1] || !ok[1] || vals[1].AsInt() != 1995 {
+		t.Fatalf("colon fallback: vals=%v ok=%v found=%v", vals, ok, found)
+	}
+	vals, ok, _ = parseAttrBatchCompletion("Star Trek: Elektra: Asylum", keys, rel.TypeText, true)
+	if !ok[0] || vals[0].AsText() != "Elektra: Asylum" {
+		t.Fatalf("colon fallback with ':' in the value: vals=%v ok=%v", vals, ok)
 	}
 }
 
@@ -276,21 +359,6 @@ func TestParseBatchMatchesWhitespaceVariantKeys(t *testing.T) {
 	}
 }
 
-// On ASCII input lastIndexFold must agree with the lower-cased copy it
-// replaced, index for index.
-func TestLastIndexFoldMatchesToLower(t *testing.T) {
-	lines := []string{"", " is ", "IS", "x IS y is z", "The Capital Is Paris IS", "unknown", "UNKNOWN!", "UnKnOwN",
-		"i'm not sure", "I'M NOT SURE.", "un known", "nknown", "[{@`", "A is  is B", "is", " is"}
-	markers := []string{" is ", "unknown", "i'm not sure", "i don't know", "a", ""}
-	for _, line := range lines {
-		for _, m := range markers {
-			if got, want := lastIndexFold(line, m), strings.LastIndex(strings.ToLower(line), m); got != want {
-				t.Errorf("lastIndexFold(%q, %q) = %d, want %d", line, m, got, want)
-			}
-		}
-	}
-}
-
 // The fast path of normalizeKeyText must return exactly what the split and
 // join would have built.
 func TestNormalizeKeyTextFastPath(t *testing.T) {
@@ -317,17 +385,25 @@ func TestNormalizeKeyTextFastPath(t *testing.T) {
 // canonical key, the key-only parse must accept the same lines with the
 // same keys and counters, a strict parse must repair nothing, an ATTR value
 // must be typed and NULL exactly when rejected, and a batched ATTRS parse
-// must answer every key.
+// must answer every key. And the ATTR parse is the inverse of each
+// phrasing: the text's first line, as a value of the fuzzed column of the
+// first key, reads back as that value from every phrasing that does not
+// spell it ambiguously (attrPhrasings).
 func FuzzParseCompletion(f *testing.F) {
-	f.Add("France | Paris | 68\nJapan | Tokyo | 125", "France\nJapan", uint8(0), true)
-	f.Add("Here are the rows I know of:\n- France | Paris | 68\nRow: Japan | Tokyo | 125.\n(end of list)", "France", uint8(3), true)
-	f.Add("France, Paris, about 68 million\nUnited  Kingdom | London", "United Kingdom", uint8(5), false)
-	f.Add("The population of France is 68.\nIt is large.", "France", uint8(3), true)
-	f.Add("United  Kingdom | London\n* France: Paris\nFrance | Lyon", "United Kingdom\nFrance", uint8(0), true)
-	f.Add("İ: unknown\nCôte  d'Ivoire | Yamoussoukro | 1,408", "Côte d'Ivoire", uint8(6), true)
-	f.Add("\xff\xff\xff is 5\nx | y | z", "x", uint8(3), true)
-	f.Add("Paris | France | 68\n | Tokyo\nLyon |  France  ", "France", uint8(4), false)
-	f.Add("", "", uint8(9), false)
+	f.Add("France | Paris | 68\nJapan | Tokyo | 125", "France\nJapan", "capital", uint8(0), true)
+	f.Add("Here are the rows I know of:\n- France | Paris | 68\nRow: Japan | Tokyo | 125.\n(end of list)", "France", "population", uint8(3), true)
+	f.Add("France, Paris, about 68 million\nUnited  Kingdom | London", "United Kingdom", "capital", uint8(5), false)
+	f.Add("The population of France is 68.\nIt is large.", "France", "population", uint8(3), true)
+	f.Add("United  Kingdom | London\n* France: Paris\nFrance | Lyon", "United Kingdom\nFrance", "capital", uint8(0), true)
+	f.Add("İ: unknown\nCôte  d'Ivoire | Yamoussoukro | 1,408", "Côte d'Ivoire", "capital", uint8(6), true)
+	f.Add("\xff\xff\xff is 5\nx | y | z", "x", "population", uint8(3), true)
+	f.Add("Paris | France | 68\n | Tokyo\nLyon |  France  ", "France", "capital", uint8(4), false)
+	f.Add("", "", "", uint8(9), false)
+	f.Add("Washington D.C.\nRow: Washington D.C..", "United States", "capital", uint8(1), false)
+	f.Add("Unknown Pleasures", "Joy Division", "title", uint8(0), true)
+	f.Add("What is Love", "Haddaway", "title", uint8(0), false)
+	f.Add("Star Trek: Voyager: 1995\nStar Trek | 1979", "Star Trek\nStar Trek: Voyager", "year", uint8(6), true)
+	f.Add("capital: Paris", "France", "capital", uint8(0), true)
 	shapes := []struct {
 		schema rel.Schema
 		cols   []int
@@ -337,7 +413,7 @@ func FuzzParseCompletion(f *testing.F) {
 		{keyMidSchema, allCols(), 1}, {keyMidSchema, []int{1}, 1}, {keyMidSchema, []int{1, 2}, 1},
 	}
 	attrTypes := []rel.DataType{rel.TypeText, rel.TypeInt, rel.TypeFloat, rel.TypeBool}
-	f.Fuzz(func(t *testing.T, text, keyLines string, shape uint8, tolerant bool) {
+	f.Fuzz(func(t *testing.T, text, keyLines, column string, shape uint8, tolerant bool) {
 		sh := shapes[int(shape)%len(shapes)]
 		full := parseCompletion(text, sh.schema, sh.cols, sh.keyPos, sh.schema.Len(), tolerant)
 		rows, stats := full.rows, full.stats
@@ -373,15 +449,31 @@ func FuzzParseCompletion(f *testing.F) {
 		}
 
 		typ := attrTypes[int(shape)/len(shapes)%len(attrTypes)]
-		v, ok := parseAttrCompletion(text, typ, tolerant)
-		if v.Type() != typ || ok == v.IsNull() {
-			t.Fatalf("ATTR %q as %s: %v (%s), ok=%v", text, typ, v, v.Type(), ok)
-		}
-
 		var keys []string
 		if keyLines != "" {
 			keys = strings.Split(keyLines, "\n")
 		}
+		entity := ""
+		if len(keys) > 0 {
+			entity = keys[0]
+		}
+		v, ok := parseAttrCompletion(text, column, entity, typ, tolerant)
+		if v.Type() != typ || ok == v.IsNull() {
+			t.Fatalf("ATTR %q as %s: %v (%s), ok=%v", text, typ, v, v.Type(), ok)
+		}
+
+		column = strings.TrimSpace(column)
+		value, _, _ := strings.Cut(text, "\n")
+		value = strings.TrimSpace(value)
+		if want, err := rel.ParseTyped(value, typ); err == nil && !want.IsNull() && value != "" && !isRefusal(value) && !strings.Contains(column, "\n") {
+			for _, line := range attrPhrasings(value, column, entity) {
+				got, ok := parseAttrCompletion(line, column, entity, typ, tolerant)
+				if !ok || got.Type() != want.Type() || got.String() != want.String() {
+					t.Fatalf("ATTR %q (column %q, entity %q) read as %q, ok=%v; want %q", line, column, entity, got, ok, want)
+				}
+			}
+		}
+
 		vals, oks, found := parseAttrBatchCompletion(text, keys, typ, tolerant)
 		if len(vals) != len(keys) || len(oks) != len(keys) || len(found) != len(keys) {
 			t.Fatalf("%d keys, got %d values / %d ok / %d found", len(keys), len(vals), len(oks), len(found))
@@ -392,4 +484,29 @@ func FuzzParseCompletion(f *testing.F) {
 			}
 		}
 	})
+}
+
+// attrPhrasings renders value in each phrasing a model answers an ATTR
+// prompt for column of entity in — bare, bare with a period, the sentence,
+// "<column>: value" — leaving out the ones that spell it ambiguously: a
+// value ending in '.' cannot go bare (it reads like a shorter value with a
+// period), and a value that itself opens like the sentence or the colon
+// phrasing can go neither bare nor with a period.
+func attrPhrasings(value, column, entity string) []string {
+	sentence := func(s string) bool {
+		_, ok := cutPrefixesFold(s, "The ", column, " of ", entity, " is ")
+		return ok && strings.HasSuffix(s, ".")
+	}
+	_, colon := cutPrefixesFold(value, column, ": ")
+	lines := []string{"The " + column + " of " + entity + " is " + value + "."}
+	if !colon && !sentence(value+".") {
+		lines = append(lines, value+".")
+		if !strings.HasSuffix(value, ".") {
+			lines = append(lines, value)
+		}
+	}
+	if colonLine := column + ": " + value; !sentence(colonLine) {
+		lines = append(lines, colonLine)
+	}
+	return lines
 }
