@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"slices"
 
 	"llmsql/internal/expr"
 	"llmsql/internal/plan"
@@ -250,45 +249,6 @@ func (b *builder) buildProject(n *plan.ProjectNode) (RowIter, error) {
 		},
 		close: child.Close,
 	}, nil
-}
-
-func (b *builder) buildSort(n *plan.SortNode) (RowIter, error) {
-	child, err := b.buildDrained(n.Child)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := Drain(child)
-	if err != nil {
-		return nil, err
-	}
-	slices.SortStableFunc(rows, func(x, y rel.Row) int { return compareSortKeys(x, y, n.Keys) })
-	return newSliceIter(rows), nil
-}
-
-// compareSortKeys orders two rows by ORDER BY keys, three-way. NULLs sort
-// after all values regardless of direction, and a key whose comparison is
-// not True (values of incomparable types) is a tie on that key.
-func compareSortKeys(x, y rel.Row, keys []plan.SortKey) int {
-	for _, k := range keys {
-		a, b := x[k.Col], y[k.Col]
-		switch {
-		case a.IsNull() && b.IsNull():
-			continue
-		case a.IsNull():
-			return 1
-		case b.IsNull():
-			return -1
-		}
-		c, ts := rel.Compare(a, b)
-		if ts != rel.True || c == 0 {
-			continue
-		}
-		if k.Desc {
-			c = -c
-		}
-		return c
-	}
-	return 0
 }
 
 func (b *builder) buildLimit(n *plan.LimitNode) (RowIter, error) {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -591,6 +592,57 @@ func TestExecuteAnalyzedRowCounts(t *testing.T) {
 	}
 	if !strings.Contains(out, "Scan country") {
 		t.Fatalf("missing scan:\n%s", out)
+	}
+}
+
+// TestExecuteAnalyzedBoundedSort: under ORDER BY … LIMIT the Sort sits
+// below the projection and keeps only LIMIT+OFFSET rows, so EXPLAIN ANALYZE
+// counts every qualifying row at the scan but only those at the Sort and
+// the Project.
+func TestExecuteAnalyzedBoundedSort(t *testing.T) {
+	db := testDB(t)
+	sel, err := sql.ParseSelect("SELECT name, population FROM country WHERE population > 60 ORDER BY population DESC LIMIT 2 OFFSET 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := plan.Plan(sel, &StorageCatalog{DB: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, prof, err := ExecuteAnalyzed(node, &StorageSource{DB: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(res.Rows); got != "[(Brazil, 214) (Japan, 125)]" {
+		t.Fatalf("rows %s, want [(Brazil, 214) (Japan, 125)]", got)
+	}
+	want := []string{
+		"Limit 2 offset 1  [rows=2]",
+		"  Project name AS name, population AS population  [rows=3]",
+		"    Sort #3 desc top 3  [rows=3]",
+		"      Scan country [filter: population > 60] [cols: name,population]  [rows=5]",
+	}
+	if got := plan.ExplainWithRows(node, prof.Rows); got != strings.Join(want, "\n")+"\n" {
+		t.Fatalf("EXPLAIN ANALYZE:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
+	}
+}
+
+// TestBoundedSortSurfacesProjectionErrors: a projection that computes can
+// fail, so it stays above the Sort and is evaluated on every row — an error
+// on a row the LIMIT drops still fails the query. (SQL arithmetic, CAST and
+// the scalar functions return NULL rather than fail; a row shorter than its
+// schema is what makes evaluation fail here.)
+func TestBoundedSortSurfacesProjectionErrors(t *testing.T) {
+	in := rel.NewSchema(rel.Column{Name: "a", Type: rel.TypeInt}, rel.Column{Name: "b", Type: rel.TypeInt})
+	rows := []rel.Row{{rel.Int(1), rel.Int(10)}, {rel.Int(2)}}
+	proj := &plan.ProjectNode{
+		Child: &plan.ValuesNode{Rows: rows, Out: in},
+		Exprs: []sql.Expr{&sql.ColumnRef{Name: "a"}, &sql.BinaryExpr{Op: sql.OpAdd, Left: &sql.ColumnRef{Name: "b"}, Right: &sql.Literal{Value: rel.Int(1)}}},
+		Out:   rel.NewSchema(rel.Column{Name: "a", Type: rel.TypeInt}, rel.Column{Name: "b1", Type: rel.TypeInt}),
+	}
+	node := plan.Optimize(&plan.LimitNode{Child: &plan.SortNode{Child: proj, Keys: []plan.SortKey{{Col: 0}}}, Limit: 1})
+	if _, err := Execute(node, nil); err == nil || !strings.Contains(err.Error(), "row too short") {
+		t.Fatalf("err = %v, want the second row's evaluation error\n%s", err, plan.Explain(node))
 	}
 }
 

@@ -227,7 +227,9 @@ func (bd *binder) bind(n Node) (Node, error) {
 		if child == x.Child {
 			return x, nil
 		}
-		return &SortNode{Child: child, Keys: x.Keys}, nil
+		cp := *x
+		cp.Child = child
+		return &cp, nil
 
 	case *LimitNode:
 		child, err := bd.bind(x.Child)

@@ -152,6 +152,9 @@ func explainNode(b *strings.Builder, n Node) {
 			keys = append(keys, fmt.Sprintf("#%d %s", k.Col, dir))
 		}
 		fmt.Fprintf(b, "Sort %s", strings.Join(keys, ", "))
+		if x.Top > 0 {
+			fmt.Fprintf(b, " top %d", x.Top)
+		}
 
 	case *LimitNode:
 		fmt.Fprintf(b, "Limit %d offset %d", x.Limit, x.Offset)

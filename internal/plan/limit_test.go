@@ -181,3 +181,88 @@ func TestSelectivityScalesEstimates(t *testing.T) {
 		t.Fatal("selectivity did not shrink paged tokens")
 	}
 }
+
+// sortOf digs the single SortNode out of a plan.
+func sortOf(t *testing.T, n Node) *SortNode {
+	t.Helper()
+	for x := n; len(x.Children()) > 0; x = x.Children()[0] {
+		if s, ok := x.(*SortNode); ok {
+			return s
+		}
+	}
+	t.Fatalf("no sort in plan:\n%s", Explain(n))
+	return nil
+}
+
+// TestSortSinksBelowPassThroughProjection: a Sort moves below a projection
+// of column references and literals (a literal key is dropped), and the
+// LIMIT — plus its OFFSET — then bounds it exactly, with or without the
+// advisory scan hint. A projection that computes stays above the Sort.
+func TestSortSinksBelowPassThroughProjection(t *testing.T) {
+	cases := []struct {
+		query string
+		opts  Options
+		shape string // node types from the root down
+		sort  string // the Sort's EXPLAIN line
+	}{
+		{"SELECT name FROM country ORDER BY population DESC LIMIT 3 OFFSET 2", DefaultOptions(),
+			"Limit Project Project Sort Scan", "Sort #2 desc top 5"},
+		{"SELECT name, population FROM country ORDER BY population DESC, name LIMIT 3", Options{},
+			"Limit Project Sort Scan", "Sort #2 desc, #0 asc top 3"},
+		{"SELECT name, 1 AS one FROM country ORDER BY one, capital LIMIT 2", DefaultOptions(),
+			"Limit Project Project Sort Scan", "Sort #1 asc top 2"},
+		{"SELECT name, population + 1 AS p FROM country ORDER BY p LIMIT 2", DefaultOptions(),
+			"Limit Sort Project Scan", "Sort #1 asc top 2"},
+		{"SELECT name FROM country ORDER BY name", DefaultOptions(),
+			"Project Sort Scan", "Sort #0 asc"},
+		{"SELECT name FROM country ORDER BY name LIMIT 0", DefaultOptions(),
+			"Limit Project Sort Scan", "Sort #0 asc"},
+		{"SELECT DISTINCT name FROM country ORDER BY name LIMIT 2", DefaultOptions(),
+			"Limit Sort Distinct Project Scan", "Sort #0 asc top 2"},
+	}
+	for _, c := range cases {
+		sel, err := sql.ParseSelect(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := PlanOpts(sel, limitTestCatalog(), c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var shape []string
+		for x := node; x != nil; {
+			shape = append(shape, strings.TrimSuffix(strings.TrimPrefix(nodeTypeName(x), "*plan."), "Node"))
+			if len(x.Children()) == 0 {
+				break
+			}
+			x = x.Children()[0]
+		}
+		var line strings.Builder
+		explainNode(&line, sortOf(t, node))
+		if got := strings.Join(shape, " "); got != c.shape || line.String() != c.sort {
+			t.Errorf("%s:\nshape %s, sort %q; want %s, %q\n%s", c.query, got, line.String(), c.shape, c.sort, Explain(node))
+		}
+		if scan := scanOf(t, node); scan.Limit != 0 {
+			t.Errorf("%s: a sorted scan got a limit hint %d", c.query, scan.Limit)
+		}
+	}
+}
+
+// TestBindKeepsSortBound: binding a prepared ORDER BY … LIMIT statement
+// copies the Sort, bound included, and leaves the cached plan as it was.
+func TestBindKeepsSortBound(t *testing.T) {
+	prepared := planQuery(t, "SELECT name FROM country WHERE population > $1 ORDER BY population DESC LIMIT 4")
+	for _, arg := range []int64{10, 20} {
+		bound, err := Bind(prepared, sql.NewPositional([]rel.Value{rel.Int(arg)}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := sortOf(t, bound)
+		if s == sortOf(t, prepared) {
+			t.Fatal("Bind shared the Sort above a bound scan")
+		}
+		if s.Top != 4 || sortOf(t, prepared).Top != 4 {
+			t.Fatalf("after Bind($1=%d): bound sort top %d, prepared top %d, want 4", arg, s.Top, sortOf(t, prepared).Top)
+		}
+	}
+}

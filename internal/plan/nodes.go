@@ -250,10 +250,15 @@ type SortKey struct {
 	Desc bool
 }
 
-// SortNode sorts its input.
+// SortNode sorts its input, stably.
 type SortNode struct {
 	Child Node
 	Keys  []SortKey
+	// Top, when positive, is exact: the plan consumes only the first Top
+	// rows of the sorted order (an enclosing LIMIT plus its OFFSET, sunk
+	// through projections by pushLimits), so the executor keeps at most
+	// Top rows instead of sorting every one. 0 means unbounded.
+	Top int64
 }
 
 // Schema implements Node.

@@ -27,8 +27,8 @@ func DefaultOptions() Options { return Options{LimitPushdown: true, BindJoin: tr
 
 // Optimize applies the rule pipeline: constant folding in filters, predicate
 // pushdown (into join sides and scans, turning cross joins with equality
-// predicates into hash joins), join-key extraction, projection pruning, and
-// limit-hint pushdown.
+// predicates into hash joins), join-key extraction, projection pruning,
+// sorting below pass-through projections, and limit pushdown.
 func Optimize(n Node) Node { return OptimizeOpts(n, DefaultOptions()) }
 
 // OptimizeOpts is Optimize with explicit rule options.
@@ -37,9 +37,8 @@ func OptimizeOpts(n Node, opts Options) Node {
 	n = pushdown(n)
 	n = extractJoinKeys(n)
 	pruneColumns(n, nil)
-	if opts.LimitPushdown {
-		pushLimits(n)
-	}
+	n = sinkSorts(n)
+	pushLimits(n, opts.LimitPushdown)
 	return n
 }
 
@@ -242,41 +241,102 @@ func compilesOver(e sql.Expr, schema rel.Schema) bool {
 	return err == nil
 }
 
-// ---- limit-hint pushdown ----
+// ---- sorts below pass-through projections ----
+
+// sinkSorts moves every Sort below the Projects under it whose expressions
+// are all column references or literals. Such a projection cannot fail and
+// emits one row per input row, so sorting its input by the remapped keys and
+// projecting afterwards yields the same rows in the same order — and once
+// pushLimits bounds the Sort, only the rows it keeps are projected. The
+// rewrite relinks the existing nodes and remaps the keys in place.
+func sinkSorts(n Node) Node {
+	replaceChildren(n, sinkSorts)
+	if s, ok := n.(*SortNode); ok {
+		return sinkSort(s)
+	}
+	return n
+}
+
+func sinkSort(s *SortNode) Node {
+	p, ok := s.Child.(*ProjectNode)
+	if !ok || !passThrough(p) {
+		return s
+	}
+	in := p.Child.Schema()
+	kept := s.Keys[:0]
+	for _, k := range s.Keys {
+		// A literal key ties every row, so it orders nothing and is dropped.
+		if cr, ok := p.Exprs[k.Col].(*sql.ColumnRef); ok {
+			col, _ := in.Resolve(cr.Table, cr.Name)
+			kept = append(kept, SortKey{Col: col, Desc: k.Desc})
+		}
+	}
+	s.Keys = kept
+	s.Child = p.Child
+	p.Child = sinkSort(s)
+	return p
+}
+
+// passThrough reports whether every expression of p is a literal or a
+// column reference that resolves in p's input.
+func passThrough(p *ProjectNode) bool {
+	in := p.Child.Schema()
+	for _, e := range p.Exprs {
+		switch x := e.(type) {
+		case *sql.Literal:
+		case *sql.ColumnRef:
+			if _, err := in.Resolve(x.Table, x.Name); err != nil {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// ---- limit pushdown ----
 
 // pushLimits walks the tree and, for every LimitNode with a finite limit,
-// sinks an advisory row cap of Limit+Offset toward its scan.
-func pushLimits(n Node) {
+// sinks a row cap of Limit+Offset through the projections below it (see
+// pushLimitHint): onto a Sort as its exact Top bound, and — when scans is
+// set (Options.LimitPushdown) — onto a scan as an advisory hint.
+func pushLimits(n Node, scans bool) {
 	if l, ok := n.(*LimitNode); ok && l.Limit >= 0 {
-		pushLimitHint(l.Child, l.Limit+l.Offset)
+		pushLimitHint(l.Child, l.Limit+l.Offset, scans)
 	}
 	for _, c := range n.Children() {
-		pushLimits(c)
+		pushLimits(c, scans)
 	}
 }
 
-// pushLimitHint sinks an advisory row cap through operators that emit
-// exactly one output row per input row in input order (currently only
-// projections), stopping at anything that filters, reorders, blocks or
-// multiplies rows. A scan keeps the tightest hint it is offered.
+// pushLimitHint sinks a row cap through operators that emit exactly one
+// output row per input row in input order (currently only projections),
+// stopping at anything that filters, reorders, blocks or multiplies rows. A
+// Sort or a scan keeps the tightest cap it is offered. On a Sort the cap is
+// exact: nothing above it reads past row k of its output.
 //
 // Note that a scan's own pushed-down Filter does NOT block the hint: the
 // executor re-applies that filter on the scan's output, so the rows the
 // hint counts are the post-filter rows, and a source honouring the hint
 // must keep producing until k rows *survive its filter* (the streaming LLM
 // scan does exactly that, demand-driven).
-func pushLimitHint(n Node, k int64) {
+func pushLimitHint(n Node, k int64, scans bool) {
 	if k <= 0 {
 		// LIMIT 0 never pulls a row; there is nothing useful to hint.
 		return
 	}
 	switch x := n.(type) {
 	case *ScanNode:
-		if x.Limit == 0 || k < x.Limit {
+		if scans && (x.Limit == 0 || k < x.Limit) {
 			x.Limit = k
 		}
+	case *SortNode:
+		if x.Top == 0 || k < x.Top {
+			x.Top = k
+		}
 	case *ProjectNode:
-		pushLimitHint(x.Child, k)
+		pushLimitHint(x.Child, k, scans)
 	}
 }
 

@@ -238,23 +238,28 @@ func TestPlanDerivedTable(t *testing.T) {
 	}
 }
 
+// TestPlanOrderByVariants: an ordinal, an alias and an expression outside
+// the select list each resolve to the population column. The projections
+// above the scan are column references, so the Sort sits below them and its
+// key indexes the scan's columns.
 func TestPlanOrderByVariants(t *testing.T) {
+	keyName := func(s *SortNode) string { return s.Child.Schema().Col(s.Keys[0].Col).Name }
 	// Ordinal.
 	n := mustPlan(t, "SELECT name, population FROM country ORDER BY 2 DESC")
 	sort := findSort(n)
-	if sort == nil || sort.Keys[0].Col != 1 || !sort.Keys[0].Desc {
+	if sort == nil || keyName(sort) != "population" || !sort.Keys[0].Desc {
 		t.Fatalf("ordinal sort: %+v", sort)
 	}
 	// Alias.
 	n = mustPlan(t, "SELECT population AS pop FROM country ORDER BY pop")
 	sort = findSort(n)
-	if sort == nil || sort.Keys[0].Col != 0 {
+	if sort == nil || keyName(sort) != "population" {
 		t.Fatalf("alias sort: %+v", sort)
 	}
 	// Hidden expression (not in select list).
 	n = mustPlan(t, "SELECT name FROM country ORDER BY population")
 	sort = findSort(n)
-	if sort == nil || sort.Keys[0].Col != 1 {
+	if sort == nil || keyName(sort) != "population" {
 		t.Fatalf("hidden sort: %+v", sort)
 	}
 	// Final schema must not include the hidden column.

@@ -9,84 +9,105 @@ import (
 
 // Value is a typed SQL value. The zero Value is NULL.
 //
-// Value is a small immutable struct passed by value; rows are []Value.
+// Value is a small immutable struct passed by value; rows are []Value. It
+// is 32 bytes: TEXT lives in s, and every other type in the bits of n —
+// INT as its two's complement, FLOAT as math.Float64bits, BOOL as 0 or 1.
+// A NULL keeps its declared type in typ (TypeUnknown for the bare NULL)
+// with notNull false and n and s zero.
 type Value struct {
-	typ DataType
-	// null is folded into typ==TypeUnknown-with-notNull=false? No: we keep
-	// an explicit flag so NULLs retain their declared type where known.
-	notNull bool
-	i       int64
-	f       float64
 	s       string
-	b       bool
+	n       uint64
+	typ     uint8
+	notNull bool
 }
 
 // Null returns the untyped NULL value.
 func Null() Value { return Value{} }
 
 // NullOf returns a NULL that remembers its column type.
-func NullOf(t DataType) Value { return Value{typ: t} }
+func NullOf(t DataType) Value { return Value{typ: uint8(t)} }
 
 // Int returns an INT value.
-func Int(v int64) Value { return Value{typ: TypeInt, notNull: true, i: v} }
+func Int(v int64) Value { return Value{typ: uint8(TypeInt), notNull: true, n: uint64(v)} }
 
 // Float returns a FLOAT value.
-func Float(v float64) Value { return Value{typ: TypeFloat, notNull: true, f: v} }
+func Float(v float64) Value {
+	return Value{typ: uint8(TypeFloat), notNull: true, n: math.Float64bits(v)}
+}
 
 // Text returns a TEXT value.
-func Text(v string) Value { return Value{typ: TypeText, notNull: true, s: v} }
+func Text(v string) Value { return Value{typ: uint8(TypeText), notNull: true, s: v} }
 
 // Bool returns a BOOL value.
-func Bool(v bool) Value { return Value{typ: TypeBool, notNull: true, b: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{typ: uint8(TypeBool), notNull: true, n: 1}
+	}
+	return Value{typ: uint8(TypeBool), notNull: true}
+}
 
 // IsNull reports whether v is SQL NULL.
 func (v Value) IsNull() bool { return !v.notNull }
 
 // Type returns the value's data type (the declared type for typed NULLs,
 // TypeUnknown for the bare NULL).
-func (v Value) Type() DataType { return v.typ }
+func (v Value) Type() DataType { return DataType(v.typ) }
 
-// AsInt returns the value as int64. Callers must ensure the type.
+// i, f and b read n as the INT, FLOAT and BOOL they hold; each is only
+// meaningful for its own type.
+func (v Value) i() int64   { return int64(v.n) }
+func (v Value) f() float64 { return math.Float64frombits(v.n) }
+func (v Value) b() bool    { return v.n != 0 }
+
+// AsInt returns the value as int64, truncating FLOAT; it is 0 for every
+// other type. Callers must ensure the type.
 func (v Value) AsInt() int64 {
-	if v.typ == TypeFloat {
-		return int64(v.f)
+	switch v.Type() {
+	case TypeInt:
+		return v.i()
+	case TypeFloat:
+		return int64(v.f())
 	}
-	return v.i
+	return 0
 }
 
-// AsFloat returns the value as float64, promoting INT.
+// AsFloat returns the value as float64, promoting INT; it is 0 for every
+// other type.
 func (v Value) AsFloat() float64 {
-	if v.typ == TypeInt {
-		return float64(v.i)
+	switch v.Type() {
+	case TypeInt:
+		return float64(v.i())
+	case TypeFloat:
+		return v.f()
 	}
-	return v.f
+	return 0
 }
 
 // AsText returns the value as string. For non-text values it renders them.
 func (v Value) AsText() string {
-	if v.typ == TypeText {
+	if v.Type() == TypeText {
 		return v.s
 	}
 	return v.String()
 }
 
-// AsBool returns the value as bool.
-func (v Value) AsBool() bool { return v.b }
+// AsBool returns the value as bool: true only for BOOL TRUE.
+func (v Value) AsBool() bool { return v.Type() == TypeBool && v.b() }
 
 // String renders the value for display. NULL renders as "NULL".
 func (v Value) String() string {
 	if v.IsNull() {
 		return "NULL"
 	}
-	switch v.typ {
+	switch v.Type() {
 	case TypeInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case TypeFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case TypeText:
 		return v.s
 	case TypeBool:
-		if v.b {
+		if v.b() {
 			return "TRUE"
 		}
 		return "FALSE"
@@ -102,12 +123,12 @@ func (v Value) SQLLiteral() string {
 	if v.IsNull() {
 		return "NULL"
 	}
-	switch v.typ {
+	switch v.Type() {
 	case TypeText:
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
 	case TypeFloat:
-		if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) && !math.IsNaN(v.f) && math.Abs(v.f) < 1e15 {
-			return strconv.FormatFloat(v.f, 'f', 1, 64)
+		if f := v.f(); f == math.Trunc(f) && !math.IsInf(f, 0) && !math.IsNaN(f) && math.Abs(f) < 1e15 {
+			return strconv.FormatFloat(f, 'f', 1, 64)
 		}
 		return v.String()
 	default:
@@ -192,7 +213,7 @@ func Compare(a, b Value) (int, Tristate) {
 	if a.IsNull() || b.IsNull() {
 		return 0, Unknown
 	}
-	ct := CommonType(a.typ, b.typ)
+	ct := CommonType(a.Type(), b.Type())
 	switch ct {
 	case TypeInt:
 		return cmpInt(a.AsInt(), b.AsInt()), True
@@ -200,17 +221,17 @@ func Compare(a, b Value) (int, Tristate) {
 		return cmpFloat(a.AsFloat(), b.AsFloat()), True
 	case TypeBool:
 		av, bv := 0, 0
-		if a.b {
+		if a.b() {
 			av = 1
 		}
-		if b.b {
+		if b.b() {
 			bv = 1
 		}
 		return cmpInt(int64(av), int64(bv)), True
 	case TypeText:
 		// If one side is numeric, try to compare numerically: the lenient
 		// path used for LLM-derived text values like "1200".
-		if a.typ.Numeric() || b.typ.Numeric() {
+		if a.Type().Numeric() || b.Type().Numeric() {
 			af, aok := toFloat(a)
 			bf, bok := toFloat(b)
 			if aok && bok {
@@ -246,11 +267,11 @@ func cmpFloat(a, b float64) int {
 }
 
 func toFloat(v Value) (float64, bool) {
-	switch v.typ {
+	switch v.Type() {
 	case TypeInt:
-		return float64(v.i), true
+		return float64(v.i()), true
 	case TypeFloat:
-		return v.f, true
+		return v.f(), true
 	case TypeText:
 		f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
 		return f, err == nil
@@ -285,36 +306,36 @@ func Coerce(v Value, t DataType) (Value, error) {
 	if v.IsNull() {
 		return NullOf(t), nil
 	}
-	if v.typ == t || t == TypeUnknown {
+	if v.Type() == t || t == TypeUnknown {
 		return v, nil
 	}
 	switch t {
 	case TypeInt:
-		switch v.typ {
+		switch v.Type() {
 		case TypeFloat:
-			return Int(int64(math.Round(v.f))), nil
+			return Int(int64(math.Round(v.f()))), nil
 		case TypeText:
 			if n, err := parseLooseInt(v.s); err == nil {
 				return Int(n), nil
 			}
 			return Value{}, fmt.Errorf("rel: cannot coerce %q to INT", v.s)
 		case TypeBool:
-			if v.b {
+			if v.b() {
 				return Int(1), nil
 			}
 			return Int(0), nil
 		}
 	case TypeFloat:
-		switch v.typ {
+		switch v.Type() {
 		case TypeInt:
-			return Float(float64(v.i)), nil
+			return Float(float64(v.i())), nil
 		case TypeText:
 			if f, err := parseLooseFloat(v.s); err == nil {
 				return Float(f), nil
 			}
 			return Value{}, fmt.Errorf("rel: cannot coerce %q to FLOAT", v.s)
 		case TypeBool:
-			if v.b {
+			if v.b() {
 				return Float(1), nil
 			}
 			return Float(0), nil
@@ -322,11 +343,11 @@ func Coerce(v Value, t DataType) (Value, error) {
 	case TypeText:
 		return Text(v.String()), nil
 	case TypeBool:
-		switch v.typ {
+		switch v.Type() {
 		case TypeInt:
-			return Bool(v.i != 0), nil
+			return Bool(v.i() != 0), nil
 		case TypeFloat:
-			return Bool(v.f != 0), nil
+			return Bool(v.f() != 0), nil
 		case TypeText:
 			switch strings.ToUpper(strings.TrimSpace(v.s)) {
 			case "TRUE", "T", "YES", "Y", "1":
@@ -337,7 +358,7 @@ func Coerce(v Value, t DataType) (Value, error) {
 			return Value{}, fmt.Errorf("rel: cannot coerce %q to BOOL", v.s)
 		}
 	}
-	return Value{}, fmt.Errorf("rel: cannot coerce %s to %s", v.typ, t)
+	return Value{}, fmt.Errorf("rel: cannot coerce %s to %s", v.Type(), t)
 }
 
 // parseLooseInt parses integers with thousands separators ("1,234,567") and
