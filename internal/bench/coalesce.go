@@ -46,12 +46,9 @@ func Table14Coalesce(o Options) (Report, error) {
 		cfg := keyThenAttrConfig()
 		cfg.Parallelism = 2
 		cfg.BatchSize = 2
-		// Room for every distinct completion of the scenario, so the memo
-		// never evicts mid-sweep and "one live fan-out per distinct query"
-		// holds exactly. The suite-wide CacheDir is deliberately not applied:
-		// a shared disk cache would serve the repeats before the coalescer
-		// could, hiding the effect under measurement (Table 13 covers it).
-		cfg.CoalesceCapacity = 1 << 16
+		// The suite-wide CacheDir is deliberately not applied: a shared disk
+		// cache would serve the repeats before the coalescer could, hiding
+		// the effect under measurement (Table 13 covers it).
 		cfg.RecordTrace = o.Record
 		cfg.ReplayTrace = o.Replay
 		o.applyFaults(&cfg)
@@ -81,6 +78,10 @@ func Table14Coalesce(o Options) (Report, error) {
 		gs := group.Stats()
 		if err := group.Close(); err != nil {
 			return Report{}, err
+		}
+		// One live fan-out per distinct query needs room for every completion.
+		if gs.Coalescer.Evictions != 0 {
+			return Report{}, fmt.Errorf("table 14: the coalescer memo evicted %d entries", gs.Coalescer.Evictions)
 		}
 		t.AddRow(d(sc.sessions), d(sc.distinct),
 			d(gs.Billed.Calls), d(gs.Live.Calls), d(gs.Coalescer.Hits()),

@@ -149,11 +149,6 @@ type Config struct {
 	// values < 1 select llm.DefaultDiskCacheBytes. Meaningful only with
 	// CacheDir.
 	CacheMaxBytes int64
-	// CoalesceCapacity bounds the completed-results memo of the serving-mode
-	// request coalescer (EngineGroup only; single engines never coalesce).
-	// 0 selects llm.DefaultCoalescerMemo; negative values disable the memo,
-	// leaving pure in-flight single-flight. See llm.Coalescer.
-	CoalesceCapacity int
 	// PlanCacheCapacity bounds the engine's prepared-plan cache, an LRU of
 	// planned statements keyed on normalized SQL text: repeated queries (and
 	// prepared statements) skip re-parsing and re-planning. 0 selects

@@ -75,7 +75,7 @@ func Open(model llm.Model, cfg Config) (*Engine, error) {
 // releases nothing: the stack belongs to its EngineGroup and keeps serving
 // the other sessions until EngineGroup.Close.
 func (e *Engine) Close() error {
-	if e.backend.shared {
+	if e.backend.coal != nil {
 		return nil
 	}
 	return e.backend.close()
@@ -90,7 +90,7 @@ func (e *Engine) Close() error {
 func (e *Engine) CostModel(c llm.CostModel) {
 	e.model.Cost = c
 	e.store.SetCostModel(c)
-	if !e.backend.shared {
+	if e.backend.coal == nil {
 		// The Retrier prices failed attempts, backoff and hedge races in
 		// virtual time under the same constants.
 		e.backend.retrier.SetCost(c)
@@ -152,15 +152,18 @@ func (e *Engine) RegisterTable(t VirtualTable) {
 }
 
 // RegisterWorldDomain declares a virtual table mirroring a synthetic-world
-// domain's schema and descriptions (the usual setup for experiments). The
+// domain (see worldTable); the usual setup for experiments.
+func (e *Engine) RegisterWorldDomain(d *world.Domain) { e.RegisterTable(worldTable(d)) }
+
+// worldTable mirrors a synthetic-world domain's schema and descriptions. The
 // domain size seeds the scan planner's cardinality estimate.
-func (e *Engine) RegisterWorldDomain(d *world.Domain) {
-	e.RegisterTable(VirtualTable{
+func worldTable(d *world.Domain) VirtualTable {
+	return VirtualTable{
 		Name:        d.Name,
 		Description: d.Description,
 		Schema:      d.Schema,
 		EstRows:     len(d.Entities),
-	})
+	}
 }
 
 // AttachLocal registers a row-store database whose tables can be joined

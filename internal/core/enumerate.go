@@ -314,16 +314,17 @@ func (s *ScanStats) addCounts(c enumCounts) {
 // LIST rounds, a key-then-attr scan's KEYS rounds — so a scan whose rounds
 // are answered with the texts an earlier one consumed replays its result
 // instead of parsing and merging again. Merging is a function of the texts,
-// the table (Register stores a fresh pointer, standing for schema and key
-// position), the column set and the store's fixed configuration. The prompt
-// and table are the key — the prompt names the task and every column it
-// enumerates, so it fixes the column set — and the texts are checked while
+// the table (each registration makes a fresh record, standing for schema and
+// key position), the column set and the store's fixed configuration. The
+// prompt and table are the key — the prompt names the task and every column
+// it enumerates, so it fixes the column set — and the texts are checked while
 // the rounds arrive. So a replay returns exactly what the merge would:
 // a changed answer, an invalidated cache entry or a re-registered table
 // simply misses, and no invalidation path exists. Enumerations that ended
-// in a failed round are not kept. A store has a memo iff its model chain
-// has an in-memory llm.CacheModel, and it holds at most that cache's
-// capacity in consumed rounds.
+// in a failed round are not kept. A solo store has a memo iff its model
+// chain has an in-memory llm.CacheModel, holding at most that cache's
+// capacity in rounds; a group's sessions share one (see newBackend), as they
+// share its table records and Config.
 type enumMemo struct {
 	mu      sync.Mutex
 	entries *lru.Cache[enumKey, *enumeration]

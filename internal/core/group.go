@@ -20,16 +20,17 @@ import (
 // report, and the saving appears only in the group's operator-side stats.
 //
 // The group also acts as the session registry: tables registered on the
-// group (before or after sessions exist) propagate to every session, all
-// sessions share one local row store, and local writes through any session
-// can be broadcast to the others' plan caches via InvalidatePlans. All
-// methods are safe for concurrent use.
+// group (before or after sessions exist) propagate to every session; all
+// sessions share those table records, one enumeration memo and one local
+// row store, and local writes through any session can be broadcast to the
+// others' plan caches via InvalidatePlans. All methods are safe for
+// concurrent use.
 type EngineGroup struct {
 	backend *backend // the stack below the sessions
 	cfg     Config
 
 	mu       sync.Mutex
-	tables   []VirtualTable
+	tables   []*VirtualTable
 	local    *storage.DB
 	sessions map[*Engine]struct{}
 	total    int       // sessions ever created
@@ -41,9 +42,8 @@ type EngineGroup struct {
 
 // NewEngineGroup assembles the shared serving stack over the model. The
 // configuration is the one every session engine will run with; its CacheDir,
-// CacheMaxBytes, RecordTrace, ReplayTrace, Chaos, Retry and CoalesceCapacity
-// configure the shared layers, while CacheCapacity and PlanCacheCapacity
-// stay per-session.
+// CacheMaxBytes, RecordTrace, ReplayTrace, Chaos and Retry configure the
+// shared layers, while CacheCapacity and PlanCacheCapacity stay per-session.
 func NewEngineGroup(model llm.Model, cfg Config) (*EngineGroup, error) {
 	b, err := newBackend(model, cfg, true)
 	if err != nil {
@@ -66,7 +66,7 @@ func (g *EngineGroup) Session() *Engine {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for _, t := range g.tables {
-		e.RegisterTable(t)
+		e.store.adopt(t) // nothing is planned yet
 	}
 	e.AttachLocal(g.local)
 	g.sessions[e] = struct{}{}
@@ -89,30 +89,21 @@ func (g *EngineGroup) CloseSession(e *Engine) {
 }
 
 // RegisterTable declares a virtual table on the group and on every live
-// session.
+// session, all of which share its one record.
 func (g *EngineGroup) RegisterTable(t VirtualTable) {
+	rec := tableRecord(t)
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.tables = append(g.tables, t)
+	g.tables = append(g.tables, rec)
 	for e := range g.sessions {
-		e.RegisterTable(t)
+		e.store.adopt(rec)
+		e.invalidatePlans()
 	}
 }
 
 // RegisterWorldDomain declares a virtual table mirroring a synthetic-world
 // domain, like Engine.RegisterWorldDomain.
-func (g *EngineGroup) RegisterWorldDomain(d *world.Domain) {
-	g.RegisterTable(VirtualTable{
-		Name:        d.Name,
-		Description: d.Description,
-		Schema:      d.Schema,
-		EstRows:     len(d.Entities),
-	})
-}
-
-// Local returns the shared local row store. Operators load reference tables
-// into it before serving; sessions join them with virtual tables.
-func (g *EngineGroup) Local() *storage.DB { return g.local }
+func (g *EngineGroup) RegisterWorldDomain(d *world.Domain) { g.RegisterTable(worldTable(d)) }
 
 // AttachLocal replaces the shared local row store for the group and every
 // live session (normally done before serving starts).
@@ -195,6 +186,3 @@ func (g *EngineGroup) Stats() GroupStats {
 	s.Chaos = b.chaosStats()
 	return s
 }
-
-// CoalescerStats returns the shared coalescer's counters.
-func (g *EngineGroup) CoalescerStats() llm.CoalescerStats { return g.backend.coal.Stats() }

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"maps"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"llmsql/internal/llm"
+	"llmsql/internal/world"
 )
 
 // groupConfig is the serving-test workload shape: the key-then-attr hot
@@ -175,8 +179,8 @@ func TestGroupCloseSessionFoldsBilledUsage(t *testing.T) {
 // serves the warm calls.
 func TestGroupSessionSeesSharedDiskCache(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		coalesce int
+		name string
+		memo bool
 		// The session's uncached usage for an all-warm refresh after CREATE.
 		billedCalls, billedTokens int
 	}{
@@ -184,9 +188,9 @@ func TestGroupSessionSeesSharedDiskCache(t *testing.T) {
 		// calls. They keep the build's live provenance, so the session is
 		// billed for them as a solo engine would be, but none reached the
 		// provider, so the view counts none as live.
-		{"memo", 0, 5, 585},
+		{"memo", true, 5, 585},
 		// Without the memo the disk cache answers, and its hits are cached.
-		{"no-memo", -1, 0, 0},
+		{"no-memo", false, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := parWorld()
@@ -194,12 +198,17 @@ func TestGroupSessionSeesSharedDiskCache(t *testing.T) {
 			cfg.Temperature = 0 // one deterministic enumeration round
 			cfg.Votes = 1
 			cfg.CacheDir = t.TempDir()
-			cfg.CoalesceCapacity = tc.coalesce
 			g, err := NewEngineGroup(llm.NewSynthLM(w, llm.ProfileMedium, 7), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer g.Close()
+			if !tc.memo {
+				// A coalescer without a memo, before any session stacks on it.
+				b := g.backend
+				b.coal = llm.NewCoalescerSized(b.disk, -1)
+				b.top = b.coal
+			}
 			g.RegisterWorldDomain(w.Domain("country"))
 			g.RegisterWorldDomain(w.Domain("movie"))
 
@@ -273,7 +282,7 @@ func TestGroupSessionSeesSharedDiskCache(t *testing.T) {
 			if live := g.Stats().Live.Calls - liveBefore; res.Usage.Calls == 0 || live != 0 {
 				t.Fatalf("another session's scan made %d live calls, want 0 of %d", live, res.Usage.Calls)
 			}
-			if tc.coalesce < 0 {
+			if !tc.memo {
 				if hits := g.Stats().DiskCache.Hits - hitsBefore; res.Usage.CachedCalls != res.Usage.Calls ||
 					hits != res.Usage.Calls {
 					t.Fatalf("another session's scan was not served from the shared cache: %+v (%d disk hits)",
@@ -353,7 +362,7 @@ func TestGroupMemoryHitIsNotCoalesced(t *testing.T) {
 	if s := first.Scans[0]; s.CoalescedHits != s.Prompts || s.Prompts == 0 {
 		t.Fatalf("first run: %d of %d calls coalesced, want all", s.CoalescedHits, s.Prompts)
 	}
-	hits := g.CoalescerStats().Hits()
+	hits := g.Stats().Coalescer.Hits()
 	repeat, err := b.Query(query)
 	if err != nil {
 		t.Fatal(err)
@@ -362,7 +371,173 @@ func TestGroupMemoryHitIsNotCoalesced(t *testing.T) {
 		t.Fatalf("repeat: CacheHits=%d CoalescedHits=%d of %d calls, want all memory hits and none coalesced",
 			s.CacheHits, s.CoalescedHits, s.Prompts)
 	}
-	if got := g.CoalescerStats().Hits(); got != hits {
+	if got := g.Stats().Coalescer.Hits(); got != hits {
 		t.Fatalf("memory hits reached the coalescer: hits %d -> %d", hits, got)
+	}
+}
+
+// TestGroupRetainedHeapDoesNotScaleWithSessions: what a group has parsed it
+// keeps once. Sessions with the default session cache each run a repeated
+// parameterised workload (4 shapes × 16 values over the default world), and
+// the heap 16 of them retain, held live after two collections, must stay
+// under twice what one retains. Per-session enumeration memos keyed by
+// per-session table copies retained about 13.6 times as much.
+func TestGroupRetainedHeapDoesNotScaleWithSessions(t *testing.T) {
+	w := world.Generate(world.Config{Seed: 1})
+	shapes := []struct {
+		sql    string
+		lo, hi int64
+	}{
+		{"SELECT name, capital, population FROM country WHERE population > $1 LIMIT 5", 2, 60},
+		{"SELECT title, year, rating FROM movie WHERE year >= $1 ORDER BY rating DESC, title LIMIT 5", 1940, 2015},
+		{"SELECT name, field, year FROM laureate WHERE year >= $1 ORDER BY year, name LIMIT 5", 1905, 2015},
+		{"SELECT name, sector, revenue FROM company WHERE revenue > $1 ORDER BY revenue DESC, name LIMIT 10", 1, 40},
+	}
+	retained := func(sessions int) uint64 {
+		cfg := DefaultConfig()
+		cfg.CacheCapacity = -1
+		g, err := NewEngineGroup(llm.NewSynthLM(w, llm.ProfileMedium, 1), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Close()
+		for _, name := range w.DomainNames() {
+			g.RegisterWorldDomain(w.Domain(name))
+		}
+		before := liveHeap()
+		held := make([]*Engine, sessions)
+		for i := range held {
+			held[i] = g.Session()
+			for _, s := range shapes {
+				for v := 0; v < 16; v++ {
+					if _, err := held[i].Query(s.sql, s.lo+int64(v)*(s.hi-s.lo)/16); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		after := liveHeap()
+		runtime.KeepAlive(held)
+		return after - min(before, after)
+	}
+	one, sixteen := retained(1), retained(16)
+	t.Logf("1 session retains %.2f MiB, 16 retain %.2f MiB", float64(one)/(1<<20), float64(sixteen)/(1<<20))
+	if one == 0 || sixteen >= 2*one {
+		t.Fatalf("16 sessions retain %d bytes, 1 retains %d: want under twice", sixteen, one)
+	}
+}
+
+// liveHeap returns the bytes of live heap objects after two collections.
+func liveHeap() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestGroupSessionsShareOneEnumerationMemo: every session of a group reads
+// the group's one enumeration memo under the group's table records. K
+// sessions running at once each report a solo engine's rows, Usage and
+// ScanStats (CoalescedHits aside), with and without a session cache; and a
+// session's scan replays the entry an earlier session's scan stored: the
+// memo keeps the same pointer and the parse and merge counters repeat.
+func TestGroupSessionsShareOneEnumerationMemo(t *testing.T) {
+	w := parWorld()
+	queries := []string{
+		"SELECT name, capital, population FROM country",
+		"SELECT title, year FROM movie WHERE year > 1990",
+		"SELECT l.name, c.capital FROM laureate AS l JOIN country AS c ON l.country = c.name",
+	}
+	for _, capacity := range []int{0, -1} {
+		t.Run(fmt.Sprintf("CacheCapacity=%d", capacity), func(t *testing.T) {
+			cfg := groupConfig()
+			cfg.CacheCapacity = capacity
+			solo := worldEngine(w, cfg)
+			want := make([]*QueryResult, len(queries))
+			for i, q := range queries {
+				var err error
+				if want[i], err = solo.Query(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			g, err := NewEngineGroup(llm.NewSynthLM(w, llm.ProfileMedium, 7), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			for _, name := range w.DomainNames() {
+				g.RegisterWorldDomain(w.Domain(name))
+			}
+			run := func(e *Engine) error {
+				for i, q := range queries {
+					res, err := e.Query(q)
+					switch {
+					case err != nil:
+						return err
+					case renderRows(res.Result.Rows) != renderRows(want[i].Result.Rows):
+						return fmt.Errorf("%s: rows differ from the solo engine's", q)
+					case res.Usage != want[i].Usage:
+						return fmt.Errorf("%s: usage %+v, solo %+v", q, res.Usage, want[i].Usage)
+					case !reflect.DeepEqual(zeroCoalesced(res.Scans), zeroCoalesced(want[i].Scans)):
+						return fmt.Errorf("%s: scans %+v, solo %+v", q, res.Scans, want[i].Scans)
+					}
+				}
+				return nil
+			}
+			const K = 4
+			errs := make(chan error, K)
+			for k := 0; k < K; k++ {
+				go func() {
+					e := g.Session()
+					defer g.CloseSession(e)
+					errs <- run(e)
+				}()
+			}
+			for k := 0; k < K; k++ {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			memo := g.backend.memo
+			entries := func() map[enumKey]*enumeration {
+				held := make(map[enumKey]*enumeration)
+				memo.mu.Lock()
+				defer memo.mu.Unlock()
+				memo.entries.OldestFirst(func(k enumKey, v *enumeration) bool {
+					held[k] = v
+					return true
+				})
+				return held
+			}
+			a, b := g.Session(), g.Session()
+			if a.store.memo != memo || b.store.memo != memo || a.store.tables["country"] != b.store.tables["country"] {
+				t.Fatal("sessions must share the group's memo and table records")
+			}
+			stored := entries()
+			shared := false
+			for k := range stored {
+				shared = shared || k.table == a.store.tables["country"]
+			}
+			if !shared {
+				t.Fatal("the memo holds no enumeration of the group's country record")
+			}
+			first, err := a.Query(queries[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			second, err := b.Query(queries[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after := entries(); !maps.Equal(stored, after) {
+				t.Fatalf("memo entries %v after warm scans, want %v: a session merged anew instead of replaying", after, stored)
+			}
+			x, y := first.Scans[0], second.Scans[0]
+			if x.Parse != y.Parse || x.Duplicates != y.Duplicates || x.Parse.RowsParsed == 0 {
+				t.Fatalf("replayed scan's counters %+v differ from the first session's %+v", y, x)
+			}
+		})
 	}
 }

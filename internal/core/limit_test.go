@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -447,5 +448,38 @@ func TestDrainedKeyThenAttrScanAllocs(t *testing.T) {
 	})
 	if n > maxAllocs {
 		t.Fatalf("drained key-then-attr scan: %v allocs, want at most %d", n, maxAllocs)
+	}
+}
+
+// TestLimitZeroMakesNoModelCalls: LIMIT 0 reads no row, so whatever the
+// query — a plain scan, ORDER BY, a join, an aggregate — it asks the model
+// nothing and still answers with the query's output columns.
+func TestLimitZeroMakesNoModelCalls(t *testing.T) {
+	w := parWorld()
+	cfg := DefaultConfig()
+	cfg.Strategy = StrategyKeyThenAttr
+	for _, q := range []string{
+		"SELECT name FROM country",
+		"SELECT name FROM country ORDER BY name",
+		"SELECT l.name, c.capital AS city FROM laureate AS l JOIN country AS c ON l.country = c.name",
+		"SELECT continent, COUNT(*) AS n FROM country GROUP BY continent",
+		"SELECT COUNT(*) AS n FROM country",
+	} {
+		full, err := worldEngine(w, cfg).Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, limit := range []string{" LIMIT 0", " LIMIT 0 OFFSET 2"} {
+			res, err := worldEngine(w, cfg).Query(q + limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Usage.Calls != 0 || len(res.Scans) != 0 || len(res.Result.Rows) != 0 {
+				t.Errorf("%s%s: %d calls, %d scans, %d rows; want none", q, limit, res.Usage.Calls, len(res.Scans), len(res.Result.Rows))
+			}
+			if got, want := res.Result.Schema.Names(), full.Result.Schema.Names(); !slices.Equal(got, want) {
+				t.Errorf("%s%s: columns %v, want %v", q, limit, got, want)
+			}
+		}
 	}
 }

@@ -442,8 +442,10 @@ func TestParseMemoNoDedupKeepsBothCopies(t *testing.T) {
 	}
 }
 
-// TestParseMemoOnlyWithSessionCache: the memo exists exactly when the
-// engine has an in-memory completion cache, and has that cache's capacity.
+// TestParseMemoOnlyWithSessionCache: a solo engine's memo exists exactly
+// when it has an in-memory completion cache, and has that cache's capacity.
+// (A group's sessions share the group's whatever their cache:
+// TestGroupSessionsShareOneEnumerationMemo.)
 func TestParseMemoOnlyWithSessionCache(t *testing.T) {
 	for _, tc := range []struct{ capacity, want int }{
 		{0, 0},

@@ -24,8 +24,8 @@ type VirtualTable struct {
 	// domain size). Prior-scan statistics refine it; zero means unknown.
 	EstRows int
 
-	// prompts is the prompt boilerplate's token counts, measured by
-	// LLMStore.Register.
+	// prompts is the prompt boilerplate's token counts, measured once by
+	// tableRecord.
 	prompts promptTokens
 }
 

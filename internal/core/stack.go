@@ -33,16 +33,15 @@ type backend struct {
 	live    *llm.CountingModel // nil on a solo engine
 	retrier *llm.Retrier
 	disk    *llm.DiskCache // nil without Config.CacheDir
-	coal    *llm.Coalescer // nil on a solo engine
-	// shared marks an EngineGroup's backend: its sessions neither close it
-	// nor re-price it.
-	shared bool
+	coal    *llm.Coalescer // nil on a solo engine; sessions never close or re-price a group's
+	memo    *enumMemo      // every session's; nil on a solo engine
 }
 
 // newBackend assembles the stack up to the fork. shared adds the two
-// group-only layers.
+// group-only layers and the group's enumeration memo, whose rounds the
+// coalescer's memo answers.
 func newBackend(model llm.Model, cfg Config, shared bool) (*backend, error) {
-	b := &backend{shared: shared}
+	b := &backend{}
 	switch {
 	case cfg.ReplayTrace != nil:
 		b.top = cfg.ReplayTrace.Replay(model.Name())
@@ -69,8 +68,9 @@ func newBackend(model llm.Model, cfg Config, shared bool) (*backend, error) {
 		b.disk, b.top = disk, disk
 	}
 	if shared {
-		b.coal = llm.NewCoalescerSized(b.top, cfg.CoalesceCapacity)
+		b.coal = llm.NewCoalescer(b.top)
 		b.top = b.coal
+		b.memo = newEnumMemo(llm.DefaultCoalescerMemo)
 	}
 	return b, nil
 }
@@ -86,6 +86,9 @@ func (b *backend) newEngine(cfg Config) *Engine {
 	}
 	e.model = llm.NewCounting(top)
 	e.store = NewLLMStore(e.model, cfg)
+	if b.memo != nil {
+		e.store.memo = b.memo
+	}
 	switch {
 	case cfg.PlanCacheCapacity > 0:
 		e.plans = newPlanCache(cfg.PlanCacheCapacity)

@@ -119,7 +119,7 @@ type LLMStore struct {
 	model llm.Model
 	cache *llm.CacheModel // in-memory completion cache in the model chain, if any
 	disk  *llm.DiskCache  // persistent prompt cache in the model chain, if any
-	memo  *enumMemo       // finished LIST/KEYS enumerations (enumerate.go); non-nil iff cache is
+	memo  *enumMemo       // finished LIST/KEYS enumerations (enumerate.go)
 	cfg   Config
 	// costModel prices candidate decompositions for the scan planner; it
 	// mirrors the accounting CostModel (Engine.CostModel keeps them in
@@ -162,12 +162,21 @@ func (s *LLMStore) SetCostModel(c llm.CostModel) {
 }
 
 // Register declares a virtual table.
-func (s *LLMStore) Register(t VirtualTable) {
+func (s *LLMStore) Register(t VirtualTable) { s.adopt(tableRecord(t)) }
+
+// tableRecord returns t registered: its name lower-cased, its prompts
+// measured. A record is never modified once made.
+func tableRecord(t VirtualTable) *VirtualTable {
 	t.Name = strings.ToLower(t.Name)
 	t.prompts = measurePrompts(&t)
+	return &t
+}
+
+// adopt declares the table record itself (a group's sessions share theirs).
+func (s *LLMStore) adopt(t *VirtualTable) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tables[t.Name] = &t
+	s.tables[t.Name] = t
 }
 
 // TableSchema implements plan.Catalog.

@@ -68,8 +68,6 @@ func TestPushLimitsReachesScan(t *testing.T) {
 		{"SELECT name FROM country ORDER BY name LIMIT 3", 0},
 		{"SELECT DISTINCT capital FROM country LIMIT 3", 0},
 		{"SELECT COUNT(*) FROM country LIMIT 3", 0},
-		// LIMIT 0 never pulls a row; no hint is useful.
-		{"SELECT name FROM country LIMIT 0", 0},
 		// No limit at all.
 		{"SELECT name FROM country", 0},
 	}
@@ -77,6 +75,43 @@ func TestPushLimitsReachesScan(t *testing.T) {
 		scan := scanOf(t, planQuery(t, c.query))
 		if scan.Limit != c.want {
 			t.Errorf("%s: scan limit %d, want %d", c.query, scan.Limit, c.want)
+		}
+	}
+}
+
+// TestLimitZeroFoldsToEmptyValues: LIMIT 0, at any offset and whatever sits
+// below it, plans as an empty Values node of the query's output schema, so
+// no scan, sort or join under it runs.
+func TestLimitZeroFoldsToEmptyValues(t *testing.T) {
+	cat := limitTestCatalog()
+	cat["city"] = rel.NewSchema(
+		rel.Column{Name: "name", Type: rel.TypeText, Key: true},
+		rel.Column{Name: "country", Type: rel.TypeText},
+	)
+	for _, c := range []struct{ query, cols string }{
+		{"SELECT name FROM country LIMIT 0", "name"},
+		{"SELECT name FROM country LIMIT 0 OFFSET 3", "name"},
+		{"SELECT name FROM country ORDER BY name LIMIT 0", "name"},
+		{"SELECT name FROM country ORDER BY population DESC LIMIT 0", "name"},
+		{"SELECT c.name, t.name AS city FROM country AS c JOIN city AS t ON t.country = c.name LIMIT 0", "name city"},
+		{"SELECT capital, COUNT(*) AS n FROM country GROUP BY capital LIMIT 0", "capital n"},
+		{"SELECT COUNT(*) AS n FROM country LIMIT 0 OFFSET 1", "n"},
+	} {
+		sel, err := sql.ParseSelect(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := Plan(sel, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, ok := node.(*ValuesNode)
+		if !ok || len(v.Rows) != 0 {
+			t.Errorf("%s: plan is not an empty Values node:\n%s", c.query, Explain(node))
+			continue
+		}
+		if got := strings.Join(v.Schema().Names(), " "); got != c.cols {
+			t.Errorf("%s: output columns %q, want %q", c.query, got, c.cols)
 		}
 	}
 }
@@ -215,8 +250,6 @@ func TestSortSinksBelowPassThroughProjection(t *testing.T) {
 			"Limit Sort Project Scan", "Sort #1 asc top 2"},
 		{"SELECT name FROM country ORDER BY name", DefaultOptions(),
 			"Project Sort Scan", "Sort #0 asc"},
-		{"SELECT name FROM country ORDER BY name LIMIT 0", DefaultOptions(),
-			"Limit Project Sort Scan", "Sort #0 asc"},
 		{"SELECT DISTINCT name FROM country ORDER BY name LIMIT 2", DefaultOptions(),
 			"Limit Sort Distinct Project Scan", "Sort #0 asc top 2"},
 	}

@@ -45,7 +45,7 @@ func OptimizeOpts(n Node, opts Options) Node {
 // ---- constant folding ----
 
 // foldFilters removes always-true conjuncts and replaces always-false
-// filters with empty inputs.
+// filters, and LIMIT 0 at any offset, with empty inputs of their schema.
 func foldFilters(n Node) Node {
 	switch x := n.(type) {
 	case *FilterNode:
@@ -70,10 +70,13 @@ func foldFilters(n Node) Node {
 		}
 		x.Pred = sql.JoinConjuncts(kept)
 		return x
-	default:
-		replaceChildren(n, foldFilters)
-		return n
+	case *LimitNode:
+		if x.Limit == 0 {
+			return &ValuesNode{Out: x.Schema()}
+		}
 	}
+	replaceChildren(n, foldFilters)
+	return n
 }
 
 // constValue evaluates e when it references no columns.
@@ -297,12 +300,12 @@ func passThrough(p *ProjectNode) bool {
 
 // ---- limit pushdown ----
 
-// pushLimits walks the tree and, for every LimitNode with a finite limit,
+// pushLimits walks the tree and, for every LimitNode with a positive limit,
 // sinks a row cap of Limit+Offset through the projections below it (see
 // pushLimitHint): onto a Sort as its exact Top bound, and — when scans is
 // set (Options.LimitPushdown) — onto a scan as an advisory hint.
 func pushLimits(n Node, scans bool) {
-	if l, ok := n.(*LimitNode); ok && l.Limit >= 0 {
+	if l, ok := n.(*LimitNode); ok && l.Limit > 0 {
 		pushLimitHint(l.Child, l.Limit+l.Offset, scans)
 	}
 	for _, c := range n.Children() {
@@ -322,10 +325,6 @@ func pushLimits(n Node, scans bool) {
 // must keep producing until k rows *survive its filter* (the streaming LLM
 // scan does exactly that, demand-driven).
 func pushLimitHint(n Node, k int64, scans bool) {
-	if k <= 0 {
-		// LIMIT 0 never pulls a row; there is nothing useful to hint.
-		return
-	}
 	switch x := n.(type) {
 	case *ScanNode:
 		if scans && (x.Limit == 0 || k < x.Limit) {

@@ -125,8 +125,8 @@ type GroupStats = core.GroupStats
 
 // NewEngineGroup assembles the shared serving stack over the model, with the
 // same builder Open uses; the configuration's CacheDir, CacheMaxBytes,
-// RecordTrace, ReplayTrace, Chaos, Retry and CoalesceCapacity configure the
-// shared layers, the rest stays per-session. Every Session() engine reads
+// RecordTrace, ReplayTrace, Chaos and Retry configure the shared layers, the
+// rest stays per-session. Every Session() engine reads
 // the shared layers through the group (its DiskCacheStats, REFRESH probe and
 // InvalidateCachedCompletions reach the group's disk cache); closing a
 // session leaves them open. See core.NewEngineGroup.
