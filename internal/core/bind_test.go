@@ -189,16 +189,13 @@ func TestBindGateBlocksAttrSpend(t *testing.T) {
 		return "42"
 	}}
 	e := ktaEngine(model, nil)
-	it, err := e.store.Scan(exec.ScanRequest{
+	it, a := accountedScan(t, e.store, exec.ScanRequest{
 		Table:  "country",
 		Schema: storeTable().Schema,
 		// "  france " canonicalizes into a duplicate of "France";
 		// "Atlantis" is never enumerated.
 		Keys: []string{"France", "  france ", "Atlantis", "Germany"},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rows, err := exec.Drain(it)
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +203,7 @@ func TestBindGateBlocksAttrSpend(t *testing.T) {
 	if len(rows) != 2 || rows[0][0].AsText() != "France" || rows[1][0].AsText() != "Germany" {
 		t.Fatalf("rows: %v", rows)
 	}
-	stats := e.store.TakeStats()
+	stats := a.Scans
 	if len(stats) != 1 {
 		t.Fatalf("stats: %v", stats)
 	}
@@ -231,19 +228,18 @@ func TestBindIgnoredOutsideKeyThenAttr(t *testing.T) {
 	cfg.Strategy = StrategyFullTable
 	cfg.Temperature = 0
 	e := worldEngine(w, cfg)
+	var stats []ScanStats
 	scan := func(keys []string) []rel.Row {
-		it, err := e.store.Scan(exec.ScanRequest{
+		it, a := accountedScan(t, e.store, exec.ScanRequest{
 			Table:  "country",
 			Schema: e.store.tables["country"].Schema,
 			Keys:   keys,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		rows, err := exec.Drain(it)
 		if err != nil {
 			t.Fatal(err)
 		}
+		stats = append(stats, a.Scans...)
 		return rows
 	}
 	unbound := scan(nil)
@@ -251,7 +247,7 @@ func TestBindIgnoredOutsideKeyThenAttr(t *testing.T) {
 	if renderRows(unbound) != renderRows(bound) {
 		t.Fatalf("full-table scan changed under binding: %d vs %d rows", len(unbound), len(bound))
 	}
-	for _, s := range e.store.TakeStats() {
+	for _, s := range stats {
 		if s.KeysBound != 0 {
 			t.Fatalf("binding recorded on a non-key-then-attr scan: %+v", s)
 		}
@@ -263,14 +259,11 @@ func TestBindIgnoredOutsideKeyThenAttr(t *testing.T) {
 func TestBoundEmptyKeySet(t *testing.T) {
 	model := &scriptModel{respond: countryScript(10)}
 	e := ktaEngine(model, nil)
-	it, err := e.store.Scan(exec.ScanRequest{
+	it, a := accountedScan(t, e.store, exec.ScanRequest{
 		Table:  "country",
 		Schema: storeTable().Schema,
 		Keys:   []string{},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rows, err := exec.Drain(it)
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +274,7 @@ func TestBoundEmptyKeySet(t *testing.T) {
 	if n := model.callCount(); n != 0 {
 		t.Fatalf("empty binding still issued %d calls", n)
 	}
-	stats := e.store.TakeStats()
+	stats := a.Scans
 	if len(stats) != 1 || stats[0].Prompts != 0 || stats[0].KeysBound != 0 {
 		t.Fatalf("stats: %+v", stats)
 	}

@@ -184,7 +184,7 @@ func (s *LLMStore) scanCostModel(sp *scanSpec) plan.ScanCostModel {
 	// Retrier's first backoff and attempt budget the recovery it will
 	// charge. On a healthy backend both are zero-cost no-ops.
 	return plan.ScanCostModel{
-		Cost:             s.costModel,
+		Cost:             *s.costModel,
 		Rows:             estRows,
 		AttrCols:         len(sp.attrCols),
 		ListPromptTokens: t.prompts.list(sp.cols),

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"llmsql/internal/exec"
 	"llmsql/internal/expr"
@@ -25,7 +26,6 @@ type Engine struct {
 	// EngineGroup.Session. See stack.go.
 	backend *backend
 	store   *LLMStore
-	model   *llm.CountingModel
 	cache   *llm.CacheModel // optional, per Config.CacheCapacity
 	local   *storage.DB     // optional
 	plans   *planCache      // optional, per Config.PlanCacheCapacity
@@ -44,6 +44,12 @@ type Engine struct {
 	viewDB     *storage.DB
 	views      map[string]*matView
 	viewTotals ViewStats
+
+	// billed sums the accounts of finished queries (TotalUsage), dollars
+	// in whole nano-dollars as each account keeps them.
+	billMu     sync.Mutex
+	billed     llm.Usage
+	billedNano int64
 }
 
 // New builds an engine over the model with the given configuration. It is
@@ -60,7 +66,7 @@ func New(model llm.Model, cfg Config) *Engine {
 
 // Open builds an engine over the model: a backend stack of its own (see
 // stack.go for the layers and their order) with the engine's in-memory
-// completion cache, billing counter and plan cache on top.
+// completion cache and plan cache on top.
 func Open(model llm.Model, cfg Config) (*Engine, error) {
 	b, err := newBackend(model, cfg, false)
 	if err != nil {
@@ -81,14 +87,14 @@ func (e *Engine) Close() error {
 	return e.backend.close()
 }
 
-// CostModel replaces the simulated cost constants, for both accounting and
-// the scan planner's strategy pricing (they always share constants). Cached
-// plans are invalidated: their scan-strategy decisions were priced under the
-// old constants. On a session engine only the session's own accounting and
-// planner are re-priced: the group's Retrier keeps its constants, because
-// one tenant must not change what failed attempts cost every other session.
+// CostModel replaces the simulated cost constants, for both billing and
+// the scan planner's strategy pricing (the store keeps the one copy both
+// read). Cached plans are invalidated: their scan-strategy decisions were
+// priced under the old constants. On a session engine only the session's own
+// billing and planner are re-priced: the group's Retrier keeps its
+// constants, because one tenant must not change what failed attempts cost
+// every other session.
 func (e *Engine) CostModel(c llm.CostModel) {
-	e.model.Cost = c
 	e.store.SetCostModel(c)
 	if e.backend.coal == nil {
 		// The Retrier prices failed attempts, backoff and hedge races in
@@ -197,7 +203,7 @@ func (e *Engine) Query(query string, args ...any) (*QueryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.run(pq, args)
+	return e.run(pq, args, nil)
 }
 
 // Exec runs a DDL/DML statement: CREATE TABLE and INSERT against the local
@@ -323,8 +329,16 @@ func (e *Engine) Explain(query string) (string, error) {
 	return plan.Explain(pq.node), nil
 }
 
-// TotalUsage returns the model consumption since engine creation.
-func (e *Engine) TotalUsage() llm.Usage { return e.model.Usage() }
+// TotalUsage returns the model consumption of the engine's finished queries
+// (view builds and refreshes included, failed queries too): the sum of
+// their accounts. A query still running is not in it.
+func (e *Engine) TotalUsage() llm.Usage {
+	e.billMu.Lock()
+	defer e.billMu.Unlock()
+	u := e.billed
+	u.SimDollars = float64(e.billedNano) / 1e9
+	return u
+}
 
 // planOptions maps the engine configuration onto optimizer rule options:
 // the advisory LIMIT hint on scans and the bind-join strategy.
@@ -338,10 +352,12 @@ func (e *Engine) planOptions() plan.Options {
 // catalog resolves virtual tables first, then materialized views, then
 // local ones. Stale views never reach the catalog by name — planQuery
 // expands them into their defining queries first — so a view table here is
-// always servable.
-func (e *Engine) catalog() plan.Catalog {
+// always servable. views is hasViews' answer: the view store is only read
+// once a view registered under viewMu shows it was made, so a CREATE running
+// meanwhile cannot race the read.
+func (e *Engine) catalog(views bool) plan.Catalog {
 	cats := plan.MultiCatalog{e.store}
-	if e.viewDB != nil {
+	if views {
 		cats = append(cats, &exec.StorageCatalog{DB: e.viewDB})
 	}
 	if e.local != nil {
@@ -350,28 +366,64 @@ func (e *Engine) catalog() plan.Catalog {
 	return cats
 }
 
-// source routes scans to the LLM store or the local row store.
-func (e *Engine) source() exec.Source {
-	return &routingSource{engine: e}
-}
-
-type routingSource struct {
+// queryAccount is one query's bill, and the exec.Source its plan scans
+// through. Every scan the query starts bills each call it completes
+// (llmScan.modelCall) and publishes its ScanStats and critical path (flush)
+// here and nowhere else, so queries running at once on one engine never see
+// each other's spend. It embeds the QueryResult run returns, so a query
+// allocates no account of its own.
+type queryAccount struct {
+	QueryResult
 	engine *Engine
+	// view, while a materialized view's build or refresh runs its defining
+	// query, records the calls the query completes.
+	view *viewRecord
+
+	mu      sync.Mutex // pool workers bill concurrently
+	nanoUSD int64      // Usage.SimDollars in whole nano-dollars
 }
 
-// Scan implements exec.Source.
-func (r *routingSource) Scan(req exec.ScanRequest) (exec.RowIter, error) {
-	if r.engine.store.Has(req.Table) {
-		return r.engine.store.Scan(req)
+// Scan implements exec.Source: it routes a scan to the LLM store, a fresh
+// materialized view or the local row store.
+func (a *queryAccount) Scan(req exec.ScanRequest) (exec.RowIter, error) {
+	e := a.engine
+	if e.store.Has(req.Table) {
+		return e.store.scan(req, a)
 	}
-	if v := r.engine.freshView(req.Table); v != nil {
-		return r.engine.scanView(v, req)
+	if v := e.freshView(req.Table); v != nil {
+		return e.scanView(v, req, a)
 	}
-	if r.engine.local != nil && r.engine.local.HasTable(req.Table) {
-		src := &exec.StorageSource{DB: r.engine.local}
+	if e.local != nil && e.local.HasTable(req.Table) {
+		src := &exec.StorageSource{DB: e.local}
 		return src.Scan(req)
 	}
 	return nil, fmt.Errorf("core: no source for table %q", req.Table)
+}
+
+// bill charges one completed call, priced by CostModel.Bill. Safe from pool
+// workers; a nil account (a direct LLMStore.Scan) charges nothing.
+func (a *queryAccount) bill(req llm.CompletionRequest, resp llm.CompletionResponse, u llm.Usage, nanoUSD int64) {
+	if a == nil {
+		return
+	}
+	a.mu.Lock()
+	a.Usage.Add(u)
+	a.nanoUSD += nanoUSD
+	if a.view != nil {
+		a.view.add(req, resp)
+	}
+	a.mu.Unlock()
+}
+
+// addScan publishes one finished scan's statistics and critical path.
+func (a *queryAccount) addScan(st ScanStats, wall time.Duration) {
+	if a == nil {
+		return
+	}
+	a.mu.Lock()
+	a.Scans = append(a.Scans, st)
+	a.Usage.SimWall += wall
+	a.mu.Unlock()
 }
 
 // FormatResult renders a result as an aligned text table (for CLIs and

@@ -10,11 +10,11 @@ import (
 
 // EngineGroup is the multi-session form of the engine, built for serving:
 // one shared backend stack (see stack.go), Coalescer outermost, sits below
-// every session, while each Session() engine keeps its own
-// CountingModel (billing), optional in-memory CacheModel and plan cache on
-// top. The coalescer merges identical requests across sessions — concurrent
-// or, via its memo, consecutive — so N sessions scanning the same virtual
-// table cost one live fan-out; because coalesced responses preserve the
+// every session, while each Session() engine bills its own queries and keeps
+// its own optional in-memory CacheModel and plan cache on top. The
+// coalescer merges identical requests across sessions — concurrent or, via
+// its memo, consecutive — so N sessions scanning the same virtual table cost
+// one live fan-out; because coalesced responses preserve the
 // original cache flags and billing, every session's rows, ScanStats (modulo
 // CoalescedHits) and Usage are bit-identical to what a solo engine would
 // report, and the saving appears only in the group's operator-side stats.
@@ -57,8 +57,8 @@ func NewEngineGroup(model llm.Model, cfg Config) (*EngineGroup, error) {
 	}, nil
 }
 
-// Session returns a fresh engine over the shared stack: its own billing
-// CountingModel, in-memory cache and plan cache, with every table the group
+// Session returns a fresh engine over the shared stack: its own billing,
+// in-memory cache and plan cache, with every table the group
 // knows already registered and the group's local row store attached. Release
 // it with CloseSession when the session ends.
 func (g *EngineGroup) Session() *Engine {
@@ -140,9 +140,10 @@ type GroupStats struct {
 	// session ever created.
 	Sessions      int
 	TotalSessions int
-	// Billed is the sum of every session's Usage (live and closed): what
-	// the sessions collectively experienced, identical to what the same
-	// queries would have cost run solo.
+	// Billed is the sum of every session's TotalUsage (live and closed):
+	// what the sessions' finished queries collectively experienced,
+	// identical to what the same queries would have cost run solo. A query
+	// still running is not in it.
 	Billed llm.Usage
 	// Live is the consumption that actually reached the base backend, below
 	// the coalescer and the persistent cache — what the operator pays. The

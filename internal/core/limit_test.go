@@ -373,17 +373,14 @@ func TestScanAbandonedEarlyFlushesStats(t *testing.T) {
 	cfg.Temperature = 0
 	s := NewLLMStore(model, cfg)
 	s.Register(storeTable())
-	it, err := s.Scan(exec.ScanRequest{Table: "country", Schema: storeTable().Schema, Limit: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	it, a := accountedScan(t, s, exec.ScanRequest{Table: "country", Schema: storeTable().Schema, Limit: 1})
 	if _, ok, err := it.Next(); !ok || err != nil {
 		t.Fatalf("first row: ok=%v err=%v", ok, err)
 	}
 	if err := it.Close(); err != nil {
 		t.Fatal(err)
 	}
-	stats := s.TakeStats()
+	stats := a.Scans
 	if len(stats) != 1 {
 		t.Fatalf("stats not flushed on early close: %d entries", len(stats))
 	}
@@ -397,8 +394,8 @@ func TestScanAbandonedEarlyFlushesStats(t *testing.T) {
 	if err := it.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if extra := s.TakeStats(); len(extra) != 0 {
-		t.Fatalf("double close duplicated stats: %d", len(extra))
+	if len(a.Scans) != 1 {
+		t.Fatalf("double close duplicated stats: %d entries", len(a.Scans))
 	}
 }
 
@@ -444,7 +441,6 @@ func TestDrainedKeyThenAttrScanAllocs(t *testing.T) {
 		if rows, err := exec.Drain(it); err != nil || len(rows) != 40 {
 			t.Fatalf("%d rows, %v", len(rows), err)
 		}
-		s.TakeStats()
 	})
 	if n > maxAllocs {
 		t.Fatalf("drained key-then-attr scan: %v allocs, want at most %d", n, maxAllocs)

@@ -34,19 +34,19 @@ func memoCompletions(req llm.CompletionRequest) string {
 // of every LIST and KEYS enumeration: it appends a line to the completion,
 // or with fail set fails the call with a degradable error.
 type twistModel struct {
-	*llm.CountingModel
+	llm.Model
 	armed, fail bool
 	round       int64
 }
 
 func (m *twistModel) Complete(req llm.CompletionRequest) (llm.CompletionResponse, error) {
 	if !m.armed || req.Seed != m.round || !strings.Contains(req.Prompt, "TASK: LIST") && !strings.Contains(req.Prompt, "TASK: KEYS") {
-		return m.CountingModel.Complete(req)
+		return m.Model.Complete(req)
 	}
 	if m.fail {
 		return llm.CompletionResponse{}, fmt.Errorf("twisted round: %w", llm.Retryable)
 	}
-	resp, err := m.CountingModel.Complete(req)
+	resp, err := m.Model.Complete(req)
 	resp.Text += "\nAtlantis"
 	return resp, err
 }
@@ -224,7 +224,7 @@ func memoSteps(t *testing.T, name string, w *world.World, cfg Config, query stri
 	if !memo {
 		e.store.memo = nil
 	}
-	twist := &twistModel{CountingModel: e.model, round: 1}
+	twist := &twistModel{Model: e.store.model, round: 1}
 	if cfg.Temperature == 0 {
 		twist.round = 0 // the only round
 	}
@@ -312,14 +312,15 @@ func TestParseMemoSharedByGatedAndUngatedScans(t *testing.T) {
 		rel.Column{Name: "capital", Type: rel.TypeText},
 		rel.Column{Name: "population", Type: rel.TypeInt},
 	)
+	var st []ScanStats // withMemo's scans
 	scan := func(s *LLMStore, schema rel.Schema) string {
-		it, err := s.Scan(exec.ScanRequest{Table: "country", Schema: schema, Filter: filter})
-		if err != nil {
-			t.Fatal(err)
-		}
+		it, a := accountedScan(t, s, exec.ScanRequest{Table: "country", Schema: schema, Filter: filter})
 		rows, err := exec.Drain(it)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if s == withMemo {
+			st = append(st, a.Scans...)
 		}
 		return renderRows(rows)
 	}
@@ -331,7 +332,6 @@ func TestParseMemoSharedByGatedAndUngatedScans(t *testing.T) {
 	if n := withMemo.memo.entries.Len(); n != 1 {
 		t.Fatalf("memo holds %d enumerations, want the one KEYS prompt's", n)
 	}
-	st := withMemo.TakeStats()
 	if st[0].KeysGated != 0 || st[1].KeysGated != 1 || st[1].CacheMisses != 0 {
 		t.Fatalf("want an ungated scan, then a gated one on the warm KEYS prompt: %+v", st[:2])
 	}
@@ -411,12 +411,11 @@ func TestParseMemoReRegisteredTableMisses(t *testing.T) {
 		rel.Column{Name: "population", Type: rel.TypeText, Desc: "population"},
 	)
 	s.Register(retyped)
-	s.TakeStats()
-	rows := scanAll(t, s)
+	rows, st := scanAllStats(t, s)
 	if rows[0][2].Type() != rel.TypeText {
 		t.Fatalf("re-registered table served the old schema's parse: population is %v", rows[0][2].Type())
 	}
-	if st := s.TakeStats(); st[0].CacheHits != 1 {
+	if st[0].CacheHits != 1 {
 		t.Fatalf("the re-registered scan must hit the session cache: %+v", st[0])
 	}
 }
@@ -434,10 +433,11 @@ func TestParseMemoNoDedupKeepsBothCopies(t *testing.T) {
 		return "France | Paris | 68\nJapan | Tokyo | 125"
 	}}), cfg)
 	s.Register(storeTable())
-	if got := renderRows(scanAll(t, s)); got != "France|Paris|68\nJapan|Tokyo|125\nFrance|Paris|68\nJapan|Tokyo|125\n" {
+	rows, stats := scanAllStats(t, s)
+	if got := renderRows(rows); got != "France|Paris|68\nJapan|Tokyo|125\nFrance|Paris|68\nJapan|Tokyo|125\n" {
 		t.Fatalf("rows:\n%s", got)
 	}
-	if st := s.TakeStats()[0]; st.Rounds != 2 || st.Duplicates != 0 || st.Parse.RowsParsed != 4 {
+	if st := stats[0]; st.Rounds != 2 || st.Duplicates != 0 || st.Parse.RowsParsed != 4 {
 		t.Fatalf("stats: %+v", st)
 	}
 }

@@ -379,7 +379,6 @@ func warmScan(tb testing.TB, cfg Config) func() {
 		if _, err := exec.Drain(it); err != nil {
 			tb.Fatal(err)
 		}
-		s.TakeStats()
 	}
 	scan() // warm the cache
 	return scan

@@ -21,8 +21,9 @@ import (
 // for (disk hits never reach it; both halves of a hedge race do). The one
 // Retrier below the Coalescer runs a coalesced leader's retries and hedges
 // once, and every follower receives the same recovered, identically billed
-// response. Each engine's billing counter is outermost, so cache hits count
-// as calls charged zero latency and dollars.
+// response. Above the whole stack each query bills the calls its scans
+// complete into its own account (queryAccount), so cache hits count as calls
+// charged zero latency and dollars.
 //
 // The solo/group split is where the stack forks: Open puts one engine on a
 // backend of its own, EngineGroup.Session puts one more engine on the
@@ -76,7 +77,7 @@ func newBackend(model llm.Model, cfg Config, shared bool) (*backend, error) {
 }
 
 // newEngine stacks one engine's own layers — the in-memory completion
-// cache, the billing counter, the store and the plan cache — on the backend.
+// cache, the store and the plan cache — on the backend.
 func (b *backend) newEngine(cfg Config) *Engine {
 	e := &Engine{backend: b}
 	top := b.top
@@ -84,8 +85,7 @@ func (b *backend) newEngine(cfg Config) *Engine {
 		e.cache = llm.NewCacheSized(top, cfg.CacheCapacity)
 		top = e.cache
 	}
-	e.model = llm.NewCounting(top)
-	e.store = NewLLMStore(e.model, cfg)
+	e.store = NewLLMStore(top, cfg)
 	if b.memo != nil {
 		e.store.memo = b.memo
 	}

@@ -48,8 +48,8 @@ func documentedStack(t *testing.T) []stackLine {
 		}
 		lines = append(lines, sl)
 	}
-	if len(lines) != 9 || !belowFork {
-		t.Fatalf("parsed %d stack lines (fork seen: %v) from llm/backend.go, want 9: %+v", len(lines), belowFork, lines)
+	if len(lines) != 8 || !belowFork {
+		t.Fatalf("parsed %d stack lines (fork seen: %v) from llm/backend.go, want 8: %+v", len(lines), belowFork, lines)
 	}
 	return lines
 }
@@ -117,7 +117,7 @@ func TestStackOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := chainTypes(solo.model), want(false, true); !reflect.DeepEqual(got, want) {
+		if got, want := chainTypes(solo.store.model), want(false, true); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: solo engine stack\n got %v\nwant %v", opt.name, got, want)
 		}
 		solo.Close()
@@ -130,7 +130,7 @@ func TestStackOrder(t *testing.T) {
 		if got, want := chainTypes(g.backend.top), want(true, false); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: group stack\n got %v\nwant %v", opt.name, got, want)
 		}
-		if got, want := chainTypes(g.Session().model), want(true, true); !reflect.DeepEqual(got, want) {
+		if got, want := chainTypes(g.Session().store.model), want(true, true); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: session stack\n got %v\nwant %v", opt.name, got, want)
 		}
 		g.Close()

@@ -77,7 +77,7 @@ func (e *Engine) planQuery(query string, gen uint64) (*preparedQuery, error) {
 	if hasViews {
 		e.expandStaleViews(pq.sel, map[string]bool{})
 	}
-	node, err := plan.PlanOpts(pq.sel, e.catalog(), e.planOptions())
+	node, err := plan.PlanOpts(pq.sel, e.catalog(hasViews), e.planOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -90,8 +90,10 @@ func (e *Engine) planQuery(query string, gen uint64) (*preparedQuery, error) {
 	return pq, nil
 }
 
-// run executes a prepared query with the given arguments.
-func (e *Engine) run(pq *preparedQuery, args []any) (*QueryResult, error) {
+// run executes a prepared query with the given arguments, billing one
+// account of its own; view, when non-nil, records the calls a materialized
+// view's build or refresh completes.
+func (e *Engine) run(pq *preparedQuery, args []any, view *viewRecord) (*QueryResult, error) {
 	node := pq.node
 	// EXPLAIN (without ANALYZE) may render a parameterized plan unbound —
 	// placeholders appear as $n — but binds when arguments are supplied.
@@ -113,30 +115,29 @@ func (e *Engine) run(pq *preparedQuery, args []any) (*QueryResult, error) {
 		return &QueryResult{Result: planTextResult(plan.Explain(node))}, nil
 	}
 
-	before := e.model.Usage()
-	e.store.TakeStats() // clear any stale stats
-	var res *exec.Result
+	a := &queryAccount{engine: e, view: view}
+	var err error
 	if pq.kind == kindExplainAnalyze {
 		// Like a real database, EXPLAIN ANALYZE returns the annotated plan as
 		// the result rows; the query's own rows are discarded after execution.
-		_, prof, err := exec.ExecuteAnalyzed(node, e.source())
-		if err != nil {
-			return nil, err
+		var prof *exec.Profile
+		if _, prof, err = exec.ExecuteAnalyzed(node, a); err == nil {
+			a.Result = planTextResult(plan.ExplainWithRows(node, prof.Rows))
 		}
-		res = planTextResult(plan.ExplainWithRows(node, prof.Rows))
 	} else {
-		r, err := exec.Execute(node, e.source())
-		if err != nil {
-			return nil, err
-		}
-		res = r
+		a.Result, err = exec.Execute(node, a)
 	}
-	after := e.model.Usage()
-	return &QueryResult{
-		Result: res,
-		Usage:  after.Sub(before),
-		Scans:  e.store.TakeStats(),
-	}, nil
+	// The engine's total takes a failed query's calls too: they were spent.
+	// Every pool worker has returned, so the account needs no lock here.
+	a.Usage.SimDollars = float64(a.nanoUSD) / 1e9
+	e.billMu.Lock()
+	e.billed.Add(a.Usage)
+	e.billedNano += a.nanoUSD
+	e.billMu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	return &a.QueryResult, nil
 }
 
 // planTextResult wraps rendered plan text as a one-column result, a row per
@@ -285,5 +286,5 @@ func (s *Stmt) Query(args ...any) (*QueryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.eng.run(pq, args)
+	return s.eng.run(pq, args, nil)
 }

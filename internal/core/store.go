@@ -1,10 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -121,17 +119,14 @@ type LLMStore struct {
 	disk  *llm.DiskCache  // persistent prompt cache in the model chain, if any
 	memo  *enumMemo       // finished LIST/KEYS enumerations (enumerate.go)
 	cfg   Config
-	// costModel prices candidate decompositions for the scan planner; it
-	// mirrors the accounting CostModel (Engine.CostModel keeps them in
-	// sync) so estimates and charges share constants.
-	costModel llm.CostModel
 
-	mu     sync.Mutex
-	tables map[string]*VirtualTable
-	stats  []ScanStats
-	// record, while a materialized view's build runs its defining query,
-	// collects the calls that query's scans complete (see callRecord).
-	record *callRecord
+	mu sync.Mutex
+	// costModel prices candidate decompositions for the scan planner and
+	// bills the calls scans complete (CostModel.Bill), so estimates and
+	// charges share constants. The value is never modified, only replaced,
+	// so a scan keeps the pointer it started with.
+	costModel *llm.CostModel
+	tables    map[string]*VirtualTable
 	// estRows caches observed per-table cardinalities from prior scans,
 	// refining the planner's estimates (see cost.go).
 	estRows map[string]int
@@ -139,12 +134,13 @@ type LLMStore struct {
 
 // NewLLMStore builds a store over the model with the given configuration.
 func NewLLMStore(model llm.Model, cfg Config) *LLMStore {
+	cost := llm.DefaultCostModel()
 	s := &LLMStore{
 		model:     model,
 		cache:     llm.FindCache(model),
 		disk:      llm.FindDiskCache(model),
 		cfg:       cfg.normalize(),
-		costModel: llm.DefaultCostModel(),
+		costModel: &cost,
 		tables:    make(map[string]*VirtualTable),
 		estRows:   make(map[string]int),
 	}
@@ -154,10 +150,11 @@ func NewLLMStore(model llm.Model, cfg Config) *LLMStore {
 	return s
 }
 
-// SetCostModel replaces the constants the scan planner prices with.
+// SetCostModel replaces the constants the scan planner prices with and
+// scans bill by.
 func (s *LLMStore) SetCostModel(c llm.CostModel) {
 	s.mu.Lock()
-	s.costModel = c
+	s.costModel = &c
 	s.mu.Unlock()
 }
 
@@ -198,33 +195,6 @@ func (s *LLMStore) Has(name string) bool {
 	return ok
 }
 
-// noteViewScan publishes the synthesized statistics of a scan a
-// materialized view absorbed, so QueryResult.Scans reports the substitution
-// alongside real retrievals.
-func (s *LLMStore) noteViewScan(st ScanStats) {
-	s.mu.Lock()
-	s.stats = append(s.stats, st)
-	s.mu.Unlock()
-}
-
-// TakeStats returns and clears the accumulated scan statistics.
-func (s *LLMStore) TakeStats() []ScanStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.stats
-	s.stats = nil
-	return out
-}
-
-// setRecord makes every scan started from now on add its completed calls to
-// r (nil stops recording). Like TakeStats it runs on the engine's goroutine,
-// between queries.
-func (s *LLMStore) setRecord(r *callRecord) {
-	s.mu.Lock()
-	s.record = r
-	s.mu.Unlock()
-}
-
 // Config returns the store configuration.
 func (s *LLMStore) Config() Config { return s.cfg }
 
@@ -233,9 +203,14 @@ func (s *LLMStore) Config() Config { return s.cfg }
 // strategy, priced under auto) and returns a row stream. The enumeration
 // phase runs eagerly (its errors surface here); the key-then-attr attribute
 // phase streams demand-driven, so a LIMIT upstream that stops pulling also
-// stops the prompt spend. The scan's statistics and critical-path
-// accounting are published when the stream is exhausted or closed.
-func (s *LLMStore) Scan(req exec.ScanRequest) (exec.RowIter, error) {
+// stops the prompt spend. Scan bills no query: a query's scans run through
+// its account (queryAccount.Scan).
+func (s *LLMStore) Scan(req exec.ScanRequest) (exec.RowIter, error) { return s.scan(req, nil) }
+
+// scan is Scan billing acct: every call the scan completes, and, once the
+// stream is exhausted or closed, its statistics and critical path. A nil
+// acct charges nothing.
+func (s *LLMStore) scan(req exec.ScanRequest, acct *queryAccount) (exec.RowIter, error) {
 	s.mu.Lock()
 	t, ok := s.tables[strings.ToLower(req.Table)]
 	if !ok {
@@ -243,12 +218,13 @@ func (s *LLMStore) Scan(req exec.ScanRequest) (exec.RowIter, error) {
 		return nil, fmt.Errorf("core: unknown virtual table %q", req.Table)
 	}
 	sp := s.specLocked(t, &req)
-	record := s.record
+	cost := s.costModel
 	s.mu.Unlock()
 
 	scan := &llmScan{
 		store:    s,
-		record:   record,
+		acct:     acct,
+		cost:     cost,
 		scanSpec: sp,
 		schema:   req.Schema,
 		stats:    ScanStats{Table: t.Name, Strategy: sp.strategy, Auto: sp.auto},
@@ -307,8 +283,9 @@ func (s *LLMStore) Scan(req exec.ScanRequest) (exec.RowIter, error) {
 // from the scan's own goroutine: concurrent tasks write into index-disjoint
 // slots and results are merged in deterministic order afterwards.
 type llmScan struct {
-	store  *LLMStore
-	record *callRecord // non-nil while a materialized view is built
+	store *LLMStore
+	acct  *queryAccount  // the query the scan bills; nil bills nothing
+	cost  *llm.CostModel // the store's when the scan started
 	scanSpec
 	schema rel.Schema // alias-renamed schema expected by the executor
 	// bound, when non-nil, is the canonicalized distinct join-key set a
@@ -321,53 +298,20 @@ type llmScan struct {
 
 func (sc *llmScan) cfg() Config { return sc.store.cfg }
 
-// modelCall issues one raw model call. It does no accounting — callers own
-// prompt counting and critical-path bookkeeping — and is safe to invoke from
-// pool workers (Model implementations are concurrency-safe by contract). It
-// is the one place a scan sends a call, so a view build's record is kept
-// here: every completed call, speculative prefetches included.
+// modelCall issues one raw model call and bills it to the scan's query. It
+// does no other accounting — callers own prompt counting and critical-path
+// bookkeeping — and is safe to invoke from pool workers (Model
+// implementations are concurrency-safe by contract). It is the one place a
+// scan sends a call, so every completed call is billed here, speculative
+// prefetches included.
 func (sc *llmScan) modelCall(prompt string, seed int64) (llm.CompletionResponse, error) {
 	req := sc.cfg().request(prompt, seed)
 	resp, err := sc.store.model.Complete(req)
-	if err == nil && sc.record != nil {
-		sc.record.add(req, resp)
+	if err == nil {
+		u, nano := sc.cost.Bill(&resp)
+		sc.acct.bill(req, resp, u, nano)
 	}
 	return resp, err
-}
-
-// callRecord collects the calls a materialized view's defining query
-// completed: their distinct requests become the view's manifest and the
-// live ones its live spend. Pool workers add to it concurrently.
-type callRecord struct {
-	mu         sync.Mutex
-	reqs       []llm.CompletionRequest
-	liveCalls  int
-	liveTokens int
-}
-
-// add records one completed call. A call is live when it reached the
-// provider on this engine's behalf: neither a cache hit nor a coalesced
-// copy of another caller's call (which keeps that call's provenance).
-func (r *callRecord) add(req llm.CompletionRequest, resp llm.CompletionResponse) {
-	r.mu.Lock()
-	r.reqs = append(r.reqs, req)
-	if !resp.Cached() && !resp.Coalesced {
-		r.liveCalls++
-		r.liveTokens += resp.PromptTokens + resp.CompletionTokens
-	}
-	r.mu.Unlock()
-}
-
-// manifest returns the distinct recorded requests ordered by prompt, then
-// seed, so the order does not depend on which pool worker finished first.
-func (r *callRecord) manifest() []llm.CompletionRequest {
-	r.mu.Lock()
-	out := slices.Clone(r.reqs)
-	r.mu.Unlock()
-	slices.SortFunc(out, func(a, b llm.CompletionRequest) int {
-		return cmp.Or(strings.Compare(a.Prompt, b.Prompt), cmp.Compare(a.Seed, b.Seed))
-	})
-	return slices.Compact(out)
 }
 
 // addWall extends the scan's simulated critical path by d.
@@ -463,7 +407,7 @@ func (sc *llmScan) countCall(c callAccount) {
 
 // scanIter adapts a strategy's row stream to exec.RowIter. It counts the
 // rows actually emitted and publishes the scan's statistics and simulated
-// critical path to the store exactly once — on exhaustion, error or Close,
+// critical path to its query's account exactly once — on exhaustion, error or Close,
 // whichever comes first (early Close is how an upstream LIMIT abandons the
 // stream).
 type scanIter struct {
@@ -499,14 +443,7 @@ func (it *scanIter) flush() {
 		return
 	}
 	it.flushed = true
-	sc := it.scan
-	s := sc.store
-	// Report this scan's simulated critical path: its phases are a
-	// dependency chain, so their makespans added up along the way.
-	if wa, ok := s.model.(llm.WallAdder); ok {
-		wa.AddWall(sc.wall)
-	}
-	s.mu.Lock()
-	s.stats = append(s.stats, sc.stats)
-	s.mu.Unlock()
+	// The scan's phases are a dependency chain, so its critical path is the
+	// makespans added up along the way.
+	it.scan.acct.addScan(it.scan.stats, it.scan.wall)
 }

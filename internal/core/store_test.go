@@ -68,6 +68,30 @@ func scanAll(t *testing.T, s *LLMStore) []rel.Row {
 	return rows
 }
 
+// accountedScan starts req on s through a fresh query account, whose Scans
+// hold the scan's statistics once the stream is drained or closed.
+func accountedScan(t testing.TB, s *LLMStore, req exec.ScanRequest) (exec.RowIter, *queryAccount) {
+	t.Helper()
+	a := &queryAccount{}
+	it, err := s.scan(req, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return it, a
+}
+
+// scanAllStats is scanAll through a query account: the rows, and the
+// statistics the scan published.
+func scanAllStats(t *testing.T, s *LLMStore) ([]rel.Row, []ScanStats) {
+	t.Helper()
+	it, a := accountedScan(t, s, exec.ScanRequest{Table: "country", Schema: storeTable().Schema})
+	rows, err := exec.Drain(it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows, a.Scans
+}
+
 func TestStoreRegisterAndSchema(t *testing.T) {
 	s := NewLLMStore(&scriptModel{respond: func(llm.CompletionRequest) string { return "" }}, DefaultConfig())
 	s.Register(storeTable())
@@ -94,20 +118,15 @@ func TestStoreScanParsesRows(t *testing.T) {
 	cfg.Temperature = 0 // one round
 	s := NewLLMStore(model, cfg)
 	s.Register(storeTable())
-	rows := scanAll(t, s)
+	rows, stats := scanAllStats(t, s)
 	if len(rows) != 2 {
 		t.Fatalf("rows: %v", rows)
 	}
 	if rows[0][0].AsText() != "France" || rows[1][2].AsInt() != 125 {
 		t.Fatalf("parsed: %v", rows)
 	}
-	stats := s.TakeStats()
 	if len(stats) != 1 || stats[0].RowsEmitted != 2 || stats[0].Prompts != 1 {
 		t.Fatalf("stats: %+v", stats)
-	}
-	// Stats are consumed.
-	if len(s.TakeStats()) != 0 {
-		t.Fatal("TakeStats must clear")
 	}
 }
 
@@ -130,14 +149,13 @@ func TestStoreConvergenceStopping(t *testing.T) {
 	cfg.StableRounds = 2
 	s := NewLLMStore(model, cfg)
 	s.Register(storeTable())
-	rows := scanAll(t, s)
+	rows, stats := scanAllStats(t, s)
 	if len(rows) != 2 {
 		t.Fatalf("rows: %v", rows)
 	}
 	if model.callCount() != 4 { // rounds 0,1 new; rounds 2,3 quiet -> stop
 		t.Fatalf("calls: %d", model.callCount())
 	}
-	stats := s.TakeStats()
 	if stats[0].Rounds != 4 {
 		t.Fatalf("rounds: %+v", stats[0])
 	}
@@ -151,11 +169,10 @@ func TestStoreDedupAcrossRounds(t *testing.T) {
 	cfg.Temperature = 0
 	s := NewLLMStore(model, cfg)
 	s.Register(storeTable())
-	rows := scanAll(t, s)
+	rows, stats := scanAllStats(t, s)
 	if len(rows) != 1 {
 		t.Fatalf("case/space-insensitive dedup failed: %v", rows)
 	}
-	stats := s.TakeStats()
 	if stats[0].Duplicates != 2 {
 		t.Fatalf("dup count: %+v", stats[0])
 	}
@@ -373,8 +390,7 @@ func TestStoreScanStatsAccumulate(t *testing.T) {
 	cfg.Temperature = 0
 	s := NewLLMStore(model, cfg)
 	s.Register(storeTable())
-	_ = scanAll(t, s)
-	stats := s.TakeStats()
+	_, stats := scanAllStats(t, s)
 	if stats[0].Parse.Repairs == 0 {
 		t.Fatalf("repairs not counted: %+v", stats[0].Parse)
 	}
@@ -436,11 +452,10 @@ func TestStoreConfidenceFilter(t *testing.T) {
 	cfg.MinConfidence = 0.5
 	s := NewLLMStore(model, cfg)
 	s.Register(storeTable())
-	rows := scanAll(t, s)
+	rows, stats := scanAllStats(t, s)
 	if len(rows) != 1 || rows[0][0].AsText() != "France" {
 		t.Fatalf("confidence filter: %v", rows)
 	}
-	stats := s.TakeStats()
 	if stats[0].LowConfidenceDropped != 1 {
 		t.Fatalf("drop count: %+v", stats[0])
 	}

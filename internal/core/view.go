@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -26,7 +27,7 @@ type matView struct {
 	stale  bool
 	reads  int // warm reads served since the last build/refresh
 	// manifest holds the distinct requests the last build or refresh
-	// completed (callRecord.manifest): what the next REFRESH probes.
+	// completed (viewRecord.manifest): what the next REFRESH probes.
 	manifest []llm.CompletionRequest
 	// refresh bookkeeping, surfaced in ViewInfo.
 	refreshes      int
@@ -262,14 +263,48 @@ func (e *Engine) refreshView(name string) error {
 	return nil
 }
 
-// recordedQuery runs a view's defining query with its scans recording the
-// calls they complete (LLMStore.setRecord).
-func (e *Engine) recordedQuery(query string) (*QueryResult, *callRecord, error) {
-	rec := &callRecord{}
-	e.store.setRecord(rec)
-	defer e.store.setRecord(nil)
-	res, err := e.Query(query)
+// recordedQuery runs a view's defining query with its account recording the
+// calls it completes. Only this query's calls are recorded, whatever else
+// runs on the engine meanwhile.
+func (e *Engine) recordedQuery(query string) (*QueryResult, *viewRecord, error) {
+	pq, err := e.prepare(query)
+	if err != nil {
+		return nil, nil, err
+	}
+	rec := &viewRecord{}
+	res, err := e.run(pq, nil, rec)
 	return res, rec, err
+}
+
+// viewRecord collects the calls a materialized view's defining query
+// completed: their distinct requests become the view's manifest and the
+// live ones its live spend. The query's account adds to it under the
+// account's mutex; it is read once the query has finished.
+type viewRecord struct {
+	reqs       []llm.CompletionRequest
+	liveCalls  int
+	liveTokens int
+}
+
+// add records one completed call. A call is live when it reached the
+// provider on this engine's behalf: neither a cache hit nor a coalesced
+// copy of another caller's call (which keeps that call's provenance).
+func (r *viewRecord) add(req llm.CompletionRequest, resp llm.CompletionResponse) {
+	r.reqs = append(r.reqs, req)
+	if !resp.Cached() && !resp.Coalesced {
+		r.liveCalls++
+		r.liveTokens += resp.PromptTokens + resp.CompletionTokens
+	}
+}
+
+// manifest returns the distinct recorded requests ordered by prompt, then
+// seed, so the order does not depend on which pool worker finished first.
+func (r *viewRecord) manifest() []llm.CompletionRequest {
+	out := slices.Clone(r.reqs)
+	slices.SortFunc(out, func(a, b llm.CompletionRequest) int {
+		return cmp.Or(strings.Compare(a.Prompt, b.Prompt), cmp.Compare(a.Seed, b.Seed))
+	})
+	return slices.Compact(out)
 }
 
 // dropView removes the view and its rows. The generation bump guarantees no
@@ -337,8 +372,8 @@ func (e *Engine) noteViewRead(v *matView) int {
 
 // scanView serves one scan from the view's materialized rows, synthesizing
 // the ScanStats entry that marks the substitution (Label "materialized",
-// zero prompts).
-func (e *Engine) scanView(v *matView, req exec.ScanRequest) (exec.RowIter, error) {
+// zero prompts) in the query's account.
+func (e *Engine) scanView(v *matView, req exec.ScanRequest, acct *queryAccount) (exec.RowIter, error) {
 	age := e.noteViewRead(v)
 	src := &exec.StorageSource{DB: e.viewDB}
 	it, err := src.Scan(req)
@@ -347,7 +382,7 @@ func (e *Engine) scanView(v *matView, req exec.ScanRequest) (exec.RowIter, error
 	}
 	return &viewIter{
 		inner: it,
-		store: e.store,
+		acct:  acct,
 		stats: ScanStats{Table: req.Table, Materialized: v.name, ViewAge: age},
 	}, nil
 }
@@ -357,7 +392,7 @@ func (e *Engine) scanView(v *matView, req exec.ScanRequest) (exec.RowIter, error
 // exhaustion, error or Close (mirroring scanIter).
 type viewIter struct {
 	inner   exec.RowIter
-	store   *LLMStore
+	acct    *queryAccount
 	stats   ScanStats
 	flushed bool
 }
@@ -385,7 +420,7 @@ func (it *viewIter) flush() {
 		return
 	}
 	it.flushed = true
-	it.store.noteViewScan(it.stats)
+	it.acct.addScan(it.stats, 0)
 }
 
 // hasViews reports whether any materialized view exists, so the planner's

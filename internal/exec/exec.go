@@ -14,9 +14,6 @@ type Result struct {
 	Rows   []rel.Row
 }
 
-// ColumnNames returns the result column names.
-func (r *Result) ColumnNames() []string { return r.Schema.Names() }
-
 // Execute runs the plan against the source and materializes the result.
 func Execute(node plan.Node, src Source) (*Result, error) {
 	it, err := Build(node, src)

@@ -485,48 +485,6 @@ func TestErrorPropagation(t *testing.T) {
 	}
 }
 
-func TestUnoptimizedMatchesOptimized(t *testing.T) {
-	db := testDB(t)
-	queries := []string{
-		"SELECT name FROM country WHERE population > 100 ORDER BY name",
-		"SELECT m.title, c.capital FROM movie m JOIN country c ON m.country = c.name WHERE c.continent = 'Asia' ORDER BY m.title",
-		"SELECT continent, COUNT(*) FROM country GROUP BY continent ORDER BY 2 DESC, 1",
-		"SELECT title FROM movie WHERE country IN (SELECT name FROM country WHERE population > 100) ORDER BY title",
-	}
-	for _, q := range queries {
-		sel, err := sql.ParseSelect(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cat := &StorageCatalog{DB: db}
-		opt, err := plan.Plan(sel, cat)
-		if err != nil {
-			t.Fatalf("%q: %v", q, err)
-		}
-		sel2, _ := sql.ParseSelect(q)
-		unopt, err := plan.PlanUnoptimized(sel2, cat)
-		if err != nil {
-			t.Fatalf("%q unopt: %v", q, err)
-		}
-		r1, err := Execute(opt, &StorageSource{DB: db})
-		if err != nil {
-			t.Fatalf("%q opt exec: %v", q, err)
-		}
-		r2, err := Execute(unopt, &StorageSource{DB: db})
-		if err != nil {
-			t.Fatalf("%q unopt exec: %v", q, err)
-		}
-		if len(r1.Rows) != len(r2.Rows) {
-			t.Fatalf("%q: optimized %d rows vs unoptimized %d", q, len(r1.Rows), len(r2.Rows))
-		}
-		for i := range r1.Rows {
-			if r1.Rows[i].AllKey() != r2.Rows[i].AllKey() {
-				t.Fatalf("%q row %d: %v vs %v", q, i, r1.Rows[i], r2.Rows[i])
-			}
-		}
-	}
-}
-
 func TestConcatProjection(t *testing.T) {
 	db := testDB(t)
 	res := run(t, db, "SELECT name || ' -> ' || capital FROM country WHERE name = 'Japan'")
@@ -640,7 +598,7 @@ func TestBoundedSortSurfacesProjectionErrors(t *testing.T) {
 		Exprs: []sql.Expr{&sql.ColumnRef{Name: "a"}, &sql.BinaryExpr{Op: sql.OpAdd, Left: &sql.ColumnRef{Name: "b"}, Right: &sql.Literal{Value: rel.Int(1)}}},
 		Out:   rel.NewSchema(rel.Column{Name: "a", Type: rel.TypeInt}, rel.Column{Name: "b1", Type: rel.TypeInt}),
 	}
-	node := plan.Optimize(&plan.LimitNode{Child: &plan.SortNode{Child: proj, Keys: []plan.SortKey{{Col: 0}}}, Limit: 1})
+	node := plan.OptimizeOpts(&plan.LimitNode{Child: &plan.SortNode{Child: proj, Keys: []plan.SortKey{{Col: 0}}}, Limit: 1}, plan.DefaultOptions())
 	if _, err := Execute(node, nil); err == nil || !strings.Contains(err.Error(), "row too short") {
 		t.Fatalf("err = %v, want the second row's evaluation error\n%s", err, plan.Explain(node))
 	}

@@ -226,7 +226,7 @@ func checkSortLimit(t *testing.T, rows []rel.Row, keys []plan.SortKey, limit, of
 		}
 		seq = 1
 	}
-	node := plan.Optimize(&plan.LimitNode{Child: &plan.SortNode{Child: input, Keys: sortKeys}, Limit: limit, Offset: offset})
+	node := plan.OptimizeOpts(&plan.LimitNode{Child: &plan.SortNode{Child: input, Keys: sortKeys}, Limit: limit, Offset: offset}, plan.DefaultOptions())
 	if limit > 0 {
 		var top int64
 		for n := node; top == 0 && len(n.Children()) > 0; n = n.Children()[0] {
@@ -357,7 +357,7 @@ func BenchmarkSortStable(b *testing.B) {
 // bounded to 10 rows and keeps a 10-entry heap instead of sorting 1,000.
 func BenchmarkSortLimit(b *testing.B) {
 	rows, schema, keys := sortBenchRows()
-	node := plan.Optimize(&plan.LimitNode{Child: &plan.SortNode{Child: &plan.ValuesNode{Rows: rows, Out: schema}, Keys: keys}, Limit: 10})
+	node := plan.OptimizeOpts(&plan.LimitNode{Child: &plan.SortNode{Child: &plan.ValuesNode{Rows: rows, Out: schema}, Keys: keys}, Limit: 10}, plan.DefaultOptions())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

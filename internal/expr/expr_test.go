@@ -8,6 +8,10 @@ import (
 	"llmsql/internal/sql"
 )
 
+// identical reports whether two values are indistinguishable: equal, or
+// both NULL.
+func identical(a, b rel.Value) bool { return a.IsNull() && b.IsNull() || rel.Equal(a, b) }
+
 var testSchema = rel.NewSchema(
 	rel.Column{Name: "a", Type: rel.TypeInt, Table: "t"},
 	rel.Column{Name: "b", Type: rel.TypeFloat, Table: "t"},
@@ -56,7 +60,7 @@ func TestArithmetic(t *testing.T) {
 			}
 			continue
 		}
-		if !got.IdenticalTo(want) {
+		if !identical(got, want) {
 			t.Errorf("%q = %v, want %v", src, got, want)
 		}
 	}
@@ -97,7 +101,7 @@ func TestComparisons(t *testing.T) {
 			}
 			continue
 		}
-		if !got.IdenticalTo(want) {
+		if !identical(got, want) {
 			t.Errorf("%q = %v, want %v", src, got, want)
 		}
 	}
@@ -240,7 +244,7 @@ func TestScalarFunctions(t *testing.T) {
 			}
 			continue
 		}
-		if !got.IdenticalTo(want) {
+		if !identical(got, want) {
 			t.Errorf("%q = %v, want %v", src, got, want)
 		}
 	}

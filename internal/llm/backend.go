@@ -14,9 +14,11 @@ import (
 // engine-facing top. The full stack, outermost first, one layer type per
 // line with the Config field that adds it; "(group)" layers exist only under
 // core.NewEngineGroup. core's one builder assembles it and core's
-// TestStackOrder reads this list, so it cannot drift from the code:
+// TestStackOrder reads this list, so it cannot drift from the code. No layer
+// bills an engine's queries: above the stack, each query bills the calls its
+// scans complete into its own account, under the same rule (CostModel.Bill)
+// as the group's live CountingModel.
 //
-//	CountingModel          billed usage accounting, one per engine
 //	CacheModel             in-memory bounded LRU, one per engine (Config.CacheCapacity)
 //	---- the fork: core.Open puts one engine above this line, a group one per Session ----
 //	Coalescer              cross-session single-flight + memo (group)

@@ -14,8 +14,8 @@ const DefaultCacheCapacity = 4096
 // CacheModel memoises completions keyed by (prompt, max tokens, temperature,
 // seed) with a bounded LRU eviction policy. It models a prompt cache in
 // front of the API: repeated identical requests cost nothing extra. Cached
-// responses come back from Memory, so CountingModel charges them zero
-// latency and dollars.
+// responses come back from Memory, so billing (CostModel.Bill) charges
+// them zero latency and dollars.
 type CacheModel struct {
 	Inner Model
 

@@ -31,7 +31,7 @@ const maxRecordBytes = 1 << 20
 // DiskCache is a persistent content-addressed prompt cache that layers in
 // front of any Backend: completions are keyed by Fingerprint (model id +
 // prompt + decode parameters, versioned) and survive across queries,
-// sessions and processes. Hits come back from Disk, so CountingModel
+// sessions and processes. Hits come back from Disk, so billing (CostModel.Bill)
 // charges them zero latency and dollars and scans can attribute them
 // separately from in-memory hits.
 //

@@ -35,7 +35,7 @@ type CompletionResponse struct {
 	Provenance
 	Recovery
 	// SimLatency is the simulated wall-clock time of this one call under the
-	// accounting CostModel (zero for cached responses; set by CountingModel).
+	// accounting CostModel (zero for cached responses; stamped by CostModel.Bill).
 	// Schedulers use it to compute critical-path latency of concurrent scans.
 	// It includes FaultLatency.
 	SimLatency time.Duration
@@ -83,11 +83,11 @@ func (p Provenance) Cached() bool { return p.From != Live }
 type Recovery struct {
 	// FaultLatency is extra virtual time: failed attempts, backoff waits
 	// and the losing half of a hedge race (Retrier), plus injected latency
-	// spikes (Chaos). CountingModel folds it into SimLatency.
+	// spikes (Chaos). CostModel.Bill folds it into SimLatency.
 	FaultLatency time.Duration
 	// WastedPromptTokens / WastedCompletionTokens are tokens of attempts
 	// whose answer was discarded (the losing half of a hedge race).
-	// CountingModel bills their dollars apart from the useful tokens.
+	// CostModel.Bill prices them apart from the useful tokens.
 	WastedPromptTokens     int
 	WastedCompletionTokens int
 }
@@ -153,7 +153,8 @@ type Usage struct {
 	// SimWall is the simulated critical-path (wall-clock) latency: the time
 	// the work actually takes when independent calls overlap under a bounded
 	// worker pool. Serial pipelines have SimWall == SimLatency; concurrent
-	// ones have SimWall < SimLatency. Scans report it via WallAdder.
+	// ones have SimWall < SimLatency. Each scan adds its own makespan to its
+	// query's account.
 	SimWall time.Duration
 	// SimDollars is the total simulated spend (wasted tokens included).
 	SimDollars float64
@@ -213,13 +214,6 @@ func (u Usage) Sub(o Usage) Usage {
 	}
 }
 
-// WallAdder is implemented by model wrappers that track critical-path
-// latency. Scan pipelines call AddWall once per dependency chain with the
-// simulated makespan of that chain.
-type WallAdder interface {
-	AddWall(d time.Duration)
-}
-
 // Unwrapper exposes the next model in a wrapper chain (CountingModel,
 // CacheModel), so callers can locate a wrapper regardless of stacking order.
 type Unwrapper interface {
@@ -245,16 +239,50 @@ func findLayer[T Model](m Model) (none T) {
 // FindCache walks a wrapper chain and returns the first CacheModel, or nil.
 func FindCache(m Model) *CacheModel { return findLayer[*CacheModel](m) }
 
-// CountingModel wraps a Model, accumulating Usage under a CostModel.
+// Bill prices one completed call under c, the one billing rule every
+// counter applies: it stamps resp.SimLatency and returns the call as Usage
+// plus its price in whole nano-dollars, rounded per call (integer sums
+// commute where float64 sums do not, so calls completing in any order total
+// to the same bits). A cached response counts as a call that cost no
+// tokens, latency or dollars. FaultLatency charged by the Retrier/Chaos
+// layers below is folded into SimLatency, and wasted tokens (losing hedge
+// attempts) are billed into the price, so a faulty run prices its recovery
+// honestly.
+func (c CostModel) Bill(resp *CompletionResponse) (u Usage, nanoUSD int64) {
+	u.Calls = 1
+	if resp.Cached() {
+		resp.SimLatency = 0
+		u.CachedCalls = 1
+		return u, 0
+	}
+	resp.SimLatency = c.Latency(resp.PromptTokens, resp.CompletionTokens) + resp.FaultLatency
+	u.SimLatency = resp.SimLatency
+	u.PromptTokens, u.CompletionTokens = resp.PromptTokens, resp.CompletionTokens
+	if resp.Attempts > 1 {
+		u.Retries = int(resp.Attempts) - 1
+	}
+	if resp.HedgeLaunched {
+		u.HedgesLaunched = 1
+	}
+	if resp.HedgeWon {
+		u.HedgesWon = 1
+	}
+	u.WastedPromptTokens, u.WastedCompletionTokens = resp.WastedPromptTokens, resp.WastedCompletionTokens
+	usd := c.Dollars(resp.PromptTokens, resp.CompletionTokens) +
+		c.Dollars(resp.WastedPromptTokens, resp.WastedCompletionTokens)
+	return u, int64(math.Round(usd * 1e9))
+}
+
+// CountingModel wraps a Model, accumulating the Usage of the calls that
+// cross it under a CostModel. An EngineGroup keeps one below its Retrier
+// for the live, operator-side bill; engines bill per query (core's
+// queryAccount) with the same rule, CostModel.Bill.
 type CountingModel struct {
 	Inner Model
 	Cost  CostModel
 
-	mu    sync.Mutex
-	usage Usage // SimDollars is kept in nanoUSD and filled in by Usage()
-	// nanoUSD is the bill in whole nano-dollars, each call rounded on its
-	// own. Integer addition commutes where float64 addition does not, so
-	// concurrent calls completing in any order total to the same bits.
+	mu      sync.Mutex
+	usage   Usage // SimDollars is kept in nanoUSD and filled in by Usage()
 	nanoUSD int64
 }
 
@@ -269,58 +297,19 @@ func (c *CountingModel) Name() string { return c.Inner.Name() }
 // Unwrap implements Unwrapper.
 func (c *CountingModel) Unwrap() Model { return c.Inner }
 
-// Complete implements Model. Cached responses (see CacheModel) are counted
-// as calls but cost no tokens, latency or dollars; every response leaves
-// with SimLatency stamped so schedulers can reason about it. FaultLatency
-// charged by the Retrier/Chaos layers below is folded into SimLatency, and
-// wasted tokens (losing hedge attempts) are billed into SimDollars — so a
-// faulty run prices its recovery honestly.
+// Complete implements Model: every response leaves billed (Bill) with
+// SimLatency stamped, so schedulers can reason about it.
 func (c *CountingModel) Complete(req CompletionRequest) (CompletionResponse, error) {
 	resp, err := c.Inner.Complete(req)
 	if err != nil {
 		return resp, err
 	}
-	var lat time.Duration
-	var usd float64
-	if !resp.Cached() {
-		lat = c.Cost.Latency(resp.PromptTokens, resp.CompletionTokens) + resp.FaultLatency
-		usd = c.Cost.Dollars(resp.PromptTokens, resp.CompletionTokens) +
-			c.Cost.Dollars(resp.WastedPromptTokens, resp.WastedCompletionTokens)
-	}
-	resp.SimLatency = lat
-	nano := int64(math.Round(usd * 1e9))
+	u, nano := c.Cost.Bill(&resp)
 	c.mu.Lock()
-	c.usage.Calls++
-	if resp.Cached() {
-		c.usage.CachedCalls++
-	} else {
-		c.usage.PromptTokens += resp.PromptTokens
-		c.usage.CompletionTokens += resp.CompletionTokens
-		if resp.Attempts > 1 {
-			c.usage.Retries += int(resp.Attempts) - 1
-		}
-		if resp.HedgeLaunched {
-			c.usage.HedgesLaunched++
-		}
-		if resp.HedgeWon {
-			c.usage.HedgesWon++
-		}
-		c.usage.WastedPromptTokens += resp.WastedPromptTokens
-		c.usage.WastedCompletionTokens += resp.WastedCompletionTokens
-	}
-	c.usage.SimLatency += lat
+	c.usage.Add(u)
 	c.nanoUSD += nano
 	c.mu.Unlock()
 	return resp, nil
-}
-
-// AddWall implements WallAdder: it extends the critical-path latency by d.
-// Sequential dependency chains (scans of one query, queries of one session)
-// add their makespans.
-func (c *CountingModel) AddWall(d time.Duration) {
-	c.mu.Lock()
-	c.usage.SimWall += d
-	c.mu.Unlock()
 }
 
 // Usage returns a snapshot of the accumulated usage.
@@ -330,11 +319,4 @@ func (c *CountingModel) Usage() Usage {
 	u := c.usage
 	u.SimDollars = float64(c.nanoUSD) / 1e9
 	return u
-}
-
-// Reset zeroes the accumulated usage.
-func (c *CountingModel) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.usage, c.nanoUSD = Usage{}, 0
 }

@@ -67,9 +67,10 @@ func TestCountingModel(t *testing.T) {
 	if u.SimLatency <= 0 || u.SimDollars <= 0 {
 		t.Fatalf("cost accounting: %+v", u)
 	}
-	cm.Reset()
-	if cm.Usage().Calls != 0 {
-		t.Fatal("reset failed")
+	// A cached call counts, and costs nothing.
+	cached := CompletionResponse{PromptTokens: 9, SimLatency: time.Second, Provenance: Provenance{From: Memory}}
+	if u, nano := DefaultCostModel().Bill(&cached); u != (Usage{Calls: 1, CachedCalls: 1}) || nano != 0 || cached.SimLatency != 0 {
+		t.Fatalf("a cached call bills %+v and %d nano-dollars, SimLatency %v", u, nano, cached.SimLatency)
 	}
 }
 

@@ -69,7 +69,7 @@ type RetrierStats struct {
 // capped exponential backoff, deterministic jitter and optional hedged
 // requests. All waiting is virtual: backoff and failed-attempt round trips
 // are charged into the successful response's FaultLatency (or a
-// RetryError's, when the budget is spent), which CountingModel folds into
+// RetryError's, when the budget is spent), which CostModel.Bill folds into
 // SimLatency and scans feed through llm.Sched — so SimWall prices retries
 // honestly and EXPLAIN ANALYZE shows them, with no real sleep anywhere (the
 // walltime analyzer enforces that). A call's outcome is a function of its

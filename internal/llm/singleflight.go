@@ -18,8 +18,8 @@ const DefaultCoalescerMemo = 4096
 // touching the inner backend.
 //
 // Accounting contract: follower copies keep the leader's Provenance and
-// token counts, and only additionally set Coalesced. A
-// CountingModel above the Coalescer therefore bills a coalesced caller
+// token counts, and only additionally set Coalesced. Billing above the
+// Coalescer (CostModel.Bill) therefore charges a coalesced caller
 // exactly as if it had made the call itself, which is what keeps per-session
 // Usage bit-identical to a solo run; the operator-side saving (calls that
 // never reached the inner backend) is visible only in CoalescerStats.

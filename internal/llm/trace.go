@@ -15,7 +15,7 @@ import (
 // Recording wraps the base backend and captures every completion that
 // actually reaches it; replaying substitutes the base backend entirely,
 // answering from the trace and failing loudly on a miss. Replayed responses
-// carry the recorded token counts, so CountingModel derives identical
+// carry the recorded token counts, so CostModel.Bill derives identical
 // SimLatency per call and the virtual-time scheduler reproduces Usage —
 // calls, tokens, SimWall, dollars — byte-identically on any machine.
 type Trace struct {

@@ -34,17 +34,6 @@ type Efficiency struct {
 	CacheMisses int
 }
 
-// Speedup is total over wall latency: how much concurrency compressed the
-// serial cost (1 when unknown). Cached calls contribute zero to both
-// latencies, so the ratio measures concurrency overlap only — cache
-// effectiveness is CacheHitRate.
-func (e Efficiency) Speedup() float64 {
-	if e.WallLatency <= 0 || e.TotalLatency <= 0 {
-		return 1
-	}
-	return float64(e.TotalLatency) / float64(e.WallLatency)
-}
-
 // CacheHitRate is hits over cache lookups (0 before any lookup).
 func (e Efficiency) CacheHitRate() float64 {
 	if e.CacheHits+e.CacheMisses == 0 {
@@ -98,14 +87,6 @@ func (m SetMetrics) F1() float64 {
 	return 2 * p * r / (p + r)
 }
 
-// ExactPrecision counts fully correct rows over all result rows.
-func (m SetMetrics) ExactPrecision() float64 {
-	if m.ResultRows == 0 {
-		return 0
-	}
-	return float64(m.ExactMatched) / float64(m.ResultRows)
-}
-
 // AttrAccuracy is the fraction of compared attribute cells that are
 // correct.
 func (m SetMetrics) AttrAccuracy() float64 {
@@ -121,14 +102,6 @@ func (m SetMetrics) HallucinationRate() float64 {
 		return 0
 	}
 	return float64(m.Hallucinated) / float64(m.ResultRows)
-}
-
-// CardinalityError is |result - truth| / truth.
-func (m SetMetrics) CardinalityError() float64 {
-	if m.TruthRows == 0 {
-		return 0
-	}
-	return math.Abs(float64(m.ResultRows)-float64(m.TruthRows)) / float64(m.TruthRows)
 }
 
 // Options tunes row comparison.

@@ -199,3 +199,30 @@ func TestEfficiency(t *testing.T) {
 		t.Fatalf("zero-value efficiency: %v %v", zero.Speedup(), zero.CacheHitRate())
 	}
 }
+
+// ExactPrecision counts fully correct rows over all result rows.
+func (m SetMetrics) ExactPrecision() float64 {
+	if m.ResultRows == 0 {
+		return 0
+	}
+	return float64(m.ExactMatched) / float64(m.ResultRows)
+}
+
+// CardinalityError is |result - truth| / truth.
+func (m SetMetrics) CardinalityError() float64 {
+	if m.TruthRows == 0 {
+		return 0
+	}
+	return math.Abs(float64(m.ResultRows)-float64(m.TruthRows)) / float64(m.TruthRows)
+}
+
+// Speedup is total over wall latency: how much concurrency compressed the
+// serial cost (1 when unknown). Cached calls contribute zero to both
+// latencies, so the ratio measures concurrency overlap only — cache
+// effectiveness is CacheHitRate.
+func (e Efficiency) Speedup() float64 {
+	if e.WallLatency <= 0 || e.TotalLatency <= 0 {
+		return 1
+	}
+	return float64(e.TotalLatency) / float64(e.WallLatency)
+}

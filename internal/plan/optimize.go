@@ -25,13 +25,10 @@ type Options struct {
 // DefaultOptions enables every rule.
 func DefaultOptions() Options { return Options{LimitPushdown: true, BindJoin: true} }
 
-// Optimize applies the rule pipeline: constant folding in filters, predicate
-// pushdown (into join sides and scans, turning cross joins with equality
-// predicates into hash joins), join-key extraction, projection pruning,
-// sorting below pass-through projections, and limit pushdown.
-func Optimize(n Node) Node { return OptimizeOpts(n, DefaultOptions()) }
-
-// OptimizeOpts is Optimize with explicit rule options.
+// OptimizeOpts applies the rule pipeline under opts: constant folding in
+// filters, predicate pushdown (into join sides and scans, turning cross joins
+// with equality predicates into hash joins), join-key extraction, projection
+// pruning, sorting below pass-through projections, and limit pushdown.
 func OptimizeOpts(n Node, opts Options) Node {
 	n = foldFilters(n)
 	n = pushdown(n)

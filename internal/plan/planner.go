@@ -37,13 +37,6 @@ func PlanOpts(sel *sql.SelectStmt, cat Catalog, opts Options) (Node, error) {
 	return node, nil
 }
 
-// PlanUnoptimized builds the plan without running optimizer rules (used by
-// tests and the optimizer ablation bench).
-func PlanUnoptimized(sel *sql.SelectStmt, cat Catalog) (Node, error) {
-	p := &planner{cat: cat}
-	return p.planSelect(sel)
-}
-
 type planner struct {
 	cat Catalog
 }

@@ -281,22 +281,9 @@ func toFloat(v Value) (float64, bool) {
 }
 
 // Equal reports whether two values are equal under SQL semantics, treating
-// NULL = NULL as false (use IdenticalTo for grouping semantics).
+// NULL = NULL as false (GROUP BY and DISTINCT compare Row keys instead).
 func Equal(a, b Value) bool {
 	c, t := Compare(a, b)
-	return t == True && c == 0
-}
-
-// IdenticalTo reports whether two values are indistinguishable, with
-// NULL identical to NULL — the semantics used by GROUP BY and DISTINCT.
-func (v Value) IdenticalTo(o Value) bool {
-	if v.IsNull() && o.IsNull() {
-		return true
-	}
-	if v.IsNull() != o.IsNull() {
-		return false
-	}
-	c, t := Compare(v, o)
 	return t == True && c == 0
 }
 

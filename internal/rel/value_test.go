@@ -287,3 +287,16 @@ func TestFloatSpecialValues(t *testing.T) {
 	nan := Float(math.NaN())
 	_, _ = Compare(nan, Float(1))
 }
+
+// IdenticalTo reports whether two values are indistinguishable, with
+// NULL identical to NULL — the semantics used by GROUP BY and DISTINCT.
+func (v Value) IdenticalTo(o Value) bool {
+	if v.IsNull() && o.IsNull() {
+		return true
+	}
+	if v.IsNull() != o.IsNull() {
+		return false
+	}
+	c, t := Compare(v, o)
+	return t == True && c == 0
+}

@@ -93,19 +93,6 @@ func HasParams(e Expr) bool {
 	return found
 }
 
-// StmtHasParams reports whether any expression in s contains a parameter.
-func StmtHasParams(s Statement) bool {
-	found := false
-	WalkStmtExprs(s, func(e Expr) bool {
-		if _, ok := e.(*Param); ok {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
 // ValidateBindings checks that the supplied bindings match the statement's
 // parameters exactly: every placeholder is bound, and no argument is unused.
 // positional is the number of positional arguments supplied (ignored when

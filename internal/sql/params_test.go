@@ -224,3 +224,16 @@ func TestNormalize(t *testing.T) {
 		t.Error("lex error not surfaced")
 	}
 }
+
+// StmtHasParams reports whether any expression in s contains a parameter.
+func StmtHasParams(s Statement) bool {
+	found := false
+	WalkStmtExprs(s, func(e Expr) bool {
+		if _, ok := e.(*Param); ok {
+			found = true
+			return false
+		}
+		return true
+	})
+	return found
+}

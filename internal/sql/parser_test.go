@@ -275,7 +275,7 @@ func TestParseLiterals(t *testing.T) {
 		if !ok {
 			t.Fatalf("%q: not literal: %#v", src, e)
 		}
-		if !lit.Value.IdenticalTo(want) && !(lit.Value.IsNull() && want.IsNull()) {
+		if !rel.Equal(lit.Value, want) && !(lit.Value.IsNull() && want.IsNull()) {
 			t.Errorf("%q = %v, want %v", src, lit.Value, want)
 		}
 	}

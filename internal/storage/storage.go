@@ -6,7 +6,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -63,18 +62,6 @@ func (db *DB) HasTable(name string) bool {
 	defer db.mu.RUnlock()
 	_, ok := db.tables[strings.ToLower(name)]
 	return ok
-}
-
-// TableNames returns the sorted list of table names.
-func (db *DB) TableNames() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Table is a heap of rows.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -174,7 +175,7 @@ func TestCSVRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("row %d column %d: %v", i, c, err)
 			}
-			if !v.IdenticalTo(row[c]) {
+			if !rel.Equal(v, row[c]) && !(v.IsNull() && row[c].IsNull()) {
 				t.Fatalf("row %d column %d: %q reads back as %v, stored %v", i, c, field, v, row[c])
 			}
 		}
@@ -261,4 +262,16 @@ func TestConcurrentInsertScan(t *testing.T) {
 	if tbl.RowCount() != 400 {
 		t.Fatalf("final count: %d", tbl.RowCount())
 	}
+}
+
+// TableNames returns the sorted list of table names.
+func (db *DB) TableNames() []string {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	names := make([]string, 0, len(db.tables))
+	for n := range db.tables {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"llmsql/internal/rel"
@@ -407,26 +406,5 @@ func (d *Domain) TopKeys(k int) []string {
 	for i := 0; i < k; i++ {
 		out[i] = d.Entities[i].Key
 	}
-	return out
-}
-
-// DistinctValues returns the sorted distinct non-null values of a column.
-func (d *Domain) DistinctValues(column string) []string {
-	idx := d.Schema.IndexOf(column)
-	if idx < 0 {
-		return nil
-	}
-	seen := map[string]bool{}
-	for _, e := range d.Entities {
-		v := e.Row[idx]
-		if !v.IsNull() {
-			seen[v.AsText()] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Strings(out)
 	return out
 }

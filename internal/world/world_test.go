@@ -1,6 +1,7 @@
 package world
 
 import (
+	"sort"
 	"testing"
 
 	"llmsql/internal/rel"
@@ -243,4 +244,25 @@ func TestSchemasHaveDescriptions(t *testing.T) {
 		}
 	}
 	_ = rel.TypeInt // keep the import for clarity of intent
+}
+
+// DistinctValues returns the sorted distinct non-null values of a column.
+func (d *Domain) DistinctValues(column string) []string {
+	idx := d.Schema.IndexOf(column)
+	if idx < 0 {
+		return nil
+	}
+	seen := map[string]bool{}
+	for _, e := range d.Entities {
+		v := e.Row[idx]
+		if !v.IsNull() {
+			seen[v.AsText()] = true
+		}
+	}
+	out := make([]string, 0, len(seen))
+	for v := range seen {
+		out = append(out, v)
+	}
+	sort.Strings(out)
+	return out
 }
