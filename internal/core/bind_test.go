@@ -232,7 +232,7 @@ func TestBindIgnoredOutsideKeyThenAttr(t *testing.T) {
 	scan := func(keys []string) []rel.Row {
 		it, a := accountedScan(t, e.store, exec.ScanRequest{
 			Table:  "country",
-			Schema: e.store.tables["country"].Schema,
+			Schema: e.store.tables.get("country").Schema,
 			Keys:   keys,
 		})
 		rows, err := exec.Drain(it)

@@ -214,12 +214,12 @@ func (s *LLMStore) scanCostModel(sp *scanSpec) plan.ScanCostModel {
 // is what EXPLAIN shows, what the join planner prices bind joins from and
 // what Scan runs.
 func (s *LLMStore) ScanDecision(table string, needed []bool, filter sql.Expr, limit int64) (plan.ScanDecision, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.tables[strings.ToLower(table)]
-	if !ok {
+	t := s.tables.get(table)
+	if t == nil {
 		return plan.ScanDecision{}, false
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	sp := s.shapeLocked(t, needed, filter, limit)
 	return s.decideLocked(&sp), true
 }
@@ -227,12 +227,12 @@ func (s *LLMStore) ScanDecision(table string, needed []bool, filter sql.Expr, li
 // EstimateRows implements plan.Cardinalities with the same estimate the
 // scan planner prices from (registration metadata refined by prior scans).
 func (s *LLMStore) EstimateRows(table string) (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.tables[strings.ToLower(table)]
-	if !ok {
+	t := s.tables.get(table)
+	if t == nil {
 		return 0, false
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.cardinalityEstimate(t), true
 }
 

@@ -21,19 +21,18 @@ import (
 // out. Virtual (LLM-backed) tables and local row-store tables can be mixed
 // freely in one query (hybrid execution).
 type Engine struct {
-	// backend is the stack below this engine's own layers: the engine's own
-	// under Open, the group's (shared with every other session) under
-	// EngineGroup.Session. See stack.go.
+	// backend is the stack below this engine's own layers and the catalog
+	// of virtual and local tables: the engine's own under Open, the group's
+	// (shared with every other session) under EngineGroup.Session. See
+	// stack.go.
 	backend *backend
 	store   *LLMStore
 	cache   *llm.CacheModel // optional, per Config.CacheCapacity
-	local   *storage.DB     // optional
 	plans   *planCache      // optional, per Config.PlanCacheCapacity
-	// gen is the catalog generation: bumped whenever a change could make a
-	// cached plan wrong (table registered, local store attached or written,
-	// cost model replaced, materialized view created/refreshed/dropped or
-	// gone stale). Cached plans carry the generation they were planned at
-	// and are discarded on mismatch.
+	// gen is the engine's own generation: bumped whenever a change to what
+	// only this engine plans with could make a cached plan wrong (cost model
+	// replaced, materialized view created/refreshed/dropped or gone stale).
+	// The backend's generation covers the shared catalog; see generation.
 	gen atomic.Uint64
 
 	// viewMu guards the materialized-view registry and counters below.
@@ -104,17 +103,22 @@ func (e *Engine) CostModel(c llm.CostModel) {
 	e.invalidatePlans()
 }
 
-// generation returns the current catalog generation.
-func (e *Engine) generation() uint64 { return e.gen.Load() }
+// catalogGen is what a plan was planned against: the engine's own
+// generation and its backend's.
+type catalogGen struct{ engine, backend uint64 }
 
-// invalidatePlans bumps the catalog generation and empties the plan cache.
-// Outstanding Stmt handles notice the bump and re-prepare on next use.
-func (e *Engine) invalidatePlans() {
-	e.gen.Add(1)
-	if e.plans != nil {
-		e.plans.purge()
-	}
+// generation returns the current generations. A plan is valid only while
+// both are unchanged: the plan cache drops a plan stamped otherwise when it
+// is looked up, and Stmt handles re-prepare on next use. A change bumps its
+// generation after it is made, so a plan stamped with the new generation
+// saw the change.
+func (e *Engine) generation() catalogGen {
+	return catalogGen{e.gen.Load(), e.backend.gen.Load()}
 }
+
+// invalidatePlans bumps the engine's own generation, invalidating every plan
+// it planned before.
+func (e *Engine) invalidatePlans() { e.gen.Add(1) }
 
 // PlanCacheStats reports the prepared-plan cache's counters (the zero value
 // when the cache is disabled via Config.PlanCacheCapacity < 0).
@@ -151,11 +155,9 @@ func (e *Engine) ChaosStats() llm.ChaosStats { return e.backend.chaosStats() }
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.store.Config() }
 
-// RegisterTable declares a virtual LLM-backed table.
-func (e *Engine) RegisterTable(t VirtualTable) {
-	e.store.Register(t)
-	e.invalidatePlans()
-}
+// RegisterTable declares a virtual LLM-backed table. On a session engine it
+// declares the table for the whole group, like EngineGroup.RegisterTable.
+func (e *Engine) RegisterTable(t VirtualTable) { e.backend.register(t) }
 
 // RegisterWorldDomain declares a virtual table mirroring a synthetic-world
 // domain (see worldTable); the usual setup for experiments.
@@ -172,12 +174,11 @@ func worldTable(d *world.Domain) VirtualTable {
 	}
 }
 
-// AttachLocal registers a row-store database whose tables can be joined
-// with virtual tables. Virtual tables shadow local ones of the same name.
-func (e *Engine) AttachLocal(db *storage.DB) {
-	e.local = db
-	e.invalidatePlans()
-}
+// AttachLocal replaces the local row store, whose tables can be joined with
+// virtual tables; virtual tables shadow local ones of the same name. An
+// engine starts with an empty one. On a session engine it replaces the
+// store of the whole group, like EngineGroup.AttachLocal.
+func (e *Engine) AttachLocal(db *storage.DB) { e.backend.attachLocal(db) }
 
 // QueryResult bundles the rows with the execution report.
 type QueryResult struct {
@@ -207,10 +208,11 @@ func (e *Engine) Query(query string, args ...any) (*QueryResult, error) {
 }
 
 // Exec runs a DDL/DML statement: CREATE TABLE and INSERT against the local
-// row store (created automatically on first use), and the materialized-view
-// lifecycle — CREATE MATERIALIZED VIEW ... AS SELECT, REFRESH MATERIALIZED
-// VIEW, DROP MATERIALIZED VIEW. Virtual tables cannot be created or written
-// this way — the model is read-only storage.
+// row store (on a session engine the group's, so every session sees the
+// write), and the materialized-view lifecycle — CREATE MATERIALIZED VIEW
+// ... AS SELECT, REFRESH MATERIALIZED VIEW, DROP MATERIALIZED VIEW. Virtual
+// tables cannot be created or written this way — the model is read-only
+// storage.
 func (e *Engine) Exec(statement string) error {
 	stmt, err := sql.Parse(statement)
 	if err != nil {
@@ -221,36 +223,28 @@ func (e *Engine) Exec(statement string) error {
 		if e.store.Has(st.Name) {
 			return fmt.Errorf("core: %q is a virtual table; local CREATE would be shadowed", st.Name)
 		}
-		if e.local == nil {
-			e.local = storage.NewDB()
-		}
 		cols := make([]rel.Column, len(st.Columns))
 		for i, c := range st.Columns {
 			cols[i] = rel.Column{Name: c.Name, Type: c.Type, Key: c.PrimaryKey}
 		}
-		if _, err := e.local.CreateTable(st.Name, rel.NewSchema(cols...)); err != nil {
+		if _, err := e.backend.local.Load().CreateTable(st.Name, rel.NewSchema(cols...)); err != nil {
 			return err
 		}
-		e.invalidatePlans()
+		e.backend.gen.Add(1)
 		return nil
 
 	case *sql.InsertStmt:
 		if e.store.Has(st.Table) {
 			return fmt.Errorf("core: cannot INSERT into virtual table %q (the model is read-only)", st.Table)
 		}
-		if e.local == nil {
-			return fmt.Errorf("core: unknown table %q", st.Table)
-		}
-		tbl, err := e.local.Table(st.Table)
+		tbl, err := e.backend.local.Load().Table(st.Table)
 		if err != nil {
 			return err
 		}
 		if err := insertRows(tbl, st); err != nil {
 			return err
 		}
-		// Inserted rows can change local-table statistics a cached plan's
-		// join ordering relied on.
-		e.invalidatePlans()
+		e.backend.gen.Add(1)
 		return nil
 
 	case *sql.CreateViewStmt:
@@ -352,18 +346,14 @@ func (e *Engine) planOptions() plan.Options {
 // catalog resolves virtual tables first, then materialized views, then
 // local ones. Stale views never reach the catalog by name — planQuery
 // expands them into their defining queries first — so a view table here is
-// always servable. views is hasViews' answer: the view store is only read
-// once a view registered under viewMu shows it was made, so a CREATE running
-// meanwhile cannot race the read.
+// always servable. views is hasViews' answer: an engine without views plans
+// without consulting the view store.
 func (e *Engine) catalog(views bool) plan.Catalog {
-	cats := plan.MultiCatalog{e.store}
+	local := &exec.StorageCatalog{DB: e.backend.local.Load()}
 	if views {
-		cats = append(cats, &exec.StorageCatalog{DB: e.viewDB})
+		return plan.MultiCatalog{e.store, &exec.StorageCatalog{DB: e.viewDB}, local}
 	}
-	if e.local != nil {
-		cats = append(cats, &exec.StorageCatalog{DB: e.local})
-	}
-	return cats
+	return plan.MultiCatalog{e.store, local}
 }
 
 // queryAccount is one query's bill, and the exec.Source its plan scans
@@ -393,8 +383,8 @@ func (a *queryAccount) Scan(req exec.ScanRequest) (exec.RowIter, error) {
 	if v := e.freshView(req.Table); v != nil {
 		return e.scanView(v, req, a)
 	}
-	if e.local != nil && e.local.HasTable(req.Table) {
-		src := &exec.StorageSource{DB: e.local}
+	if local := e.backend.local.Load(); local.HasTable(req.Table) {
+		src := &exec.StorageSource{DB: local}
 		return src.Scan(req)
 	}
 	return nil, fmt.Errorf("core: no source for table %q", req.Table)

@@ -417,6 +417,35 @@ func TestEngineExecLocalDDL(t *testing.T) {
 	}
 }
 
+// TestCreateTableBesideQuery: the first CREATE TABLE on a fresh engine
+// writes the local row store while a query beside it plans and scans
+// against it; run under -race, the two must not race.
+func TestCreateTableBesideQuery(t *testing.T) {
+	w := testWorld()
+	for trial := 0; trial < 20; trial++ {
+		e := newTestEngine(t, w, llm.ProfileMedium, DefaultConfig())
+		var created error
+		var res *QueryResult
+		var queried error
+		concurrently(2, func(i int) {
+			if i == 0 {
+				created = e.Exec("CREATE TABLE notes (id INT PRIMARY KEY, body TEXT)")
+				return
+			}
+			res, queried = e.Query("SELECT name FROM country LIMIT 3")
+		})
+		if created != nil || queried != nil {
+			t.Fatalf("trial %d: create %v, query %v", trial, created, queried)
+		}
+		if len(res.Result.Rows) != 3 {
+			t.Fatalf("trial %d: %d rows, want 3", trial, len(res.Result.Rows))
+		}
+		if _, err := e.Query("SELECT body FROM notes"); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+}
+
 func TestEngineExecPositionalInsertAndDefaults(t *testing.T) {
 	w := testWorld()
 	e := newTestEngine(t, w, llm.ProfileLarge, DefaultConfig())

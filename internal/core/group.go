@@ -19,19 +19,18 @@ import (
 // CoalescedHits) and Usage are bit-identical to what a solo engine would
 // report, and the saving appears only in the group's operator-side stats.
 //
-// The group also acts as the session registry: tables registered on the
-// group (before or after sessions exist) propagate to every session; all
-// sessions share those table records, one enumeration memo and one local
-// row store, and local writes through any session can be broadcast to the
-// others' plan caches via InvalidatePlans. All methods are safe for
-// concurrent use.
+// The group also acts as the session registry. Its sessions share the
+// backend's catalog — the virtual tables and one local row store — and one
+// enumeration memo. A table registered or a local write through the
+// group or any session is seen by every session, live or later, and makes
+// every session's plans planned before it stale; a session's views, cost
+// model, scan statistics and plan cache stay its own. All methods are safe
+// for concurrent use.
 type EngineGroup struct {
-	backend *backend // the stack below the sessions
+	backend *backend // the stack below the sessions and their catalog
 	cfg     Config
 
 	mu       sync.Mutex
-	tables   []*VirtualTable
-	local    *storage.DB
 	sessions map[*Engine]struct{}
 	total    int       // sessions ever created
 	closed   llm.Usage // billed usage of sessions already closed
@@ -52,23 +51,17 @@ func NewEngineGroup(model llm.Model, cfg Config) (*EngineGroup, error) {
 	return &EngineGroup{
 		backend:  b,
 		cfg:      cfg,
-		local:    storage.NewDB(),
 		sessions: make(map[*Engine]struct{}),
 	}, nil
 }
 
-// Session returns a fresh engine over the shared stack: its own billing,
-// in-memory cache and plan cache, with every table the group
-// knows already registered and the group's local row store attached. Release
-// it with CloseSession when the session ends.
+// Session returns a fresh engine over the shared stack and catalog: its own
+// billing, in-memory cache and plan cache over the group's tables and local
+// row store. Release it with CloseSession when the session ends.
 func (g *EngineGroup) Session() *Engine {
 	e := g.backend.newEngine(g.cfg)
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for _, t := range g.tables {
-		e.store.adopt(t) // nothing is planned yet
-	}
-	e.AttachLocal(g.local)
 	g.sessions[e] = struct{}{}
 	g.total++
 	return e
@@ -88,45 +81,17 @@ func (g *EngineGroup) CloseSession(e *Engine) {
 	g.closedViews.Add(e.ViewStats())
 }
 
-// RegisterTable declares a virtual table on the group and on every live
-// session, all of which share its one record.
-func (g *EngineGroup) RegisterTable(t VirtualTable) {
-	rec := tableRecord(t)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.tables = append(g.tables, rec)
-	for e := range g.sessions {
-		e.store.adopt(rec)
-		e.invalidatePlans()
-	}
-}
+// RegisterTable declares a virtual table for every session, live or later,
+// all of which share its one record.
+func (g *EngineGroup) RegisterTable(t VirtualTable) { g.backend.register(t) }
 
 // RegisterWorldDomain declares a virtual table mirroring a synthetic-world
 // domain, like Engine.RegisterWorldDomain.
 func (g *EngineGroup) RegisterWorldDomain(d *world.Domain) { g.RegisterTable(worldTable(d)) }
 
-// AttachLocal replaces the shared local row store for the group and every
-// live session (normally done before serving starts).
-func (g *EngineGroup) AttachLocal(db *storage.DB) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.local = db
-	for e := range g.sessions {
-		e.AttachLocal(db)
-	}
-}
-
-// InvalidatePlans discards every session's cached plans. Serving layers call
-// it after a local write through one session: the write already invalidated
-// that session's cache, but the others share the row store and must notice
-// too.
-func (g *EngineGroup) InvalidatePlans() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for e := range g.sessions {
-		e.invalidatePlans()
-	}
-}
+// AttachLocal replaces the local row store every session, live or later,
+// shares (normally done before serving starts).
+func (g *EngineGroup) AttachLocal(db *storage.DB) { g.backend.attachLocal(db) }
 
 // Close releases the shared stack (the persistent cache's segment file).
 // Sessions must be closed first; the group must not be used after Close.

@@ -120,6 +120,15 @@ func TestGroupRegistrationPropagatesToLiveSessions(t *testing.T) {
 	if _, err := e2.Query("SELECT name FROM country LIMIT 1"); err != nil {
 		t.Fatal(err)
 	}
+	// A table registered through one session is the group's: the live
+	// session sees it, and so does a later one.
+	e2.RegisterWorldDomain(w.Domain("movie"))
+	if _, err := e.Query("SELECT title FROM movie LIMIT 1"); err != nil {
+		t.Fatalf("live session must see a table another session registered: %v", err)
+	}
+	if _, err := g.Session().Query("SELECT title FROM movie LIMIT 1"); err != nil {
+		t.Fatalf("later session must see a table a session registered: %v", err)
+	}
 }
 
 func TestGroupSharedLocalStore(t *testing.T) {
@@ -130,20 +139,32 @@ func TestGroupSharedLocalStore(t *testing.T) {
 	}
 	defer g.Close()
 	a, b := g.Session(), g.Session()
-	// Warm b's plan cache on a statement the write below could invalidate.
+	const q = "SELECT body FROM note"
 	if err := a.Exec("CREATE TABLE note (id INT PRIMARY KEY, body TEXT)"); err != nil {
 		t.Fatal(err)
+	}
+	// Warm b's plan cache on a statement the write below invalidates.
+	for i := 0; i < 2; i++ {
+		if _, err := b.Query(q); err != nil {
+			t.Fatalf("table created through session a must be visible to session b: %v", err)
+		}
+	}
+	warm := b.PlanCacheStats()
+	if warm.Hits != 1 || warm.Misses != 1 {
+		t.Fatalf("b's plan cache is not warm: %+v", warm)
 	}
 	if err := a.Exec("INSERT INTO note VALUES (1, 'hello')"); err != nil {
 		t.Fatal(err)
 	}
-	g.InvalidatePlans()
-	res, err := b.Query("SELECT body FROM note")
+	res, err := b.Query(q)
 	if err != nil {
-		t.Fatalf("write through session a must be visible to session b: %v", err)
+		t.Fatal(err)
+	}
+	if s := b.PlanCacheStats(); s.Misses != warm.Misses+1 || s.Hits != warm.Hits {
+		t.Fatalf("a write through session a left b's plan cached: %+v, was %+v", s, warm)
 	}
 	if len(res.Result.Rows) != 1 || res.Result.Rows[0][0].String() != "hello" {
-		t.Fatalf("rows: %v", res.Result.Rows)
+		t.Fatalf("write through session a must be visible to session b: rows %v", res.Result.Rows)
 	}
 }
 
@@ -512,13 +533,13 @@ func TestGroupSessionsShareOneEnumerationMemo(t *testing.T) {
 				return held
 			}
 			a, b := g.Session(), g.Session()
-			if a.store.memo != memo || b.store.memo != memo || a.store.tables["country"] != b.store.tables["country"] {
+			if a.store.memo != memo || b.store.memo != memo || a.store.tables.get("country") != b.store.tables.get("country") {
 				t.Fatal("sessions must share the group's memo and table records")
 			}
 			stored := entries()
 			shared := false
 			for k := range stored {
-				shared = shared || k.table == a.store.tables["country"]
+				shared = shared || k.table == a.store.tables.get("country")
 			}
 			if !shared {
 				t.Fatal("the memo holds no enumeration of the group's country record")

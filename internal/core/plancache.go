@@ -36,10 +36,10 @@ type preparedQuery struct {
 	// named is true when the statement uses :name parameters.
 	named  bool
 	params []*sql.Param
-	// gen is the engine's catalog generation at planning time; a bumped
-	// generation (new table registered, cost model changed) invalidates the
-	// plan.
-	gen uint64
+	// gen is the engine's and its backend's generation at planning time;
+	// a bump of either (a table registered, a local write, the cost model
+	// replaced, a view changed) invalidates the plan.
+	gen catalogGen
 }
 
 // PlanCacheStats reports the prepared-plan cache's effectiveness.
@@ -48,9 +48,12 @@ type PlanCacheStats struct {
 	Hits int64
 	// Misses counts lookups that had to parse and plan.
 	Misses int64
-	// Entries is the current number of cached plans.
+	// Entries is the current number of cached plans. A plan made stale by a
+	// generation bump stays in it until its key is looked up again or the
+	// LRU bound evicts it.
 	Entries int
-	// Evictions counts plans dropped by the LRU bound or invalidation.
+	// Evictions counts plans dropped by the LRU bound, and stale plans
+	// dropped when looked up.
 	Evictions int64
 }
 
@@ -71,7 +74,7 @@ func newPlanCache(capacity int) *planCache {
 
 // get returns the cached plan for key when present and planned at the
 // current generation; stale entries are dropped.
-func (c *planCache) get(key string, gen uint64) *preparedQuery {
+func (c *planCache) get(key string, gen catalogGen) *preparedQuery {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	pq, ok := c.entries.Get(key)
@@ -95,14 +98,6 @@ func (c *planCache) put(key string, pq *preparedQuery) {
 	if c.entries.Put(key, pq) {
 		c.evictions++
 	}
-}
-
-// purge drops every entry (catalog or cost-model change).
-func (c *planCache) purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.evictions += int64(c.entries.Len())
-	c.entries.Clear()
 }
 
 func (c *planCache) stats() PlanCacheStats {

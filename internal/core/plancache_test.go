@@ -21,7 +21,7 @@ func BenchmarkPlanCacheHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		planCacheSink = c.get(keys[i%len(keys)], 0)
+		planCacheSink = c.get(keys[i%len(keys)], catalogGen{})
 	}
 	if s := c.stats(); s.Hits != int64(b.N) {
 		b.Fatalf("%d of %d lookups hit", s.Hits, b.N)
@@ -43,7 +43,7 @@ func BenchmarkPlanCacheMissEvict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := keys[i%len(keys)]
-		if c.get(k, 0) == nil {
+		if c.get(k, catalogGen{}) == nil {
 			c.put(k, pq)
 		}
 	}

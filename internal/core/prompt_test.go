@@ -188,7 +188,7 @@ func TestPromptTokensAdditive(t *testing.T) {
 	names = append(names, "städte")
 	subsets := 0
 	for _, name := range names {
-		vt := s.tables[name]
+		vt := s.tables.get(name)
 		n := vt.Schema.Len()
 		if got, want := vt.prompts.keys, llm.CountTokens(buildKeysPrompt(vt, nil, nil, 0)); got != want {
 			t.Errorf("%s KEYS: %d tokens, the template has %d", name, got, want)

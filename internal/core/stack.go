@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"llmsql/internal/llm"
+	"llmsql/internal/storage"
 )
 
 // backend is the model stack below an engine's own layers, assembled by
@@ -27,7 +29,9 @@ import (
 //
 // The solo/group split is where the stack forks: Open puts one engine on a
 // backend of its own, EngineGroup.Session puts one more engine on the
-// group's.
+// group's. The backend also holds the catalog its engines share: the
+// virtual tables, the local row store, and the generation a cached plan
+// checks them by (see Engine.generation).
 type backend struct {
 	top     llm.Model          // what each engine stacks its own layers on
 	chaos   *llm.Chaos         // nil unless Config.Chaos is enabled
@@ -36,13 +40,21 @@ type backend struct {
 	disk    *llm.DiskCache // nil without Config.CacheDir
 	coal    *llm.Coalescer // nil on a solo engine; sessions never close or re-price a group's
 	memo    *enumMemo      // every session's; nil on a solo engine
+
+	tables *tableSet
+	local  atomic.Pointer[storage.DB]
+	// gen is bumped after every change to tables or the local store: a
+	// table registered, a store attached, a table created in it or rows
+	// inserted (they can change the statistics a join order relied on).
+	gen atomic.Uint64
 }
 
 // newBackend assembles the stack up to the fork. shared adds the two
 // group-only layers and the group's enumeration memo, whose rounds the
 // coalescer's memo answers.
 func newBackend(model llm.Model, cfg Config, shared bool) (*backend, error) {
-	b := &backend{}
+	b := &backend{tables: newTableSet()}
+	b.local.Store(storage.NewDB())
 	switch {
 	case cfg.ReplayTrace != nil:
 		b.top = cfg.ReplayTrace.Replay(model.Name())
@@ -77,15 +89,16 @@ func newBackend(model llm.Model, cfg Config, shared bool) (*backend, error) {
 }
 
 // newEngine stacks one engine's own layers — the in-memory completion
-// cache, the store and the plan cache — on the backend.
+// cache, the store, the view store and the plan cache — on the backend.
 func (b *backend) newEngine(cfg Config) *Engine {
-	e := &Engine{backend: b}
+	e := &Engine{backend: b, viewDB: storage.NewDB(), views: make(map[string]*matView)}
 	top := b.top
 	if cfg.CacheCapacity != 0 {
 		e.cache = llm.NewCacheSized(top, cfg.CacheCapacity)
 		top = e.cache
 	}
 	e.store = NewLLMStore(top, cfg)
+	e.store.tables = b.tables
 	if b.memo != nil {
 		e.store.memo = b.memo
 	}
@@ -96,6 +109,19 @@ func (b *backend) newEngine(cfg Config) *Engine {
 		e.plans = newPlanCache(DefaultPlanCacheCapacity)
 	}
 	return e
+}
+
+// register declares a virtual table for every engine on the backend.
+func (b *backend) register(t VirtualTable) {
+	b.tables.add(tableRecord(t))
+	b.gen.Add(1)
+}
+
+// attachLocal replaces the local row store every engine on the backend
+// reads and writes.
+func (b *backend) attachLocal(db *storage.DB) {
+	b.local.Store(db)
+	b.gen.Add(1)
 }
 
 // diskStats reports the persistent cache's counters, zero without one.

@@ -45,7 +45,7 @@ func (e *Engine) prepare(query string) (*preparedQuery, error) {
 // classification path behind Query, Explain and Prepare:
 // SELECT, EXPLAIN SELECT and EXPLAIN ANALYZE SELECT are all accepted
 // everywhere and behave identically.
-func (e *Engine) planQuery(query string, gen uint64) (*preparedQuery, error) {
+func (e *Engine) planQuery(query string, gen catalogGen) (*preparedQuery, error) {
 	stmt, err := sql.Parse(query)
 	if err != nil {
 		return nil, err

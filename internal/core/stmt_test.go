@@ -90,12 +90,16 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	if _, err := e.Query(q); err != nil {
 		t.Fatal(err)
 	}
-	if s := e.PlanCacheStats(); s.Entries != 1 {
-		t.Fatalf("expected one cached plan: %+v", s)
+	cached := e.PlanCacheStats()
+	if cached.Entries != 1 {
+		t.Fatalf("expected one cached plan: %+v", cached)
 	}
 	e.CostModel(llm.DefaultCostModel())
-	if s := e.PlanCacheStats(); s.Entries != 0 {
-		t.Fatalf("cost-model change kept cached plans: %+v", s)
+	if _, err := e.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	if s := e.PlanCacheStats(); s.Misses != cached.Misses+1 || s.Hits != cached.Hits {
+		t.Fatalf("cost-model change kept the cached plan: %+v, was %+v", s, cached)
 	}
 	// A Stmt prepared before the invalidation transparently re-prepares.
 	stmt, err := e.Prepare(q)

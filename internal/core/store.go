@@ -3,8 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"llmsql/internal/exec"
@@ -126,7 +128,10 @@ type LLMStore struct {
 	// charges share constants. The value is never modified, only replaced,
 	// so a scan keeps the pointer it started with.
 	costModel *llm.CostModel
-	tables    map[string]*VirtualTable
+	// tables is the backend's table set under an engine (every session of
+	// a group reads the same one), a set of the store's own under
+	// NewLLMStore.
+	tables *tableSet
 	// estRows caches observed per-table cardinalities from prior scans,
 	// refining the planner's estimates (see cost.go).
 	estRows map[string]int
@@ -141,7 +146,7 @@ func NewLLMStore(model llm.Model, cfg Config) *LLMStore {
 		disk:      llm.FindDiskCache(model),
 		cfg:       cfg.normalize(),
 		costModel: &cost,
-		tables:    make(map[string]*VirtualTable),
+		tables:    newTableSet(),
 		estRows:   make(map[string]int),
 	}
 	if s.cache != nil {
@@ -159,7 +164,7 @@ func (s *LLMStore) SetCostModel(c llm.CostModel) {
 }
 
 // Register declares a virtual table.
-func (s *LLMStore) Register(t VirtualTable) { s.adopt(tableRecord(t)) }
+func (s *LLMStore) Register(t VirtualTable) { s.tables.add(tableRecord(t)) }
 
 // tableRecord returns t registered: its name lower-cased, its prompts
 // measured. A record is never modified once made.
@@ -169,31 +174,45 @@ func tableRecord(t VirtualTable) *VirtualTable {
 	return &t
 }
 
-// adopt declares the table record itself (a group's sessions share theirs).
-func (s *LLMStore) adopt(t *VirtualTable) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tables[t.Name] = t
+// tableSet is a set of registered virtual tables, read on every plan and
+// scan. Readers load an immutable map without taking a lock; add copies it
+// (registration is rare).
+type tableSet struct {
+	mu sync.Mutex // serialises add
+	m  atomic.Pointer[map[string]*VirtualTable]
+}
+
+func newTableSet() *tableSet {
+	ts := &tableSet{}
+	ts.m.Store(&map[string]*VirtualTable{})
+	return ts
+}
+
+// get returns the named table's record, nil when none is registered.
+func (ts *tableSet) get(name string) *VirtualTable {
+	return (*ts.m.Load())[strings.ToLower(name)]
+}
+
+// add declares a table record, replacing one of the same name.
+func (ts *tableSet) add(t *VirtualTable) {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	m := maps.Clone(*ts.m.Load())
+	m[t.Name] = t
+	ts.m.Store(&m)
 }
 
 // TableSchema implements plan.Catalog.
 func (s *LLMStore) TableSchema(name string) (rel.Schema, error) {
-	s.mu.Lock()
-	t, ok := s.tables[strings.ToLower(name)]
-	s.mu.Unlock()
-	if !ok {
+	t := s.tables.get(name)
+	if t == nil {
 		return rel.Schema{}, fmt.Errorf("core: unknown virtual table %q", name)
 	}
 	return t.Schema, nil
 }
 
 // Has reports whether a virtual table is registered.
-func (s *LLMStore) Has(name string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.tables[strings.ToLower(name)]
-	return ok
-}
+func (s *LLMStore) Has(name string) bool { return s.tables.get(name) != nil }
 
 // Config returns the store configuration.
 func (s *LLMStore) Config() Config { return s.cfg }
@@ -211,12 +230,11 @@ func (s *LLMStore) Scan(req exec.ScanRequest) (exec.RowIter, error) { return s.s
 // stream is exhausted or closed, its statistics and critical path. A nil
 // acct charges nothing.
 func (s *LLMStore) scan(req exec.ScanRequest, acct *queryAccount) (exec.RowIter, error) {
-	s.mu.Lock()
-	t, ok := s.tables[strings.ToLower(req.Table)]
-	if !ok {
-		s.mu.Unlock()
+	t := s.tables.get(req.Table)
+	if t == nil {
 		return nil, fmt.Errorf("core: unknown virtual table %q", req.Table)
 	}
+	s.mu.Lock()
 	sp := s.specLocked(t, &req)
 	cost := s.costModel
 	s.mu.Unlock()

@@ -12,7 +12,6 @@ import (
 	"llmsql/internal/plan"
 	"llmsql/internal/rel"
 	"llmsql/internal/sql"
-	"llmsql/internal/storage"
 )
 
 // matView is one materialized view: the defining query's text, its persisted
@@ -154,7 +153,7 @@ func (e *Engine) createView(st *sql.CreateViewStmt) error {
 	if e.store.Has(st.Name) {
 		return fmt.Errorf("core: %q is a virtual table; a materialized view would be shadowed", st.Name)
 	}
-	if e.local != nil && e.local.HasTable(st.Name) {
+	if e.backend.local.Load().HasTable(st.Name) {
 		return fmt.Errorf("core: %q is a local table; pick another view name", st.Name)
 	}
 	if len(sql.CollectParams(st.Select)) > 0 {
@@ -171,9 +170,6 @@ func (e *Engine) createView(st *sql.CreateViewStmt) error {
 	res, rec, err := e.recordedQuery(query)
 	if err != nil {
 		return fmt.Errorf("core: build materialized view %q: %w", st.Name, err)
-	}
-	if e.viewDB == nil {
-		e.viewDB = storage.NewDB()
 	}
 	tbl, err := e.viewDB.CreateTable(st.Name, res.Result.Schema)
 	if err != nil {
@@ -192,9 +188,6 @@ func (e *Engine) createView(st *sql.CreateViewStmt) error {
 		lastLiveTokens: rec.liveTokens,
 	}
 	e.viewMu.Lock()
-	if e.views == nil {
-		e.views = make(map[string]*matView)
-	}
 	e.views[st.Name] = v
 	e.viewTotals.Created++
 	e.viewMu.Unlock()

@@ -242,6 +242,32 @@ func TestViewDropAndRefreshEvictCachedPlans(t *testing.T) {
 	}
 }
 
+// TestConcurrentViewCreates: two materialized views built at once on a
+// fresh engine, beside a CREATE TABLE, both land in the view store; run
+// under -race, none of the three statements may race another.
+func TestConcurrentViewCreates(t *testing.T) {
+	w := testWorld()
+	stmts := []string{
+		"CREATE MATERIALIZED VIEW a AS SELECT name, capital FROM country",
+		"CREATE MATERIALIZED VIEW b AS SELECT title FROM movie",
+		"CREATE TABLE notes (id INT PRIMARY KEY, body TEXT)",
+	}
+	for trial := 0; trial < 30; trial++ {
+		e := newTestEngine(t, w, llm.ProfileMedium, DefaultConfig())
+		errs := make([]error, len(stmts))
+		concurrently(len(stmts), func(i int) { errs[i] = e.Exec(stmts[i]) })
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("trial %d: %s: %v", trial, stmts[i], err)
+			}
+		}
+		views := e.Views()
+		if len(views) != 2 || views[0].Rows == 0 || views[1].Rows == 0 {
+			t.Fatalf("trial %d: views %+v", trial, views)
+		}
+	}
+}
+
 // TestViewTTLExpiryFallsBackToLiveScans checks the freshness policy: after
 // Config.ViewTTLReads warm reads the view goes stale, later statements plan
 // live retrieval again, and REFRESH re-arms the view.

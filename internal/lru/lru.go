@@ -100,12 +100,6 @@ func (l *Cache[K, V]) OldestFirst(yield func(K, V) bool) {
 	}
 }
 
-// Clear drops every entry, keeping the capacity.
-func (l *Cache[K, V]) Clear() {
-	clear(l.items)
-	l.root.prev, l.root.next = &l.root, &l.root
-}
-
 // toFront unlinks n (a fresh node is linked to itself) and relinks it as the
 // most recent.
 func (l *Cache[K, V]) toFront(n *node[K, V]) {

@@ -151,23 +151,6 @@ func TestLRUPeekLeavesRecencyAlone(t *testing.T) {
 	}
 }
 
-func TestLRUClearThenReuse(t *testing.T) {
-	l := New[int, int](3)
-	for i := 0; i < 3; i++ {
-		l.Put(i, i)
-	}
-	l.Clear()
-	if _, _, ok := l.Oldest(); ok || l.Len() != 0 || chainLen(l) != 0 || l.Cap() != 3 {
-		t.Fatalf("after clear: len %d chain %d cap %d", l.Len(), chainLen(l), l.Cap())
-	}
-	for i := 10; i < 14; i++ {
-		l.Put(i, i)
-	}
-	if got := keysByRecency(l); !reflect.DeepEqual(got, []int{13, 12, 11}) {
-		t.Fatalf("recency after reuse: %v", got)
-	}
-}
-
 func TestLRUOldestFirstIsEvictionOrder(t *testing.T) {
 	l := New[int, int](5)
 	for i := 0; i < 5; i++ {

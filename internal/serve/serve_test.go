@@ -414,6 +414,63 @@ func TestServeExecVisibleAcrossSessions(t *testing.T) {
 	}
 }
 
+// TestServeRefreshKeepsOtherSessionsPlans: a session's materialized views
+// are its own, so a REFRESH through one connection leaves the plans another
+// session cached valid: that session's next identical query is a plan-cache
+// hit.
+func TestServeRefreshKeepsOtherSessionsPlans(t *testing.T) {
+	w := testWorld()
+	g, err := core.NewEngineGroup(llm.NewSynthLM(w, llm.ProfileMedium, 7), servingConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	g.RegisterWorldDomain(w.Domain("country"))
+	addr, srv := startServer(t, g, Config{})
+	// connect dials a client and returns it with the engine of the session
+	// the server opened for it.
+	connect := func() (*Client, *core.Engine) {
+		t.Helper()
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		if resp, err := c.Do(Request{Op: "ping"}); err != nil || !resp.OK {
+			t.Fatalf("ping: %+v err=%v", resp, err)
+		}
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		for s := range srv.sessions {
+			if s.id == int64(srv.total) {
+				return c, s.eng
+			}
+		}
+		t.Fatal("no session for the new connection")
+		return nil, nil
+	}
+	a, _ := connect()
+	b, bEng := connect()
+
+	if resp, err := a.Exec("CREATE MATERIALIZED VIEW top AS SELECT name, capital FROM country"); err != nil || !resp.OK {
+		t.Fatalf("create view: %+v err=%v", resp, err)
+	}
+	const q = "SELECT name FROM country LIMIT 3"
+	if resp, err := b.Query(q, nil, nil); err != nil || !resp.OK {
+		t.Fatalf("query: %+v err=%v", resp, err)
+	}
+	cached := bEng.PlanCacheStats()
+	if resp, err := a.Exec("REFRESH MATERIALIZED VIEW top"); err != nil || !resp.OK {
+		t.Fatalf("refresh: %+v err=%v", resp, err)
+	}
+	if resp, err := b.Query(q, nil, nil); err != nil || !resp.OK {
+		t.Fatalf("query: %+v err=%v", resp, err)
+	}
+	if s := bEng.PlanCacheStats(); s.Hits != cached.Hits+1 || s.Misses != cached.Misses {
+		t.Fatalf("a REFRESH through another session dropped this session's plan: %+v, was %+v", s, cached)
+	}
+}
+
 func TestServeTokenBudgetRejectsAndIsObservable(t *testing.T) {
 	w := testWorld()
 	g, err := core.NewEngineGroup(llm.NewSynthLM(w, llm.ProfileMedium, 7), servingConfig())

@@ -235,11 +235,6 @@ func (s *session) runExec(req *Request) *Response {
 	}
 	usage := s.eng.TotalUsage().Sub(before)
 	release(usage.TotalTokens())
-	// The write already invalidated this session's plans; the row store is
-	// shared, so every other session's plans must notice too. (Materialized
-	// views are session-local, but their builds can refine shared scan
-	// statistics, so the broadcast stays unconditional.)
-	s.server.cfg.Group.InvalidatePlans()
 	return &Response{OK: true, Usage: &usage}
 }
 

@@ -129,7 +129,9 @@ type GroupStats = core.GroupStats
 // rest stays per-session. Every Session() engine reads
 // the shared layers through the group (its DiskCacheStats, REFRESH probe and
 // InvalidateCachedCompletions reach the group's disk cache); closing a
-// session leaves them open. See core.NewEngineGroup.
+// session leaves them open. The sessions also share one catalog: a table
+// registered, a local store attached or a local write through the group or
+// any session is every session's. See core.NewEngineGroup.
 func NewEngineGroup(model Model, cfg Config) (*EngineGroup, error) {
 	return core.NewEngineGroup(model, cfg)
 }
