@@ -30,8 +30,9 @@ type Engine struct {
 	cache   *llm.CacheModel // optional, per Config.CacheCapacity
 	plans   *planCache      // optional, per Config.PlanCacheCapacity
 	// gen is the engine's own generation: bumped whenever a change to what
-	// only this engine plans with could make a cached plan wrong (cost model
-	// replaced, materialized view created/refreshed/dropped or gone stale).
+	// only this engine plans with could make a cached plan wrong: the cost
+	// model replaced, or a materialized view created, dropped, gone stale,
+	// or refreshed from stale or to another row count (buildView).
 	// The backend's generation covers the shared catalog; see generation.
 	gen atomic.Uint64
 
@@ -373,14 +374,16 @@ type queryAccount struct {
 	nanoUSD int64      // Usage.SimDollars in whole nano-dollars
 }
 
-// Scan implements exec.Source: it routes a scan to the LLM store, a fresh
-// materialized view or the local row store.
+// Scan implements exec.Source: it routes a scan to the LLM store, a
+// materialized view or the local row store. A plan scans a view by name
+// only if the view was fresh when it was planned; should the view have gone
+// stale since, the scan still serves its rows.
 func (a *queryAccount) Scan(req exec.ScanRequest) (exec.RowIter, error) {
 	e := a.engine
 	if e.store.Has(req.Table) {
 		return e.store.scan(req, a)
 	}
-	if v := e.freshView(req.Table); v != nil {
+	if v, _ := e.view(req.Table); v != nil {
 		return e.scanView(v, req, a)
 	}
 	if local := e.backend.local.Load(); local.HasTable(req.Table) {

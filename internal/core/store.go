@@ -423,8 +423,9 @@ func (sc *llmScan) countCall(c callAccount) {
 	}
 }
 
-// scanIter adapts a strategy's row stream to exec.RowIter. It counts the
-// rows actually emitted and publishes the scan's statistics and simulated
+// scanIter adapts a scan's row stream — a strategy's, or a materialized
+// view's stored rows (scanView) — to exec.RowIter. It counts the rows
+// actually emitted and publishes the scan's statistics and simulated
 // critical path to its query's account exactly once — on exhaustion, error or Close,
 // whichever comes first (early Close is how an upstream LIMIT abandons the
 // stream).

@@ -10,8 +10,8 @@ import (
 	"llmsql/internal/exec"
 	"llmsql/internal/llm"
 	"llmsql/internal/plan"
-	"llmsql/internal/rel"
 	"llmsql/internal/sql"
+	"llmsql/internal/storage"
 )
 
 // matView is one materialized view: the defining query's text, its persisted
@@ -20,11 +20,10 @@ import (
 // reads counts warm reads served since the last build or refresh — never by
 // wall clock, so a replayed run ages its views identically on any machine.
 type matView struct {
-	name   string
-	query  string // deparsed defining SELECT, re-parsed for refresh/expansion
-	schema rel.Schema
-	stale  bool
-	reads  int // warm reads served since the last build/refresh
+	name  string
+	query string // deparsed defining SELECT, re-parsed for refresh/expansion
+	stale bool
+	reads int // warm reads served since the last build/refresh
 	// manifest holds the distinct requests the last build or refresh
 	// completed (viewRecord.manifest): what the next REFRESH probes.
 	manifest []llm.CompletionRequest
@@ -145,8 +144,8 @@ func (e *Engine) ViewStats() ViewStats {
 	return e.viewTotals
 }
 
-// createView runs the defining query once, bulk-loads its rows into the
-// view store and registers the view so matching scans route to the row
+// createView builds a new view: it runs the defining query once and
+// registers the view with its rows, so matching scans route to the row
 // store. The defining query must be parameter-free (there is nothing to
 // bind a placeholder to at refresh time).
 func (e *Engine) createView(st *sql.CreateViewStmt) error {
@@ -159,63 +158,47 @@ func (e *Engine) createView(st *sql.CreateViewStmt) error {
 	if len(sql.CollectParams(st.Select)) > 0 {
 		return fmt.Errorf("core: a materialized view's defining query cannot use parameters")
 	}
-	e.viewMu.Lock()
-	if _, ok := e.views[st.Name]; ok {
-		e.viewMu.Unlock()
+	if v, _ := e.view(st.Name); v != nil {
 		return fmt.Errorf("core: materialized view %q already exists", st.Name)
 	}
-	e.viewMu.Unlock()
-
-	query := sql.DeparseStmt(st.Select)
-	res, rec, err := e.recordedQuery(query)
-	if err != nil {
-		return fmt.Errorf("core: build materialized view %q: %w", st.Name, err)
-	}
-	tbl, err := e.viewDB.CreateTable(st.Name, res.Result.Schema)
-	if err != nil {
-		return err
-	}
-	if err := tbl.InsertBatch(res.Result.Rows); err != nil {
-		e.viewDB.DropTable(st.Name)
-		return err
-	}
-	v := &matView{
-		name:           st.Name,
-		query:          query,
-		schema:         tbl.Schema(),
-		manifest:       rec.manifest(),
-		lastLiveCalls:  rec.liveCalls,
-		lastLiveTokens: rec.liveTokens,
-	}
-	e.viewMu.Lock()
-	e.views[st.Name] = v
-	e.viewTotals.Created++
-	e.viewMu.Unlock()
-	// Cached plans resolved the name differently (or not at all).
-	e.invalidatePlans()
-	return nil
+	return e.buildView(&matView{name: st.Name, query: sql.DeparseStmt(st.Select)}, true)
 }
 
-// refreshView re-runs the defining query and swaps in the fresh rows. The
-// persistent prompt cache makes the maintenance incremental without any
-// diffing machinery: every fingerprint of the defining query's prompts that
-// is still warm answers as a disk hit — zero live calls, zero tokens — so
-// only prompts whose cache entries went cold (evicted, invalidated, or a
-// config change that moved their fingerprints) reach the live model. The
-// refresh also re-arms freshness: the read counter resets and cached plans
-// are invalidated so the rebuilt rows are what every later scan sees.
+// refreshView rebuilds a view from its defining query. The persistent
+// prompt cache makes the maintenance incremental without any diffing
+// machinery: every fingerprint of the defining query's prompts that is
+// still warm answers as a disk hit — zero live calls, zero tokens — so only
+// prompts whose cache entries went cold (evicted, invalidated, or a config
+// change that moved their fingerprints) reach the live model.
 func (e *Engine) refreshView(name string) error {
-	e.viewMu.Lock()
-	v, ok := e.views[name]
-	if !ok {
-		e.viewMu.Unlock()
+	v, _ := e.view(name)
+	if v == nil {
 		return fmt.Errorf("core: unknown materialized view %q", name)
 	}
-	manifest := v.manifest
-	e.viewMu.Unlock()
+	return e.buildView(v, false)
+}
+
+// buildView is CREATE's and REFRESH's one build: it runs v's defining query
+// and publishes the result in one step under viewMu — the rows with one
+// storage call (Table.Replace), then the view's bookkeeping — so a reader
+// sees exactly one build's rows and concurrent builds never mix theirs.
+// A build re-arms freshness: the view is fresh again and its read count
+// restarts.
+//
+// It bumps the engine's generation only when a plan cached before the build
+// could differ from one planned after it. Planning reads three things from
+// a view: whether it exists, whether it is fresh (a stale one expands into
+// its defining query) and its row count (join order and build side). So
+// CREATE always bumps, and REFRESH bumps when the view was stale or its row
+// count changed. Routing needs no bump: a scan of the view reads whatever
+// rows the view holds when the scan starts.
+func (e *Engine) buildView(v *matView, create bool) error {
 	// Probe the prompt cache for the requests the previous run completed:
 	// the warm/cold split is the refresh's expected cost, surfaced in
-	// ViewInfo before any model traffic happens.
+	// ViewInfo. A new view has no manifest, so CREATE probes nothing.
+	e.viewMu.Lock()
+	manifest := v.manifest
+	e.viewMu.Unlock()
 	warm, cold := 0, 0
 	if disk := e.backend.disk; disk != nil {
 		for _, req := range manifest {
@@ -228,31 +211,49 @@ func (e *Engine) refreshView(name string) error {
 	}
 	res, rec, err := e.recordedQuery(v.query)
 	if err != nil {
-		return fmt.Errorf("core: refresh materialized view %q: %w", name, err)
+		return fmt.Errorf("core: build materialized view %q: %w", v.name, err)
 	}
-	tbl, err := e.viewDB.Table(name)
+
+	e.viewMu.Lock()
+	defer e.viewMu.Unlock()
+	var tbl *storage.Table
+	switch {
+	case create && e.views[v.name] != nil:
+		return fmt.Errorf("core: materialized view %q already exists", v.name)
+	case create:
+		tbl, err = e.viewDB.CreateTable(v.name, res.Result.Schema)
+	case e.views[v.name] != v:
+		return fmt.Errorf("core: materialized view %q was dropped during its refresh", v.name)
+	default:
+		tbl, err = e.viewDB.Table(v.name)
+	}
 	if err != nil {
 		return err
 	}
-	tbl.Truncate()
-	if err := tbl.InsertBatch(res.Result.Rows); err != nil {
-		return err
+	prev, err := tbl.Replace(res.Result.Rows)
+	if err != nil {
+		if create {
+			e.viewDB.DropTable(v.name)
+		}
+		return fmt.Errorf("core: build materialized view %q: %w", v.name, err)
 	}
-	e.viewMu.Lock()
-	v.stale = false
-	v.reads = 0
-	v.refreshes++
+	bump := create || v.stale || prev != len(res.Result.Rows)
+	v.stale, v.reads = false, 0
 	v.manifest = rec.manifest()
 	v.lastLiveCalls, v.lastLiveTokens = rec.liveCalls, rec.liveTokens
 	v.lastWarm, v.lastCold = warm, cold
-	e.viewTotals.Refreshes++
-	e.viewTotals.RefreshLiveCalls += v.lastLiveCalls
-	e.viewTotals.RefreshLiveTokens += v.lastLiveTokens
-	e.viewMu.Unlock()
-	// A cached plan may still route to the pre-refresh rows (or, for a view
-	// that had gone stale, to the live fallback): the generation bump makes
-	// every prepared statement re-plan against the rebuilt view.
-	e.invalidatePlans()
+	if create {
+		e.views[v.name] = v
+		e.viewTotals.Created++
+	} else {
+		v.refreshes++
+		e.viewTotals.Refreshes++
+		e.viewTotals.RefreshLiveCalls += rec.liveCalls
+		e.viewTotals.RefreshLiveTokens += rec.liveTokens
+	}
+	if bump {
+		e.invalidatePlans()
+	}
 	return nil
 }
 
@@ -318,27 +319,13 @@ func (e *Engine) dropView(name string) error {
 	return nil
 }
 
-// freshView returns the named view when it exists and is fresh (servable
-// from materialized rows), else nil.
-func (e *Engine) freshView(name string) *matView {
+// view returns the named view (nil when there is none) and whether it is
+// fresh, that is servable from its rows.
+func (e *Engine) view(name string) (*matView, bool) {
 	e.viewMu.Lock()
 	defer e.viewMu.Unlock()
-	v, ok := e.views[strings.ToLower(name)]
-	if !ok || v.stale {
-		return nil
-	}
-	return v
-}
-
-// staleView returns the named view when it exists and is stale, else nil.
-func (e *Engine) staleView(name string) *matView {
-	e.viewMu.Lock()
-	defer e.viewMu.Unlock()
-	v, ok := e.views[strings.ToLower(name)]
-	if !ok || !v.stale {
-		return nil
-	}
-	return v
+	v := e.views[strings.ToLower(name)]
+	return v, v != nil && !v.stale
 }
 
 // noteViewRead counts one warm read against the view's TTL and returns the
@@ -363,57 +350,18 @@ func (e *Engine) noteViewRead(v *matView) int {
 	return age
 }
 
-// scanView serves one scan from the view's materialized rows, synthesizing
-// the ScanStats entry that marks the substitution (Label "materialized",
-// zero prompts) in the query's account.
+// scanView serves one scan from the view's materialized rows. Its scanIter
+// publishes the ScanStats entry that marks the substitution (Label
+// "materialized", zero prompts) in the query's account; the row-store
+// iterator it wraps holds nothing to close.
 func (e *Engine) scanView(v *matView, req exec.ScanRequest, acct *queryAccount) (exec.RowIter, error) {
 	age := e.noteViewRead(v)
-	src := &exec.StorageSource{DB: e.viewDB}
-	it, err := src.Scan(req)
+	it, err := (&exec.StorageSource{DB: e.viewDB}).Scan(req)
 	if err != nil {
 		return nil, err
 	}
-	return &viewIter{
-		inner: it,
-		acct:  acct,
-		stats: ScanStats{Table: req.Table, Materialized: v.name, ViewAge: age},
-	}, nil
-}
-
-// viewIter wraps a row-store iterator over materialized rows, counting
-// emitted rows and publishing the synthesized ScanStats exactly once on
-// exhaustion, error or Close (mirroring scanIter).
-type viewIter struct {
-	inner   exec.RowIter
-	acct    *queryAccount
-	stats   ScanStats
-	flushed bool
-}
-
-// Next implements exec.RowIter.
-func (it *viewIter) Next() (rel.Row, bool, error) {
-	row, ok, err := it.inner.Next()
-	if err != nil || !ok {
-		it.flush()
-		return nil, false, err
-	}
-	it.stats.RowsEmitted++
-	return row, true, nil
-}
-
-// Close implements exec.RowIter.
-func (it *viewIter) Close() error {
-	err := it.inner.Close()
-	it.flush()
-	return err
-}
-
-func (it *viewIter) flush() {
-	if it.flushed {
-		return
-	}
-	it.flushed = true
-	it.acct.addScan(it.stats, 0)
+	scan := &llmScan{acct: acct, stats: ScanStats{Table: req.Table, Materialized: v.name, ViewAge: age}}
+	return &scanIter{scan: scan, next: it.Next}, nil
 }
 
 // hasViews reports whether any materialized view exists, so the planner's
@@ -461,8 +409,8 @@ func (e *Engine) expandStaleViews(s *sql.SelectStmt, visited map[string]bool) {
 func (e *Engine) expandTableExpr(t sql.TableExpr, visited map[string]bool) sql.TableExpr {
 	switch tt := t.(type) {
 	case *sql.TableRef:
-		v := e.staleView(tt.Name)
-		if v == nil || visited[tt.Name] {
+		v, fresh := e.view(tt.Name)
+		if v == nil || fresh || visited[tt.Name] {
 			return tt
 		}
 		def, err := sql.ParseSelect(v.query)
@@ -491,10 +439,9 @@ func (e *Engine) annotateViewScans(n plan.Node) {
 		return
 	}
 	if sn, ok := n.(*plan.ScanNode); ok {
-		if v := e.freshView(sn.Table); v != nil {
+		if v, fresh := e.view(sn.Table); fresh {
 			e.viewMu.Lock()
-			sn.Materialized = v.name
-			sn.MaterializedAge = v.reads
+			sn.Materialized, sn.MaterializedAge = v.name, v.reads
 			e.viewMu.Unlock()
 		}
 		return

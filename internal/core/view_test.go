@@ -2,11 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"llmsql/internal/llm"
+	"llmsql/internal/world"
 )
 
 // viewTestConfig is the key-then-attr configuration the view tests stress:
@@ -197,8 +200,8 @@ func TestViewManifestIsWhatTheBuildAsked(t *testing.T) {
 }
 
 // TestViewDropAndRefreshEvictCachedPlans checks the generation contract:
-// cached plans (including prepared statements) never serve a dropped or
-// rebuilt view.
+// cached plans (including prepared statements) never serve a dropped view,
+// and a REFRESH that changes nothing a plan read keeps them.
 func TestViewDropAndRefreshEvictCachedPlans(t *testing.T) {
 	w := testWorld()
 	e := newTestEngine(t, w, llm.ProfileMedium, viewTestConfig())
@@ -217,10 +220,15 @@ func TestViewDropAndRefreshEvictCachedPlans(t *testing.T) {
 		t.Fatalf("prepared read not served by view: %+v", first.Scans)
 	}
 
-	// REFRESH bumps the generation: the handle re-prepares and keeps
-	// serving the (rebuilt) view.
+	// A REFRESH of a fresh view over an unchanged world leaves its row
+	// count alone and bumps nothing: the handle keeps its plan and serves
+	// the rebuilt rows.
+	gen := e.generation()
 	if err := e.Exec("REFRESH MATERIALIZED VIEW v"); err != nil {
 		t.Fatal(err)
+	}
+	if e.generation() != gen {
+		t.Fatal("a REFRESH that changed no row count invalidated the plans")
 	}
 	again, err := stmt.Query()
 	if err != nil {
@@ -265,6 +273,113 @@ func TestConcurrentViewCreates(t *testing.T) {
 		if len(views) != 2 || views[0].Rows == 0 || views[1].Rows == 0 {
 			t.Fatalf("trial %d: views %+v", trial, views)
 		}
+	}
+}
+
+// TestConcurrentRefreshesPublishOneBuild: two REFRESHes of one view run
+// beside a reader, trial after trial. A build publishes its rows in one
+// step, so every read sees exactly one build's rows — never an empty view,
+// never two builds' rows — and the view ends each trial with one build's
+// rows. Emptying the table and refilling it in two steps failed both ways.
+func TestConcurrentRefreshesPublishOneBuild(t *testing.T) {
+	const trials = 100
+	e := newTestEngine(t, testWorld(), llm.ProfileMedium, DefaultConfig())
+	if err := e.Exec("CREATE MATERIALIZED VIEW v AS SELECT name, capital FROM country"); err != nil {
+		t.Fatal(err)
+	}
+	info, _ := e.View("v")
+	want := info.Rows
+	if want == 0 {
+		t.Fatal("the build stored no rows")
+	}
+	for trial := 0; trial < trials; trial++ {
+		var refreshed atomic.Int32
+		errs := make([]error, 3)
+		concurrently(3, func(i int) {
+			if i < 2 {
+				errs[i] = e.Exec("REFRESH MATERIALIZED VIEW v")
+				refreshed.Add(1)
+				return
+			}
+			for errs[i] == nil && refreshed.Load() < 2 {
+				res, err := e.Query("SELECT name FROM v")
+				if err == nil && len(res.Result.Rows) != want {
+					err = fmt.Errorf("a read returned %d rows, want %d", len(res.Result.Rows), want)
+				}
+				errs[i] = err
+			}
+		})
+		for _, err := range errs {
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+		}
+		if info, _ := e.View("v"); info.Rows != want {
+			t.Fatalf("trial %d: the view holds %d rows after two refreshes, want %d", trial, info.Rows, want)
+		}
+	}
+}
+
+// TestViewMixedReusesPlansAcrossRefreshes runs the view_mixed benchmark
+// workload's cycle (benchmark/workloads.go) on a solo engine: its two
+// views, its four read shapes 95 times each and 20 REFRESHes of
+// v_laureate, shuffled. Over an unchanged world a REFRESH changes no view's
+// row count, so it invalidates no plan, and after a warm-up cycle nearly
+// every statement is a plan-cache hit. Invalidating every plan on each
+// REFRESH read 0.782.
+func TestViewMixedReusesPlansAcrossRefreshes(t *testing.T) {
+	w := world.Generate(world.Config{Seed: 2024, Countries: 40, Movies: 30, Laureates: 20, Companies: 20})
+	cfg := DefaultConfig()
+	cfg.CacheCapacity = -1
+	e := newTestEngine(t, w, llm.ProfileMedium, cfg)
+	for _, def := range []string{
+		"CREATE MATERIALIZED VIEW v_country AS SELECT name, capital, continent, population, gdp FROM country",
+		"CREATE MATERIALIZED VIEW v_laureate AS SELECT name, field, year, country FROM laureate",
+	} {
+		if err := e.Exec(def); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type op struct {
+		sql string
+		arg int
+	}
+	var cycle []op
+	for i := 0; i < 95; i++ {
+		cycle = append(cycle,
+			op{"SELECT continent, COUNT(*) AS n, SUM(population) AS pop FROM v_country GROUP BY continent ORDER BY continent", -1},
+			op{"SELECT name, population FROM v_country WHERE population > $1 ORDER BY population DESC, name LIMIT 10", 2 + i%16*3},
+			op{"SELECT l.name, l.field, c.capital FROM v_laureate AS l JOIN v_country AS c ON l.country = c.name WHERE l.year > $1 ORDER BY l.name LIMIT 20", 1905 + i%16*7},
+			op{"SELECT name, field, year, country FROM v_laureate", -1},
+		)
+	}
+	for i := 0; i < 20; i++ {
+		cycle = append(cycle, op{"REFRESH MATERIALIZED VIEW v_laureate", -1})
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(cycle), func(i, j int) { cycle[i], cycle[j] = cycle[j], cycle[i] })
+	run := func() {
+		for _, o := range cycle {
+			var err error
+			switch {
+			case strings.HasPrefix(o.sql, "REFRESH"):
+				err = e.Exec(o.sql)
+			case o.arg >= 0:
+				_, err = e.Query(o.sql, o.arg)
+			default:
+				_, err = e.Query(o.sql)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", o.sql, err)
+			}
+		}
+	}
+	run() // warm-up
+	before := e.PlanCacheStats()
+	run()
+	after := e.PlanCacheStats()
+	hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
+	if ratio := float64(hits) / float64(hits+misses); ratio < 0.95 {
+		t.Fatalf("plan-cache hit ratio %.3f (%d hits, %d misses) over a cycle, want at least 0.95", ratio, hits, misses)
 	}
 }
 

@@ -232,7 +232,9 @@ func sortOf(t *testing.T, n Node) *SortNode {
 // TestSortSinksBelowPassThroughProjection: a Sort moves below a projection
 // of column references and literals (a literal key is dropped), and the
 // LIMIT — plus its OFFSET — then bounds it exactly, with or without the
-// advisory scan hint. A projection that computes stays above the Sort.
+// advisory scan hint. A projection that computes stays above the Sort. An
+// ORDER BY column outside the select list costs no second projection when
+// the Sort sinks: the one projection left builds only the output columns.
 func TestSortSinksBelowPassThroughProjection(t *testing.T) {
 	cases := []struct {
 		query string
@@ -241,11 +243,13 @@ func TestSortSinksBelowPassThroughProjection(t *testing.T) {
 		sort  string // the Sort's EXPLAIN line
 	}{
 		{"SELECT name FROM country ORDER BY population DESC LIMIT 3 OFFSET 2", DefaultOptions(),
-			"Limit Project Project Sort Scan", "Sort #2 desc top 5"},
+			"Limit Project Sort Scan", "Sort #2 desc top 5"},
 		{"SELECT name, population FROM country ORDER BY population DESC, name LIMIT 3", Options{},
 			"Limit Project Sort Scan", "Sort #2 desc, #0 asc top 3"},
 		{"SELECT name, 1 AS one FROM country ORDER BY one, capital LIMIT 2", DefaultOptions(),
-			"Limit Project Project Sort Scan", "Sort #1 asc top 2"},
+			"Limit Project Sort Scan", "Sort #1 asc top 2"},
+		{"SELECT name FROM country ORDER BY population * 2 LIMIT 2", DefaultOptions(),
+			"Limit Project Sort Project Scan", "Sort #1 asc top 2"},
 		{"SELECT name, population + 1 AS p FROM country ORDER BY p LIMIT 2", DefaultOptions(),
 			"Limit Sort Project Scan", "Sort #1 asc top 2"},
 		{"SELECT name FROM country ORDER BY name", DefaultOptions(),
@@ -277,6 +281,13 @@ func TestSortSinksBelowPassThroughProjection(t *testing.T) {
 		}
 		if scan := scanOf(t, node); scan.Limit != 0 {
 			t.Errorf("%s: a sorted scan got a limit hint %d", c.query, scan.Limit)
+		}
+		if s := sortOf(t, node); s.Child == scanOf(t, node) {
+			for _, k := range s.Keys {
+				if scan := scanOf(t, node); scan.Needed != nil && !scan.Needed[k.Col] {
+					t.Errorf("%s: the scan under the Sort drops its key column %d\n%s", c.query, k.Col, Explain(node))
+				}
+			}
 		}
 	}
 }

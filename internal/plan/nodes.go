@@ -53,7 +53,9 @@ type ScanNode struct {
 	Materialized string
 	// MaterializedAge is the view's age when the plan was built, counted in
 	// warm reads served since the last build or refresh (views age by use,
-	// not wall clock, so replayed plans stay deterministic).
+	// not wall clock, so replayed plans stay deterministic). A cached plan
+	// keeps it through reads and through a REFRESH that leaves a fresh
+	// view's row count unchanged: neither invalidates plans.
 	MaterializedAge int
 }
 

@@ -458,6 +458,12 @@ func pruneColumns(n Node, needed map[colID]bool) {
 		pruneColumns(x.Child, child)
 
 	case *SortNode:
+		// A Sort the planner sank below a trim may sort by hidden columns.
+		for _, k := range x.Keys {
+			if c := x.Child.Schema().Col(k.Col); needed != nil {
+				needed[colID{c.Table, c.Name}] = true
+			}
+		}
 		pruneColumns(x.Child, needed)
 	case *LimitNode:
 		pruneColumns(x.Child, needed)

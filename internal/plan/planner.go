@@ -141,13 +141,13 @@ func (p *planner) finishSelect(sel *sql.SelectStmt, node Node) (Node, error) {
 	outSchema := rel.NewSchema(outCols...)
 
 	// ORDER BY resolution: output alias/name, ordinal, or arbitrary
-	// expression over the pre-projection schema (hidden column).
+	// expression over the pre-projection schema (a hidden column).
 	type orderRef struct {
-		visibleCol int      // >= 0 when referring to an output column
-		hidden     sql.Expr // non-nil when a hidden column is needed
+		visibleCol int // the projection column the order refers to
 		desc       bool
 	}
 	var orders []orderRef
+	allExprs, allCols := projExprs, outCols
 	for _, o := range orderBy {
 		ref := orderRef{visibleCol: -1, desc: o.Desc}
 		// Ordinal: ORDER BY 2.
@@ -178,43 +178,29 @@ func (p *planner) finishSelect(sel *sql.SelectStmt, node Node) (Node, error) {
 			}
 		}
 		if !matched {
-			// Hidden column over the pre-projection schema.
-			if _, err := expr.Compile(o.Expr, node.Schema()); err != nil {
+			c, err := expr.Compile(o.Expr, node.Schema())
+			if err != nil {
 				return nil, fmt.Errorf("plan: cannot resolve ORDER BY expression: %w", err)
 			}
-			ref.hidden = o.Expr
+			allExprs = append(allExprs, o.Expr)
+			allCols = append(allCols, rel.Column{Type: c.Type})
+			ref.visibleCol = len(allExprs) - 1
 		}
 		orders = append(orders, ref)
 	}
+	hiddenCount := len(allExprs) - len(projExprs)
 
-	hiddenCount := 0
-	allExprs := projExprs
-	allCols := outCols
-	for i := range orders {
-		if orders[i].hidden != nil {
-			c, err := expr.Compile(orders[i].hidden, node.Schema())
-			if err != nil {
-				return nil, err
-			}
-			allExprs = append(allExprs, orders[i].hidden)
-			allCols = append(allCols, rel.Column{Name: fmt.Sprintf("#o%d", hiddenCount), Type: c.Type})
-			orders[i].visibleCol = len(allExprs) - 1
-			hiddenCount++
-		}
-	}
-
+	wide := allCols
 	if hiddenCount > 0 {
 		// Give the wide projection unique internal names so that the final
 		// trim projection can reference columns unambiguously even when the
 		// visible output has duplicate names.
-		wide := make([]rel.Column, len(allCols))
+		wide = make([]rel.Column, len(allCols))
 		for i, c := range allCols {
 			wide[i] = rel.Column{Name: fmt.Sprintf("#p%d", i), Type: c.Type}
 		}
-		node = &ProjectNode{Child: node, Exprs: allExprs, Out: rel.NewSchema(wide...)}
-	} else {
-		node = &ProjectNode{Child: node, Exprs: allExprs, Out: rel.NewSchema(allCols...)}
 	}
+	node = &ProjectNode{Child: node, Exprs: allExprs, Out: rel.NewSchema(wide...)}
 
 	if sel.Distinct {
 		if hiddenCount > 0 {
@@ -232,8 +218,15 @@ func (p *planner) finishSelect(sel *sql.SelectStmt, node Node) (Node, error) {
 	}
 
 	if hiddenCount > 0 {
-		// Trim the hidden order columns with a pass-through projection.
-		node = &ProjectNode{Child: node, Exprs: positionalRefs(node.Schema(), len(projExprs)), Out: rel.NewSchema(outCols...)}
+		// Trim the hidden order columns: a pass-through wide projection takes
+		// the Sort below it and is cut to the output columns, so each kept row
+		// is built once; any other is trimmed by a second projection.
+		if p, ok := sinkSort(node.(*SortNode)).(*ProjectNode); ok {
+			p.Exprs, p.Out = p.Exprs[:len(projExprs)], outSchema
+			node = p
+		} else {
+			node = &ProjectNode{Child: node, Exprs: positionalRefs(node.Schema(), len(projExprs)), Out: outSchema}
+		}
 	}
 
 	return applyLimit(sel, node)
@@ -259,10 +252,8 @@ func applyLimit(sel *sql.SelectStmt, node Node) (Node, error) {
 	return &LimitNode{Child: node, Limit: limit, Offset: offset}, nil
 }
 
-// positionalRefs builds column references for the first n columns of schema
-// using a positional marker understood by the executor (see exec package):
-// it simply references each column by its unique internal name; schema
-// internals guarantee hidden names (#o0...) never collide with the prefix.
+// positionalRefs references the first n columns of schema by name; the wide
+// projection's names (#p0, #p1, ...) are unique.
 func positionalRefs(s rel.Schema, n int) []sql.Expr {
 	out := make([]sql.Expr, n)
 	for i := 0; i < n; i++ {

@@ -63,6 +63,10 @@ func TestUnoptimizedMatchesOptimized(t *testing.T) {
 		"SELECT m.title, c.capital FROM movie m JOIN country c ON m.country = c.name WHERE c.continent = 'Asia' ORDER BY m.title",
 		"SELECT continent, COUNT(*) FROM country GROUP BY continent ORDER BY 2 DESC, 1",
 		"SELECT title FROM movie WHERE country IN (SELECT name FROM country WHERE population > 100) ORDER BY title",
+		"SELECT name FROM country ORDER BY population DESC LIMIT 3 OFFSET 2",
+		"SELECT name, 1 AS one FROM country WHERE continent <> 'Asia' ORDER BY one, capital DESC",
+		"SELECT m.title FROM movie m JOIN country c ON m.country = c.name ORDER BY c.population DESC, m.year LIMIT 4",
+		"SELECT name FROM country ORDER BY population * 2, name",
 	}
 	for _, q := range queries {
 		sel, err := sql.ParseSelect(q)

@@ -1,7 +1,9 @@
 // Package storage implements the classical in-memory row store used both as
 // the ground-truth database and as the baseline the LLM-storage engine is
 // compared against. It provides a catalog of heap tables, insertion with type
-// checking, full scans, and CSV export.
+// checking, full scans, and CSV export. Table.Replace swaps all of a table's
+// rows in one step, so readers never see a table half rebuilt: materialized
+// views publish each build that way.
 package storage
 
 import (
@@ -108,23 +110,11 @@ func (t *Table) Insert(row rel.Row) error {
 // InsertBatch appends many rows under a single lock acquisition: every row
 // is coerced first, so a bad row fails the whole batch before any row is
 // stored (all-or-nothing). Row numbers in errors count from 1. This is the
-// bulk-ingestion path of INSERT statements, materialized views and world
-// loading.
+// bulk-ingestion path of INSERT statements and world loading.
 func (t *Table) InsertBatch(rows []rel.Row) error {
-	stored := make([]rel.Row, len(rows))
-	for r, row := range rows {
-		if len(row) != t.schema.Len() {
-			return fmt.Errorf("storage: %s expects %d values, got %d (row %d)", t.name, t.schema.Len(), len(row), r+1)
-		}
-		out := make(rel.Row, len(row))
-		for i, v := range row {
-			cv, err := rel.Coerce(v, t.schema.Col(i).Type)
-			if err != nil {
-				return fmt.Errorf("storage: %s.%s (row %d): %w", t.name, t.schema.Col(i).Name, r+1, err)
-			}
-			out[i] = cv
-		}
-		stored[r] = out
+	stored, err := t.coerceRows(rows)
+	if err != nil {
+		return err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -132,12 +122,51 @@ func (t *Table) InsertBatch(rows []rel.Row) error {
 	return nil
 }
 
+// Replace swaps the table's rows for rows in one step and returns how many
+// rows it held before. Every row is coerced first, as in InsertBatch, so a
+// bad row fails the call and the old rows stay; otherwise the swap happens
+// under a single lock acquisition, so a reader sees either the old rows or
+// the new ones, never an empty table in between nor a mix. Scans started
+// before the swap keep iterating the old rows. This is how a materialized
+// view publishes a build.
+func (t *Table) Replace(rows []rel.Row) (int, error) {
+	stored, err := t.coerceRows(rows)
+	if err != nil {
+		return 0, err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	prev := len(t.rows)
+	t.rows = stored
+	return prev, nil
+}
+
+// coerceRows returns rows coerced to the column types, in fresh rows.
+func (t *Table) coerceRows(rows []rel.Row) ([]rel.Row, error) {
+	stored := make([]rel.Row, len(rows))
+	for r, row := range rows {
+		if len(row) != t.schema.Len() {
+			return nil, fmt.Errorf("storage: %s expects %d values, got %d (row %d)", t.name, t.schema.Len(), len(row), r+1)
+		}
+		out := make(rel.Row, len(row))
+		for i, v := range row {
+			cv, err := rel.Coerce(v, t.schema.Col(i).Type)
+			if err != nil {
+				return nil, fmt.Errorf("storage: %s.%s (row %d): %w", t.name, t.schema.Col(i).Name, r+1, err)
+			}
+			out[i] = cv
+		}
+		stored[r] = out
+	}
+	return stored, nil
+}
+
 // Scan returns a snapshot iterator over all rows. Rows must not be mutated
 // by callers.
 func (t *Table) Scan() *Rows {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	snapshot := t.rows // append-only heap: the prefix is immutable
+	snapshot := t.rows // rows are only appended past it or swapped out whole
 	return &Rows{rows: snapshot}
 }
 

@@ -275,3 +275,28 @@ func (db *DB) TableNames() []string {
 	sort.Strings(names)
 	return names
 }
+
+func TestReplaceSwapsAllOrNothing(t *testing.T) {
+	tbl := newCountryTable(t)
+	snap := tbl.Scan()
+	prev, err := tbl.Replace([]rel.Row{{rel.Text("Kenya"), rel.Text("Nairobi"), rel.Text("54")}})
+	if err != nil || prev != 3 {
+		t.Fatalf("Replace = %d, %v; want 3, nil", prev, err)
+	}
+	if rows := tbl.All(); len(rows) != 1 || rows[0][2].AsInt() != 54 {
+		t.Fatalf("after Replace: %v, want Kenya with a coerced population", rows)
+	}
+	if snap.Len() != 3 {
+		t.Fatalf("a scan started before Replace sees %d rows, want 3", snap.Len())
+	}
+	_, err = tbl.Replace([]rel.Row{
+		{rel.Text("Chad"), rel.Text("N'Djamena"), rel.Int(18)},
+		{rel.Text("Mali"), rel.Text("Bamako"), rel.Text("lots")},
+	})
+	if err == nil || !strings.Contains(err.Error(), "(row 2)") {
+		t.Fatalf("bad second row: err = %v, want a row 2 error", err)
+	}
+	if rows := tbl.All(); len(rows) != 1 || rows[0][0].AsText() != "Kenya" {
+		t.Fatalf("a failed Replace changed the rows: %v", rows)
+	}
+}
