@@ -184,6 +184,7 @@ fuzz:
 	$(GO) test ./internal/llm -run '^$$' -fuzz '^FuzzLoadTrace$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/llm -run '^$$' -fuzz '^FuzzCountTokens$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzParseCompletion$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzListPromptMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/exec -run '^$$' -fuzz '^FuzzSortLimit$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzWireResponse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME)

@@ -23,7 +23,7 @@ import (
 // of over-fetch. Rows stream in key order, so at any
 // Parallelism/BatchSize the emitted prefix is byte-identical to the fully
 // materialized scan.
-func (sc *llmScan) startKeyThenAttr() (func() (rel.Row, bool, error), error) {
+func (sc *llmScan) startKeyThenAttr() (*attrStream, error) {
 	// Phase 1: enumerate keys. The prompt carries the conjuncts the key
 	// column alone can decide; the gate below enforces them locally. The
 	// rows are the entity key alone.
@@ -77,7 +77,7 @@ func (sc *llmScan) startKeyThenAttr() (func() (rel.Row, bool, error), error) {
 		primary:   llm.NewSched(cfg.Parallelism),
 		fallback:  llm.NewSched(cfg.Parallelism),
 	}
-	return st.nextRow, nil
+	return st, nil
 }
 
 // gateKeys enforces the key-only pushed conjuncts locally on the

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strings"
-
 	"llmsql/internal/llm"
 	"llmsql/internal/plan"
 	"llmsql/internal/rel"
@@ -45,12 +43,13 @@ type promptTokens struct {
 	keys     int   // the unfiltered KEYS prompt
 	attr     []int // per column, its ATTR prompt with the table name standing in for a key
 	listBase int   // the unfiltered LIST prompt over no columns
-	listCol  []int // per column, its COLUMNS-line segment (writeListColumn)
+	listCol  []int // per column, its COLUMNS-line segment (promptText.cols)
 }
 
-// measurePrompts renders t's unfiltered templates and counts their tokens.
-// The ATTR prompts are measured with the table name standing in for an
-// entity key — keys and table names have comparable token widths.
+// measurePrompts counts the tokens of t's unfiltered templates, rendered
+// from the record's promptText. The ATTR prompts are measured with the table
+// name standing in for an entity key — keys and table names have comparable
+// token widths.
 func measurePrompts(t *VirtualTable) promptTokens {
 	n := t.Schema.Len()
 	p := promptTokens{
@@ -59,12 +58,9 @@ func measurePrompts(t *VirtualTable) promptTokens {
 		listBase: llm.CountTokens(buildListPrompt(t, nil, nil, nil, 0)),
 		listCol:  make([]int, n),
 	}
-	var seg strings.Builder
 	for c := 0; c < n; c++ {
 		p.attr[c] = llm.CountTokens(buildAttrPrompt(t, t.Name, c))
-		seg.Reset()
-		writeListColumn(&seg, t.Schema.Col(c))
-		p.listCol[c] = llm.CountTokens(seg.String())
+		p.listCol[c] = llm.CountTokens(t.text.cols[c])
 	}
 	return p
 }

@@ -487,7 +487,7 @@ func TestEnumMemoConcurrentWarmScansWithEviction(t *testing.T) {
 			return "", ScanStats{}, err
 		}
 		rows, err := exec.Drain(it)
-		st := it.(*scanIter).scan.stats
+		st := it.(*llmScan).stats
 		st.CacheHits, st.CacheMisses = 0, 0
 		return renderRows(rows), st, err
 	}

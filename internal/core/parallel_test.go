@@ -349,13 +349,44 @@ func benchWarmScan(b *testing.B, cfg Config) {
 }
 
 // TestCachedFullTableScanAllocs guards BenchmarkCachedFullTableScan's
-// allocations: a warm scan replays its memoised enumeration, 21 allocations
-// on Go 1.24 (22 under -race). Parsing and merging every round again made
-// it 45.
+// allocations: a warm scan replays its memoised enumeration, 10 allocations
+// on Go 1.24, race detector or not. Parsing and merging every round again
+// made it 45; rendering the LIST prompt piece by piece, with the scan's row
+// stream in two more objects, 20.
 func TestCachedFullTableScanAllocs(t *testing.T) {
-	const maxAllocs = 24
+	const maxAllocs = 13
 	if n := testing.AllocsPerRun(50, warmScan(t, DefaultConfig())); n > maxAllocs {
 		t.Fatalf("warm full-table scan: %v allocs, want at most %d", n, maxAllocs)
+	}
+}
+
+// TestWarmGroupQueryAllocs guards a warm query on a group session, the
+// shape hot_repeat repeats: SELECT name, capital, population FROM country
+// WHERE population > $1 LIMIT 5 with $1 bound, its plan cached and every
+// completion cached. It makes 55 allocations on Go 1.24, race detector or
+// not; rendering the LIST prompt piece by piece made it 73.
+func TestWarmGroupQueryAllocs(t *testing.T) {
+	const maxAllocs = 58
+	w := parWorld()
+	cfg := DefaultConfig()
+	cfg.CacheCapacity = -1
+	g, err := NewEngineGroup(llm.NewSynthLM(w, llm.ProfileMedium, 7), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	for _, name := range w.DomainNames() {
+		g.RegisterWorldDomain(w.Domain(name))
+	}
+	e := g.Session()
+	query := func() {
+		if _, err := e.Query("SELECT name, capital, population FROM country WHERE population > $1 LIMIT 5", 20); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query() // plan the statement and warm the cache
+	if n := testing.AllocsPerRun(50, query); n > maxAllocs {
+		t.Fatalf("warm group query: %v allocs, want at most %d", n, maxAllocs)
 	}
 }
 

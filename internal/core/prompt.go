@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"llmsql/internal/rel"
@@ -24,61 +25,84 @@ type VirtualTable struct {
 	// domain size). Prior-scan statistics refine it; zero means unknown.
 	EstRows int
 
-	// prompts is the prompt boilerplate's token counts, measured once by
-	// tableRecord.
+	// text is the prompt text the table's LIST and KEYS prompts share and
+	// prompts its token counts, both made once by tableRecord.
+	text    promptText
 	prompts promptTokens
 }
 
 const promptHeader = "You are a precise data assistant. Answer strictly from your world knowledge."
 
-// buildListPrompt asks for full rows over the given column positions.
-func buildListPrompt(t *VirtualTable, cols []int, filter sql.Expr, exclude []string, maxRows int) string {
+// listTail closes every LIST prompt.
+const listTail = "Respond with one row per line, fields separated by ' | ', in the column order given. Output data only, no commentary."
+
+// promptText is the part of a table's LIST and KEYS prompts that depends on
+// the table record alone, rendered once when the table is registered: a
+// warm scan writes these strings and its filter into one allocation, and
+// measurePrompts counts tokens over the same strings.
+type promptText struct {
+	listHead string   // header, TASK and TABLE lines, "COLUMNS: "
+	keysHead string   // header, TASK and TABLE lines, the key's COLUMNS line
+	keysTail string   // the KEYS answer instruction, which names the key
+	cols     []string // per column, its segment of the LIST COLUMNS line
+}
+
+func renderPromptText(t *VirtualTable) promptText {
 	var b strings.Builder
-	b.WriteString(promptHeader)
-	b.WriteString("\nTASK: LIST\n")
 	writeTableLine(&b, t)
-	b.WriteString("COLUMNS: ")
+	table := b.String()
+	key := t.Schema.Col(t.Schema.KeyIndexes()[0])
+	p := promptText{
+		listHead: promptHeader + "\nTASK: LIST\n" + table + "COLUMNS: ",
+		keysHead: promptHeader + "\nTASK: KEYS\n" + table + "COLUMNS: " + key.Name + " -- " + key.Desc + "\n",
+		keysTail: "Respond with one " + key.Name + " per line. Output data only, no commentary.",
+		cols:     make([]string, t.Schema.Len()),
+	}
+	// Whitespace surrounds every column segment, so its tokens are its own
+	// (promptTokens.list relies on this).
+	for i, col := range t.Schema.Columns {
+		p.cols[i] = col.Name
+		if col.Desc != "" {
+			p.cols[i] += " -- " + col.Desc
+		}
+	}
+	return p
+}
+
+// buildListPrompt asks for full rows over the given column positions of a
+// table record.
+func buildListPrompt(t *VirtualTable, cols []int, filter sql.Expr, exclude []string, maxRows int) string {
+	p := &t.text
+	n := len(p.listHead) + len("\n") + len(listTail) + optionalLinesLen(filter, exclude, maxRows)
+	for i, c := range cols {
+		if i > 0 {
+			n += len(" | ")
+		}
+		n += len(p.cols[c])
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(p.listHead)
 	for i, c := range cols {
 		if i > 0 {
 			b.WriteString(" | ")
 		}
-		writeListColumn(&b, t.Schema.Col(c))
+		b.WriteString(p.cols[c])
 	}
 	b.WriteByte('\n')
-	writeFilterLines(&b, filter)
-	writeExcludeLine(&b, exclude)
-	if maxRows > 0 {
-		fmt.Fprintf(&b, "MAXROWS: %d\n", maxRows)
-	}
-	b.WriteString("Respond with one row per line, fields separated by ' | ', in the column order given. Output data only, no commentary.")
+	writeOptionalLines(&b, filter, exclude, maxRows)
+	b.WriteString(listTail)
 	return b.String()
 }
 
-// writeListColumn writes one column's segment of the LIST prompt's COLUMNS
-// line. Whitespace surrounds every segment, so its tokens are its own
-// (promptTokens.list relies on this).
-func writeListColumn(b *strings.Builder, col rel.Column) {
-	b.WriteString(col.Name)
-	if col.Desc != "" {
-		b.WriteString(" -- ")
-		b.WriteString(col.Desc)
-	}
-}
-
-// buildKeysPrompt asks only for entity keys.
+// buildKeysPrompt asks a table record only for entity keys.
 func buildKeysPrompt(t *VirtualTable, filter sql.Expr, exclude []string, maxRows int) string {
+	p := &t.text
 	var b strings.Builder
-	b.WriteString(promptHeader)
-	b.WriteString("\nTASK: KEYS\n")
-	writeTableLine(&b, t)
-	key := t.Schema.Col(t.Schema.KeyIndexes()[0])
-	fmt.Fprintf(&b, "COLUMNS: %s -- %s\n", key.Name, key.Desc)
-	writeFilterLines(&b, filter)
-	writeExcludeLine(&b, exclude)
-	if maxRows > 0 {
-		fmt.Fprintf(&b, "MAXROWS: %d\n", maxRows)
-	}
-	fmt.Fprintf(&b, "Respond with one %s per line. Output data only, no commentary.", key.Name)
+	b.Grow(len(p.keysHead) + len(p.keysTail) + optionalLinesLen(filter, exclude, maxRows))
+	b.WriteString(p.keysHead)
+	writeOptionalLines(&b, filter, exclude, maxRows)
+	b.WriteString(p.keysTail)
 	return b.String()
 }
 
@@ -127,6 +151,49 @@ func writeTableLine(b *strings.Builder, t *VirtualTable) {
 	fmt.Fprintf(b, "TABLE: %s -- %s\n", strings.ToLower(t.Name), t.Description)
 }
 
+// writeOptionalLines writes the lines a LIST or KEYS prompt carries only
+// when it has them: the filter (as writeFilterLines), the excluded entries
+// and the row cap.
+func writeOptionalLines(b *strings.Builder, filter sql.Expr, exclude []string, maxRows int) {
+	writeFilterLines(b, filter)
+	if len(exclude) > 0 {
+		b.WriteString("EXCLUDE: ")
+		for i, x := range exclude {
+			if i > 0 {
+				b.WriteString(" | ")
+			}
+			b.WriteString(x)
+		}
+		b.WriteString("\nDo not repeat any excluded entry.\n")
+	}
+	if maxRows > 0 {
+		var buf [20]byte
+		b.WriteString("MAXROWS: ")
+		b.Write(strconv.AppendInt(buf[:0], int64(maxRows), 10))
+		b.WriteByte('\n')
+	}
+}
+
+// optionalLinesLen is the size writeOptionalLines will write: exact but for
+// the filter, whose size filterLinesLen estimates.
+func optionalLinesLen(filter sql.Expr, exclude []string, maxRows int) int {
+	n := 0
+	if filter != nil {
+		n += filterLinesLen(filter)
+	}
+	if len(exclude) > 0 {
+		n += len("EXCLUDE: \nDo not repeat any excluded entry.\n") + len(" | ")*(len(exclude)-1)
+		for _, x := range exclude {
+			n += len(x)
+		}
+	}
+	if maxRows > 0 {
+		var buf [20]byte
+		n += len("MAXROWS: \n") + len(strconv.AppendInt(buf[:0], int64(maxRows), 10))
+	}
+	return n
+}
+
 // writeFilterLines emits both the canonical condition (FILTER:) and a
 // human-oriented sentence. Scans pass their filter with qualifiers already
 // stripped (scanSpec.filter), so the canonical line carries bare column
@@ -135,21 +202,74 @@ func writeFilterLines(b *strings.Builder, filter sql.Expr) {
 	if filter == nil {
 		return
 	}
-	fmt.Fprintf(b, "FILTER: %s\n", sql.Deparse(filter))
-	fmt.Fprintf(b, "Only include rows where this condition holds: %s.\n", VerbalizePredicate(filter))
+	b.WriteString("FILTER: ")
+	sql.DeparseTo(b, filter)
+	b.WriteString("\nOnly include rows where this condition holds: ")
+	verbalize(b, filter)
+	b.WriteString(".\n")
 }
 
-func writeExcludeLine(b *strings.Builder, exclude []string) {
-	if len(exclude) == 0 {
-		return
+// filterLinesLen estimates the size writeFilterLines writes for a non-nil
+// filter, to size a prompt's one allocation: exact for the column
+// references, INT and TEXT literals and binary operators pushed filters are
+// mostly made of (parentheses and quoting aside), a guess for other nodes.
+func filterLinesLen(filter sql.Expr) int {
+	n := len("FILTER: \nOnly include rows where this condition holds: .\n")
+	sql.WalkExpr(filter, func(e sql.Expr) bool {
+		switch x := e.(type) {
+		case *sql.ColumnRef:
+			n += 2 * len(x.Name)
+		case *sql.Literal:
+			n += 2 * literalLen(x.Value)
+		case *sql.BinaryExpr:
+			op := len(x.Op.String()) + len("  ")
+			if v := verbalOp(x.Op); v != "" {
+				n += op + len(v)
+			} else {
+				n += 2 * op
+			}
+		default:
+			n += 32
+		}
+		return true
+	})
+	return n
+}
+
+// literalLen is the length of v.SQLLiteral() for INT and TEXT values
+// (quotes inside a TEXT value aside), a guess for the rest.
+func literalLen(v rel.Value) int {
+	switch {
+	case v.IsNull():
+		return len("NULL")
+	case v.Type() == rel.TypeText:
+		return len(v.AsText()) + len("''")
+	case v.Type() == rel.TypeInt:
+		var buf [20]byte
+		return len(strconv.AppendInt(buf[:0], v.AsInt(), 10))
 	}
-	fmt.Fprintf(b, "EXCLUDE: %s\n", strings.Join(exclude, " | "))
-	b.WriteString("Do not repeat any excluded entry.\n")
+	return 8
 }
 
 // stripQualifiers rewrites table-qualified column references to bare names,
-// since prompts describe columns without aliases.
+// since prompts describe columns without aliases. A filter without a
+// qualified reference is returned as it is.
 func stripQualifiers(e sql.Expr) sql.Expr {
+	qualified := false
+	sql.WalkExpr(e, func(x sql.Expr) bool {
+		if c, ok := x.(*sql.ColumnRef); ok && c.Table != "" {
+			qualified = true
+		}
+		return !qualified
+	})
+	if !qualified {
+		return e
+	}
+	return stripRefs(e)
+}
+
+// stripRefs copies e with every column reference bare.
+func stripRefs(e sql.Expr) sql.Expr {
 	switch x := e.(type) {
 	case nil:
 		return nil
@@ -158,35 +278,35 @@ func stripQualifiers(e sql.Expr) sql.Expr {
 	case *sql.Literal:
 		return x
 	case *sql.BinaryExpr:
-		return &sql.BinaryExpr{Op: x.Op, Left: stripQualifiers(x.Left), Right: stripQualifiers(x.Right)}
+		return &sql.BinaryExpr{Op: x.Op, Left: stripRefs(x.Left), Right: stripRefs(x.Right)}
 	case *sql.UnaryExpr:
-		return &sql.UnaryExpr{Op: x.Op, X: stripQualifiers(x.X)}
+		return &sql.UnaryExpr{Op: x.Op, X: stripRefs(x.X)}
 	case *sql.FuncCall:
 		args := make([]sql.Expr, len(x.Args))
 		for i, a := range x.Args {
-			args[i] = stripQualifiers(a)
+			args[i] = stripRefs(a)
 		}
 		return &sql.FuncCall{Name: x.Name, Args: args, Star: x.Star, Distinct: x.Distinct}
 	case *sql.IsNullExpr:
-		return &sql.IsNullExpr{X: stripQualifiers(x.X), Not: x.Not}
+		return &sql.IsNullExpr{X: stripRefs(x.X), Not: x.Not}
 	case *sql.InExpr:
 		list := make([]sql.Expr, len(x.List))
 		for i, a := range x.List {
-			list[i] = stripQualifiers(a)
+			list[i] = stripRefs(a)
 		}
-		return &sql.InExpr{X: stripQualifiers(x.X), List: list, Not: x.Not}
+		return &sql.InExpr{X: stripRefs(x.X), List: list, Not: x.Not}
 	case *sql.BetweenExpr:
-		return &sql.BetweenExpr{X: stripQualifiers(x.X), Lo: stripQualifiers(x.Lo), Hi: stripQualifiers(x.Hi), Not: x.Not}
+		return &sql.BetweenExpr{X: stripRefs(x.X), Lo: stripRefs(x.Lo), Hi: stripRefs(x.Hi), Not: x.Not}
 	case *sql.LikeExpr:
-		return &sql.LikeExpr{X: stripQualifiers(x.X), Pattern: stripQualifiers(x.Pattern), Not: x.Not}
+		return &sql.LikeExpr{X: stripRefs(x.X), Pattern: stripRefs(x.Pattern), Not: x.Not}
 	case *sql.CaseExpr:
-		out := &sql.CaseExpr{Operand: stripQualifiers(x.Operand), Else: stripQualifiers(x.Else)}
+		out := &sql.CaseExpr{Operand: stripRefs(x.Operand), Else: stripRefs(x.Else)}
 		for _, w := range x.Whens {
-			out.Whens = append(out.Whens, sql.WhenClause{Cond: stripQualifiers(w.Cond), Then: stripQualifiers(w.Then)})
+			out.Whens = append(out.Whens, sql.WhenClause{Cond: stripRefs(w.Cond), Then: stripRefs(w.Then)})
 		}
 		return out
 	case *sql.CastExpr:
-		return &sql.CastExpr{X: stripQualifiers(x.X), Type: x.Type}
+		return &sql.CastExpr{X: stripRefs(x.X), Type: x.Type}
 	default:
 		return e
 	}
@@ -196,68 +316,101 @@ func stripQualifiers(e sql.Expr) sql.Expr {
 // "population > 50 AND continent = 'Europe'" becomes
 // "population is greater than 50 and continent equals 'Europe'".
 func VerbalizePredicate(e sql.Expr) string {
+	var b strings.Builder
+	verbalize(&b, e)
+	return b.String()
+}
+
+// verbalize writes VerbalizePredicate(e) into b.
+func verbalize(b *strings.Builder, e sql.Expr) {
 	switch x := e.(type) {
 	case nil:
-		return ""
 	case *sql.ColumnRef:
-		return x.Name
-	case *sql.Literal:
-		return x.Value.SQLLiteral()
+		b.WriteString(x.Name)
 	case *sql.BinaryExpr:
-		l, r := VerbalizePredicate(x.Left), VerbalizePredicate(x.Right)
-		switch x.Op {
-		case sql.OpAnd:
-			return l + " and " + r
-		case sql.OpOr:
-			return l + " or " + r
-		case sql.OpEq:
-			return l + " equals " + r
-		case sql.OpNe:
-			return l + " differs from " + r
-		case sql.OpLt:
-			return l + " is less than " + r
-		case sql.OpLe:
-			return l + " is at most " + r
-		case sql.OpGt:
-			return l + " is greater than " + r
-		case sql.OpGe:
-			return l + " is at least " + r
-		default:
-			return l + " " + x.Op.String() + " " + r
+		verbalize(b, x.Left)
+		if v := verbalOp(x.Op); v != "" {
+			b.WriteString(v)
+		} else {
+			b.WriteByte(' ')
+			b.WriteString(x.Op.String())
+			b.WriteByte(' ')
 		}
+		verbalize(b, x.Right)
 	case *sql.UnaryExpr:
 		if x.Op == "NOT" {
-			return "not (" + VerbalizePredicate(x.X) + ")"
+			b.WriteString("not (")
+			verbalize(b, x.X)
+			b.WriteByte(')')
+			return
 		}
-		return x.Op + VerbalizePredicate(x.X)
+		b.WriteString(x.Op)
+		verbalize(b, x.X)
 	case *sql.IsNullExpr:
+		verbalize(b, x.X)
 		if x.Not {
-			return VerbalizePredicate(x.X) + " is known"
+			b.WriteString(" is known")
+		} else {
+			b.WriteString(" is unknown")
 		}
-		return VerbalizePredicate(x.X) + " is unknown"
 	case *sql.InExpr:
-		var items []string
-		for _, it := range x.List {
-			items = append(items, VerbalizePredicate(it))
-		}
-		verb := " is one of "
+		verbalize(b, x.X)
 		if x.Not {
-			verb = " is none of "
+			b.WriteString(" is none of ")
+		} else {
+			b.WriteString(" is one of ")
 		}
-		return VerbalizePredicate(x.X) + verb + strings.Join(items, ", ")
+		for i, it := range x.List {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			verbalize(b, it)
+		}
 	case *sql.BetweenExpr:
-		verb := " is between "
+		verbalize(b, x.X)
 		if x.Not {
-			verb = " is not between "
+			b.WriteString(" is not between ")
+		} else {
+			b.WriteString(" is between ")
 		}
-		return VerbalizePredicate(x.X) + verb + VerbalizePredicate(x.Lo) + " and " + VerbalizePredicate(x.Hi)
+		verbalize(b, x.Lo)
+		b.WriteString(" and ")
+		verbalize(b, x.Hi)
 	case *sql.LikeExpr:
-		verb := " matches the pattern "
+		verbalize(b, x.X)
 		if x.Not {
-			verb = " does not match the pattern "
+			b.WriteString(" does not match the pattern ")
+		} else {
+			b.WriteString(" matches the pattern ")
 		}
-		return VerbalizePredicate(x.X) + verb + VerbalizePredicate(x.Pattern)
+		verbalize(b, x.Pattern)
 	default:
-		return sql.Deparse(e)
+		// Literals verbalize as their SQL spelling, and so does every kind
+		// without an English form.
+		sql.DeparseTo(b, e)
 	}
+}
+
+// verbalOp spells a logical or comparison operator in English, with the
+// spaces around it; any other operator has no English form ("").
+func verbalOp(op sql.BinaryOp) string {
+	switch op {
+	case sql.OpAnd:
+		return " and "
+	case sql.OpOr:
+		return " or "
+	case sql.OpEq:
+		return " equals "
+	case sql.OpNe:
+		return " differs from "
+	case sql.OpLt:
+		return " is less than "
+	case sql.OpLe:
+		return " is at most "
+	case sql.OpGt:
+		return " is greater than "
+	case sql.OpGe:
+		return " is at least "
+	}
+	return ""
 }

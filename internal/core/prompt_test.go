@@ -10,8 +10,9 @@ import (
 	"llmsql/internal/sql"
 )
 
+// promptTable returns a registered record of a three-column country table.
 func promptTable() *VirtualTable {
-	return &VirtualTable{
+	return tableRecord(VirtualTable{
 		Name:        "country",
 		Description: "a sovereign country of the world",
 		Schema: rel.NewSchema(
@@ -19,7 +20,7 @@ func promptTable() *VirtualTable {
 			rel.Column{Name: "capital", Type: rel.TypeText, Desc: "the capital city"},
 			rel.Column{Name: "population", Type: rel.TypeInt, Desc: "population in millions"},
 		),
-	}
+	})
 }
 
 func TestBuildListPrompt(t *testing.T) {
@@ -212,4 +213,22 @@ func TestPromptTokensAdditive(t *testing.T) {
 		}
 	}
 	t.Logf("%d column subsets over %d tables", subsets, len(names))
+}
+
+// BenchmarkBuildListPrompt renders the LIST prompt of hot_repeat's first
+// shape (SELECT name, capital, population FROM country WHERE population >
+// $1, bound): one allocation sized from the record's pre-rendered text and
+// the filter.
+func BenchmarkBuildListPrompt(b *testing.B) {
+	d := parWorld().Domain("country")
+	vt := tableRecord(VirtualTable{Name: d.Name, Description: d.Description, Schema: d.Schema})
+	cols := []int{d.Schema.IndexOf("name"), d.Schema.IndexOf("capital"), d.Schema.IndexOf("population")}
+	filter, err := sql.ParseExpr("population > 37")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buildListPrompt(vt, cols, filter, nil, 0)
+	}
 }

@@ -103,8 +103,9 @@ func (sp *scanSpec) keyFilter() sql.Expr {
 func neededColumns(schema rel.Schema, needed []bool) (cols []int, keyPos int, attrCols []int) {
 	keyIdx := schema.KeyIndexes()
 	keyPos = keyIdx[0]
-	cols = make([]int, 0, schema.Len())
-	attrCols = make([]int, 0, schema.Len())
+	n := schema.Len()
+	buf := make([]int, 0, 2*n) // one allocation backs both
+	cols, attrCols = buf[:0:n], buf[n:n]
 	for i := 0; i < schema.Len(); i++ {
 		if needed == nil || needed[i] || slices.Contains(keyIdx, i) {
 			cols = append(cols, i)

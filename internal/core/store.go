@@ -166,10 +166,11 @@ func (s *LLMStore) SetCostModel(c llm.CostModel) {
 // Register declares a virtual table.
 func (s *LLMStore) Register(t VirtualTable) { s.tables.add(tableRecord(t)) }
 
-// tableRecord returns t registered: its name lower-cased, its prompts
-// measured. A record is never modified once made.
+// tableRecord returns t registered: its name lower-cased, its prompt text
+// rendered and measured. A record is never modified once made.
 func tableRecord(t VirtualTable) *VirtualTable {
 	t.Name = strings.ToLower(t.Name)
+	t.text = renderPromptText(&t)
 	t.prompts = measurePrompts(&t)
 	return &t
 }
@@ -240,58 +241,40 @@ func (s *LLMStore) scan(req exec.ScanRequest, acct *queryAccount) (exec.RowIter,
 	s.mu.Unlock()
 
 	scan := &llmScan{
-		store:    s,
-		acct:     acct,
-		cost:     cost,
-		scanSpec: sp,
-		schema:   req.Schema,
-		stats:    ScanStats{Table: t.Name, Strategy: sp.strategy, Auto: sp.auto},
+		store:     s,
+		cost:      cost,
+		scanSpec:  sp,
+		schema:    req.Schema,
+		scanTally: scanTally{acct: acct, stats: ScanStats{Table: t.Name, Strategy: sp.strategy, Auto: sp.auto}},
 	}
 	if req.Keys != nil && sp.bind {
 		scan.bound = canonicalBoundKeys(req.Keys)
 		scan.stats.KeysBound = len(scan.bound)
 		// Bound to nothing: no key can match, so no prompt can pay off.
 		if len(scan.bound) == 0 {
-			return &scanIter{scan: scan, next: func() (rel.Row, bool, error) {
-				return nil, false, nil
-			}}, nil
+			return scan, nil
 		}
 	}
 
-	var stream func() (rel.Row, bool, error)
-	if sp.strategy == StrategyKeyThenAttr {
-		var err error
-		if stream, err = scan.startKeyThenAttr(); err != nil {
-			return nil, err
-		}
-	} else {
-		var rows []rel.Row
-		var err error
-		if sp.strategy == StrategyPaged {
-			rows, err = scan.runPaged()
-		} else {
-			rows, err = scan.runFullTable()
-		}
-		if err != nil {
-			return nil, err
-		}
-		// Refine the planner's cardinality estimate — but only from
-		// unfiltered scans: a pushed-down predicate makes the count a
-		// selectivity artifact, not the table's size.
-		if sp.filter == nil {
-			s.noteCardinality(t.Name, len(rows))
-		}
-		pos := 0
-		stream = func() (rel.Row, bool, error) {
-			if pos >= len(rows) {
-				return nil, false, nil
-			}
-			r := rows[pos]
-			pos++
-			return r, true, nil
-		}
+	var err error
+	switch sp.strategy {
+	case StrategyKeyThenAttr:
+		scan.attr, err = scan.startKeyThenAttr()
+	case StrategyPaged:
+		scan.rows, err = scan.runPaged()
+	default:
+		scan.rows, err = scan.runFullTable()
 	}
-	return &scanIter{scan: scan, next: stream}, nil
+	if err != nil {
+		return nil, err
+	}
+	// Refine the planner's cardinality estimate — but only from unfiltered
+	// scans: a pushed-down predicate makes the count a selectivity artifact,
+	// not the table's size. (startKeyThenAttr notes its key count itself.)
+	if scan.attr == nil && sp.filter == nil {
+		s.noteCardinality(t.Name, len(scan.rows))
+	}
+	return scan, nil
 }
 
 // llmScan is the per-scan state machine: enumeration (enumerate.go), then
@@ -300,9 +283,12 @@ func (s *LLMStore) scan(req exec.ScanRequest, acct *queryAccount) (exec.RowIter,
 // stats, parser counters, the wall-clock accumulator — is only ever touched
 // from the scan's own goroutine: concurrent tasks write into index-disjoint
 // slots and results are merged in deterministic order afterwards.
+//
+// The scan is also its own row stream (exec.RowIter): a key-then-attr scan
+// streams its attribute phase, the other strategies the rows they
+// enumerated.
 type llmScan struct {
 	store *LLMStore
-	acct  *queryAccount  // the query the scan bills; nil bills nothing
 	cost  *llm.CostModel // the store's when the scan started
 	scanSpec
 	schema rel.Schema // alias-renamed schema expected by the executor
@@ -310,8 +296,24 @@ type llmScan struct {
 	// bind join passed in: only enumerated keys in this set reach the
 	// attribute phase.
 	bound []string
-	stats ScanStats
-	wall  time.Duration // simulated critical path of this scan
+	scanTally
+	attr *attrStream // key-then-attr: the attribute phase
+	rows []rel.Row   // otherwise: the enumerated rows, emitted from pos
+	pos  int
+}
+
+// Next implements exec.RowIter.
+func (sc *llmScan) Next() (rel.Row, bool, error) {
+	switch {
+	case sc.flushed:
+		return nil, false, nil
+	case sc.attr != nil:
+		return sc.emit(sc.attr.nextRow())
+	case sc.pos == len(sc.rows):
+		return sc.emit(nil, false, nil)
+	}
+	sc.pos++
+	return sc.emit(sc.rows[sc.pos-1], true, nil)
 }
 
 func (sc *llmScan) cfg() Config { return sc.store.cfg }
@@ -423,46 +425,43 @@ func (sc *llmScan) countCall(c callAccount) {
 	}
 }
 
-// scanIter adapts a scan's row stream — a strategy's, or a materialized
-// view's stored rows (scanView) — to exec.RowIter. It counts the rows
-// actually emitted and publishes the scan's statistics and simulated
-// critical path to its query's account exactly once — on exhaustion, error or Close,
-// whichever comes first (early Close is how an upstream LIMIT abandons the
-// stream).
-type scanIter struct {
-	scan    *llmScan
-	next    func() (rel.Row, bool, error)
+// scanTally is what a scan — an LLM scan or a materialized view's
+// (scanView) — publishes to its query's account: the rows it actually
+// emitted, its other statistics and its simulated critical path, exactly
+// once — on exhaustion, error or Close, whichever comes first (early Close is
+// how an upstream LIMIT abandons the stream).
+type scanTally struct {
+	acct    *queryAccount // the query the scan bills; nil bills nothing
+	stats   ScanStats
+	wall    time.Duration // simulated critical path of this scan
 	flushed bool
 }
 
-// Next implements exec.RowIter.
-func (it *scanIter) Next() (rel.Row, bool, error) {
-	if it.flushed {
-		return nil, false, nil
-	}
-	row, ok, err := it.next()
+// emit passes one step of the scan's row stream on: it counts a row, and
+// flushes at the end of the stream or on an error.
+func (t *scanTally) emit(row rel.Row, ok bool, err error) (rel.Row, bool, error) {
 	if err != nil || !ok {
-		it.flush()
+		t.flush()
 		return nil, false, err
 	}
-	it.scan.stats.RowsEmitted++
+	t.stats.RowsEmitted++
 	return row, true, nil
 }
 
 // Close implements exec.RowIter.
-func (it *scanIter) Close() error {
-	it.flush()
+func (t *scanTally) Close() error {
+	t.flush()
 	return nil
 }
 
 // flush publishes the scan's accumulated statistics and critical-path
 // latency. Idempotent: the executor may Close an already-exhausted stream.
-func (it *scanIter) flush() {
-	if it.flushed {
+func (t *scanTally) flush() {
+	if t.flushed {
 		return
 	}
-	it.flushed = true
+	t.flushed = true
 	// The scan's phases are a dependency chain, so its critical path is the
 	// makespans added up along the way.
-	it.scan.acct.addScan(it.scan.stats, it.scan.wall)
+	t.acct.addScan(t.stats, t.wall)
 }

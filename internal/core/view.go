@@ -10,6 +10,7 @@ import (
 	"llmsql/internal/exec"
 	"llmsql/internal/llm"
 	"llmsql/internal/plan"
+	"llmsql/internal/rel"
 	"llmsql/internal/sql"
 	"llmsql/internal/storage"
 )
@@ -350,18 +351,34 @@ func (e *Engine) noteViewRead(v *matView) int {
 	return age
 }
 
-// scanView serves one scan from the view's materialized rows. Its scanIter
-// publishes the ScanStats entry that marks the substitution (Label
-// "materialized", zero prompts) in the query's account; the row-store
-// iterator it wraps holds nothing to close.
+// scanView serves one scan from the view's materialized rows. It publishes
+// the ScanStats entry that marks the substitution (Label "materialized",
+// zero prompts) in the query's account.
 func (e *Engine) scanView(v *matView, req exec.ScanRequest, acct *queryAccount) (exec.RowIter, error) {
 	age := e.noteViewRead(v)
 	it, err := (&exec.StorageSource{DB: e.viewDB}).Scan(req)
 	if err != nil {
 		return nil, err
 	}
-	scan := &llmScan{acct: acct, stats: ScanStats{Table: req.Table, Materialized: v.name, ViewAge: age}}
-	return &scanIter{scan: scan, next: it.Next}, nil
+	return &viewScan{
+		scanTally: scanTally{acct: acct, stats: ScanStats{Table: req.Table, Materialized: v.name, ViewAge: age}},
+		rows:      it,
+	}, nil
+}
+
+// viewScan is a view scan's row stream: the row store's, tallied. The
+// row-store iterator holds nothing to close.
+type viewScan struct {
+	scanTally
+	rows exec.RowIter
+}
+
+// Next implements exec.RowIter.
+func (v *viewScan) Next() (rel.Row, bool, error) {
+	if v.flushed {
+		return nil, false, nil
+	}
+	return v.emit(v.rows.Next())
 }
 
 // hasViews reports whether any materialized view exists, so the planner's

@@ -187,7 +187,7 @@ func pushOne(n Node, c sql.Expr) bool {
 			}
 			// Cross-side predicate: attach to the join condition, which may
 			// convert a cross join into an inner join.
-			if compilesOver(c, x.Left.Schema().Concat(x.Right.Schema())) {
+			if compilesOver(c, x.inputs()) {
 				if x.On == nil {
 					x.On = c
 				} else {
@@ -414,7 +414,7 @@ func pruneColumns(n Node, needed map[colID]bool) {
 		for _, e := range x.RightKey {
 			right = addRefs(right, e, x.Right.Schema())
 		}
-		both := x.Left.Schema().Concat(x.Right.Schema())
+		both := x.inputs()
 		for _, e := range []sql.Expr{x.On, x.Residual} {
 			if e == nil {
 				continue

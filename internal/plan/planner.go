@@ -329,10 +329,11 @@ func (p *planner) planFrom(t sql.TableExpr) (Node, error) {
 		case sql.JoinCross:
 			kind = KindCross
 		}
-		join := &JoinNode{Kind: kind, Left: left, Right: right, On: tt.On}
+		join := newJoinNode(kind, left, right)
+		join.On = tt.On
 		if tt.On != nil {
 			// Validate the predicate compiles over left++right.
-			if _, err := expr.CompileBool(tt.On, join.Left.Schema().Concat(join.Right.Schema())); err != nil {
+			if _, err := expr.CompileBool(tt.On, join.inputs()); err != nil {
 				return nil, fmt.Errorf("plan: join predicate: %w", err)
 			}
 		}
@@ -366,13 +367,9 @@ func (p *planner) applyWhere(node Node, where sql.Expr) (Node, error) {
 			kind = KindAnti
 		}
 		rightCol := sub.Schema().Col(0)
-		join := &JoinNode{
-			Kind:     kind,
-			Left:     node,
-			Right:    sub,
-			LeftKey:  []sql.Expr{in.X},
-			RightKey: []sql.Expr{&sql.ColumnRef{Table: rightCol.Table, Name: rightCol.Name}},
-		}
+		join := newJoinNode(kind, node, sub)
+		join.LeftKey = []sql.Expr{in.X}
+		join.RightKey = []sql.Expr{&sql.ColumnRef{Table: rightCol.Table, Name: rightCol.Name}}
 		if _, err := expr.Compile(in.X, node.Schema()); err != nil {
 			return nil, fmt.Errorf("plan: IN subquery target: %w", err)
 		}

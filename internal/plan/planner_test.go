@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -442,5 +443,50 @@ func walk(n Node, f func(Node)) {
 	f(n)
 	for _, c := range n.Children() {
 		walk(c, f)
+	}
+}
+
+// TestJoinSchemaSurvivesOptimization: every join the planner builds keeps
+// its schema from construction through the optimizer's child rewrites
+// (filters pushed below it, folded to an empty Values, a cross join turned
+// inner) and Bind: it equals its inputs' schemas concatenated afresh.
+func TestJoinSchemaSurvivesOptimization(t *testing.T) {
+	for _, src := range []string{
+		`SELECT c.name, m.title FROM country c JOIN movie m ON m.country = c.name WHERE m.year > 2000 AND c.population > 5`,
+		`SELECT c.name FROM country c LEFT JOIN movie m ON m.country = c.name WHERE c.population > 5`,
+		`SELECT * FROM country c, movie m WHERE m.country = c.name AND m.year + c.population > 3`,
+		`SELECT * FROM country c CROSS JOIN (SELECT title FROM movie WHERE 1 = 0) m`,
+		`SELECT c.name FROM country c JOIN (SELECT * FROM movie LIMIT 0) m ON m.country = c.name`,
+		`SELECT name FROM country WHERE name IN (SELECT country FROM movie WHERE year > $1) AND name NOT IN (SELECT title FROM movie)`,
+		`SELECT a.name, b.name FROM country a JOIN country b ON a.capital = b.name JOIN movie m ON m.country = b.name ORDER BY a.name LIMIT 3`,
+	} {
+		n := mustPlan(t, src)
+		bound, err := Bind(n, sql.NewPositional([]rel.Value{rel.Int(1990)}))
+		if err != nil {
+			t.Fatalf("%s: bind: %v", src, err)
+		}
+		joins := 0
+		for _, root := range []Node{n, bound} {
+			walk(root, func(x Node) {
+				j, ok := x.(*JoinNode)
+				if !ok {
+					return
+				}
+				joins++
+				if j.joined.Columns == nil {
+					t.Errorf("%s: a planned join has no computed schema", src)
+				}
+				want := j.Left.Schema().Concat(j.Right.Schema())
+				if j.Kind == KindSemi || j.Kind == KindAnti {
+					want = j.Left.Schema()
+				}
+				if !reflect.DeepEqual(j.Schema(), want) {
+					t.Errorf("%s: join schema %v, its inputs give %v", src, j.Schema(), want)
+				}
+			})
+		}
+		if joins == 0 {
+			t.Errorf("%s: no join planned", src)
+		}
 	}
 }

@@ -2,7 +2,10 @@ package sql
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+
+	"llmsql/internal/rel"
 )
 
 // Deparse renders an expression back to SQL text. Parsing the result yields
@@ -13,6 +16,9 @@ func Deparse(e Expr) string {
 	deparseExpr(&b, e)
 	return b.String()
 }
+
+// DeparseTo writes Deparse(e) into b.
+func DeparseTo(b *strings.Builder, e Expr) { deparseExpr(b, e) }
 
 // deparseReserved lists words (beyond reservedAfterTable) whose bare
 // spelling the expression grammar claims, so an identifier spelled like one
@@ -41,8 +47,7 @@ func plainIdent(s string) bool {
 // spelling would not re-lex to the same name (non-plain shapes, reserved
 // words).
 func deparseIdent(b *strings.Builder, name string) {
-	upper := strings.ToUpper(name)
-	if plainIdent(name) && !deparseReserved[upper] && !reservedAfterTable[upper] {
+	if plainIdent(name) && !lookupKeyword(deparseReserved, name) && !lookupKeyword(reservedAfterTable, name) {
 		b.WriteString(name)
 		return
 	}
@@ -222,7 +227,7 @@ func deparseTable(b *strings.Builder, t TableExpr) {
 func deparseExpr(b *strings.Builder, e Expr) {
 	switch x := e.(type) {
 	case *Literal:
-		b.WriteString(x.Value.SQLLiteral())
+		deparseLiteral(b, x.Value)
 	case *Param:
 		b.WriteString(x.String())
 	case *ColumnRef:
@@ -331,8 +336,32 @@ func deparseExpr(b *strings.Builder, e Expr) {
 		b.WriteString(x.Type.String())
 		b.WriteByte(')')
 	default:
-		fmt.Fprintf(b, "<?expr %T>", e)
+		b.WriteString(fmt.Sprintf("<?expr %T>", e)) // not Fprintf: b would escape on every call
 	}
+}
+
+// deparseLiteral writes v.SQLLiteral(), building no string for the non-NULL
+// TEXT and INT values filters are mostly made of.
+func deparseLiteral(b *strings.Builder, v rel.Value) {
+	switch {
+	case v.IsNull():
+	case v.Type() == rel.TypeText:
+		s := v.AsText()
+		b.WriteByte('\'')
+		for i := strings.IndexByte(s, '\''); i >= 0; i = strings.IndexByte(s, '\'') {
+			b.WriteString(s[:i+1])
+			b.WriteByte('\'')
+			s = s[i+1:]
+		}
+		b.WriteString(s)
+		b.WriteByte('\'')
+		return
+	case v.Type() == rel.TypeInt:
+		var buf [20]byte
+		b.Write(strconv.AppendInt(buf[:0], v.AsInt(), 10))
+		return
+	}
+	b.WriteString(v.SQLLiteral())
 }
 
 // precOf assigns a precedence level to binary operators for minimal
