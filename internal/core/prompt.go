@@ -69,41 +69,34 @@ func renderPromptText(t *VirtualTable) promptText {
 	return p
 }
 
+// promptBuf is the size of the stack buffer a LIST or KEYS prompt is
+// written into before it is copied out: a prompt that fits costs one
+// allocation of its exact size, a longer one (a long EXCLUDE list) grows on
+// the heap.
+const promptBuf = 1024
+
 // buildListPrompt asks for full rows over the given column positions of a
 // table record.
 func buildListPrompt(t *VirtualTable, cols []int, filter sql.Expr, exclude []string, maxRows int) string {
-	p := &t.text
-	n := len(p.listHead) + len("\n") + len(listTail) + optionalLinesLen(filter, exclude, maxRows)
+	var a [promptBuf]byte
+	p := append(a[:0], t.text.listHead...)
 	for i, c := range cols {
 		if i > 0 {
-			n += len(" | ")
+			p = append(p, " | "...)
 		}
-		n += len(p.cols[c])
+		p = append(p, t.text.cols[c]...)
 	}
-	var b strings.Builder
-	b.Grow(n)
-	b.WriteString(p.listHead)
-	for i, c := range cols {
-		if i > 0 {
-			b.WriteString(" | ")
-		}
-		b.WriteString(p.cols[c])
-	}
-	b.WriteByte('\n')
-	writeOptionalLines(&b, filter, exclude, maxRows)
-	b.WriteString(listTail)
-	return b.String()
+	p = append(p, '\n')
+	p = appendOptionalLines(p, filter, exclude, maxRows)
+	return string(append(p, listTail...))
 }
 
 // buildKeysPrompt asks a table record only for entity keys.
 func buildKeysPrompt(t *VirtualTable, filter sql.Expr, exclude []string, maxRows int) string {
-	p := &t.text
-	var b strings.Builder
-	b.Grow(len(p.keysHead) + len(p.keysTail) + optionalLinesLen(filter, exclude, maxRows))
-	b.WriteString(p.keysHead)
-	writeOptionalLines(&b, filter, exclude, maxRows)
-	b.WriteString(p.keysTail)
-	return b.String()
+	var a [promptBuf]byte
+	p := append(a[:0], t.text.keysHead...)
+	p = appendOptionalLines(p, filter, exclude, maxRows)
+	return string(append(p, t.text.keysTail...))
 }
 
 // attrPrompter renders the single-entity ATTR prompts of one (table, column)
@@ -151,104 +144,42 @@ func writeTableLine(b *strings.Builder, t *VirtualTable) {
 	fmt.Fprintf(b, "TABLE: %s -- %s\n", strings.ToLower(t.Name), t.Description)
 }
 
-// writeOptionalLines writes the lines a LIST or KEYS prompt carries only
-// when it has them: the filter (as writeFilterLines), the excluded entries
+// appendOptionalLines appends the lines a LIST or KEYS prompt carries only
+// when it has them: the filter (as appendFilterLines), the excluded entries
 // and the row cap.
-func writeOptionalLines(b *strings.Builder, filter sql.Expr, exclude []string, maxRows int) {
-	writeFilterLines(b, filter)
+func appendOptionalLines(p []byte, filter sql.Expr, exclude []string, maxRows int) []byte {
+	p = appendFilterLines(p, filter)
 	if len(exclude) > 0 {
-		b.WriteString("EXCLUDE: ")
+		p = append(p, "EXCLUDE: "...)
 		for i, x := range exclude {
 			if i > 0 {
-				b.WriteString(" | ")
+				p = append(p, " | "...)
 			}
-			b.WriteString(x)
+			p = append(p, x...)
 		}
-		b.WriteString("\nDo not repeat any excluded entry.\n")
+		p = append(p, "\nDo not repeat any excluded entry.\n"...)
 	}
 	if maxRows > 0 {
-		var buf [20]byte
-		b.WriteString("MAXROWS: ")
-		b.Write(strconv.AppendInt(buf[:0], int64(maxRows), 10))
-		b.WriteByte('\n')
+		p = append(p, "MAXROWS: "...)
+		p = strconv.AppendInt(p, int64(maxRows), 10)
+		p = append(p, '\n')
 	}
+	return p
 }
 
-// optionalLinesLen is the size writeOptionalLines will write: exact but for
-// the filter, whose size filterLinesLen estimates.
-func optionalLinesLen(filter sql.Expr, exclude []string, maxRows int) int {
-	n := 0
-	if filter != nil {
-		n += filterLinesLen(filter)
-	}
-	if len(exclude) > 0 {
-		n += len("EXCLUDE: \nDo not repeat any excluded entry.\n") + len(" | ")*(len(exclude)-1)
-		for _, x := range exclude {
-			n += len(x)
-		}
-	}
-	if maxRows > 0 {
-		var buf [20]byte
-		n += len("MAXROWS: \n") + len(strconv.AppendInt(buf[:0], int64(maxRows), 10))
-	}
-	return n
-}
-
-// writeFilterLines emits both the canonical condition (FILTER:) and a
+// appendFilterLines appends both the canonical condition (FILTER:) and a
 // human-oriented sentence. Scans pass their filter with qualifiers already
 // stripped (scanSpec.filter), so the canonical line carries bare column
 // names the model can interpret against the declared columns.
-func writeFilterLines(b *strings.Builder, filter sql.Expr) {
+func appendFilterLines(p []byte, filter sql.Expr) []byte {
 	if filter == nil {
-		return
+		return p
 	}
-	b.WriteString("FILTER: ")
-	sql.DeparseTo(b, filter)
-	b.WriteString("\nOnly include rows where this condition holds: ")
-	verbalize(b, filter)
-	b.WriteString(".\n")
-}
-
-// filterLinesLen estimates the size writeFilterLines writes for a non-nil
-// filter, to size a prompt's one allocation: exact for the column
-// references, INT and TEXT literals and binary operators pushed filters are
-// mostly made of (parentheses and quoting aside), a guess for other nodes.
-func filterLinesLen(filter sql.Expr) int {
-	n := len("FILTER: \nOnly include rows where this condition holds: .\n")
-	sql.WalkExpr(filter, func(e sql.Expr) bool {
-		switch x := e.(type) {
-		case *sql.ColumnRef:
-			n += 2 * len(x.Name)
-		case *sql.Literal:
-			n += 2 * literalLen(x.Value)
-		case *sql.BinaryExpr:
-			op := len(x.Op.String()) + len("  ")
-			if v := verbalOp(x.Op); v != "" {
-				n += op + len(v)
-			} else {
-				n += 2 * op
-			}
-		default:
-			n += 32
-		}
-		return true
-	})
-	return n
-}
-
-// literalLen is the length of v.SQLLiteral() for INT and TEXT values
-// (quotes inside a TEXT value aside), a guess for the rest.
-func literalLen(v rel.Value) int {
-	switch {
-	case v.IsNull():
-		return len("NULL")
-	case v.Type() == rel.TypeText:
-		return len(v.AsText()) + len("''")
-	case v.Type() == rel.TypeInt:
-		var buf [20]byte
-		return len(strconv.AppendInt(buf[:0], v.AsInt(), 10))
-	}
-	return 8
+	p = append(p, "FILTER: "...)
+	p = sql.AppendDeparse(p, filter)
+	p = append(p, "\nOnly include rows where this condition holds: "...)
+	p = appendVerbalized(p, filter)
+	return append(p, ".\n"...)
 }
 
 // stripQualifiers rewrites table-qualified column references to bare names,
@@ -312,83 +243,76 @@ func stripRefs(e sql.Expr) sql.Expr {
 	}
 }
 
-// VerbalizePredicate renders a predicate as approximate English, e.g.
+// appendVerbalized appends a predicate rendered as approximate English, e.g.
 // "population > 50 AND continent = 'Europe'" becomes
 // "population is greater than 50 and continent equals 'Europe'".
-func VerbalizePredicate(e sql.Expr) string {
-	var b strings.Builder
-	verbalize(&b, e)
-	return b.String()
-}
-
-// verbalize writes VerbalizePredicate(e) into b.
-func verbalize(b *strings.Builder, e sql.Expr) {
+func appendVerbalized(p []byte, e sql.Expr) []byte {
 	switch x := e.(type) {
 	case nil:
 	case *sql.ColumnRef:
-		b.WriteString(x.Name)
+		p = append(p, x.Name...)
 	case *sql.BinaryExpr:
-		verbalize(b, x.Left)
+		p = appendVerbalized(p, x.Left)
 		if v := verbalOp(x.Op); v != "" {
-			b.WriteString(v)
+			p = append(p, v...)
 		} else {
-			b.WriteByte(' ')
-			b.WriteString(x.Op.String())
-			b.WriteByte(' ')
+			p = append(p, ' ')
+			p = append(p, x.Op.String()...)
+			p = append(p, ' ')
 		}
-		verbalize(b, x.Right)
+		p = appendVerbalized(p, x.Right)
 	case *sql.UnaryExpr:
 		if x.Op == "NOT" {
-			b.WriteString("not (")
-			verbalize(b, x.X)
-			b.WriteByte(')')
-			return
+			p = append(p, "not ("...)
+			p = appendVerbalized(p, x.X)
+			return append(p, ')')
 		}
-		b.WriteString(x.Op)
-		verbalize(b, x.X)
+		p = append(p, x.Op...)
+		p = appendVerbalized(p, x.X)
 	case *sql.IsNullExpr:
-		verbalize(b, x.X)
+		p = appendVerbalized(p, x.X)
 		if x.Not {
-			b.WriteString(" is known")
+			p = append(p, " is known"...)
 		} else {
-			b.WriteString(" is unknown")
+			p = append(p, " is unknown"...)
 		}
 	case *sql.InExpr:
-		verbalize(b, x.X)
+		p = appendVerbalized(p, x.X)
 		if x.Not {
-			b.WriteString(" is none of ")
+			p = append(p, " is none of "...)
 		} else {
-			b.WriteString(" is one of ")
+			p = append(p, " is one of "...)
 		}
 		for i, it := range x.List {
 			if i > 0 {
-				b.WriteString(", ")
+				p = append(p, ", "...)
 			}
-			verbalize(b, it)
+			p = appendVerbalized(p, it)
 		}
 	case *sql.BetweenExpr:
-		verbalize(b, x.X)
+		p = appendVerbalized(p, x.X)
 		if x.Not {
-			b.WriteString(" is not between ")
+			p = append(p, " is not between "...)
 		} else {
-			b.WriteString(" is between ")
+			p = append(p, " is between "...)
 		}
-		verbalize(b, x.Lo)
-		b.WriteString(" and ")
-		verbalize(b, x.Hi)
+		p = appendVerbalized(p, x.Lo)
+		p = append(p, " and "...)
+		p = appendVerbalized(p, x.Hi)
 	case *sql.LikeExpr:
-		verbalize(b, x.X)
+		p = appendVerbalized(p, x.X)
 		if x.Not {
-			b.WriteString(" does not match the pattern ")
+			p = append(p, " does not match the pattern "...)
 		} else {
-			b.WriteString(" matches the pattern ")
+			p = append(p, " matches the pattern "...)
 		}
-		verbalize(b, x.Pattern)
+		p = appendVerbalized(p, x.Pattern)
 	default:
 		// Literals verbalize as their SQL spelling, and so does every kind
 		// without an English form.
-		sql.DeparseTo(b, e)
+		p = sql.AppendDeparse(p, e)
 	}
+	return p
 }
 
 // verbalOp spells a logical or comparison operator in English, with the

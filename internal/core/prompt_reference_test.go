@@ -211,13 +211,15 @@ func TestPromptRendererMatchesReference(t *testing.T) {
 		}
 		filters = append(filters, e)
 	}
-	excludes := [][]string{nil, {"France"}, {"Côte d'Ivoire", "a | b", ""}}
+	// The last list makes a prompt longer than the stack buffer it is
+	// written into.
+	excludes := [][]string{nil, {"France"}, {"Côte d'Ivoire", "a | b", ""}, strings.Split(strings.Repeat("Bosnia and Herzegovina|", promptBuf/20), "|")}
 	checked := 0
 	for _, vt := range referenceTables() {
 		n := vt.Schema.Len()
 		for _, f := range filters {
-			if got, want := VerbalizePredicate(f), refVerbalizePredicate(f); got != want {
-				t.Errorf("VerbalizePredicate(%s) = %q, reference %q", sql.Deparse(f), got, want)
+			if got, want := string(appendVerbalized(nil, f)), refVerbalizePredicate(f); got != want {
+				t.Errorf("appendVerbalized(%s) = %q, reference %q", sql.Deparse(f), got, want)
 			}
 			for _, ex := range excludes {
 				for _, maxRows := range []int{0, 40, 1000} {
@@ -263,8 +265,8 @@ func FuzzListPromptMatchesReference(f *testing.F) {
 		if exclude != "" {
 			ex = strings.Split(exclude, "\n")
 		}
-		if got, want := VerbalizePredicate(e), refVerbalizePredicate(e); got != want {
-			t.Fatalf("VerbalizePredicate(%q) = %q, reference %q", src, got, want)
+		if got, want := string(appendVerbalized(nil, e)), refVerbalizePredicate(e); got != want {
+			t.Fatalf("appendVerbalized(%q) = %q, reference %q", src, got, want)
 		}
 		if got, want := buildListPrompt(vt, all, e, ex, int(maxRows)), refBuildListPrompt(vt, all, e, ex, int(maxRows)); got != want {
 			t.Fatalf("LIST prompt for %q:\n%q\nreference\n%q", src, got, want)

@@ -142,7 +142,7 @@ func TestVerbalizePredicate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", in, err)
 		}
-		if got := VerbalizePredicate(e); got != want {
+		if got := string(appendVerbalized(nil, e)); got != want {
 			t.Errorf("Verbalize(%q) = %q, want %q", in, got, want)
 		}
 	}
@@ -215,18 +215,31 @@ func TestPromptTokensAdditive(t *testing.T) {
 	t.Logf("%d column subsets over %d tables", subsets, len(names))
 }
 
-// BenchmarkBuildListPrompt renders the LIST prompt of hot_repeat's first
-// shape (SELECT name, capital, population FROM country WHERE population >
-// $1, bound): one allocation sized from the record's pre-rendered text and
-// the filter.
-func BenchmarkBuildListPrompt(b *testing.B) {
+// hotListShape is the LIST prompt of hot_repeat's first shape (SELECT name,
+// capital, population FROM country WHERE population > $1, bound).
+func hotListShape(tb testing.TB) (*VirtualTable, []int, sql.Expr) {
 	d := parWorld().Domain("country")
 	vt := tableRecord(VirtualTable{Name: d.Name, Description: d.Description, Schema: d.Schema})
 	cols := []int{d.Schema.IndexOf("name"), d.Schema.IndexOf("capital"), d.Schema.IndexOf("population")}
 	filter, err := sql.ParseExpr("population > 37")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return vt, cols, filter
+}
+
+// TestBuildListPromptAllocs: the prompt string is the render's only
+// allocation; the buffer it is written into stays on the stack.
+func TestBuildListPromptAllocs(t *testing.T) {
+	vt, cols, filter := hotListShape(t)
+	if n := testing.AllocsPerRun(100, func() { buildListPrompt(vt, cols, filter, nil, 0) }); n != 1 {
+		t.Fatalf("buildListPrompt: %v allocs, want 1", n)
+	}
+}
+
+// BenchmarkBuildListPrompt renders hotListShape's prompt.
+func BenchmarkBuildListPrompt(b *testing.B) {
+	vt, cols, filter := hotListShape(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buildListPrompt(vt, cols, filter, nil, 0)

@@ -194,12 +194,10 @@ func TestBindJoinPropertyByteIdentical(t *testing.T) {
 			}
 			mkJoin := func(strategy plan.JoinStrategy) *plan.JoinNode {
 				l, r := mkScan()
-				j := &plan.JoinNode{
-					Kind: tc.kind, Left: l, Right: r,
-					LeftKey: []sql.Expr{leftKey}, RightKey: []sql.Expr{rightKey},
-					Strategy:  strategy,
-					BuildLeft: tc.buildLeft,
-				}
+				j := plan.NewJoinNode(tc.kind, l, r)
+				j.LeftKey, j.RightKey = []sql.Expr{leftKey}, []sql.Expr{rightKey}
+				j.Strategy = strategy
+				j.BuildLeft = tc.buildLeft
 				if strategy == plan.JoinBind {
 					j.BindLeft = tc.bindLeft
 					if tc.bindLeft {
@@ -217,7 +215,9 @@ func TestBindJoinPropertyByteIdentical(t *testing.T) {
 			switch tc.kind {
 			case plan.KindInner, plan.KindLeft:
 				l, r := mkScan()
-				refNode = &plan.JoinNode{Kind: tc.kind, Left: l, Right: r, On: on}
+				j := plan.NewJoinNode(tc.kind, l, r)
+				j.On = on
+				refNode = j
 			default:
 				refNode = mkJoin(plan.JoinHash)
 			}
@@ -279,15 +279,11 @@ func TestBindJoinPushesDistinctSortedKeys(t *testing.T) {
 		"r": {{rel.Text("a"), rel.Int(5)}, {rel.Text("z"), rel.Int(6)}},
 	}}
 	r := &plan.ScanNode{Table: "r", Alias: "r", TableSchema: rightSchema}
-	node := &plan.JoinNode{
-		Kind:     plan.KindInner,
-		Left:     &plan.ScanNode{Table: "l", Alias: "l", TableSchema: leftSchema},
-		Right:    r,
-		LeftKey:  []sql.Expr{leftKey},
-		RightKey: []sql.Expr{rightKey},
-		Strategy: plan.JoinBind,
-		BindScan: r,
-	}
+	node := plan.NewJoinNode(plan.KindInner, &plan.ScanNode{Table: "l", Alias: "l", TableSchema: leftSchema}, r)
+	node.LeftKey = []sql.Expr{leftKey}
+	node.RightKey = []sql.Expr{rightKey}
+	node.Strategy = plan.JoinBind
+	node.BindScan = r
 	res, err := Execute(node, src)
 	if err != nil {
 		t.Fatal(err)
@@ -318,15 +314,11 @@ func TestBindAntiNullFallback(t *testing.T) {
 			"r": rightRows,
 		}}
 		r := &plan.ScanNode{Table: "r", Alias: "r", TableSchema: rightSchema}
-		node := &plan.JoinNode{
-			Kind:     plan.KindAnti,
-			Left:     &plan.ScanNode{Table: "l", Alias: "l", TableSchema: leftSchema},
-			Right:    r,
-			LeftKey:  []sql.Expr{leftKey},
-			RightKey: []sql.Expr{rightKey},
-			Strategy: plan.JoinBind,
-			BindScan: r,
-		}
+		node := plan.NewJoinNode(plan.KindAnti, &plan.ScanNode{Table: "l", Alias: "l", TableSchema: leftSchema}, r)
+		node.LeftKey = []sql.Expr{leftKey}
+		node.RightKey = []sql.Expr{rightKey}
+		node.Strategy = plan.JoinBind
+		node.BindScan = r
 		res, err := Execute(node, src)
 		if err != nil {
 			t.Fatal(err)
@@ -364,14 +356,12 @@ func TestHashJoinBuildLeft(t *testing.T) {
 			"r": randTextRows(rng, rng.Intn(15), "r"),
 		}
 		run := func(buildLeft bool) []string {
-			node := &plan.JoinNode{
-				Kind:      plan.KindInner,
-				Left:      &plan.ScanNode{Table: "l", Alias: "l", TableSchema: leftSchema},
-				Right:     &plan.ScanNode{Table: "r", Alias: "r", TableSchema: rightSchema},
-				LeftKey:   []sql.Expr{leftKey},
-				RightKey:  []sql.Expr{rightKey},
-				BuildLeft: buildLeft,
-			}
+			node := plan.NewJoinNode(plan.KindInner,
+				&plan.ScanNode{Table: "l", Alias: "l", TableSchema: leftSchema},
+				&plan.ScanNode{Table: "r", Alias: "r", TableSchema: rightSchema})
+			node.LeftKey = []sql.Expr{leftKey}
+			node.RightKey = []sql.Expr{rightKey}
+			node.BuildLeft = buildLeft
 			res, err := Execute(node, &bindingSource{tables: tables})
 			if err != nil {
 				t.Fatal(err)

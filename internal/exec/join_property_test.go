@@ -104,12 +104,11 @@ func TestHashVsNestedLoopJoinEquivalence(t *testing.T) {
 					&plan.ScanNode{Table: "r", Alias: "r", TableSchema: rightSchema}
 			}
 			l1, r1 := mk()
-			hashJoin := &plan.JoinNode{
-				Kind: kind, Left: l1, Right: r1,
-				LeftKey: []sql.Expr{leftKey}, RightKey: []sql.Expr{rightKey},
-			}
+			hashJoin := plan.NewJoinNode(kind, l1, r1)
+			hashJoin.LeftKey, hashJoin.RightKey = []sql.Expr{leftKey}, []sql.Expr{rightKey}
 			l2, r2 := mk()
-			nlJoin := &plan.JoinNode{Kind: kind, Left: l2, Right: r2, On: on}
+			nlJoin := plan.NewJoinNode(kind, l2, r2)
+			nlJoin.On = on
 
 			hres, err := Execute(hashJoin, src)
 			if err != nil {
@@ -153,12 +152,10 @@ func TestSemiAntiJoinPartition(t *testing.T) {
 		}
 		src := &memSource{tables: map[string][]rel.Row{"l": leftRows, "r": rightRows}}
 		run := func(kind plan.JoinKind) []rel.Row {
-			node := &plan.JoinNode{
-				Kind:    kind,
-				Left:    &plan.ScanNode{Table: "l", Alias: "l", TableSchema: leftSchema},
-				Right:   &plan.ScanNode{Table: "r", Alias: "r", TableSchema: rightSchema},
-				LeftKey: []sql.Expr{leftKey}, RightKey: []sql.Expr{rightKey},
-			}
+			node := plan.NewJoinNode(kind,
+				&plan.ScanNode{Table: "l", Alias: "l", TableSchema: leftSchema},
+				&plan.ScanNode{Table: "r", Alias: "r", TableSchema: rightSchema})
+			node.LeftKey, node.RightKey = []sql.Expr{leftKey}, []sql.Expr{rightKey}
 			res, err := Execute(node, src)
 			if err != nil {
 				t.Fatal(err)
@@ -192,12 +189,10 @@ func TestAntiJoinNullPoisoning(t *testing.T) {
 		"l": {{rel.Int(1), rel.Int(0)}, {rel.Int(2), rel.Int(0)}},
 		"r": {{rel.Int(9), rel.Int(0)}, {rel.Null(), rel.Int(0)}},
 	}}
-	node := &plan.JoinNode{
-		Kind:    plan.KindAnti,
-		Left:    &plan.ScanNode{Table: "l", Alias: "l", TableSchema: leftSchema},
-		Right:   &plan.ScanNode{Table: "r", Alias: "r", TableSchema: rightSchema},
-		LeftKey: []sql.Expr{leftKey}, RightKey: []sql.Expr{rightKey},
-	}
+	node := plan.NewJoinNode(plan.KindAnti,
+		&plan.ScanNode{Table: "l", Alias: "l", TableSchema: leftSchema},
+		&plan.ScanNode{Table: "r", Alias: "r", TableSchema: rightSchema})
+	node.LeftKey, node.RightKey = []sql.Expr{leftKey}, []sql.Expr{rightKey}
 	res, err := Execute(node, src)
 	if err != nil {
 		t.Fatal(err)

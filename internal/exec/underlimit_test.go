@@ -109,15 +109,12 @@ func TestUnderLimitOnlyWhereTheLimitCanStopTheScan(t *testing.T) {
 	leftKey, _ := sql.ParseExpr("l.k")
 	rightKey, _ := sql.ParseExpr("r.k")
 	r := &plan.ScanNode{Table: "r", Alias: "r", TableSchema: rightSchema}
-	node := &plan.LimitNode{Limit: 1, Child: &plan.JoinNode{
-		Kind:     plan.KindInner,
-		Left:     &plan.ScanNode{Table: "l", Alias: "l", TableSchema: leftSchema},
-		Right:    r,
-		LeftKey:  []sql.Expr{leftKey},
-		RightKey: []sql.Expr{rightKey},
-		Strategy: plan.JoinBind,
-		BindScan: r,
-	}}
+	join := plan.NewJoinNode(plan.KindInner, &plan.ScanNode{Table: "l", Alias: "l", TableSchema: leftSchema}, r)
+	join.LeftKey = []sql.Expr{leftKey}
+	join.RightKey = []sql.Expr{rightKey}
+	join.Strategy = plan.JoinBind
+	join.BindScan = r
+	node := &plan.LimitNode{Limit: 1, Child: join}
 	rec := &underLimitRecorder{under: map[string]bool{}, src: &bindingSource{tables: map[string][]rel.Row{
 		"l": {{rel.Text("a"), rel.Int(1)}},
 		"r": {{rel.Text("a"), rel.Int(2)}},

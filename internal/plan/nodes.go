@@ -195,15 +195,16 @@ type JoinNode struct {
 	// Decision, when non-nil, records the join planner's per-strategy cost
 	// breakdown for EXPLAIN (set only when a side is priceable).
 	Decision *JoinDecision
-	// joined is Left's schema followed by Right's, computed once when the
-	// planner builds the node (newJoinNode). It stays valid: the optimizer
-	// only wraps a child in a Filter, or folds one into a Values node, of
-	// the same schema, and Bind copies it with the node.
+	// joined is Left's schema followed by Right's, computed once by
+	// NewJoinNode. It stays valid: the optimizer only wraps a child in a
+	// Filter, or folds one into a Values node, of the same schema, and Bind
+	// copies it with the node.
 	joined rel.Schema
 }
 
-// newJoinNode returns a join of left and right with its schema computed.
-func newJoinNode(kind JoinKind, left, right Node) *JoinNode {
+// NewJoinNode returns a join of left and right with its schema computed.
+// Every JoinNode is built by it.
+func NewJoinNode(kind JoinKind, left, right Node) *JoinNode {
 	return &JoinNode{Kind: kind, Left: left, Right: right, joined: left.Schema().Concat(right.Schema())}
 }
 
@@ -217,12 +218,7 @@ func (j *JoinNode) Schema() rel.Schema {
 
 // inputs is Left's schema followed by Right's, the schema On and Residual
 // are over.
-func (j *JoinNode) inputs() rel.Schema {
-	if j.joined.Columns == nil { // built by hand, not by the planner
-		return j.Left.Schema().Concat(j.Right.Schema())
-	}
-	return j.joined
-}
+func (j *JoinNode) inputs() rel.Schema { return j.joined }
 
 // Children implements Node.
 func (j *JoinNode) Children() []Node { return []Node{j.Left, j.Right} }

@@ -329,7 +329,7 @@ func (p *planner) planFrom(t sql.TableExpr) (Node, error) {
 		case sql.JoinCross:
 			kind = KindCross
 		}
-		join := newJoinNode(kind, left, right)
+		join := NewJoinNode(kind, left, right)
 		join.On = tt.On
 		if tt.On != nil {
 			// Validate the predicate compiles over left++right.
@@ -367,7 +367,7 @@ func (p *planner) applyWhere(node Node, where sql.Expr) (Node, error) {
 			kind = KindAnti
 		}
 		rightCol := sub.Schema().Col(0)
-		join := newJoinNode(kind, node, sub)
+		join := NewJoinNode(kind, node, sub)
 		join.LeftKey = []sql.Expr{in.X}
 		join.RightKey = []sql.Expr{&sql.ColumnRef{Table: rightCol.Table, Name: rightCol.Name}}
 		if _, err := expr.Compile(in.X, node.Schema()); err != nil {

@@ -244,7 +244,8 @@ type valuePair struct {
 }
 
 // layoutGrid covers every type, typed and bare NULLs, the float specials
-// (NaN, ±0, ±Inf), the int extremes, empty and numeric-looking text.
+// (NaN, ±0, ±Inf), the int extremes, empty, quoted, long and
+// numeric-looking text.
 func layoutGrid() []valuePair {
 	grid := []valuePair{{Null(), wideNullOf(TypeUnknown)}}
 	for _, t := range []DataType{TypeBool, TypeInt, TypeFloat, TypeText} {
@@ -257,7 +258,7 @@ func layoutGrid() []valuePair {
 		math.Inf(1), math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64, math.MaxFloat64} {
 		grid = append(grid, valuePair{Float(f), wideFloat(f)})
 	}
-	for _, s := range []string{"", " ", "a", "abc", "ABC", "O'Hare", "1", "2.5", " 42 ", "1,234", "NaN", "-Inf", "true", "no", "null"} {
+	for _, s := range []string{"", " ", "a", "abc", "ABC", "O'Hare", "'", "a''b'", strings.Repeat("x'y", 40), "1", "2.5", " 42 ", "1,234", "NaN", "-Inf", "true", "no", "null"} {
 		grid = append(grid, valuePair{Text(s), wideText(s)})
 	}
 	for _, b := range []bool{false, true} {
@@ -267,12 +268,14 @@ func layoutGrid() []valuePair {
 }
 
 // sameValue reports whether v and w read back alike through every
-// accessor; floats compare by bits so NaN and -0 count.
+// accessor (AppendSQLLiteral appending to a non-empty buffer); floats
+// compare by bits so NaN and -0 count.
 func sameValue(v Value, w wideValue) bool {
 	return v.IsNull() == w.IsNull() && v.Type() == w.Type() &&
 		v.AsInt() == w.AsInt() && math.Float64bits(v.AsFloat()) == math.Float64bits(w.AsFloat()) &&
 		v.AsText() == w.AsText() && v.AsBool() == w.AsBool() &&
-		v.String() == w.String() && v.SQLLiteral() == w.SQLLiteral()
+		v.String() == w.String() && v.SQLLiteral() == w.SQLLiteral() &&
+		string(v.AppendSQLLiteral([]byte("x"))) == "x"+w.SQLLiteral()
 }
 
 // TestValueLayoutMatchesWideOracle: over a grid of values, the 32-byte

@@ -120,20 +120,39 @@ func (v Value) String() string {
 // and FLOAT values always spelled with a decimal point (116.0, not 116) so
 // that reparsing preserves the type.
 func (v Value) SQLLiteral() string {
+	if v.IsNull() || v.Type() != TypeText && v.Type() != TypeFloat {
+		// NULL, INT and BOOL are spelled as they print, and String copies
+		// no buffer for its constants and small ints.
+		return v.String()
+	}
+	var a [64]byte
+	return string(v.AppendSQLLiteral(a[:0]))
+}
+
+// AppendSQLLiteral appends v.SQLLiteral() to dst.
+func (v Value) AppendSQLLiteral(dst []byte) []byte {
 	if v.IsNull() {
-		return "NULL"
+		return append(dst, "NULL"...)
 	}
 	switch v.Type() {
 	case TypeText:
-		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
+		dst = append(dst, '\'')
+		s := v.s
+		for i := strings.IndexByte(s, '\''); i >= 0; i = strings.IndexByte(s, '\'') {
+			dst = append(dst, s[:i+1]...)
+			dst = append(dst, '\'')
+			s = s[i+1:]
+		}
+		dst = append(dst, s...)
+		return append(dst, '\'')
+	case TypeInt:
+		return strconv.AppendInt(dst, v.i(), 10)
 	case TypeFloat:
 		if f := v.f(); f == math.Trunc(f) && !math.IsInf(f, 0) && !math.IsNaN(f) && math.Abs(f) < 1e15 {
-			return strconv.FormatFloat(f, 'f', 1, 64)
+			return strconv.AppendFloat(dst, f, 'f', 1, 64)
 		}
-		return v.String()
-	default:
-		return v.String()
 	}
+	return append(dst, v.String()...)
 }
 
 // Tristate is the result of a three-valued-logic predicate.

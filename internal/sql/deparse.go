@@ -2,23 +2,19 @@ package sql
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
-
-	"llmsql/internal/rel"
 )
 
 // Deparse renders an expression back to SQL text. Parsing the result yields
 // an equivalent AST (round-trip property tested in deparse_test.go and
 // fuzzed in fuzz_targets_test.go).
 func Deparse(e Expr) string {
-	var b strings.Builder
-	deparseExpr(&b, e)
-	return b.String()
+	var a [128]byte
+	return string(deparseExpr(a[:0], e, false))
 }
 
-// DeparseTo writes Deparse(e) into b.
-func DeparseTo(b *strings.Builder, e Expr) { deparseExpr(b, e) }
+// AppendDeparse appends Deparse(e) to dst.
+func AppendDeparse(dst []byte, e Expr) []byte { return deparseExpr(dst, e, false) }
 
 // deparseReserved lists words (beyond reservedAfterTable) whose bare
 // spelling the expression grammar claims, so an identifier spelled like one
@@ -46,322 +42,309 @@ func plainIdent(s string) bool {
 // deparseIdent writes an identifier, double-quoting it when its bare
 // spelling would not re-lex to the same name (non-plain shapes, reserved
 // words).
-func deparseIdent(b *strings.Builder, name string) {
+func deparseIdent(dst []byte, name string) []byte {
 	if plainIdent(name) && !lookupKeyword(deparseReserved, name) && !lookupKeyword(reservedAfterTable, name) {
-		b.WriteString(name)
-		return
+		return append(dst, name...)
 	}
-	b.WriteByte('"')
-	b.WriteString(strings.ReplaceAll(name, `"`, `""`))
-	b.WriteByte('"')
+	dst = append(dst, '"')
+	dst = append(dst, strings.ReplaceAll(name, `"`, `""`)...)
+	return append(dst, '"')
 }
 
 // DeparseStmt renders a statement back to SQL text.
 func DeparseStmt(s Statement) string {
-	var b strings.Builder
+	var dst []byte
 	switch st := s.(type) {
 	case *SelectStmt:
-		deparseSelect(&b, st)
+		dst = append(dst, deparseSelect(st)...)
 	case *CreateTableStmt:
-		b.WriteString("CREATE TABLE ")
-		deparseIdent(&b, st.Name)
-		b.WriteString(" (")
+		dst = append(dst, "CREATE TABLE "...)
+		dst = deparseIdent(dst, st.Name)
+		dst = append(dst, " ("...)
 		for i, c := range st.Columns {
 			if i > 0 {
-				b.WriteString(", ")
+				dst = append(dst, ", "...)
 			}
-			deparseIdent(&b, c.Name)
-			b.WriteByte(' ')
-			b.WriteString(c.Type.String())
+			dst = deparseIdent(dst, c.Name)
+			dst = append(dst, ' ')
+			dst = append(dst, c.Type.String()...)
 			if c.PrimaryKey {
-				b.WriteString(" PRIMARY KEY")
+				dst = append(dst, " PRIMARY KEY"...)
 			}
 		}
-		b.WriteByte(')')
+		dst = append(dst, ')')
 	case *InsertStmt:
-		b.WriteString("INSERT INTO ")
-		deparseIdent(&b, st.Table)
+		dst = append(dst, "INSERT INTO "...)
+		dst = deparseIdent(dst, st.Table)
 		if len(st.Columns) > 0 {
-			b.WriteString(" (")
+			dst = append(dst, " ("...)
 			for i, col := range st.Columns {
 				if i > 0 {
-					b.WriteString(", ")
+					dst = append(dst, ", "...)
 				}
-				deparseIdent(&b, col)
+				dst = deparseIdent(dst, col)
 			}
-			b.WriteByte(')')
+			dst = append(dst, ')')
 		}
-		b.WriteString(" VALUES ")
+		dst = append(dst, " VALUES "...)
 		for i, row := range st.Rows {
 			if i > 0 {
-				b.WriteString(", ")
+				dst = append(dst, ", "...)
 			}
-			b.WriteByte('(')
+			dst = append(dst, '(')
 			for j, e := range row {
 				if j > 0 {
-					b.WriteString(", ")
+					dst = append(dst, ", "...)
 				}
-				deparseExpr(&b, e)
+				dst = deparseExpr(dst, e, false)
 			}
-			b.WriteByte(')')
+			dst = append(dst, ')')
 		}
 	case *ExplainStmt:
-		b.WriteString("EXPLAIN ")
+		dst = append(dst, "EXPLAIN "...)
 		if st.Analyze {
-			b.WriteString("ANALYZE ")
+			dst = append(dst, "ANALYZE "...)
 		}
-		deparseSelect(&b, st.Stmt)
+		dst = append(dst, deparseSelect(st.Stmt)...)
 	case *CreateViewStmt:
-		b.WriteString("CREATE MATERIALIZED VIEW ")
-		deparseIdent(&b, st.Name)
-		b.WriteString(" AS ")
-		deparseSelect(&b, st.Select)
+		dst = append(dst, "CREATE MATERIALIZED VIEW "...)
+		dst = deparseIdent(dst, st.Name)
+		dst = append(dst, " AS "...)
+		dst = append(dst, deparseSelect(st.Select)...)
 	case *RefreshViewStmt:
-		b.WriteString("REFRESH MATERIALIZED VIEW ")
-		deparseIdent(&b, st.Name)
+		dst = append(dst, "REFRESH MATERIALIZED VIEW "...)
+		dst = deparseIdent(dst, st.Name)
 	case *DropViewStmt:
-		b.WriteString("DROP MATERIALIZED VIEW ")
-		deparseIdent(&b, st.Name)
+		dst = append(dst, "DROP MATERIALIZED VIEW "...)
+		dst = deparseIdent(dst, st.Name)
 	}
-	return b.String()
+	return string(dst)
 }
 
-func deparseSelect(b *strings.Builder, s *SelectStmt) {
-	b.WriteString("SELECT ")
+// deparseSelect and deparseTable return strings rather than append to a
+// caller's buffer, so that deparseExpr, which they call, is the only function
+// returning the buffers it is handed (see deparseExpr).
+func deparseSelect(s *SelectStmt) string {
+	dst := append([]byte(nil), "SELECT "...)
 	if s.Distinct {
-		b.WriteString("DISTINCT ")
+		dst = append(dst, "DISTINCT "...)
 	}
 	for i, item := range s.Items {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
 		if item.Star {
 			if item.StarTable != "" {
-				deparseIdent(b, item.StarTable)
-				b.WriteByte('.')
+				dst = deparseIdent(dst, item.StarTable)
+				dst = append(dst, '.')
 			}
-			b.WriteByte('*')
+			dst = append(dst, '*')
 			continue
 		}
-		deparseExpr(b, item.Expr)
+		dst = deparseExpr(dst, item.Expr, false)
 		if item.Alias != "" {
-			b.WriteString(" AS ")
-			deparseIdent(b, item.Alias)
+			dst = append(dst, " AS "...)
+			dst = deparseIdent(dst, item.Alias)
 		}
 	}
 	if s.From != nil {
-		b.WriteString(" FROM ")
-		deparseTable(b, s.From)
+		dst = append(dst, " FROM "...)
+		dst = append(dst, deparseTable(s.From)...)
 	}
 	if s.Where != nil {
-		b.WriteString(" WHERE ")
-		deparseExpr(b, s.Where)
+		dst = append(dst, " WHERE "...)
+		dst = deparseExpr(dst, s.Where, false)
 	}
 	if len(s.GroupBy) > 0 {
-		b.WriteString(" GROUP BY ")
+		dst = append(dst, " GROUP BY "...)
 		for i, e := range s.GroupBy {
 			if i > 0 {
-				b.WriteString(", ")
+				dst = append(dst, ", "...)
 			}
-			deparseExpr(b, e)
+			dst = deparseExpr(dst, e, false)
 		}
 	}
 	if s.Having != nil {
-		b.WriteString(" HAVING ")
-		deparseExpr(b, s.Having)
+		dst = append(dst, " HAVING "...)
+		dst = deparseExpr(dst, s.Having, false)
 	}
 	if len(s.OrderBy) > 0 {
-		b.WriteString(" ORDER BY ")
+		dst = append(dst, " ORDER BY "...)
 		for i, o := range s.OrderBy {
 			if i > 0 {
-				b.WriteString(", ")
+				dst = append(dst, ", "...)
 			}
-			deparseExpr(b, o.Expr)
+			dst = deparseExpr(dst, o.Expr, false)
 			if o.Desc {
-				b.WriteString(" DESC")
+				dst = append(dst, " DESC"...)
 			}
 		}
 	}
 	if s.Limit != nil {
-		b.WriteString(" LIMIT ")
-		deparseExpr(b, s.Limit)
+		dst = append(dst, " LIMIT "...)
+		dst = deparseExpr(dst, s.Limit, false)
 	}
 	if s.Offset != nil {
-		b.WriteString(" OFFSET ")
-		deparseExpr(b, s.Offset)
+		dst = append(dst, " OFFSET "...)
+		dst = deparseExpr(dst, s.Offset, false)
 	}
+	return string(dst)
 }
 
-func deparseTable(b *strings.Builder, t TableExpr) {
+func deparseTable(t TableExpr) string {
+	var dst []byte
 	switch tt := t.(type) {
 	case *TableRef:
-		deparseIdent(b, tt.Name)
+		dst = deparseIdent(dst, tt.Name)
 		if tt.Alias != "" && tt.Alias != tt.Name {
-			b.WriteString(" AS ")
-			deparseIdent(b, tt.Alias)
+			dst = append(dst, " AS "...)
+			dst = deparseIdent(dst, tt.Alias)
 		}
 	case *JoinExpr:
-		deparseTable(b, tt.Left)
-		b.WriteByte(' ')
-		b.WriteString(tt.Type.String())
-		b.WriteByte(' ')
+		dst = append(dst, deparseTable(tt.Left)...)
+		dst = append(dst, ' ')
+		dst = append(dst, tt.Type.String()...)
+		dst = append(dst, ' ')
 		if _, nested := tt.Right.(*JoinExpr); nested {
-			b.WriteByte('(')
-			deparseTable(b, tt.Right)
-			b.WriteByte(')')
+			dst = append(dst, '(')
+			dst = append(dst, deparseTable(tt.Right)...)
+			dst = append(dst, ')')
 		} else {
-			deparseTable(b, tt.Right)
+			dst = append(dst, deparseTable(tt.Right)...)
 		}
 		if tt.On != nil {
-			b.WriteString(" ON ")
-			deparseExpr(b, tt.On)
+			dst = append(dst, " ON "...)
+			dst = deparseExpr(dst, tt.On, false)
 		}
 	case *SubqueryRef:
-		b.WriteByte('(')
-		deparseSelect(b, tt.Select)
-		b.WriteString(") AS ")
-		deparseIdent(b, tt.Alias)
+		dst = append(dst, '(')
+		dst = append(dst, deparseSelect(tt.Select)...)
+		dst = append(dst, ") AS "...)
+		dst = deparseIdent(dst, tt.Alias)
 	}
+	return string(dst)
 }
 
-func deparseExpr(b *strings.Builder, e Expr) {
+// deparseExpr appends e, in parentheses when paren is set. It is the only
+// function of its call cycle (through subqueries) that returns a buffer it
+// was handed, which lets Go's escape analysis keep a caller's stack buffer
+// on the stack: a buffer that flows to the result of another function of the
+// cycle is moved to the heap.
+func deparseExpr(dst []byte, e Expr, paren bool) []byte {
+	if paren {
+		dst = append(dst, '(')
+		dst = deparseExpr(dst, e, false)
+		return append(dst, ')')
+	}
 	switch x := e.(type) {
 	case *Literal:
-		deparseLiteral(b, x.Value)
+		dst = x.Value.AppendSQLLiteral(dst)
 	case *Param:
-		b.WriteString(x.String())
+		dst = append(dst, x.String()...)
 	case *ColumnRef:
 		if x.Table != "" {
-			deparseIdent(b, x.Table)
-			b.WriteByte('.')
+			dst = deparseIdent(dst, x.Table)
+			dst = append(dst, '.')
 		}
-		deparseIdent(b, x.Name)
+		dst = deparseIdent(dst, x.Name)
 	case *BinaryExpr:
-		deparseChild(b, x.Left, precOf(x.Op), true)
-		b.WriteByte(' ')
-		b.WriteString(x.Op.String())
-		b.WriteByte(' ')
-		deparseChild(b, x.Right, precOf(x.Op), false)
+		dst = deparseExpr(dst, x.Left, childParen(x.Left, precOf(x.Op), true))
+		dst = append(dst, ' ')
+		dst = append(dst, x.Op.String()...)
+		dst = append(dst, ' ')
+		dst = deparseExpr(dst, x.Right, childParen(x.Right, precOf(x.Op), false))
 	case *UnaryExpr:
 		if x.Op == "NOT" {
-			b.WriteString("NOT ")
+			dst = append(dst, "NOT "...)
 		} else {
-			b.WriteString(x.Op)
+			dst = append(dst, x.Op...)
 		}
-		if _, ok := x.X.(*BinaryExpr); ok {
-			b.WriteByte('(')
-			deparseExpr(b, x.X)
-			b.WriteByte(')')
-		} else {
-			deparseExpr(b, x.X)
-		}
+		_, binary := x.X.(*BinaryExpr)
+		dst = deparseExpr(dst, x.X, binary)
 	case *FuncCall:
-		deparseIdent(b, x.Name)
-		b.WriteByte('(')
+		dst = deparseIdent(dst, x.Name)
+		dst = append(dst, '(')
 		if x.Star {
-			b.WriteByte('*')
+			dst = append(dst, '*')
 		} else {
 			if x.Distinct {
-				b.WriteString("DISTINCT ")
+				dst = append(dst, "DISTINCT "...)
 			}
 			for i, a := range x.Args {
 				if i > 0 {
-					b.WriteString(", ")
+					dst = append(dst, ", "...)
 				}
-				deparseExpr(b, a)
+				dst = deparseExpr(dst, a, false)
 			}
 		}
-		b.WriteByte(')')
+		dst = append(dst, ')')
 	case *IsNullExpr:
-		deparseWithMinPrec(b, x.X, 3)
+		dst = deparseExpr(dst, x.X, exprPrec(x.X) < 3)
 		if x.Not {
-			b.WriteString(" IS NOT NULL")
+			dst = append(dst, " IS NOT NULL"...)
 		} else {
-			b.WriteString(" IS NULL")
+			dst = append(dst, " IS NULL"...)
 		}
 	case *InExpr:
-		deparseWithMinPrec(b, x.X, 3)
+		dst = deparseExpr(dst, x.X, exprPrec(x.X) < 3)
 		if x.Not {
-			b.WriteString(" NOT")
+			dst = append(dst, " NOT"...)
 		}
-		b.WriteString(" IN (")
+		dst = append(dst, " IN ("...)
 		if x.Subquery != nil {
-			deparseSelect(b, x.Subquery)
+			dst = append(dst, deparseSelect(x.Subquery)...)
 		} else {
 			for i, a := range x.List {
 				if i > 0 {
-					b.WriteString(", ")
+					dst = append(dst, ", "...)
 				}
-				deparseExpr(b, a)
+				dst = deparseExpr(dst, a, false)
 			}
 		}
-		b.WriteByte(')')
+		dst = append(dst, ')')
 	case *BetweenExpr:
-		deparseWithMinPrec(b, x.X, 3)
+		dst = deparseExpr(dst, x.X, exprPrec(x.X) < 3)
 		if x.Not {
-			b.WriteString(" NOT")
+			dst = append(dst, " NOT"...)
 		}
-		b.WriteString(" BETWEEN ")
-		deparseWithMinPrec(b, x.Lo, 4)
-		b.WriteString(" AND ")
-		deparseWithMinPrec(b, x.Hi, 4)
+		dst = append(dst, " BETWEEN "...)
+		dst = deparseExpr(dst, x.Lo, exprPrec(x.Lo) < 4)
+		dst = append(dst, " AND "...)
+		dst = deparseExpr(dst, x.Hi, exprPrec(x.Hi) < 4)
 	case *LikeExpr:
-		deparseWithMinPrec(b, x.X, 3)
+		dst = deparseExpr(dst, x.X, exprPrec(x.X) < 3)
 		if x.Not {
-			b.WriteString(" NOT")
+			dst = append(dst, " NOT"...)
 		}
-		b.WriteString(" LIKE ")
-		deparseWithMinPrec(b, x.Pattern, 4)
+		dst = append(dst, " LIKE "...)
+		dst = deparseExpr(dst, x.Pattern, exprPrec(x.Pattern) < 4)
 	case *CaseExpr:
-		b.WriteString("CASE")
+		dst = append(dst, "CASE"...)
 		if x.Operand != nil {
-			b.WriteByte(' ')
-			deparseExpr(b, x.Operand)
+			dst = append(dst, ' ')
+			dst = deparseExpr(dst, x.Operand, false)
 		}
 		for _, w := range x.Whens {
-			b.WriteString(" WHEN ")
-			deparseExpr(b, w.Cond)
-			b.WriteString(" THEN ")
-			deparseExpr(b, w.Then)
+			dst = append(dst, " WHEN "...)
+			dst = deparseExpr(dst, w.Cond, false)
+			dst = append(dst, " THEN "...)
+			dst = deparseExpr(dst, w.Then, false)
 		}
 		if x.Else != nil {
-			b.WriteString(" ELSE ")
-			deparseExpr(b, x.Else)
+			dst = append(dst, " ELSE "...)
+			dst = deparseExpr(dst, x.Else, false)
 		}
-		b.WriteString(" END")
+		dst = append(dst, " END"...)
 	case *CastExpr:
-		b.WriteString("CAST(")
-		deparseExpr(b, x.X)
-		b.WriteString(" AS ")
-		b.WriteString(x.Type.String())
-		b.WriteByte(')')
+		dst = append(dst, "CAST("...)
+		dst = deparseExpr(dst, x.X, false)
+		dst = append(dst, " AS "...)
+		dst = append(dst, x.Type.String()...)
+		dst = append(dst, ')')
 	default:
-		b.WriteString(fmt.Sprintf("<?expr %T>", e)) // not Fprintf: b would escape on every call
+		dst = append(dst, fmt.Sprintf("<?expr %T>", e)...)
 	}
-}
-
-// deparseLiteral writes v.SQLLiteral(), building no string for the non-NULL
-// TEXT and INT values filters are mostly made of.
-func deparseLiteral(b *strings.Builder, v rel.Value) {
-	switch {
-	case v.IsNull():
-	case v.Type() == rel.TypeText:
-		s := v.AsText()
-		b.WriteByte('\'')
-		for i := strings.IndexByte(s, '\''); i >= 0; i = strings.IndexByte(s, '\'') {
-			b.WriteString(s[:i+1])
-			b.WriteByte('\'')
-			s = s[i+1:]
-		}
-		b.WriteString(s)
-		b.WriteByte('\'')
-		return
-	case v.Type() == rel.TypeInt:
-		var buf [20]byte
-		b.Write(strconv.AppendInt(buf[:0], v.AsInt(), 10))
-		return
-	}
-	b.WriteString(v.SQLLiteral())
+	return dst
 }
 
 // precOf assigns a precedence level to binary operators for minimal
@@ -402,29 +385,10 @@ func exprPrec(e Expr) int {
 	}
 }
 
-// deparseChild writes a child of a binary expression, adding parentheses
-// when the child binds more loosely than the parent (or equally, on the
+// childParen reports whether a child of a binary expression needs
+// parentheses: it binds more loosely than the parent (or equally, on the
 // right side, to preserve left associativity).
-func deparseChild(b *strings.Builder, e Expr, parentPrec int, isLeft bool) {
+func childParen(e Expr, parentPrec int, isLeft bool) bool {
 	childPrec := exprPrec(e)
-	need := childPrec < parentPrec || (childPrec == parentPrec && !isLeft)
-	if need {
-		b.WriteByte('(')
-		deparseExpr(b, e)
-		b.WriteByte(')')
-	} else {
-		deparseExpr(b, e)
-	}
-}
-
-// deparseWithMinPrec writes an operand that the parser reads at the given
-// precedence level, parenthesising looser-binding expressions.
-func deparseWithMinPrec(b *strings.Builder, e Expr, minPrec int) {
-	if exprPrec(e) < minPrec {
-		b.WriteByte('(')
-		deparseExpr(b, e)
-		b.WriteByte(')')
-		return
-	}
-	deparseExpr(b, e)
+	return childPrec < parentPrec || (childPrec == parentPrec && !isLeft)
 }

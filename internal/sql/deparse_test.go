@@ -1,12 +1,9 @@
 package sql
 
 import (
-	"math"
 	"reflect"
 	"strings"
 	"testing"
-
-	"llmsql/internal/rel"
 )
 
 // TestDeparseRoundTrip checks parse -> deparse -> parse is a fixed point on
@@ -100,23 +97,6 @@ func TestDeparseExplain(t *testing.T) {
 	}
 	if got := DeparseStmt(stmt); got != "EXPLAIN SELECT a FROM t" {
 		t.Errorf("explain deparse: %q", got)
-	}
-}
-
-// TestDeparseLiteralMatchesSQLLiteral: a literal deparses to its value's
-// SQLLiteral, including the TEXT and INT values written without building
-// the string.
-func TestDeparseLiteralMatchesSQLLiteral(t *testing.T) {
-	for _, v := range []rel.Value{
-		rel.Null(), rel.NullOf(rel.TypeText), rel.NullOf(rel.TypeInt),
-		rel.Text(""), rel.Text("'"), rel.Text("a''b'"), rel.Text("Côte d'Ivoire"), rel.Text("no quotes"),
-		rel.Int(0), rel.Int(7), rel.Int(-1), rel.Int(1940), rel.Int(math.MinInt64), rel.Int(math.MaxInt64),
-		rel.Float(1), rel.Float(-2.5), rel.Float(1e300), rel.Float(math.NaN()),
-		rel.Bool(true), rel.Bool(false),
-	} {
-		if got, want := Deparse(&Literal{Value: v}), v.SQLLiteral(); got != want {
-			t.Errorf("Deparse(%#v) = %q, SQLLiteral %q", v, got, want)
-		}
 	}
 }
 
